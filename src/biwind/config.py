@@ -21,7 +21,9 @@ EVENT_REFINE_TOL = 1e-10
 # Unstable-manifold shooting defaults.
 EPS0 = 1e-3
 THETA_TOL = 1e-10
-THETA_TOL_FLOOR = 1e-13  # requests below this are clamped (and recorded)
+# The command line's `shoot` raises a smaller --theta-tol to this floor and
+# records it; library calls such as manifold.find_heteroclinic do not clamp.
+THETA_TOL_FLOOR = 1e-13
 SHOOT_SPAN = 25.0
 HETEROCLINIC_TOL = 1e-3  # end-state closeness that flags a candidate
 PRECISION_DIGITS = 38  # working digits of the extended-precision refinement

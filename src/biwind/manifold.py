@@ -223,6 +223,10 @@ def find_heteroclinic(
     trapping region) means the connecting angle was straddled, so the
     bracket is narrowed on alternating sides.  Returns the midpoint of the
     final bracket together with its classification.
+
+    `theta_tol` is used as given: the library does not clamp it to
+    `config.THETA_TOL_FLOOR` (only the command line's `shoot` does), and
+    bisection stops early once the midpoint rounds onto an end.
     """
     if not (theta_tol > 0.0 and math.isfinite(theta_tol)):
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")

@@ -112,6 +112,35 @@ def test_span_exhaustion_far_from_target_is_undecided():
     assert "span exhausted" in res.note
 
 
+# The double connecting angle at the default tolerances.
+_THETA_STAR = 0.7853979288946605
+_T0 = manifold.theta0(EPS0)
+
+
+@pytest.mark.parametrize(
+    "theta, tau_tol",
+    [(th, 1e-8) for th in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.2)]
+    + [(_THETA_STAR + off, 1e-8) for off in (-1e-2, 1e-2)]
+    + [(_T0 - off, 1e-8) for off in (1e-3, 1e-5, 1e-7, 0.0)]
+    # Closer to theta* the orbit shadows the equator, whose unstable exponent
+    # 2.499 amplifies the RK45 tolerance error: the two step caps then give
+    # taus up to 2.2e-6 apart (at 1e-8 off) with identical event steps.
+    + [(_THETA_STAR + off, 1e-5) for off in (-1e-4, 1e-4, -1e-6, 1e-6, -1e-8, 1e-8)],
+)
+def test_gate_events_are_not_missed_inside_a_step(theta, tau_tol):
+    # A phi'' graze of +-c* that enters and leaves between two scan points of
+    # one step is missed at the default step cap but seen at max_step/16; the
+    # run then stops at a later gate or the other one.
+    spec = manifold.SeedSpec(EPS0, theta)
+    coarse = manifold.classify_orbit(spec)
+    fine = manifold.classify_orbit(
+        spec, integrate.IntegrationConfig(max_step=integrate.IntegrationConfig().max_step / 16)
+    )
+    assert fine.outcome is coarse.outcome
+    assert fine.g == coarse.g
+    assert fine.tau == pytest.approx(coarse.tau, abs=tau_tol)
+
+
 def test_bisection_locates_the_connecting_angle():
     theta_star, res = manifold.find_heteroclinic(theta_tol=1e-10)
     assert abs(theta_star - math.pi / 4) < 1e-5
