@@ -6,7 +6,9 @@ re-proved here with outward-rounded interval arithmetic:
 * a branch-and-bound engine (`prove_lower_bound`) that bisects the widest
   box dimension, discharges a box once the interval evaluation clears the
   bound, fails with a witness when a center point definitely violates it,
-  and gives up at a minimum width otherwise;
+  and gives up at a minimum width otherwise.  It runs breadth first and
+  evaluates each level of the tree as one batch: the coefficient functions
+  take a box whose dimensions are `IntervalArray` lanes, one per live box;
 * two-term Taylor-with-remainder enclosures of the cubic and linear
   coefficients near the origin (`taylor_enclose_P_coeff`), computed in exact
   rational arithmetic over Q[sqrt 6] and only rounded outward at the end;
@@ -14,11 +16,14 @@ re-proved here with outward-rounded interval arithmetic:
   (`enclose_sublevel`);
 * the nine named certificates V1-V9 (`run_task`), serialized as JSON.
 
-Determinism: the root box is always expanded into the same canonical
-frontier of subtrees, each subtree is searched depth-first sequentially, and
-per-subtree results are merged in frontier order.  Worker threads only
-change who computes a subtree, never the outcome, so certificates are
-bit-identical across any degree of parallelism (wall-clock time aside).
+Determinism comes from the structure: the search runs serially, with no
+threads, one breadth-first level at a time, and every level holds its boxes
+in canonical order (the children of box j are boxes 2j and 2j + 1 of the
+next level).  Each lane is rounded exactly as the scalar `Interval` would
+round it, so the set of boxes, the depth and the first FAILED or
+INCONCLUSIVE witness in that order are fixed by the problem alone.  The
+`workers` arguments are accepted and change nothing, so certificates are
+bit-identical for any worker count (wall-clock time aside).
 """
 
 from __future__ import annotations
@@ -27,15 +32,17 @@ import enum
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import config
 from .intervals import (
     Box,
     Interval,
+    IntervalArray,
     eighth_pi_iv,
     half_pi_iv,
     pi_iv,
@@ -70,7 +77,8 @@ TASK_IDS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9")
 
 # ---------------------------------------------------------------------------
 # Interval transcriptions of the coefficient functions (same structure as the
-# floating-point forms in `regions`, with every constant enclosed).
+# floating-point forms in `regions`, with every constant enclosed).  They take
+# `Interval` and `IntervalArray` arguments alike.
 
 
 def a_iv(phi0: Interval, phi: Interval, v: Interval) -> Interval:
@@ -112,10 +120,6 @@ def c1_z_iv(phi0: Interval, z: Interval) -> Interval:
     return c1_iv(phi0, phi_of_z_iv(phi0, z))
 
 
-def c2_z_iv(phi0: Interval, z: Interval) -> Interval:
-    return c2_iv(phi0, phi_of_z_iv(phi0, z))
-
-
 def q0_iv(phi: Interval) -> Interval:
     """Constant coefficient of the cone forcing: 6 (3 phi - 2 sin 2phi + 2 phi cos 2phi)."""
     return (phi * 3 - (phi * 2).sin() * 2 + phi * 2 * (phi * 2).cos()) * 6
@@ -137,53 +141,45 @@ class BnbOutcome:
     witness: Box | None
     boxes_examined: int
     max_depth: int
+    level_boxes: tuple[int, ...] = ()  # boxes examined at each breadth-first level
 
 
-_FRONTIER_LEVELS = 4  # canonical 2^4-leaf partition handed to the worker pool
+def _lanes_box(lo: np.ndarray, hi: np.ndarray) -> Box:
+    """The frontier whose dimension i spans [lo[i], hi[i]], as one box of lanes."""
+    return Box(tuple(IntervalArray(a, b) for a, b in zip(lo, hi)))
 
 
-def _discharged(iv: Interval, bound: float, strict: bool) -> bool:
-    return iv.lo > bound if strict else iv.lo >= bound
+def _lane(lo: np.ndarray, hi: np.ndarray, j: int) -> Box:
+    return Box(tuple(Interval(float(a[j]), float(b[j])) for a, b in zip(lo, hi)))
 
 
-def _center_fails(iv: Interval, bound: float, strict: bool) -> bool:
-    return iv.hi <= bound if strict else iv.hi < bound
+def _lane_bounds(val, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi of an evaluation on n lanes; a scalar `Interval` covers every lane."""
+    return np.broadcast_to(val.lo, (n,)), np.broadcast_to(val.hi, (n,))
 
 
-def _point_box(box: Box) -> Box:
-    return Box(tuple(Interval.point(x) for x in box.center()))
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`Interval.midpoint` lane by lane."""
+    m = 0.5 * (lo + hi)
+    m = np.where(lo > m, lo, m)
+    return np.where(hi < m, hi, m)
 
 
-def _dfs_subtree(
-    f: Callable[[Box], Interval],
-    box: Box,
-    depth0: int,
-    bound: float,
-    min_width: float,
-    strict: bool,
-) -> BnbOutcome:
-    stack: list[tuple[Box, int]] = [(box, depth0)]
-    boxes = 0
-    max_depth = depth0
-    inconclusive: Box | None = None
-    while stack:
-        b, dep = stack.pop()
-        boxes += 1
-        max_depth = max(max_depth, dep)
-        if _discharged(f(b), bound, strict):
-            continue
-        if _center_fails(f(_point_box(b)), bound, strict):
-            return BnbOutcome(Status.FAILED, b, boxes, max_depth)
-        if b.max_width() < min_width:
-            if inconclusive is None:
-                inconclusive = b
-            continue
-        left, right = b.bisect()
-        stack.append((right, dep + 1))
-        stack.append((left, dep + 1))
-    if inconclusive is not None:
-        return BnbOutcome(Status.INCONCLUSIVE, inconclusive, boxes, max_depth)
-    return BnbOutcome(Status.PROVED, None, boxes, max_depth)
+def _bisect_lanes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Box.bisect` on every lane; lane j's halves become lanes 2j and 2j + 1."""
+    k = np.argmax(hi - lo, axis=0)  # the first widest dimension, as Box.widest_dim
+    j = np.arange(lo.shape[1])
+    a, b = lo[k, j], hi[k, j]
+    m = _midpoints(a, b)
+    thin = ~((a < m) & (m < b))
+    if thin.any():
+        t = int(np.argmax(thin))
+        raise ValueError(f"dimension {k[t]} too thin to bisect: [{a[t]}, {b[t]}]")
+    lo2 = np.repeat(lo, 2, axis=1)
+    hi2 = np.repeat(hi, 2, axis=1)
+    hi2[k, 2 * j] = m
+    lo2[k, 2 * j + 1] = m
+    return lo2, hi2
 
 
 def prove_lower_bound(
@@ -196,54 +192,45 @@ def prove_lower_bound(
 ) -> BnbOutcome:
     """Certify f >= bound (or > bound when strict) on the box.
 
-    The top of the tree is expanded sequentially into a canonical frontier;
-    the frontier subtrees run depth-first, possibly on a thread pool, and
-    merge in frontier order, so the outcome and stats never depend on the
-    worker count.
+    The tree is searched breadth first.  Each level is one call of f on a
+    box whose dimensions are `IntervalArray` lanes, one per live box, in
+    canonical order (the children of box j are 2j and 2j + 1).  A box is
+    discharged when its evaluation clears the bound; otherwise f at its
+    center decides failure, and a box narrower than min_width is given up
+    as inconclusive.  The first failing box in that order is the FAILED
+    witness and the first given-up box the INCONCLUSIVE one.  `workers` is
+    accepted for compatibility and changes nothing: the search is serial.
     """
     if min_width <= 0:
         raise ValueError(f"min_width must be positive, got {min_width}")
-    workers = config.default_workers() if workers is None else max(1, int(workers))
-    boxes = 0
-    max_depth = 0
+    lo = np.array([[iv.lo] for iv in box.dims])
+    hi = np.array([[iv.hi] for iv in box.dims])
+    levels: list[int] = []
     inconclusive: Box | None = None
-    frontier: list[tuple[Box, int]] = [(box, 0)]
-    for _ in range(_FRONTIER_LEVELS):
-        nxt: list[tuple[Box, int]] = []
-        for b, dep in frontier:
-            boxes += 1
-            max_depth = max(max_depth, dep)
-            if _discharged(f(b), bound, strict):
-                continue
-            if _center_fails(f(_point_box(b)), bound, strict):
-                return BnbOutcome(Status.FAILED, b, boxes, max_depth)
-            if b.max_width() < min_width:
-                if inconclusive is None:
-                    inconclusive = b
-                continue
-            left, right = b.bisect()
-            nxt.append((left, dep + 1))
-            nxt.append((right, dep + 1))
-        frontier = nxt
-    if frontier:
-        run = lambda item: _dfs_subtree(f, item[0], item[1], bound, min_width, strict)
-        if workers == 1:
-            results = [run(item) for item in frontier]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, frontier))
-        for r in results:
-            boxes += r.boxes_examined
-            max_depth = max(max_depth, r.max_depth)
-        for r in results:
-            if r.status is Status.FAILED:
-                return BnbOutcome(Status.FAILED, r.witness, boxes, max_depth)
-        for r in results:
-            if r.status is Status.INCONCLUSIVE and inconclusive is None:
-                inconclusive = r.witness
-    if inconclusive is not None:
-        return BnbOutcome(Status.INCONCLUSIVE, inconclusive, boxes, max_depth)
-    return BnbOutcome(Status.PROVED, None, boxes, max_depth)
+    while lo.shape[1]:
+        n = lo.shape[1]
+        v_lo, _ = _lane_bounds(f(_lanes_box(lo, hi)), n)
+        live = np.flatnonzero(v_lo <= bound if strict else v_lo < bound)
+        lo, hi = lo[:, live], hi[:, live]
+        if live.size:
+            mid = _midpoints(lo, hi)
+            _, c_hi = _lane_bounds(f(_lanes_box(mid, mid)), live.size)
+            fails = c_hi <= bound if strict else c_hi < bound
+            if fails.any():
+                j = int(np.argmax(fails))
+                levels.append(int(live[j]) + 1)
+                return BnbOutcome(
+                    Status.FAILED, _lane(lo, hi, j), sum(levels), len(levels) - 1, tuple(levels)
+                )
+        levels.append(n)
+        narrow = (hi - lo).max(axis=0) < min_width
+        if narrow.any():
+            if inconclusive is None:
+                inconclusive = _lane(lo, hi, int(np.argmax(narrow)))
+            lo, hi = lo[:, ~narrow], hi[:, ~narrow]
+        lo, hi = _bisect_lanes(lo, hi)
+    status = Status.PROVED if inconclusive is None else Status.INCONCLUSIVE
+    return BnbOutcome(status, inconclusive, sum(levels), len(levels) - 1, tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +454,6 @@ def taylor_enclose_P_coeff(which: str, box: Box) -> tuple[Interval, Interval]:
 # ---------------------------------------------------------------------------
 # Dyadic sublevel-set enclosure.
 
-_FrCell = tuple[tuple[Fraction, Fraction], ...]
-
-
 @dataclass(frozen=True)
 class SublevelEnclosure:
     """Dyadic bounding box of the cells where f <= threshold cannot be excluded."""
@@ -477,6 +461,7 @@ class SublevelEnclosure:
     bounds: tuple[tuple[Fraction, Fraction], ...] | None
     cells_retained: int
     cells_examined: int
+    level_cells: tuple[int, ...] = ()  # cells examined at each breadth-first level
 
     @property
     def is_empty(self) -> bool:
@@ -490,10 +475,6 @@ class SublevelEnclosure:
         )
 
 
-def _cell_box(cell: _FrCell) -> Box:
-    return Box(tuple(Interval(_fr_dn(lo), _fr_up(hi)) for lo, hi in cell))
-
-
 def enclose_sublevel(
     f: Callable[[Box], Interval],
     threshold: float,
@@ -505,52 +486,72 @@ def enclose_sublevel(
     Cells are excluded when the interval evaluation stays above the
     threshold, retained whole when it stays at or below, and split on the
     widest dimension down to width root_width / grid_denominator otherwise.
-    All cell coordinates are exact dyadic rationals.
+    A cell is held exactly as grid indices: in dimension i it starts at grid
+    point s and spans 2^e grid steps, grid point j being the exact rational
+    lo_i + j (hi_i - lo_i) / grid_denominator, and f sees it rounded outward.
+    The search is breadth first, one f call per level on a box of
+    `IntervalArray` lanes.
     """
     if grid_denominator < 1 or grid_denominator & (grid_denominator - 1):
         raise ValueError(f"grid denominator must be a power of two, got {grid_denominator}")
     if box is None:
         box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
-    root: _FrCell = tuple((Fraction(iv.lo), Fraction(iv.hi)) for iv in box.dims)
-    floors = tuple((hi - lo) / grid_denominator for lo, hi in root)
-    lo_acc = [None] * len(root)
-    hi_acc = [None] * len(root)
+    den = grid_denominator
+    top = den.bit_length() - 1
+    root = [(Fraction(iv.lo), Fraction(iv.hi)) for iv in box.dims]
+    points = [[lo + j * (hi - lo) / den for j in range(den + 1)] for lo, hi in root]
+    grid_dn = [np.array([_fr_dn(p) for p in row]) for row in points]
+    grid_up = [np.array([_fr_up(p) for p in row]) for row in points]
+    # rank[i, e]: order of the width (hi_i - lo_i) 2^e / den over every
+    # dimension and exponent, equal widths sharing a rank; -1 for a cell
+    # that cannot split (e = 0).  The first dimension of largest rank is the
+    # widest one, ties going to the lower index.
+    widths = {
+        (i, e): (hi - lo) * 2**e / den
+        for i, (lo, hi) in enumerate(root)
+        if hi > lo
+        for e in range(1, top + 1)
+    }
+    order = {w: r for r, w in enumerate(sorted(set(widths.values())))}
+    ndim = len(root)
+    rank = np.full((ndim, top + 1), -1)
+    for (i, e), w in widths.items():
+        rank[i, e] = order[w]
+
+    start = np.zeros((ndim, 1), dtype=np.int64)
+    expo = np.full((ndim, 1), top, dtype=np.int64)
+    first = np.full(ndim, den)
+    last = np.zeros(ndim, dtype=np.int64)
     retained = 0
-    examined = 0
+    levels: list[int] = []
+    while start.shape[1]:
+        end = start + (1 << expo)
+        cells = tuple(IntervalArray(grid_dn[i][start[i]], grid_up[i][end[i]]) for i in range(ndim))
+        v_lo, v_hi = _lane_bounds(f(Box(cells)), start.shape[1])
+        levels.append(start.shape[1])
+        r = rank[np.arange(ndim)[:, None], expo]
+        split = (v_lo <= threshold) & (v_hi > threshold) & (r.max(axis=0) >= 0)
+        keep = (v_lo <= threshold) & ~split
+        if keep.any():
+            retained += int(keep.sum())
+            first = np.minimum(first, start[:, keep].min(axis=1))
+            last = np.maximum(last, end[:, keep].max(axis=1))
+        start, expo = start[:, split], expo[:, split]
+        k = np.argmax(r[:, split], axis=0)
+        j = np.arange(start.shape[1])
+        expo[k, j] -= 1
+        start = np.repeat(start, 2, axis=1)
+        expo = np.repeat(expo, 2, axis=1)
+        start[k, 2 * j + 1] += 1 << expo[k, 2 * j + 1]
 
-    def keep(cell: _FrCell) -> None:
-        nonlocal retained
-        retained += 1
-        for i, (lo, hi) in enumerate(cell):
-            if lo_acc[i] is None or lo < lo_acc[i]:
-                lo_acc[i] = lo
-            if hi_acc[i] is None or hi > hi_acc[i]:
-                hi_acc[i] = hi
-
-    stack: list[_FrCell] = [root]
-    while stack:
-        cell = stack.pop()
-        examined += 1
-        val = f(_cell_box(cell))
-        if val.lo > threshold:
-            continue
-        if val.hi <= threshold:
-            keep(cell)
-            continue
-        widths = [hi - lo for lo, hi in cell]
-        splittable = [i for i, w in enumerate(widths) if w > floors[i]]
-        if not splittable:
-            keep(cell)
-            continue
-        i = max(splittable, key=lambda i: (widths[i], -i))
-        lo, hi = cell[i]
-        mid = (lo + hi) / 2
-        stack.append(cell[:i] + ((mid, hi),) + cell[i + 1:])
-        stack.append(cell[:i] + ((lo, mid),) + cell[i + 1:])
-
+    examined = sum(levels)
     if retained == 0:
-        return SublevelEnclosure(None, 0, examined)
-    return SublevelEnclosure(tuple(zip(lo_acc, hi_acc)), retained, examined)
+        return SublevelEnclosure(None, 0, examined, tuple(levels))
+    bounds = tuple(
+        (lo + int(a) * (hi - lo) / den, lo + int(b) * (hi - lo) / den)
+        for (lo, hi), a, b in zip(root, first, last)
+    )
+    return SublevelEnclosure(bounds, retained, examined, tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +572,7 @@ class Certificate:
     rounding_mode: str
     wall_ms: int
     details: dict = field(default_factory=dict)
+    level_boxes: tuple[int, ...] = ()  # per breadth-first level; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -619,13 +621,15 @@ _DEFAULT_MIN_WIDTH = {
 def _merge_outcomes(parts: Sequence[BnbOutcome]) -> BnbOutcome:
     boxes = sum(p.boxes_examined for p in parts)
     depth = max(p.max_depth for p in parts)
+    levels = [0] * max(len(p.level_boxes) for p in parts)
     for p in parts:
-        if p.status is Status.FAILED:
-            return BnbOutcome(Status.FAILED, p.witness, boxes, depth)
-    for p in parts:
-        if p.status is Status.INCONCLUSIVE:
-            return BnbOutcome(Status.INCONCLUSIVE, p.witness, boxes, depth)
-    return BnbOutcome(Status.PROVED, None, boxes, depth)
+        for i, n in enumerate(p.level_boxes):
+            levels[i] += n
+    for status in (Status.FAILED, Status.INCONCLUSIVE):
+        for p in parts:
+            if p.status is status:
+                return BnbOutcome(status, p.witness, boxes, depth, tuple(levels))
+    return BnbOutcome(Status.PROVED, None, boxes, depth, tuple(levels))
 
 
 def _worst_status(statuses: Sequence[Status]) -> Status:
@@ -650,7 +654,10 @@ _SAMPLES_LARGE = (3.0, 3.5, 4.0, 5.0, 8.0, 16.0, 100.0, 1000.0)
 
 
 def run_task(task_id: str, min_width: float | None = None, workers: int | None = None) -> Certificate:
-    """Execute one named certificate and package the outcome."""
+    """Execute one named certificate and package the outcome.
+
+    `workers` is accepted for compatibility and changes nothing.
+    """
     if task_id not in TASK_IDS:
         raise ValueError(f"unknown task id {task_id!r}; expected one of {', '.join(TASK_IDS)}")
     if min_width is None:
@@ -666,19 +673,19 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         # in phi and the full [0, pi/2] range of phi0 cover all arguments.
         region = Box((Interval(0.0, hp.hi), Interval(0.0, pi_iv().hi)))
         f = lambda b: a_iv(b.dims[0], b.dims[1], Interval.point(0.0))
-        out = prove_lower_bound(f, region, 0.1, min_width, workers=workers)
+        out = prove_lower_bound(f, region, 0.1, min_width)
         cert = ("(phi0, phi)", (region,), "a(phi0, phi, v) >= 0.1 via a >= a|_{v=0}", out)
     elif task_id == "V2":
         region = Box((Interval(0.4, hp.hi), Interval(0.0, hp.hi)))
         f = lambda b: c0_iv(b.dims[0], b.dims[1])
-        out = prove_lower_bound(f, region, 0.01, min_width, workers=workers)
+        out = prove_lower_bound(f, region, 0.01, min_width)
         cert = ("(phi0, phi)", (region,), "v^0 coefficient of P >= 0.01", out)
     elif task_id == "V3":
         r1 = Box((Interval(0.01, 0.4), Interval(0.0, 1.0)))
         r2 = Box((Interval(0.0, 0.4), Interval(0.01, 1.0)))
         f = lambda b: c0_z_iv(b.dims[0], b.dims[1])
         parts = [
-            prove_lower_bound(f, r, 0.01, min_width, workers=workers) for r in (r1, r2)
+            prove_lower_bound(f, r, 0.01, min_width) for r in (r1, r2)
         ]
         out = _merge_outcomes(parts)
         cert = ("(phi0, z)", (r1, r2), "v^0 coefficient of P >= 0.01", out)
@@ -703,7 +710,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         taylor_box = Box((Interval(0.0, 0.11), Interval(0.0, 0.0006)))
         f = lambda b: c2_iv(b.dims[0], b.dims[1])
         parts = [
-            prove_lower_bound(f, r, 0.01, min_width, workers=workers) for r in (r1, r2)
+            prove_lower_bound(f, r, 0.01, min_width) for r in (r1, r2)
         ]
         c3, c1 = taylor_enclose_P_coeff("v2", taylor_box)
         ok = c3.lo > 0.0 and c1.lo > 0.0
@@ -724,7 +731,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
     elif task_id == "V6":
         region = Box((Interval(1.0, hp.hi), Interval(0.0, hp.hi)))
         f = lambda b: c1_iv(b.dims[0], b.dims[1])
-        out = prove_lower_bound(f, region, 0.01, min_width, workers=workers)
+        out = prove_lower_bound(f, region, 0.01, min_width)
         cert = ("(phi0, phi)", (region,), "v^1 coefficient of P >= 0.01", out)
     elif task_id == "V7":
         region = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
@@ -750,6 +757,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
             None,
             enc.cells_examined,
             int(math.log2(config.SUBLEVEL_DENOMINATOR)) * 2,
+            enc.level_cells,
         )
         cert = (
             "(phi0, z)",
@@ -760,16 +768,22 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
     elif task_id == "V8":
         region = Box.from_bounds([(0.0, 783 / 1024), (779 / 1024, 1.0)])
 
-        def quad_min(b: Box) -> Interval:
+        def quad_min(b: Box) -> IntervalArray:
             phi0, z = b.dims
             phi = phi_of_z_iv(phi0, z)
             c2 = c2_iv(phi0, phi)
-            if c2.lo <= 0.0:
-                # cannot justify the closed-form minimum here; force a split
-                return Interval(-1e30, 1e30)
-            return c0_iv(phi0, phi) - c1_iv(phi0, phi).power(2) / (c2 * 4)
+            # the closed-form minimum needs c2 > 0; other lanes get a value
+            # that forces a split, and no division sees their c2
+            ok = np.flatnonzero(c2.lo > 0.0)
+            lo = np.full(len(c2), -1e30)
+            hi = np.full(len(c2), 1e30)
+            if ok.size:
+                phi0, phi, c2 = phi0[ok], phi[ok], c2[ok]
+                q = c0_iv(phi0, phi) - c1_iv(phi0, phi).power(2) / (c2 * 4)
+                lo[ok], hi[ok] = q.lo, q.hi
+            return IntervalArray(lo, hi)
 
-        out = prove_lower_bound(quad_min, region, 0.5, min_width, workers=workers)
+        out = prove_lower_bound(quad_min, region, 0.5, min_width)
         cert = (
             "(phi0, z)",
             (region,),
@@ -779,7 +793,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
     else:  # V9
         region = Box((Interval(eighth_pi_iv().lo, 3.0),))
         f = lambda b: q0_iv(b.dims[0])
-        out = prove_lower_bound(f, region, 1.9, min_width, strict=True, workers=workers)
+        out = prove_lower_bound(f, region, 1.9, min_width, strict=True)
         s2 = math.sqrt(2.0)
         sqrt2 = Interval(math.nextafter(s2, 0.0), math.nextafter(s2, 2.0))
         small, large = [], []
@@ -819,4 +833,5 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         rounding_mode=ROUNDING_MODE,
         wall_ms=wall_ms,
         details=details,
+        level_boxes=outcome.level_boxes,
     )

@@ -40,7 +40,7 @@ SUBLEVEL_DENOMINATOR = 1024
 # Region-membership boundary tolerance.
 BOUNDARY_TOL = 1e-9
 
-# Number of branch-and-bound worker threads.
+# Number of classification-grid worker threads (certificates run serially).
 WORKERS_ENV_VAR = "BIWIND_WORKERS"
 
 

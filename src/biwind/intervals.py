@@ -9,10 +9,24 @@ platform.  The resulting intervals are never tight to the last bit, which is
 fine: soundness (the exact real result lies inside) is the contract,
 tightness within a couple of ulps per operation is the quality target.
 
+`IntervalArray` holds many intervals ("lanes") as float64 `lo` and `hi`
+arrays, so a whole frontier of branch-and-bound boxes is evaluated with a few
+numpy calls per operation.  It rounds exactly as `Interval` does: one
+`np.nextafter` step per arithmetic operation, two for sin and cos, the same
+critical-point test and the same finite and non-inverted checks, so lane i of
+a result equals the `Interval` result on lane i of the operands bit for bit.
+numpy's +, -, * and / are correctly rounded like Python's; `np.sin` and
+`np.cos` matched `math.sin` and `math.cos` bit for bit on 3.4M points on
+x86-64 Linux with numpy 2.4, and where a platform's two libraries differ the
+two-step pad still covers either one.  `Interval` and float operands mix
+freely on either side of an array: `Interval`'s operators return
+NotImplemented for an array, so the array's reflected operator runs.  The
+scalar `Interval` stays the reference implementation.
+
 Transcendental constants are provided as two-endpoint enclosures: `pi_iv`
 brackets pi (math.pi itself rounds down), `sqrt6_iv` brackets sqrt(6).  Boxes
-are ordered tuples of intervals; bisection always splits the widest
-dimension at the floating-point midpoint.
+are ordered tuples of intervals, or of `IntervalArray`s for one box per lane;
+bisection always splits the widest dimension at the floating-point midpoint.
 """
 
 from __future__ import annotations
@@ -21,16 +35,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Interval",
+    "IntervalArray",
     "Box",
-    "TaylorEnclosure",
     "pi_iv",
     "half_pi_iv",
     "eighth_pi_iv",
     "sqrt6_iv",
-    "sin_taylor",
-    "cos_taylor",
 ]
 
 _INF = math.inf
@@ -70,12 +84,13 @@ class Interval:
         return Interval(float(x), float(x))
 
     @staticmethod
-    def _coerce(x) -> "Interval":
+    def _coerce(x) -> "Interval | None":
+        """x as an interval, or None for a type the operators leave to the other operand."""
         if isinstance(x, Interval):
             return x
         if isinstance(x, (int, float)):
             return Interval.point(x)
-        raise TypeError(f"cannot treat {x!r} as an interval")
+        return None
 
     # -- queries -------------------------------------------------------------
 
@@ -93,9 +108,6 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -106,19 +118,26 @@ class Interval:
 
     def __add__(self, other) -> "Interval":
         o = Interval._coerce(other)
+        if o is None:
+            return NotImplemented
         return Interval(_dn(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
         o = Interval._coerce(other)
+        if o is None:
+            return NotImplemented
         return Interval(_dn(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other) -> "Interval":
-        return Interval._coerce(other) - self
+        o = Interval._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other) -> "Interval":
         o = Interval._coerce(other)
+        if o is None:
+            return NotImplemented
         cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Interval(_dn(min(cands)), _up(max(cands)))
 
@@ -126,13 +145,16 @@ class Interval:
 
     def __truediv__(self, other) -> "Interval":
         o = Interval._coerce(other)
+        if o is None:
+            return NotImplemented
         if o.lo <= 0.0 <= o.hi:
             raise ZeroDivisionError(f"division by interval containing zero: [{o.lo}, {o.hi}]")
         cands = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
         return Interval(_dn(min(cands)), _up(max(cands)))
 
     def __rtruediv__(self, other) -> "Interval":
-        return Interval._coerce(other) / self
+        o = Interval._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def power(self, n: int) -> "Interval":
         """x^n for integer n >= 0 by directed repeated multiplication.
@@ -207,6 +229,184 @@ def _trig_range(iv: Interval, fn, max_offset: float, min_offset: float) -> Inter
     if _has_critical_point(iv.lo, iv.hi, min_offset):
         lo = -1.0
     return Interval(max(lo, -1.0), min(hi, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Lanes of intervals.
+
+
+def _lanes_dn(x):
+    return np.nextafter(x, -_INF)
+
+
+def _lanes_up(x):
+    return np.nextafter(x, _INF)
+
+
+def _operand(x):
+    """(lo, hi) of an interval, array or real operand; None for any other type."""
+    if isinstance(x, (IntervalArray, Interval)):
+        return x.lo, x.hi
+    if isinstance(x, (int, float)):
+        return float(x), float(x)
+    return None
+
+
+def _first_lane(mask, lo, hi) -> str:
+    i = int(np.argmax(mask)) if np.ndim(mask) else 0
+    a = np.broadcast_to(lo, np.shape(mask)).flat[i]
+    b = np.broadcast_to(hi, np.shape(mask)).flat[i]
+    return f"[{a}, {b}] in lane {i}"
+
+
+class IntervalArray:
+    """Intervals [lo[i], hi[i]] held as two float64 arrays of one shape.
+
+    Every operation rounds lane by lane exactly as `Interval` does and checks
+    every result lane as `Interval` checks its endpoints: finite and lo <= hi.
+    A divisor with a lane containing 0 raises ZeroDivisionError.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, lo, hi) -> None:
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if lo.shape != hi.shape:
+            raise ValueError(f"lo and hi shapes differ: {lo.shape} and {hi.shape}")
+        # lo.min() and hi.max() are NaN or infinite exactly when some lane is
+        if lo.size and not (lo.min() > -_INF and hi.max() < _INF and (lo <= hi).all()):
+            finite = np.isfinite(lo) & np.isfinite(hi)
+            if not finite.all():
+                raise ValueError(
+                    f"interval endpoints must be finite, got {_first_lane(~finite, lo, hi)}"
+                )
+            raise ValueError(f"inverted interval {_first_lane(lo > hi, lo, hi)}")
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, index) -> "IntervalArray":
+        """The lanes picked by a numpy index (a mask, index array or slice)."""
+        return IntervalArray(self.lo[index], self.hi[index])
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __neg__(self) -> "IntervalArray":
+        return IntervalArray(-self.hi, -self.lo)
+
+    def __add__(self, other) -> "IntervalArray":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return IntervalArray(_lanes_dn(self.lo + o[0]), _lanes_up(self.hi + o[1]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "IntervalArray":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return IntervalArray(_lanes_dn(self.lo - o[1]), _lanes_up(self.hi - o[0]))
+
+    def __rsub__(self, other) -> "IntervalArray":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return IntervalArray(_lanes_dn(o[0] - self.hi), _lanes_up(o[1] - self.lo))
+
+    def __mul__(self, other) -> "IntervalArray":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _hull4(self.lo * o[0], self.lo * o[1], self.hi * o[0], self.hi * o[1])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "IntervalArray":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _divide(self.lo, self.hi, o[0], o[1])
+
+    def __rtruediv__(self, other) -> "IntervalArray":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _divide(o[0], o[1], self.lo, self.hi)
+
+    def power(self, n: int) -> "IntervalArray":
+        """x^n for integer n >= 0, lane by lane as `Interval.power`."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"power expects a nonnegative integer, got {n!r}")
+        if n == 0:
+            return IntervalArray(np.ones_like(self.lo), np.ones_like(self.hi))
+        if n == 1:
+            return self
+        lo, hi = self.lo, self.hi
+        pos = lo >= 0.0
+        neg = ~pos & (hi <= 0.0)
+        if n % 2 == 0:
+            # [min |x|, max |x|]^n, with min |x| = 0 on lanes across zero
+            r_lo = np.where(pos | neg, _pow_lanes(np.where(pos, lo, -hi), n, _lanes_dn), 0.0)
+            r_hi = _pow_lanes(np.where(pos, hi, np.maximum(-lo, hi)), n, _lanes_up)
+        else:
+            r_lo = np.where(pos, _pow_lanes(lo, n, _lanes_dn), -_pow_lanes(-lo, n, _lanes_up))
+            r_hi = np.where(neg, -_pow_lanes(-hi, n, _lanes_dn), _pow_lanes(hi, n, _lanes_up))
+        return IntervalArray(r_lo, r_hi)
+
+    # -- trig ------------------------------------------------------------------
+
+    def sin(self) -> "IntervalArray":
+        return _trig_lanes(self, np.sin, max_offset=0.5 * math.pi, min_offset=1.5 * math.pi)
+
+    def cos(self) -> "IntervalArray":
+        return _trig_lanes(self, np.cos, max_offset=0.0, min_offset=math.pi)
+
+
+def _hull4(a, b, c, d) -> IntervalArray:
+    lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return IntervalArray(_lanes_dn(lo), _lanes_up(hi))
+
+
+def _divide(a_lo, a_hi, b_lo, b_hi) -> IntervalArray:
+    zero = (b_lo <= 0.0) & (b_hi >= 0.0)
+    if np.any(zero):
+        raise ZeroDivisionError(
+            f"division by interval containing zero: {_first_lane(zero, b_lo, b_hi)}"
+        )
+    return _hull4(a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
+
+
+def _pow_lanes(x, n: int, step):
+    # the lane form of _pow_up / _pow_dn: one outward step per product
+    r = x
+    for _ in range(n - 1):
+        r = step(r * x)
+    return r
+
+
+def _critical_lanes(lo, hi, offsets: tuple[float, ...]) -> list:
+    """`_has_critical_point` lane by lane, once per offset."""
+    pad = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
+    a, b = lo - pad, hi + pad
+    return [np.ceil((a - off) / _TWO_PI) <= np.floor((b - off) / _TWO_PI) for off in offsets]
+
+
+def _trig_lanes(x: IntervalArray, fn, max_offset: float, min_offset: float) -> IntervalArray:
+    """`_trig_range` lane by lane."""
+    va, vb = fn(x.lo), fn(x.hi)
+    lo = _lanes_dn(_lanes_dn(np.minimum(va, vb)))
+    hi = _lanes_up(_lanes_up(np.maximum(va, vb)))
+    at_max, at_min = _critical_lanes(x.lo, x.hi, (max_offset, min_offset))
+    lo = np.where(at_min, -1.0, np.maximum(lo, -1.0))
+    hi = np.where(at_max, 1.0, np.minimum(hi, 1.0))
+    full = x.hi - x.lo >= _TWO_PI
+    return IntervalArray(np.where(full, -1.0, lo), np.where(full, 1.0, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -285,66 +485,3 @@ class Box:
         left = self.dims[:k] + (Interval(iv.lo, m),) + self.dims[k + 1:]
         right = self.dims[:k] + (Interval(m, iv.hi),) + self.dims[k + 1:]
         return Box(left), Box(right)
-
-
-# ---------------------------------------------------------------------------
-# Two-sided Taylor enclosures of sin and cos around zero.
-
-
-@dataclass(frozen=True)
-class TaylorEnclosure:
-    """Polynomial with interval coefficients plus an interval remainder.
-
-    Contains the target function on `domain`: for every x there,
-    f(x) is inside sum(coefficients[k] * x^k) + remainder.
-    """
-
-    center: float
-    degree: int
-    coefficients: tuple[Interval, ...]
-    remainder: Interval
-    domain: Interval
-
-    def eval(self, x: Interval) -> Interval:
-        if not self.domain.encloses(x):
-            raise ValueError(
-                f"argument [{x.lo}, {x.hi}] leaves the enclosure domain "
-                f"[{self.domain.lo}, {self.domain.hi}]"
-            )
-        acc = Interval.point(0.0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc + self.remainder
-
-
-def _abs_bound(domain: Interval) -> float:
-    return max(abs(domain.lo), abs(domain.hi))
-
-
-def sin_taylor(domain: Interval) -> TaylorEnclosure:
-    """Degree-6 expansion of sin at 0; Lagrange remainder |x|^7 / 5040."""
-    coeffs = (
-        Interval.point(0.0),
-        Interval.point(1.0),
-        Interval.point(0.0),
-        Interval(_dn(-1.0 / 6.0), _up(-1.0 / 6.0)),
-        Interval.point(0.0),
-        Interval(_dn(1.0 / 120.0), _up(1.0 / 120.0)),
-        Interval.point(0.0),
-    )
-    m = Interval.point(_abs_bound(domain)).power(7) / Interval.point(5040.0)
-    return TaylorEnclosure(0.0, 6, coeffs, Interval(-m.hi, m.hi), domain)
-
-
-def cos_taylor(domain: Interval) -> TaylorEnclosure:
-    """Degree-5 expansion of cos at 0; Lagrange remainder |x|^6 / 720."""
-    coeffs = (
-        Interval.point(1.0),
-        Interval.point(0.0),
-        Interval.point(-0.5),
-        Interval.point(0.0),
-        Interval(_dn(1.0 / 24.0), _up(1.0 / 24.0)),
-        Interval.point(0.0),
-    )
-    m = Interval.point(_abs_bound(domain)).power(6) / Interval.point(720.0)
-    return TaylorEnclosure(0.0, 5, coeffs, Interval(-m.hi, m.hi), domain)

@@ -244,9 +244,14 @@ def _pi_crossings(traj: integrate.Trajectory) -> list[float]:
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 if integrate.sample_at(traj, mid).phi < level:
-                    lo = mid
+                    bracket = (mid, hi)
                 else:
-                    hi = mid
+                    bracket = (lo, mid)
+                # (lo, hi) is the loop's only state: once a halving leaves
+                # it unchanged, every later one would too
+                if bracket == (lo, hi):
+                    break
+                lo, hi = bracket
             crossings.append(0.5 * (lo + hi))
             k += 1
     return crossings

@@ -75,6 +75,71 @@ def test_prove_lower_bound_inconclusive_at_min_width():
     assert out.witness.max_width() < 1e-2
 
 
+def test_prove_lower_bound_failure_is_the_first_in_breadth_first_order():
+    # x^2-type dips below 0 near x = 0.3 (width 2e-3) and near x = 14.5
+    # (width 0.2).  The search goes level by level, so the witness is the
+    # wide dip's box [14, 15] at depth 4, the third box examined there; a
+    # depth-first search of the left half would first reach the narrow dip,
+    # at depth 11.
+    f = lambda b: ((b.dims[0] - 0.3).power(2) - 1e-6) * ((b.dims[0] - 14.5).power(2) - 0.01)
+    out = certify.prove_lower_bound(f, Box.from_bounds([(0.0, 16.0)]), 0.0, 1e-9)
+    assert out.status is Status.FAILED
+    assert out.witness == Box.from_bounds([(14.0, 15.0)])
+    assert out.level_boxes == (1, 2, 4, 4, 3)
+    assert (out.boxes_examined, out.max_depth) == (14, 4)
+
+
+def _scalar_search(f, box, bound, min_width, strict=False):
+    """Reference: the same breadth-first search, one scalar Box at a time."""
+    level, levels, inconclusive = [box], [], None
+    while level:
+        children = []
+        for j, b in enumerate(level):
+            v = f(b)
+            if v.lo > bound if strict else v.lo >= bound:
+                continue
+            c = f(Box(tuple(Interval.point(x) for x in b.center())))
+            if c.hi <= bound if strict else c.hi < bound:
+                return Status.FAILED, b, tuple(levels) + (j + 1,)
+            if b.max_width() < min_width:
+                inconclusive = inconclusive or b
+                continue
+            children.extend(b.bisect())
+        levels.append(len(level))
+        level = children
+    return Status.PROVED if inconclusive is None else Status.INCONCLUSIVE, inconclusive, tuple(levels)
+
+
+@pytest.mark.parametrize(
+    "f, box, bound, min_width, strict",
+    [
+        # V2 at a coarse floor: inconclusive
+        (lambda b: certify.c0_iv(*b.dims), [(0.4, math.pi / 2), (0.0, math.pi / 2)], 0.01, 0.1, False),
+        # V9 in full, strict
+        (lambda b: certify.q0_iv(b.dims[0]), [(math.pi / 8, 3.0)], 1.9, 1e-4, True),
+        # V3's first region in the z chart, coarse
+        (lambda b: certify.c0_z_iv(*b.dims), [(0.01, 0.4), (0.0, 1.0)], 0.01, 0.02, False),
+        # a bound c1 fails on part of V7's square
+        (lambda b: certify.c1_z_iv(*b.dims), [(0.0, 1.0), (0.0, 1.0)], 0.5, 1e-3, False),
+        # a three-dimensional box, failing near a's minimum 0.101 at (0, pi/2, 0)
+        (lambda b: certify.a_iv(*b.dims), [(0.0, 1.5), (0.0, 3.0), (-1.0, 1.0)], 0.2, 0.05, False),
+    ],
+)
+def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
+    box = Box.from_bounds(box)
+    out = certify.prove_lower_bound(f, box, bound, min_width, strict=strict)
+    status, witness, levels = _scalar_search(f, box, bound, min_width, strict)
+    assert (out.status, out.witness, out.level_boxes) == (status, witness, levels)
+    assert (out.boxes_examined, out.max_depth) == (sum(levels), len(levels) - 1)
+
+
+def test_prove_lower_bound_broadcasts_a_scalar_result():
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+    out = certify.prove_lower_bound(lambda b: Interval(1.0, 2.0), box, 0.5, 1e-3)
+    assert out.status is Status.PROVED
+    assert (out.boxes_examined, out.max_depth, out.level_boxes) == (1, 0, (1,))
+
+
 def test_prove_lower_bound_validates_min_width():
     box = Box((Interval(0.0, 1.0),))
     with pytest.raises(ValueError):
@@ -95,6 +160,31 @@ def test_all_tasks_proved(all_certs):
         assert cert.status is Status.PROVED, f"{tid} -> {cert.status}"
         assert cert.witness is None
         assert cert.rounding_mode == "nextafter-outward"
+
+
+# (boxes_examined, max_depth) of every task's proof tree
+PINNED_TREES = {
+    "V1": (1, 0),
+    "V2": (4505, 21),
+    "V3": (11128, 20),
+    "V4": (0, 0),
+    "V5": (10968, 29),
+    "V6": (1, 0),
+    "V7": (14951, 20),
+    "V8": (7889, 16),
+    "V9": (279, 12),
+}
+
+
+def test_proof_trees_are_pinned(all_certs):
+    for tid, tree in PINNED_TREES.items():
+        cert = all_certs[tid]
+        assert (cert.boxes_examined, cert.max_depth) == tree, tid
+        assert sum(cert.level_boxes) == cert.boxes_examined, tid
+        assert len(cert.level_boxes) == (cert.max_depth + 1 if cert.boxes_examined else 0), tid
+    d = all_certs["V7"].details
+    assert d["enclosure"] == [["0", "195/256"], ["195/256", "1"]]
+    assert d["cells_retained"] == 5392
 
 
 def test_v1_and_v6_discharge_at_the_root(all_certs):
@@ -303,6 +393,53 @@ def test_sublevel_empty_sentinel():
     assert enc.cells_retained == 0
     with pytest.raises(ValueError):
         enc.to_box()
+
+
+def _scalar_sublevel(f, threshold, den, box):
+    """Reference: depth-first over exact Fraction cells, one scalar Box each."""
+    root = tuple((Fraction(iv.lo), Fraction(iv.hi)) for iv in box.dims)
+    floors = [(hi - lo) / den for lo, hi in root]
+    stack, kept, examined = [root], [], 0
+    while stack:
+        cell = stack.pop()
+        examined += 1
+        val = f(Box(tuple(Interval(float(lo), float(hi)) for lo, hi in cell)))
+        if val.lo > threshold:
+            continue
+        widths = [hi - lo for lo, hi in cell]
+        splittable = [i for i, w in enumerate(widths) if w > floors[i]]
+        if val.hi <= threshold or not splittable:
+            kept.append(cell)
+            continue
+        i = max(splittable, key=lambda i: (widths[i], -i))
+        lo, hi = cell[i]
+        mid = (lo + hi) / 2
+        stack += [cell[:i] + ((lo, mid),) + cell[i + 1:], cell[:i] + ((mid, hi),) + cell[i + 1:]]
+    bounds = None
+    if kept:
+        bounds = tuple(
+            (min(c[i][0] for c in kept), max(c[i][1] for c in kept)) for i in range(len(root))
+        )
+    return bounds, len(kept), examined
+
+
+@pytest.mark.parametrize(
+    "f, threshold, den, bounds",
+    [
+        # widths 2 and 1 tie at every other level; the first dimension wins
+        (lambda b: b.dims[0] * b.dims[1], 0.3, 16, [(0.0, 2.0), (0.0, 1.0)]),
+        (lambda b: (b.dims[0] - 0.7).power(2) + b.dims[1] - 0.5, 0.0, 32, [(0.0, 1.0), (0.25, 1.0)]),
+        # a zero-width dimension is never split
+        (lambda b: b.dims[0] + b.dims[1], 0.9, 8, [(0.0, 1.0), (0.5, 0.5)]),
+        # three dimensions of unequal width
+        (lambda b: b.dims[0] * b.dims[1] - b.dims[2], 0.1, 8, [(0.0, 1.0), (0.0, 0.5), (0.0, 0.25)]),
+    ],
+)
+def test_sublevel_matches_scalar_reference(f, threshold, den, bounds):
+    box = Box.from_bounds(bounds)
+    enc = certify.enclose_sublevel(f, threshold, den, box)
+    assert (enc.bounds, enc.cells_retained, enc.cells_examined) == _scalar_sublevel(f, threshold, den, box)
+    assert sum(enc.level_cells) == enc.cells_examined
 
 
 def test_sublevel_validates_denominator():

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ import pytest
 from biwind.intervals import (
     Box,
     Interval,
-    cos_taylor,
+    IntervalArray,
     eighth_pi_iv,
     half_pi_iv,
     pi_iv,
-    sin_taylor,
     sqrt6_iv,
 )
 
@@ -164,37 +164,163 @@ def test_box_bisect_rejects_degenerate_width():
         thin.bisect()
 
 
-def test_taylor_shapes():
-    dom = Interval(0.0, 0.021)
-    s = sin_taylor(dom)
-    assert s.degree == 6 and len(s.coefficients) == 7
-    assert s.coefficients[6] == Interval.point(0.0)
-    assert s.coefficients[1] == Interval.point(1.0)
-    c = cos_taylor(dom)
-    assert c.degree == 5 and len(c.coefficients) == 6
-    assert c.coefficients[0] == Interval.point(1.0)
-    assert s.remainder.lo <= 0.0 <= s.remainder.hi
+# ---------------------------------------------------------------------------
+# IntervalArray against the scalar Interval oracle.
+
+LANES = 10_000
+
+
+def _operand_lanes(seed: int) -> IntervalArray:
+    """Points, narrow and wide intervals (some wider than 2 pi), negative ones,
+    ones straddling 0 or ending at 0, ones starting at or within 1e-12 of a
+    critical point k pi / 2 of sin and cos, and ones starting within 1e-3 of
+    k pi / 2 for |k| near 1e6, where only the critical-point pad finds it."""
+    rng = np.random.default_rng(seed)
+    n = LANES
+    width = rng.choice([0.0, 1e-12, 1e-3, 0.5, 3.0, 8.0], n) * rng.uniform(0.5, 1.0, n)
+    lo = rng.uniform(-5.0, 5.0, n)
+    kind = rng.integers(0, 5, n)
+    near = rng.integers(-6, 7, n) * (math.pi / 2) + rng.choice([-1e-12, 0.0, 1e-12], n)
+    far = rng.integers(-10**6, 10**6, n) * (math.pi / 2) + rng.uniform(-1e-3, 1e-3, n)
+    lo = np.select(
+        [kind == 1, kind == 2, kind == 3, kind == 4], [-width, np.zeros(n), near, far], lo
+    )
+    return IntervalArray(lo, lo + width)
+
+
+def _lane(x: IntervalArray, i: int) -> Interval:
+    return Interval(float(x.lo[i]), float(x.hi[i]))
+
+
+def _assert_bitwise_lanes(got: IntervalArray, want: list[Interval]) -> None:
+    assert len(got) == len(want)
+    np.testing.assert_array_equal(got.lo.view(np.int64), np.array([w.lo for w in want]).view(np.int64))
+    np.testing.assert_array_equal(got.hi.view(np.int64), np.array([w.hi for w in want]).view(np.int64))
+
+
+def _nonzero_divisor(x: IntervalArray) -> IntervalArray:
+    # shift every lane containing 0 clear of it
+    zero = (x.lo <= 0.0) & (x.hi >= 0.0)
+    return IntervalArray(np.where(zero, x.lo + 10.0, x.lo), np.where(zero, x.hi + 10.0, x.hi))
+
+
+def _samples(x: IntervalArray, seed: int) -> np.ndarray:
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, len(x))
+    return np.clip(x.lo + u * (x.hi - x.lo), x.lo, x.hi)
+
+
+UNARY = {
+    "neg": (lambda x: -x, np.negative),
+    "sin": (lambda x: x.sin(), np.sin),
+    "cos": (lambda x: x.cos(), np.cos),
+    **{f"power{n}": (lambda x, n=n: x.power(n), lambda v, n=n: v**n) for n in range(6)},
+}
+
+BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "truediv": operator.truediv,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_array_unary_ops_match_scalar_oracle_and_contain_samples(name):
+    op, fn = UNARY[name]
+    x = _operand_lanes(1)
+    got = op(x)
+    _assert_bitwise_lanes(got, [op(_lane(x, i)) for i in range(len(x))])
+    v = fn(_samples(x, 2))
+    assert np.all((got.lo <= v) & (v <= got.hi))
+
+
+def test_array_operand_lanes_cover_the_named_cases():
+    x = _operand_lanes(1)
+    assert np.any((x.lo < 0.0) & (x.hi > 0.0))  # straddle 0
+    assert np.any(x.hi < 0.0)  # negative
+    assert np.any(x.hi - x.lo >= 2 * math.pi)  # wider than a period
+    assert np.any(x.lo == 0.0) and np.any((x.hi == 0.0) & (x.lo < 0.0))
+    sq = x.power(2)
+    assert np.any((x.lo < 0.0) & (x.hi > 0.0) & (sq.lo == 0.0))  # power(2) across 0
+    s, c = x.sin(), x.cos()
+    assert np.any((s.hi == 1.0) & (x.hi - x.lo < 1e-9))  # thin lanes on a critical point
+    assert np.any((c.lo == -1.0) & (x.hi - x.lo < 1e-9))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_array_binary_ops_match_scalar_oracle_and_contain_samples(name):
+    op = BINARY[name]
+    a = _operand_lanes(3)
+    b = _operand_lanes(4)
+    if name == "truediv":
+        b = _nonzero_divisor(b)
+    got = op(a, b)
+    _assert_bitwise_lanes(got, [op(_lane(a, i), _lane(b, i)) for i in range(len(a))])
+    v = op(_samples(a, 5), _samples(b, 6))
+    assert np.all((got.lo <= v) & (v <= got.hi))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_mixed_operands_dispatch_to_the_lanes(name):
+    op = BINARY[name]
+    x = _nonzero_divisor(_operand_lanes(7))
+    n = len(x)
+    s = Interval(-1.5, 2.5) if name != "truediv" else Interval(0.5, 2.5)
+    for left, right in ((s, x), (x, s), (2.5, x), (x, -3), (np.float64(1.25), x)):
+        got = op(left, right)
+        assert isinstance(got, IntervalArray)
+        lane = lambda v, i: _lane(v, i) if isinstance(v, IntervalArray) else v
+        want = [op(lane(left, i), lane(right, i)) for i in range(n)]
+        _assert_bitwise_lanes(got, want)
+
+
+def test_scalar_interval_defers_unknown_operands():
+    x = IntervalArray([0.0, 1.0], [1.0, 2.0])
+    assert Interval(1.0, 2.0).__mul__(x) is NotImplemented
+    assert Interval(1.0, 2.0).__rsub__(x) is NotImplemented
+    with pytest.raises(TypeError):
+        Interval(1.0, 2.0) + "1"
+    with pytest.raises(TypeError):
+        x * "1"
+
+
+def test_array_rejects_non_finite_and_inverted_lanes():
+    with pytest.raises(ValueError, match="finite"):
+        IntervalArray([0.0, 0.0], [1.0, math.inf])
+    with pytest.raises(ValueError, match="finite"):
+        IntervalArray([0.0, math.nan], [1.0, 1.0])
+    with pytest.raises(ValueError, match="inverted"):
+        IntervalArray([0.0, 2.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        s.eval(Interval(0.0, 0.1))
+        IntervalArray([0.0, 1.0], [1.0])
+    # a result lane that overflows is rejected like an Interval result
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        IntervalArray([1.0, 1e308], [2.0, 1e308]) * 10.0
+    with pytest.raises(ValueError):
+        IntervalArray([0.0], [1.0]).power(-1)
+    with pytest.raises(ValueError):
+        IntervalArray([0.0], [1.0]).power(1.5)
 
 
-def test_taylor_soundness_sampled():
-    dom_s = Interval(-0.25, 0.25)
-    dom_c = Interval(-0.25, 0.25)
-    s = sin_taylor(dom_s)
-    c = cos_taylor(dom_c)
-    rng = np.random.default_rng(71)
-    for _ in range(100_000):
-        x = rng.uniform(dom_s.lo, dom_s.hi)
-        assert s.eval(Interval.point(x)).contains(math.sin(x))
-        assert c.eval(Interval.point(x)).contains(math.cos(x))
+def test_array_division_by_a_lane_containing_zero_rejected():
+    a = IntervalArray([1.0, 1.0], [2.0, 2.0])
+    for divisor in (
+        IntervalArray([1.0, -1.0], [2.0, 1.0]),
+        IntervalArray([1.0, 0.0], [2.0, 1.0]),
+        IntervalArray([-1.0, 1.0], [0.0, 2.0]),
+    ):
+        with pytest.raises(ZeroDivisionError):
+            a / divisor
+        with pytest.raises(ZeroDivisionError):
+            Interval(1.0, 2.0) / divisor
+        with pytest.raises(ZeroDivisionError):
+            1.0 / divisor
+    with pytest.raises(ZeroDivisionError):
+        a / Interval(-1.0, 1.0)
 
 
-def test_taylor_eval_on_subintervals_contains_true_range():
-    dom = Interval(0.0, 0.021)
-    s = sin_taylor(dom)
-    got = s.eval(Interval(0.0, 0.021))
-    assert got.contains(math.sin(0.0)) and got.contains(math.sin(0.021))
-    c = cos_taylor(Interval(0.0, 0.11))
-    got_c = c.eval(Interval(0.1, 0.11))
-    assert got_c.contains(math.cos(0.105))
+def test_array_lane_selection():
+    x = IntervalArray([0.0, 1.0, 2.0], [0.5, 1.5, 2.5])
+    sub = x[np.array([2, 0])]
+    assert sub.lo.tolist() == [2.0, 0.0] and sub.hi.tolist() == [2.5, 0.5]
+    assert len(x[x.lo > 0.5]) == 2
