@@ -466,8 +466,8 @@ _RUNNERS = {
 }
 
 
-def _replay_matches(command: str, summary: dict, manifest: dict) -> bool | None:
-    """Compare a fresh summary with the artifacts listed in the manifest.
+def _recorded_summary(command: str, manifest: dict) -> dict | None:
+    """The summary that the artifacts listed in the manifest record.
 
     Returns None when the original artifacts are gone (nothing to compare).
     """
@@ -477,8 +477,7 @@ def _replay_matches(command: str, summary: dict, manifest: dict) -> bool | None:
         if path is None:
             return None
         with open(path) as fh:
-            old = {c["task_id"]: c["status"] for c in json.load(fh)}
-        return old == summary
+            return {c["task_id"]: c["status"] for c in json.load(fh)}
     if command == "classify":
         path = next((p for p in originals if p.endswith(".csv")), None)
         if path is None:
@@ -489,7 +488,7 @@ def _replay_matches(command: str, summary: dict, manifest: dict) -> bool | None:
             for line in fh:
                 cells = line.rstrip("\n").split(",")
                 old.append([float(cells[0]), cells[1], int(cells[2]) if cells[2] else None])
-        return old == summary["grid"]
+        return {"grid": old}
     return None
 
 
@@ -502,15 +501,17 @@ def _cmd_replay(args, parser: _Parser) -> int:
     command = manifest.get("command")
     if command not in _RUNNERS:
         parser.error(f"manifest names unknown command {command!r}")
+    # Read the originals first: `--out` may name the recorded base and
+    # overwrite them.
+    recorded = _recorded_summary(command, manifest)
     started = time.perf_counter()
     code, summary, outputs = _RUNNERS[command](manifest["parameters"], args.out)
     if args.out is not None:
         _finish(command, manifest["parameters"], outputs, started)
-    verdict = _replay_matches(command, summary, manifest)
-    if verdict is False:
+    if recorded is not None and recorded != summary:
         print("replay: results differ from the recorded artifacts", file=sys.stderr)
         return EXIT_FAILED
-    if verdict is True:
+    if recorded is not None:
         print("replay: results match the recorded artifacts")
     return code
 

@@ -40,7 +40,8 @@ SUBLEVEL_DENOMINATOR = 1024
 # Region-membership boundary tolerance.
 BOUNDARY_TOL = 1e-9
 
-# Number of classification-grid worker threads (certificates run serially).
+# Worker count, validated (>= 1) and recorded but without effect: grids run
+# as lanes of one lockstep integrator and certificates run serially.
 WORKERS_ENV_VAR = "BIWIND_WORKERS"
 
 

@@ -10,12 +10,20 @@ one in the step wins, and watched events terminate the run.  Reversed
 integration conjugates by J = diag(1,-1,1,-1): the returned samples are the
 true backward states of the orbit through x0, so a forward run followed by a
 reversed run returns to the starting jet.
+
+`integrate_lanes` runs many seeds at once as the columns of a (4, n) array:
+one Python loop of lockstep Dormand-Prince 5(4) steps with scipy's tableau
+and step control, a step size per lane, the same per-step scan and gate
+events, and lanes that retire at their events.  It keeps no trajectory.  Its
+sums run in a fixed elementwise order, so a lane's result does not depend on
+the batch; it matches the serial integrator up to rounding.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -35,6 +43,8 @@ __all__ = [
     "IntegrationError",
     "integrate",
     "integrate_reversed",
+    "LaneEnd",
+    "integrate_lanes",
     "sample_at",
     "write_csv",
 ]
@@ -131,7 +141,13 @@ class Trajectory:
 # Right-hand sides (local closures; validated against core.vector_field in tests).
 
 
-def _make_rhs(d: int, reverse: bool) -> Callable[[float, np.ndarray], tuple]:
+def _make_rhs(d: int, reverse: bool, lib=math) -> Callable[[float, np.ndarray], tuple]:
+    """The field as a 4-tuple of derivatives; `lib` supplies sin and cos.
+
+    With `math` it takes one jet.  With `numpy` it takes a (4, n) array whose
+    columns are jets and returns one row of n values per component, each lane
+    computed by the same operations in the same order as a single jet.
+    """
     d1 = float(d - 1)
     k = float(-(d - 11) * d - 21)
     c3 = 1.5 * (d - 3) * (d - 1)
@@ -144,8 +160,8 @@ def _make_rhs(d: int, reverse: bool) -> Callable[[float, np.ndarray], tuple]:
         v = y[1]
         w2 = y[2]
         w3 = y[3]
-        sin2 = math.sin(2.0 * phi)
-        cos2 = math.cos(2.0 * phi)
+        sin2 = lib.sin(2.0 * phi)
+        cos2 = lib.cos(2.0 * phi)
         acc = (
             (d1 * cos2 + k) * w2
             - c3 * sin2
@@ -244,6 +260,14 @@ def _bisect_crossing(
     return hi
 
 
+def _underflow(s: float, s_last: float, y: np.ndarray) -> IntegrationError:
+    return IntegrationError(
+        f"stepper failed near s={s:.6g} (likely step underflow approaching a singularity)",
+        s_last=float(s_last),
+        state_last=core.State.from_array(y),
+    )
+
+
 def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
            probes: list[_Probe], reverse: bool) -> Trajectory:
     mirror = core.REVERSAL_SIGNS if reverse else None
@@ -285,12 +309,7 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     while stepper.status == "running":
         stepper.step()
         if stepper.status == "failed":
-            raise IntegrationError(
-                f"stepper failed near s={stepper.t:.6g} "
-                f"(likely step underflow approaching a singularity)",
-                s_last=float(stepper.t_old),
-                state_last=core.State.from_array(out(ys[-1] if ys else y0)),
-            )
+            raise _underflow(stepper.t, stepper.t_old, out(ys[-1] if ys else y0))
         dense = stepper.dense_output()
         t0, t1 = float(stepper.t_old), float(stepper.t)
         grid = _FRACS * ((t1 - t0) / (_SCAN_POINTS + 1)) + t0
@@ -350,6 +369,222 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
         segments.append(dense)
 
     return finish(Termination(TerminationKind.SPAN_EXHAUSTED, s_last=ss[-1]))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep lanes: scipy's RK45 (scipy/integrate/_ivp/rk.py) step for step, on
+# a (4, n) array.  The flow is autonomous, so the stage times RK45.C are unused.
+
+_A, _B, _E, _P = RK45.A, RK45.B, RK45.E, RK45.P
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's validate_tol
+
+
+def _combo(terms: Sequence[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * terms[j], accumulated elementwise in index order."""
+    acc = terms[0] * coeffs[0]
+    for j in range(1, len(coeffs)):
+        acc = acc + terms[j] * coeffs[j]
+    return acc
+
+
+def _rms(z: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm over the 4 jet components (axis 0), in a fixed order."""
+    return np.sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3]) / 2.0
+
+
+def _interpolate(q, h, t_old, y_old, t):
+    """RK45's dense output: y_old + h * sum_k q[k] x^(k+1) with x = (t - t_old) / h."""
+    x = (t - t_old) / h
+    p = x
+    acc = q[0] * p
+    for qk in q[1:]:
+        p = p * x
+        acc = acc + qk * p
+    return h * acc + y_old
+
+
+def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_bound: float,
+                  max_step: float, rtol: float, atol: float) -> np.ndarray:
+    """scipy's select_initial_step (Hairer, Norsett and Wanner, sec. II.4) per lane."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_bound)
+    f1 = np.array(rhs(0.0, y0 + h0 * f0))
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1 / (RK45.error_estimator_order + 1)),
+    )
+    return np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound), max_step)
+
+
+@dataclass(frozen=True, slots=True)
+class LaneEnd:
+    """How one lane of `integrate_lanes` ended.
+
+    `end` is the termination, or the IntegrationError `integrate` would
+    raise; `state` is the jet at `end.s_last` (the last accepted jet on
+    error); `kept` says whether `keep` held at the start and at every
+    accepted step.
+    """
+
+    end: Termination | IntegrationError
+    state: core.State
+    kept: bool
+
+
+def integrate_lanes(
+    d: int,
+    x0s,
+    cfg: IntegrationConfig | None = None,
+    keep: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[LaneEnd]:
+    """Integrate the forward flow from every row of x0s, all in one loop.
+
+    Lane k runs `integrate(d, x0s[k], cfg=cfg, watch=[SECOND_DERIV_UP,
+    SECOND_DERIV_DOWN])` as the serial integrator does: RK45's step control with
+    a step size of its own, the same scan grid per accepted step, bisection
+    of a crossing on its own interpolant, and the same earliest-hit rule and
+    terminations.  A lane retires at its event or at the end of the span;
+    one whose step size underflows retires with the IntegrationError and the
+    others run on.  Stage sums, the error norm and the interpolant are
+    elementwise sums in a fixed order, so a lane's bits depend on its seed
+    only, never on the other lanes; they differ from the serial integrator's by
+    rounding, since scipy sums with matrix products.  `keep` maps a (4, n)
+    array of jets to a boolean lane mask, tracked into `LaneEnd.kept`.
+    """
+    cfg = cfg or IntegrationConfig()
+    jets = [core.State.from_array(x).as_array() for x in x0s]
+    if not jets:
+        return []
+    core.vector_field(d, jets[0])  # validates d
+    rhs = _make_rhs(d, reverse=False, lib=np)
+    cs = core.c_star(d)
+    t_bound, max_step = float(cfg.max_span), float(cfg.max_step)
+    rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
+    ends: list[LaneEnd | None] = [None] * len(jets)
+
+    y = np.ascontiguousarray(np.array(jets).T)
+    kept = keep(y) if keep is not None else np.ones(len(jets), dtype=bool)
+    sup0 = np.max(np.abs(y), axis=0)
+    for j in np.flatnonzero(sup0 > cfg.blowup_norm):
+        term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=0.0, norm=float(sup0[j]))
+        ends[j] = LaneEnd(term, core.State.from_array(y[:, j]), bool(kept[j]))
+    lanes = np.flatnonzero(sup0 <= cfg.blowup_norm)
+    y, kept = y[:, lanes], kept[lanes]
+    t, t_old = np.zeros(lanes.size), np.zeros(lanes.size)
+    rejected = np.zeros(lanes.size, dtype=bool)
+
+    # Rejected, failed or blown-up trials make inf and nan; they never pass
+    # the acceptance test, and comparisons with nan are false.
+    with np.errstate(all="ignore"):
+        f = np.array(rhs(0.0, y))
+        h_abs = _initial_step(rhs, y, f, t_bound, max_step, rtol, atol)
+        while lanes.size:
+            # One trial step per lane, as RK45._step_impl: clamp a fresh step
+            # to [min_step, max_step]; a retried one fails below min_step.
+            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+            fresh = np.where(h_abs < min_step, min_step, h_abs)
+            fresh = np.where(h_abs > max_step, max_step, fresh)
+            h_abs = np.where(rejected, h_abs, fresh)
+            failed = h_abs < min_step
+            t_new = np.minimum(t + h_abs, t_bound)
+            h = t_new - t
+            K = [f]
+            for s in range(1, RK45.n_stages):
+                K.append(np.array(rhs(0.0, y + _combo(K, _A[s, :s]) * h)))
+            y_new = y + h * _combo(K, _B)
+            K.append(np.array(rhs(0.0, y_new)))
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(_combo(K, _E) * h / scale)
+            accepted = (err < 1.0) & ~failed
+            # Python's min/max order: a nan error shrinks the step by MIN_FACTOR.
+            grow = _SAFETY * err ** _ERROR_EXPONENT
+            up = np.where(grow < _MAX_FACTOR, grow, _MAX_FACTOR)
+            up = np.where(rejected, np.minimum(up, 1.0), up)
+            down = np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR)
+            h_abs = h * np.where(accepted, up, down)
+            rejected = ~accepted
+
+            # Scan each accepted step on the serial integrator's grid.
+            q = _combo(K, _P[:, :, None, None])
+            grid = _FRACS[:, None] * (h / (_SCAN_POINTS + 1)) + t
+            grid[-1] = t_new
+            ys = _interpolate(q[:, :, None, :], h, t, y[:, None, :], grid)
+            gap = np.max(np.abs(ys), axis=0) - cfg.blowup_norm
+            g_up, g_down = ys[2] - cs, ys[2] + cs
+            crossings = (
+                (gap[:-1] < 0.0) & (gap[1:] >= 0.0),
+                (g_up[:-1] < 0.0) & (g_up[1:] >= 0.0),
+                (g_down[:-1] > 0.0) & (g_down[1:] <= 0.0),
+            )
+            any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
+            hit = any_crossing.any(axis=0)
+            if keep is not None:
+                kept &= ~accepted | keep(y_new)
+
+            done = failed | hit | (accepted & (t_new >= t_bound))
+            for j in np.flatnonzero(done):
+                if failed[j]:
+                    err_j = _underflow(t[j], t_old[j], y[:, j])
+                    ends[lanes[j]] = LaneEnd(err_j, err_j.state_last, bool(kept[j]))
+                elif hit[j]:
+                    at = functools.partial(_interpolate, q[:, :, j], h[j], t[j], y[:, j])
+                    i = int(np.argmax(any_crossing[:, j]))
+                    term, y_hit = _refine_hit(
+                        at, [c[i, j] for c in crossings], float(grid[i, j]),
+                        float(grid[i + 1, j]), cs, cfg,
+                    )
+                    ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_hit), bool(kept[j]))
+                else:
+                    term = Termination(TerminationKind.SPAN_EXHAUSTED, s_last=float(t_new[j]))
+                    y_end = core.State.from_array(y_new[:, j])
+                    ends[lanes[j]] = LaneEnd(term, y_end, bool(kept[j]))
+
+            t_old = np.where(accepted, t, t_old)
+            t = np.where(accepted, t_new, t)
+            y = np.where(accepted, y_new, y)
+            f = np.where(accepted, K[-1], f)
+            if done.any():
+                live = ~done
+                lanes, t, t_old, h_abs, rejected, kept = (
+                    a[live] for a in (lanes, t, t_old, h_abs, rejected, kept)
+                )
+                y, f = y[:, live], f[:, live]
+    return ends
+
+
+def _refine_hit(at: Callable[[float], np.ndarray], crossed: Sequence[bool], ta: float,
+                tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, np.ndarray]:
+    """Earliest refined crossing in (ta, tb] of one lane's interpolant `at`.
+
+    `crossed` flags sign changes of the blowup gap, the upward gate and the
+    downward gate, the order in which `_drive` checks them; ties go to the
+    first.  Returns the termination and the jet there.
+    """
+    gaps = (
+        lambda s: float(np.max(np.abs(at(s)))) - cfg.blowup_norm,
+        lambda s: at(s)[2] - cs,
+        lambda s: at(s)[2] + cs,
+    )
+    best: tuple[float, int] | None = None
+    for k, (flag, g) in enumerate(zip(crossed, gaps)):
+        if flag:
+            s_hit = _bisect_crossing(g, ta, tb, up=k < 2, tol=cfg.event_refine_tol)
+            if best is None or s_hit < best[0]:
+                best = (s_hit, k)
+    assert best is not None
+    s_hit, k = best
+    y_hit = at(s_hit)
+    if k == 0:
+        norm = float(np.max(np.abs(y_hit)))
+        return Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm), y_hit
+    event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[k - 1].value
+    return Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event), y_hit
 
 
 # ---------------------------------------------------------------------------

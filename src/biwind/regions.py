@@ -92,18 +92,20 @@ def arc_slope(phi0):
     return 2.0 * SQRT6 * np.cos(phi0)
 
 
-def region_gap(x, y) -> float:
+def region_gap(x, y):
     """Signed margin to the region boundary: positive inside, zero on it.
 
     The region is {0 < x < pi, -F(pi - x) < y < F(x)}; the gap is the smallest
-    of the four one-sided margins.
+    of the four one-sided margins.  Floats give a float; arrays give the gap
+    of each element pair.
     """
-    return min(
-        float(x),
-        math.pi - float(x),
-        float(boundary_curve(x)) - float(y),
-        float(y) + float(boundary_curve(math.pi - x)),
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gap = np.minimum(
+        np.minimum(x, math.pi - x),
+        np.minimum(boundary_curve(x) - y, y + boundary_curve(math.pi - x)),
     )
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def in_region_C(x: float, y: float, tol: float = BOUNDARY_TOL) -> Membership:

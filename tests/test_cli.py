@@ -355,6 +355,27 @@ def test_replay_classify_reproduces_grid(tmp_path, monkeypatch, capsys):
     assert "match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("onto_original", [False, True])
+def test_replay_detects_a_tampered_grid(tmp_path, capsys, onto_original):
+    # with --out naming the recorded base, the re-run overwrites grid.csv; the
+    # comparison must still be against what was recorded
+    base = tmp_path / "g"
+    argv = ["classify", "--grid", "4", "--theta-range", "1.4:1.5", "--out", str(base)]
+    assert run(argv) == 0
+    path = tmp_path / "g.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = str(-int(cells[2]))
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    replay = ["replay", "--manifest", f"{base}.manifest.json"]
+    if onto_original:
+        replay += ["--out", str(base)]
+    assert run(replay) == 1
+    assert "differ" in capsys.readouterr().err
+
+
 def test_replay_usage_errors(tmp_path):
     assert usage_code(["replay", "--manifest", str(tmp_path / "missing.json")]) == 64
     bad = tmp_path / "bad.json"

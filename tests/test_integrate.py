@@ -31,6 +31,98 @@ def test_internal_rhs_agrees_with_public_field(d):
         assert np.allclose(rev(0.0, x), core.reversed_vector_field(d, x), rtol=1e-13, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_lane_rhs_matches_public_field_column_by_column(d):
+    # the lanes evaluate the same closure as the serial integrator, on (4, n) arrays
+    rng = np.random.default_rng(17 + d)
+    x = rng.uniform(-2.5, 2.5, size=(4, 500))
+    got = np.array(itg._make_rhs(d, reverse=False, lib=np)(0.0, x))
+    scalar = itg._make_rhs(d, reverse=False)
+    phi, v, y, w = x
+    terms = np.abs([
+        core.coeff_q(d, phi) * y,
+        core.coeff_f(d, phi),
+        (6.0 * y - (d - 1) * np.sin(2.0 * phi)) * v * v,
+        2.0 * (d - 4) * core.coeff_g(d, phi) * v,
+        2.0 * (d - 4) * v ** 3,
+        2.0 * (d - 4) * w,
+    ]).max(axis=0)
+    for j in range(x.shape[1]):
+        want = core.vector_field(d, x[:, j])
+        scale = np.maximum(np.abs(want), terms[j])
+        assert np.all(np.abs(got[:, j] - want) <= 1e-14 * scale), j
+        assert np.array_equal(got[:, j], scalar(0.0, x[:, j]))
+
+
+_GATE_WATCH = [itg.EventKind.SECOND_DERIV_UP, itg.EventKind.SECOND_DERIV_DOWN]
+
+
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("cfg", [
+    itg.IntegrationConfig(max_span=3.0, blowup_norm=50.0),  # gate events
+    itg.IntegrationConfig(max_span=1.5, blowup_norm=3.0),   # blowup and span ends
+])
+def test_lanes_end_as_the_serial_integrator(d, cfg):
+    seeds = [
+        [0.0, 0.0, 4.0, 0.0], [0.2, 0.5, 1.0, 1.0], [0.2, 0.5, 4.0, 5.0],
+        [-0.2, -0.5, -4.0, -5.0], [1e-3, 7.5e-4, 0.0, -2.25e-3], [0.01, 0.0, 0.0, 0.0],
+        [0.25, 0.1, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0], [0.0, 0.0, 60.0, 0.0],
+    ]
+    lanes = itg.integrate_lanes(d, seeds, cfg, keep=lambda y: y[0] > -0.01)
+    kinds = set()
+    for x0, lane in zip(seeds, lanes):
+        traj = itg.integrate(d, x0, cfg=cfg, watch=_GATE_WATCH)
+        term = traj.termination
+        assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
+        assert lane.end.s_last == pytest.approx(term.s_last, abs=1e-9)
+        assert np.allclose(lane.state.as_array(), traj.states[-1], rtol=1e-8, atol=1e-9)
+        if term.kind is itg.TerminationKind.SPAN_EXHAUSTED:
+            assert lane.kept == bool(np.all(traj.states[:, 0] > -0.01))
+        kinds.add(term.kind)
+    assert len(kinds) >= 2
+
+
+def test_lanes_take_the_earliest_crossing_of_a_long_step():
+    # loose tolerances and a long step cap put the norm cap and the gate into
+    # one step, often into different scan intervals; the first one must win
+    cfg = itg.IntegrationConfig(blowup_norm=5.0, rel_tol=1e-6, abs_tol=1e-6, max_step=1.0)
+    rng = np.random.default_rng(5)
+    seeds = rng.uniform(-3.0, 3.0, size=(60, 4))
+    seeds[:, 2] = rng.uniform(3.0, 4.8, size=60)
+    lanes = itg.integrate_lanes(5, seeds, cfg)
+    kinds = set()
+    for x0, lane in zip(seeds, lanes):
+        term = itg.integrate(5, x0, cfg=cfg, watch=_GATE_WATCH).termination
+        assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
+        assert lane.end.s_last == pytest.approx(term.s_last, abs=1e-9)
+        kinds.add(term.kind)
+    assert kinds == {itg.TerminationKind.BLOWUP_DETECTED, itg.TerminationKind.EVENT_STOP}
+
+
+def test_lane_step_underflow_retires_only_that_lane():
+    # phi'' starts above c* and runs off to a singularity before the norm cap
+    cfg = itg.IntegrationConfig(blowup_norm=1e300, max_span=3.0)
+    seeds = [[0.2, 0.5, 6.0, 5.0], [1e-3, 7.5e-4, 0.0, -2.25e-3]]
+    lanes = itg.integrate_lanes(5, seeds, cfg)
+    with pytest.raises(itg.IntegrationError) as serial:
+        itg.integrate(5, seeds[0], cfg=cfg, watch=_GATE_WATCH)
+    err = lanes[0].end
+    assert isinstance(err, itg.IntegrationError)
+    assert str(err) == str(serial.value)
+    assert err.s_last == pytest.approx(serial.value.s_last, abs=1e-9)
+    assert lanes[0].state is err.state_last
+    traj = itg.integrate(5, seeds[1], cfg=cfg, watch=_GATE_WATCH)
+    assert lanes[1].end.event == traj.termination.event == "second_deriv_down"
+
+
+def test_lanes_validate_their_seeds():
+    assert itg.integrate_lanes(5, []) == []
+    with pytest.raises(ValueError):
+        itg.integrate_lanes(5, [[0.0, 0.0, float("nan"), 0.0]])
+    with pytest.raises(ValueError):
+        itg.integrate_lanes(11, [[0.1, 0.0, 0.0, 0.0]])
+
+
 def test_tracks_explicit_connection_over_short_span():
     # Injected local error rides the lambda=3 mode, so the tolerance loosens
     # with exp(3*span); span 4 keeps it comfortably below 1e-5.

@@ -235,3 +235,62 @@ def test_grid_changes_sign_once_and_is_worker_invariant(tmp_path):
 def test_classification_grid_validation():
     with pytest.raises(ValueError):
         manifold.classification_grid([0.0], workers=0)
+
+
+# Lanes of the lockstep grid integrator.
+
+_GATE_CASES = (
+    [(th, 1e-8) for th in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.2)]
+    + [(_THETA_STAR + off, 1e-8) for off in (-1e-2, 1e-2)]
+    + [(_T0 - off, 1e-8) for off in (1e-3, 1e-5, 1e-7, 0.0)]
+    + [(_THETA_STAR + off, 1e-5) for off in (-1e-4, 1e-4, -1e-6, 1e-6, -1e-8, 1e-8)]
+)
+
+
+def _fields(r):
+    return (r.theta, r.outcome, r.g, r.tau, r.end_state.as_array().tobytes())
+
+
+def test_grid_lanes_do_not_depend_on_the_batch():
+    # criterion 10's angles: a lane's bits depend on its own seed only
+    thetas = list(np.linspace(0.5, 1.2, 15))
+    together = [_fields(r) for r in manifold.classification_grid(thetas)]
+    alone = [_fields(manifold.classification_grid([th])[0]) for th in thetas]
+    reversed_ = [_fields(r) for r in manifold.classification_grid(thetas[::-1])][::-1]
+    assert together == alone == reversed_
+
+
+def _tau_tol(theta):
+    return 1e-5 if abs(theta - _THETA_STAR) <= 1e-4 else 1e-8
+
+
+def test_grid_lanes_agree_with_classify_orbit():
+    thetas = list(np.linspace(-math.pi / 2, _T0, 200)) + [th for th, _ in _GATE_CASES]
+    lanes = manifold.classification_grid(thetas)
+    for th, lane in zip(thetas, lanes):
+        serial = manifold.classify_orbit(manifold.SeedSpec(EPS0, th))
+        assert lane.theta == serial.theta
+        assert lane.outcome is serial.outcome, th
+        assert lane.g == serial.g, th
+        assert lane.tau == pytest.approx(serial.tau, abs=_tau_tol(th)), th
+
+
+def test_grid_lanes_do_not_miss_gate_events_inside_a_step():
+    thetas = [th for th, _ in _GATE_CASES]
+    fine_cfg = integrate.IntegrationConfig(max_step=integrate.IntegrationConfig().max_step / 16)
+    coarse = manifold.classification_grid(thetas)
+    fine = manifold.classification_grid(thetas, cfg=fine_cfg)
+    for (th, tau_tol), c, f in zip(_GATE_CASES, coarse, fine):
+        assert f.outcome is c.outcome, th
+        assert f.g == c.g, th
+        assert f.tau == pytest.approx(c.tau, abs=tau_tol), th
+
+
+def test_grid_lanes_map_span_exhaustion_and_empty_input():
+    assert manifold.classification_grid([]) == []
+    cfg = integrate.IntegrationConfig(max_span=2.0)
+    (lane,) = manifold.classification_grid([0.3], cfg=cfg)
+    serial = manifold.classify_orbit(manifold.SeedSpec(EPS0, 0.3), cfg)
+    assert lane.outcome is manifold.Outcome.UNDECIDED
+    assert lane.g is None and lane.tau is None
+    assert lane.note.split(" at distance")[0] == serial.note.split(" at distance")[0]
