@@ -13,11 +13,12 @@ with the coefficient functions
     g(phi) = ((d-1) cos(2 phi) + 3 d - 5) / 2,
     F(phi) = (3/2) (d-3) (d-1) sin(phi)^2        (antiderivative of f, F(0) = 0).
 
-This module evaluates the field, its time-reversed companion, the Lyapunov
-energy and its dissipation rate, the pi-shift/reflection symmetries, the
-threshold c_star used by the blowup criterion, the linearizations at the two
-families of equilibria, the classical second-order (harmonic map) analogue,
-and the residual of the original radial equation.  Everything here is plain
+This module evaluates the field (and, for the integrator, its time-reversed
+companion), the Lyapunov energy and its dissipation rate, the
+pi-shift/reflection symmetries, the threshold c_star used by the blowup
+criterion, the linearizations at the two families of equilibria, the
+classical second-order (harmonic map) analogue, and the residual of the
+original radial equation.  Everything here is plain
 floating point; certified bounds live in `intervals`/`certify`.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "coeff_F",
     "coeff_q_prime",
     "vector_field",
-    "reversed_vector_field",
     "energy",
     "symmetry_shift",
     "symmetry_reflect",
@@ -145,53 +145,50 @@ def coeff_q_prime(d: int, phi):
 # Vector fields.
 
 
+def _make_rhs(d: int, reverse: bool = False, lib=math) -> Callable[[float, object], tuple]:
+    """The field as a 4-tuple of derivatives; `lib` supplies sin and cos.
+
+    With `math` it takes one jet.  With `numpy` it takes a (4, n) array whose
+    columns are jets and returns one row of n values per component, each lane
+    computed by the same operations in the same order as a single jet.  With
+    `reverse` it is the field of the s -> -s pullback u(sigma) = phi(-sigma):
+    the odd-derivative forcing terms flip sign, which is -J f(J x) with
+    J = diag(1,-1,1,-1).
+    """
+    d1 = float(d - 1)
+    k = float(-(d - 11) * d - 21)
+    c3 = 1.5 * (d - 3) * (d - 1)
+    gk = float(3 * d - 5)
+    a = float(d - 4)
+    sgn = -1.0 if reverse else 1.0
+
+    def rhs(s: float, y) -> tuple:
+        phi = y[0]
+        v = y[1]
+        w2 = y[2]
+        w3 = y[3]
+        sin2 = lib.sin(2.0 * phi)
+        cos2 = lib.cos(2.0 * phi)
+        acc = (
+            (d1 * cos2 + k) * w2
+            - c3 * sin2
+            + (6.0 * w2 - d1 * sin2) * v * v
+            + sgn * (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
+        )
+        return (v, w2, w3, acc)
+
+    return rhs
+
+
 def vector_field(d: int, x) -> np.ndarray:
     """First-order companion field of the autonomous equation.
 
-    The returned 4-vector is (phi', phi'', phi''', phi'''') evaluated at x.
+    The returned 4-vector is (phi', phi'', phi''', phi'''') evaluated at x,
+    bit for bit as the integrator evaluates it.
     """
-    phi, v, y, w = _components(x)
+    jet = _components(x)
     _check_dim(d)
-    sin2 = math.sin(2.0 * phi)
-    cos2 = math.cos(2.0 * phi)
-    q = (d - 1) * cos2 - (d - 11) * d - 21
-    f = 1.5 * (d - 3) * (d - 1) * sin2
-    g2 = (d - 1) * cos2 + 3 * d - 5  # = 2 g(phi)
-    acc = (
-        q * y
-        - f
-        + (6.0 * y - (d - 1) * sin2) * v * v
-        + (d - 4) * g2 * v
-        + 2.0 * (d - 4) * v ** 3
-        - 2.0 * (d - 4) * w
-    )
-    return np.array([v, y, w, acc])
-
-
-def reversed_vector_field(d: int, x) -> np.ndarray:
-    """Companion field of the s -> -s pullback.
-
-    If u(sigma) := phi(-sigma) then u solves the same equation with the two
-    odd-derivative forcing terms flipped in sign, which is what this field
-    encodes; equivalently it equals -J vector_field(J x) with
-    J = diag(1,-1,1,-1).
-    """
-    phi, v, y, w = _components(x)
-    _check_dim(d)
-    sin2 = math.sin(2.0 * phi)
-    cos2 = math.cos(2.0 * phi)
-    q = (d - 1) * cos2 - (d - 11) * d - 21
-    f = 1.5 * (d - 3) * (d - 1) * sin2
-    g2 = (d - 1) * cos2 + 3 * d - 5
-    acc = (
-        q * y
-        - f
-        + (6.0 * y - (d - 1) * sin2) * v * v
-        - (d - 4) * g2 * v
-        - 2.0 * (d - 4) * v ** 3
-        + 2.0 * (d - 4) * w
-    )
-    return np.array([v, y, w, acc])
+    return np.array(_make_rhs(d)(0.0, jet))
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,22 @@
 """Adaptive integration of the fourth-order flow with event detection.
 
-The driver wraps scipy's embedded RK45 pair, keeping every accepted step's
-dense interpolant.  Blowup (sup-norm threshold) and watched events are
-detected by sign scans over a fixed grid in each step, evaluated by one
-vector call of the step's interpolant (dense-output event location, Hairer,
-Norsett and Wanner, Solving ODEs I, sec. II.6).  A sign change is sharpened
-by bisection on the scalar interpolant to `event_refine_tol`; the earliest
-one in the step wins, and watched events terminate the run.  Reversed
-integration conjugates by J = diag(1,-1,1,-1): the returned samples are the
-true backward states of the orbit through x0, so a forward run followed by a
-reversed run returns to the starting jet.
+One Dormand-Prince 5(4) kernel (Dormand and Prince, J. Comput. Appl. Math. 6,
+1980) with the step control and initial step of Hairer, Norsett and Wanner,
+Solving ODEs I, sec. II.4, drives two loops.  `integrate` runs one orbit on
+four Python floats and keeps every accepted step's dense-output coefficients.
+`integrate_lanes` runs many seeds at once as the columns of a (4, n) array, a
+step size per lane, and keeps no trajectory.  Both sum the stages, the error
+norm and the interpolant elementwise in one fixed order, so an orbit's bits
+depend on its seed only: not on the loop that ran it, nor on the other lanes.
 
-`integrate_lanes` runs many seeds at once as the columns of a (4, n) array:
-one Python loop of lockstep Dormand-Prince 5(4) steps with scipy's tableau
-and step control, a step size per lane, the same per-step scan and gate
-events, and lanes that retire at their events.  It keeps no trajectory.  Its
-sums run in a fixed elementwise order, so a lane's result does not depend on
-the batch; it matches the serial integrator up to rounding.
+Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
+scans over a fixed grid in each accepted step, evaluated on the step's quartic
+interpolant (dense-output event location, Hairer, Norsett and Wanner, sec.
+II.6).  The first scan interval with a sign change is sharpened by bisection on
+the interpolant to `event_refine_tol`; the earliest crossing found there ends
+the run.  Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
+samples are the true backward states of the orbit through x0, so a forward run
+followed by a reversed run returns to the starting jet.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
 
-from . import config, core, regions
+from . import config, core
+from .core import _make_rhs
 
 __all__ = [
     "IntegrationConfig",
     "EventKind",
-    "CustomEvent",
     "TerminationKind",
     "Termination",
     "Trajectory",
@@ -86,15 +85,6 @@ class IntegrationConfig:
 class EventKind(enum.Enum):
     SECOND_DERIV_UP = "second_deriv_up"      # phi'' crossing +c_star upward
     SECOND_DERIV_DOWN = "second_deriv_down"  # phi'' crossing -c_star downward
-    REGION_C_EXIT = "region_c_exit"          # first boundary contact after being inside
-
-
-@dataclass(frozen=True)
-class CustomEvent:
-    """User event: fires when fn(s, state-array) crosses zero."""
-
-    event_id: str
-    fn: Callable[[float, np.ndarray], float]
 
 
 class TerminationKind(enum.Enum):
@@ -113,11 +103,11 @@ class Termination:
 
 @dataclass
 class Trajectory:
-    """Ordered samples of one run plus its dense interpolants.
+    """Ordered samples of one run plus its dense output.
 
-    `s` is strictly increasing; `states[k]` is the jet at `s[k]`.  The
-    dense interpolant `_segments[k]` covers [s[k], s[k+1]] and backs
-    `sample_at`, so `s` itself holds the segment ends.
+    `s` is strictly increasing; `states[k]` is the jet at `s[k]`.  The step
+    from `s[k]` has the dense-output coefficients and size `_steps[k]`, which
+    cover [s[k], s[k+1]] and back `sample_at`.
     """
 
     d: int
@@ -125,7 +115,7 @@ class Trajectory:
     states: np.ndarray
     termination: Termination
     events: list[tuple[str, float, core.State]] = field(default_factory=list)
-    _segments: list[Callable[[float], np.ndarray]] = field(default_factory=list, repr=False)
+    _steps: list[tuple[list, float]] = field(default_factory=list, repr=False)
     _mirror: bool = field(default=False, repr=False)
 
     @property
@@ -138,105 +128,98 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides (local closures; validated against core.vector_field in tests).
+# The Dormand-Prince 5(4) pair: stage weights A, fifth-order weights B, error
+# weights E (B minus the embedded fourth-order weights, FSAL stage last) and
+# the quartic dense output P of Shampine (Math. Comp. 46, 1986).  The flow is
+# autonomous, so the stage times are unused.
+
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_P_COLUMNS = tuple(zip(*_P))  # coefficient k of the interpolant, one weight per stage
+_P_LANES = np.array(_P)[:, :, None, None]  # one (4, 4, n) combination for all lanes
+
+_ERROR_EXPONENT = -1.0 / 5  # -1 / (order of the embedded estimate + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
-def _make_rhs(d: int, reverse: bool, lib=math) -> Callable[[float, np.ndarray], tuple]:
-    """The field as a 4-tuple of derivatives; `lib` supplies sin and cos.
+def _combo(terms: Sequence, coeffs: Sequence[float]):
+    """sum_j coeffs[j] * terms[j], accumulated in index order (floats or arrays)."""
+    acc = terms[0] * coeffs[0]
+    for j in range(1, len(coeffs)):
+        acc = acc + terms[j] * coeffs[j]
+    return acc
 
-    With `math` it takes one jet.  With `numpy` it takes a (4, n) array whose
-    columns are jets and returns one row of n values per component, each lane
-    computed by the same operations in the same order as a single jet.
+
+def _rms(z, sqrt=np.sqrt):
+    """RMS norm over the 4 jet components (axis 0), in a fixed order."""
+    return sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3]) / 2.0
+
+
+def _interpolate(q, h, t_old, y_old, t):
+    """Dense output: y_old + h * sum_k q[k] x^(k+1) with x = (t - t_old) / h."""
+    x = (t - t_old) / h
+    p = x
+    acc = q[0] * p
+    for qk in q[1:]:
+        p = p * x
+        acc = acc + qk * p
+    return h * acc + y_old
+
+
+def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_bound: float,
+                  max_step: float, rtol: float, atol: float) -> np.ndarray:
+    """First step size per lane (Hairer, Norsett and Wanner, sec. II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_bound)
+    f1 = np.array(rhs(0.0, y0 + h0 * f0))
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT,
+    )
+    return np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound), max_step)
+
+
+def _trial_step(rhs, y: Sequence[float], f: tuple, h: float) -> tuple[list, list]:
+    """One trial step of a single jet: (y_new, stages), last stage rhs(y_new).
+
+    Each component is summed as `_combo` sums a lane.  A stage that overflows
+    to inf makes `math.sin` raise ValueError, where a lane gets nan.
     """
-    d1 = float(d - 1)
-    k = float(-(d - 11) * d - 21)
-    c3 = 1.5 * (d - 3) * (d - 1)
-    gk = float(3 * d - 5)
-    a = float(d - 4)
-    sgn = -1.0 if reverse else 1.0
-
-    def rhs(s: float, y: np.ndarray) -> tuple:
-        phi = y[0]
-        v = y[1]
-        w2 = y[2]
-        w3 = y[3]
-        sin2 = lib.sin(2.0 * phi)
-        cos2 = lib.cos(2.0 * phi)
-        acc = (
-            (d1 * cos2 + k) * w2
-            - c3 * sin2
-            + (6.0 * w2 - d1 * sin2) * v * v
-            + sgn * (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
-        )
-        return (v, w2, w3, acc)
-
-    return rhs
-
-
-# ---------------------------------------------------------------------------
-# Event probes.
-
-
-class _Probe:
-    """Scalar event function with a crossing direction and arming logic."""
-
-    def __init__(self, name: str, fn: Callable[[float, np.ndarray], float],
-                 direction: int, needs_arming: bool = False):
-        self.name = name
-        self.fn = fn
-        self.direction = direction  # +1 up, -1 down, 0 any
-        self.needs_arming = needs_arming
-        self.armed = not needs_arming
-
-    def crossed(self, g_prev: float, g_next: float) -> bool:
-        if not self.armed:
-            return False
-        if self.direction >= 0 and g_prev < 0.0 <= g_next:
-            return True
-        if self.direction <= 0 and g_prev > 0.0 >= g_next:
-            return True
-        return False
-
-    def update_arming(self, g: float) -> None:
-        if self.needs_arming and not self.armed and g > 0.0:
-            self.armed = True
-
-
-def _build_probes(d: int, watch: Sequence) -> list[_Probe]:
-    probes: list[_Probe] = []
-    for item in watch:
-        if isinstance(item, CustomEvent):
-            probes.append(_Probe(item.event_id, item.fn, direction=0))
-        elif item is EventKind.SECOND_DERIV_UP:
-            cs = core.c_star(d)
-            probes.append(
-                _Probe(item.value, lambda s, y, cs=cs: y[2] - cs, direction=+1)
-            )
-        elif item is EventKind.SECOND_DERIV_DOWN:
-            cs = core.c_star(d)
-            probes.append(
-                _Probe(item.value, lambda s, y, cs=cs: y[2] + cs, direction=-1)
-            )
-        elif item is EventKind.REGION_C_EXIT:
-            if d != 5:
-                raise ValueError("region-exit watch is defined for d=5 only")
-            probes.append(
-                _Probe(
-                    item.value,
-                    lambda s, y: regions.region_gap(y[0], y[2]),
-                    direction=-1,
-                    needs_arming=True,
-                )
-            )
-        else:
-            raise ValueError(f"unknown watch entry: {item!r}")
-    return probes
+    K = [f]
+    for a in _A[1:]:
+        K.append(rhs(0.0, [yc + _combo(kc, a) * h for yc, kc in zip(y, zip(*K))]))
+    y_new = [yc + h * _combo(kc, _B) for yc, kc in zip(y, zip(*K))]
+    K.append(rhs(0.0, y_new))
+    return y_new, K
 
 
 # Each accepted step is scanned at its two ends and _SCAN_POINTS equally
-# spaced interior points, all evaluated by one call of the step's dense
-# interpolant.  _FRACS * (h / (_SCAN_POINTS + 1)) + t0 is np.linspace's own
-# arithmetic, so the grid is bit-identical to linspace without its overhead.
+# spaced interior points, on the step's interpolant.  _FRACS * (h / 9) + t0
+# is np.linspace's own arithmetic, without its overhead.
 _SCAN_POINTS = 8
 _FRACS = np.arange(_SCAN_POINTS + 2.0)
 
@@ -260,7 +243,36 @@ def _bisect_crossing(
     return hi
 
 
-def _underflow(s: float, s_last: float, y: np.ndarray) -> IntegrationError:
+def _refine_hit(at: Callable[[float], np.ndarray], crossed: Sequence[bool], ta: float,
+                tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, np.ndarray]:
+    """Earliest refined crossing in (ta, tb] of one orbit's interpolant `at`.
+
+    `crossed` flags sign changes of the blowup gap, the upward gate and the
+    downward gate; ties go to the first.  Returns the termination and the jet
+    there.
+    """
+    gaps = (
+        lambda s: float(np.max(np.abs(at(s)))) - cfg.blowup_norm,
+        lambda s: at(s)[2] - cs,
+        lambda s: at(s)[2] + cs,
+    )
+    best: tuple[float, int] | None = None
+    for k, (flag, g) in enumerate(zip(crossed, gaps)):
+        if flag:
+            s_hit = _bisect_crossing(g, ta, tb, up=k < 2, tol=cfg.event_refine_tol)
+            if best is None or s_hit < best[0]:
+                best = (s_hit, k)
+    assert best is not None
+    s_hit, k = best
+    y_hit = at(s_hit)
+    if k == 0:
+        norm = float(np.max(np.abs(y_hit)))
+        return Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm), y_hit
+    event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[k - 1].value
+    return Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event), y_hit
+
+
+def _underflow(s: float, s_last: float, y) -> IntegrationError:
     return IntegrationError(
         f"stepper failed near s={s:.6g} (likely step underflow approaching a singularity)",
         s_last=float(s_last),
@@ -268,158 +280,117 @@ def _underflow(s: float, s_last: float, y: np.ndarray) -> IntegrationError:
     )
 
 
+# ---------------------------------------------------------------------------
+# One orbit.
+
+
 def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
-           probes: list[_Probe], reverse: bool) -> Trajectory:
-    mirror = core.REVERSAL_SIGNS if reverse else None
-    y0 = (mirror * x0) if reverse else np.array(x0, dtype=float)
-    rhs = _make_rhs(d, reverse)
+           gates: tuple[bool, bool], reverse: bool) -> Trajectory:
+    """Integrate one jet, watching the (upward, downward) gates flagged in `gates`.
 
-    def out(y: np.ndarray) -> np.ndarray:
-        return mirror * y if reverse else y
-
-    sup0 = float(np.max(np.abs(y0)))
+    Trial steps, step control and the scan are those of `integrate_lanes`,
+    on floats, so a forward orbit with both gates watched ends bit for bit as
+    its lane does.
+    """
+    mirror = core.REVERSAL_SIGNS if reverse else np.ones(4)
+    y = (mirror * x0).tolist()
+    sup0 = max(abs(c) for c in y)
     if sup0 > cfg.blowup_norm:
         term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=sup0)
-        return Trajectory(d, np.array([s0]), np.array([out(y0)]), term, _mirror=reverse)
+        return Trajectory(d, np.array([s0]), mirror * np.array([y]), term, _mirror=reverse)
 
-    stepper = RK45(
-        rhs, s0, y0, s0 + cfg.max_span,
-        max_step=cfg.max_step, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-    )
+    rhs = _make_rhs(d, reverse)
+    watch_up, watch_down = gates
+    cs = core.c_star(d) if watch_up or watch_down else math.inf
+    t_bound, max_step = s0 + cfg.max_span, float(cfg.max_step)
+    rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
+    t = t_old = s0
+    rejected = False
     ss: list[float] = [s0]
-    ys: list[np.ndarray] = [y0]
-    segments: list[Callable[[float], np.ndarray]] = []
+    ys: list = [y]
+    steps: list[tuple[list, float]] = []
     events: list[tuple[str, float, core.State]] = []
 
-    for p in probes:
-        g0 = p.fn(s0, y0)
-        p.update_arming(g0)
-
     def finish(term: Termination) -> Trajectory:
-        return Trajectory(
-            d,
-            np.array(ss),
-            np.array([out(y) for y in ys]),
-            term,
-            events=events,
-            _segments=segments,
-            _mirror=reverse,
-        )
+        return Trajectory(d, np.array(ss), mirror * np.array(ys), term,
+                          events=events, _steps=steps, _mirror=reverse)
 
-    while stepper.status == "running":
-        stepper.step()
-        if stepper.status == "failed":
-            raise _underflow(stepper.t, stepper.t_old, out(ys[-1] if ys else y0))
-        dense = stepper.dense_output()
-        t0, t1 = float(stepper.t_old), float(stepper.t)
-        grid = _FRACS * ((t1 - t0) / (_SCAN_POINTS + 1)) + t0
-        grid[-1] = t1
-        ys_grid = dense(grid)
-        g_norm = (np.max(np.abs(ys_grid), axis=0) - cfg.blowup_norm).tolist()
-        grid = grid.tolist()
+    # As in the lanes, a zero error or jet gives inf and nan, not warnings.
+    with np.errstate(all="ignore"):
+        f = rhs(0.0, y)
+        h_abs = float(_initial_step(
+            _make_rhs(d, reverse, lib=np), np.array(y)[:, None], np.array(f)[:, None],
+            float(cfg.max_span), max_step, rtol, atol,
+        )[0])
+        while True:
+            # The lanes' trial step: clamp a fresh step to [min_step, max_step];
+            # a retried one fails below min_step.
+            min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+            if not rejected:
+                h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+            if h_abs < min_step:
+                raise _underflow(t, t_old, mirror * np.array(y))
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            try:
+                y_new, K = _trial_step(rhs, y, f, h)
+                err = _rms([
+                    _combo(kc, _E) * h / (atol + max(abs(a), abs(b)) * rtol)
+                    for kc, a, b in zip(zip(*K), y, y_new)
+                ], math.sqrt)
+            except ValueError:
+                err = math.nan
+            # numpy's array power, as the lanes take it (float ** differs in the last bit).
+            grow = _SAFETY * float(np.power([err], _ERROR_EXPONENT)[0])
+            if not err < 1.0:  # nan shrinks the step by _MIN_FACTOR
+                h_abs = h * (grow if grow > _MIN_FACTOR else _MIN_FACTOR)
+                rejected = True
+                continue
+            up = grow if grow < _MAX_FACTOR else _MAX_FACTOR
+            h_abs = h * (min(up, 1.0) if rejected else up)
+            rejected = False
 
-        def norm_gap(t: float) -> float:
-            return float(np.max(np.abs(dense(t)))) - cfg.blowup_norm
-
-        # Scan the step for the earliest blowup/event crossing.
-        hit_s: float | None = None
-        hit_probe: _Probe | None = None
-        hit_blowup = False
-        g_prev = [p.fn(t0, ys_grid[:, 0]) for p in probes]
-        for i in range(1, len(grid)):
-            ta, tb = grid[i - 1], grid[i]
-            if g_norm[i - 1] < 0.0 <= g_norm[i]:
-                s_hit = _bisect_crossing(norm_gap, ta, tb, up=True, tol=cfg.event_refine_tol)
-                if hit_s is None or s_hit < hit_s:
-                    hit_s, hit_probe, hit_blowup = s_hit, None, True
-            yb = ys_grid[:, i]
-            for j, p in enumerate(probes):
-                g_next = p.fn(tb, yb)
-                if p.crossed(g_prev[j], g_next):
-                    s_hit = _bisect_crossing(
-                        lambda t, p=p: p.fn(t, dense(t)),
-                        ta, tb, up=(p.direction >= 0), tol=cfg.event_refine_tol,
-                    )
-                    if hit_s is None or s_hit < hit_s:
-                        hit_s, hit_probe, hit_blowup = s_hit, p, False
-                p.update_arming(g_next)
-                g_prev[j] = g_next
-            if hit_s is not None and hit_s <= ta:
-                break
-
-        if hit_s is not None:
-            y_hit = dense(hit_s)
-            ss.append(hit_s)
-            ys.append(y_hit)
-            segments.append(dense)
-            if hit_blowup:
-                term = Termination(
-                    TerminationKind.BLOWUP_DETECTED,
-                    s_last=hit_s,
-                    norm=float(np.max(np.abs(y_hit))),
+            # Scan the step on the lanes' grid for the first interval with a
+            # crossing; each jet is `_interpolate`'s arithmetic, inlined.
+            q = [[_combo(kc, col) for kc in zip(*K)] for col in _P_COLUMNS]
+            dt = h / (_SCAN_POINTS + 1)
+            grid = [i * dt + t for i in range(_SCAN_POINTS + 1)] + [t_new]
+            sup, phi2 = [], []
+            for x in ((g - t) / h for g in grid):
+                x2 = x * x
+                x3 = x2 * x
+                x4 = x3 * x
+                jet = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + yc
+                       for q0, q1, q2, q3, yc in zip(*q, y)]
+                sup.append(max(abs(jet[0]), abs(jet[1]), abs(jet[2]), abs(jet[3])))
+                phi2.append(jet[2])
+            for i in range(1, len(grid)):
+                crossed = (
+                    sup[i - 1] < cfg.blowup_norm <= sup[i],
+                    watch_up and phi2[i - 1] < cs <= phi2[i],
+                    watch_down and phi2[i - 1] > -cs >= phi2[i],
                 )
-            else:
-                assert hit_probe is not None
-                events.append((hit_probe.name, hit_s, core.State.from_array(out(y_hit))))
-                term = Termination(TerminationKind.EVENT_STOP, s_last=hit_s, event=hit_probe.name)
-            return finish(term)
+                if any(crossed):
+                    at = functools.partial(_interpolate, np.array(q), h, t, np.array(y))
+                    term, y_hit = _refine_hit(at, crossed, grid[i - 1], grid[i], cs, cfg)
+                    ss.append(term.s_last)
+                    ys.append(y_hit)
+                    steps.append((q, h))
+                    if term.event is not None:
+                        events.append((term.event, term.s_last,
+                                       core.State.from_array(mirror * y_hit)))
+                    return finish(term)
 
-        ss.append(t1)
-        ys.append(stepper.y.copy())
-        segments.append(dense)
-
-    return finish(Termination(TerminationKind.SPAN_EXHAUSTED, s_last=ss[-1]))
+            steps.append((q, h))
+            t_old, t, y, f = t, t_new, y_new, K[-1]
+            ss.append(t)
+            ys.append(y)
+            if t >= t_bound:
+                return finish(Termination(TerminationKind.SPAN_EXHAUSTED, s_last=t))
 
 
 # ---------------------------------------------------------------------------
-# Lockstep lanes: scipy's RK45 (scipy/integrate/_ivp/rk.py) step for step, on
-# a (4, n) array.  The flow is autonomous, so the stage times RK45.C are unused.
-
-_A, _B, _E, _P = RK45.A, RK45.B, RK45.E, RK45.P
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's validate_tol
-
-
-def _combo(terms: Sequence[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] * terms[j], accumulated elementwise in index order."""
-    acc = terms[0] * coeffs[0]
-    for j in range(1, len(coeffs)):
-        acc = acc + terms[j] * coeffs[j]
-    return acc
-
-
-def _rms(z: np.ndarray) -> np.ndarray:
-    """scipy's RMS norm over the 4 jet components (axis 0), in a fixed order."""
-    return np.sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3]) / 2.0
-
-
-def _interpolate(q, h, t_old, y_old, t):
-    """RK45's dense output: y_old + h * sum_k q[k] x^(k+1) with x = (t - t_old) / h."""
-    x = (t - t_old) / h
-    p = x
-    acc = q[0] * p
-    for qk in q[1:]:
-        p = p * x
-        acc = acc + qk * p
-    return h * acc + y_old
-
-
-def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_bound: float,
-                  max_step: float, rtol: float, atol: float) -> np.ndarray:
-    """scipy's select_initial_step (Hairer, Norsett and Wanner, sec. II.4) per lane."""
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, t_bound)
-    f1 = np.array(rhs(0.0, y0 + h0 * f0))
-    d2 = _rms((f1 - f0) / scale) / h0
-    h1 = np.where(
-        (d1 <= 1e-15) & (d2 <= 1e-15),
-        np.maximum(1e-6, h0 * 1e-3),
-        (0.01 / np.maximum(d1, d2)) ** (1 / (RK45.error_estimator_order + 1)),
-    )
-    return np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound), max_step)
+# Lockstep lanes: the same step on a (4, n) array.
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,16 +417,13 @@ def integrate_lanes(
     """Integrate the forward flow from every row of x0s, all in one loop.
 
     Lane k runs `integrate(d, x0s[k], cfg=cfg, watch=[SECOND_DERIV_UP,
-    SECOND_DERIV_DOWN])` as the serial integrator does: RK45's step control with
-    a step size of its own, the same scan grid per accepted step, bisection
-    of a crossing on its own interpolant, and the same earliest-hit rule and
-    terminations.  A lane retires at its event or at the end of the span;
-    one whose step size underflows retires with the IntegrationError and the
-    others run on.  Stage sums, the error norm and the interpolant are
-    elementwise sums in a fixed order, so a lane's bits depend on its seed
-    only, never on the other lanes; they differ from the serial integrator's by
-    rounding, since scipy sums with matrix products.  `keep` maps a (4, n)
-    array of jets to a boolean lane mask, tracked into `LaneEnd.kept`.
+    SECOND_DERIV_DOWN])` step for step and ends bit for bit as it does: a
+    step size of its own, the same scan grid per accepted step, bisection of
+    a crossing on its own interpolant, and the same terminations.  A lane
+    retires at its event or at the end of the span; one whose step size
+    underflows retires with the IntegrationError and the others run on.
+    `keep` maps a (4, n) array of jets to a boolean lane mask, tracked into
+    `LaneEnd.kept`.
     """
     cfg = cfg or IntegrationConfig()
     jets = [core.State.from_array(x).as_array() for x in x0s]
@@ -485,8 +453,8 @@ def integrate_lanes(
         f = np.array(rhs(0.0, y))
         h_abs = _initial_step(rhs, y, f, t_bound, max_step, rtol, atol)
         while lanes.size:
-            # One trial step per lane, as RK45._step_impl: clamp a fresh step
-            # to [min_step, max_step]; a retried one fails below min_step.
+            # One trial step per lane: clamp a fresh step to [min_step,
+            # max_step]; a retried one fails below min_step.
             min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
             fresh = np.where(h_abs < min_step, min_step, h_abs)
             fresh = np.where(h_abs > max_step, max_step, fresh)
@@ -495,8 +463,8 @@ def integrate_lanes(
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
             K = [f]
-            for s in range(1, RK45.n_stages):
-                K.append(np.array(rhs(0.0, y + _combo(K, _A[s, :s]) * h)))
+            for a in _A[1:]:
+                K.append(np.array(rhs(0.0, y + _combo(K, a) * h)))
             y_new = y + h * _combo(K, _B)
             K.append(np.array(rhs(0.0, y_new)))
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -511,7 +479,7 @@ def integrate_lanes(
             rejected = ~accepted
 
             # Scan each accepted step on the serial integrator's grid.
-            q = _combo(K, _P[:, :, None, None])
+            q = _combo(K, _P_LANES)
             grid = _FRACS[:, None] * (h / (_SCAN_POINTS + 1)) + t
             grid[-1] = t_new
             ys = _interpolate(q[:, :, None, :], h, t, y[:, None, :], grid)
@@ -558,35 +526,6 @@ def integrate_lanes(
     return ends
 
 
-def _refine_hit(at: Callable[[float], np.ndarray], crossed: Sequence[bool], ta: float,
-                tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, np.ndarray]:
-    """Earliest refined crossing in (ta, tb] of one lane's interpolant `at`.
-
-    `crossed` flags sign changes of the blowup gap, the upward gate and the
-    downward gate, the order in which `_drive` checks them; ties go to the
-    first.  Returns the termination and the jet there.
-    """
-    gaps = (
-        lambda s: float(np.max(np.abs(at(s)))) - cfg.blowup_norm,
-        lambda s: at(s)[2] - cs,
-        lambda s: at(s)[2] + cs,
-    )
-    best: tuple[float, int] | None = None
-    for k, (flag, g) in enumerate(zip(crossed, gaps)):
-        if flag:
-            s_hit = _bisect_crossing(g, ta, tb, up=k < 2, tol=cfg.event_refine_tol)
-            if best is None or s_hit < best[0]:
-                best = (s_hit, k)
-    assert best is not None
-    s_hit, k = best
-    y_hit = at(s_hit)
-    if k == 0:
-        norm = float(np.max(np.abs(y_hit)))
-        return Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm), y_hit
-    event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[k - 1].value
-    return Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event), y_hit
-
-
 # ---------------------------------------------------------------------------
 # Public drivers.
 
@@ -596,7 +535,7 @@ def integrate(
     x0,
     s0: float = 0.0,
     cfg: IntegrationConfig | None = None,
-    watch: Iterable[EventKind | CustomEvent] = (),
+    watch: Iterable[EventKind] = (),
 ) -> Trajectory:
     """Integrate the forward flow from the jet x0 at time s0.
 
@@ -609,9 +548,13 @@ def integrate(
     x0 = core.State.from_array(x0).as_array() if not isinstance(x0, core.State) else x0.as_array()
     if not (isinstance(s0, (int, float)) and math.isfinite(s0)):
         raise ValueError(f"s0 must be finite, got {s0!r}")
-    probes = _build_probes(d, tuple(watch))
+    watch = tuple(watch)
+    for item in watch:
+        if not isinstance(item, EventKind):
+            raise ValueError(f"unknown watch entry: {item!r}")
     core.vector_field(d, x0)  # validates d and x0 once up front
-    return _drive(d, x0, float(s0), cfg, probes, reverse=False)
+    gates = (EventKind.SECOND_DERIV_UP in watch, EventKind.SECOND_DERIV_DOWN in watch)
+    return _drive(d, x0, float(s0), cfg, gates, reverse=False)
 
 
 def integrate_reversed(d: int, x0, cfg: IntegrationConfig | None = None) -> Trajectory:
@@ -625,7 +568,7 @@ def integrate_reversed(d: int, x0, cfg: IntegrationConfig | None = None) -> Traj
     cfg = cfg or IntegrationConfig()
     x0 = core.State.from_array(x0).as_array() if not isinstance(x0, core.State) else x0.as_array()
     core.vector_field(d, x0)
-    return _drive(d, x0, 0.0, cfg, [], reverse=True)
+    return _drive(d, x0, 0.0, cfg, (False, False), reverse=True)
 
 
 def sample_at(traj: Trajectory, s: float) -> core.State:
@@ -642,10 +585,10 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
     idx = int(np.searchsorted(traj.s, s))
     if traj.s[idx] == s:
         return core.State.from_array(traj.states[idx])
-    y = traj._segments[idx - 1](s)
-    if traj._mirror:
-        y = core.REVERSAL_SIGNS * y
-    return core.State.from_array(y)
+    mirror = core.REVERSAL_SIGNS if traj._mirror else 1.0
+    q, h = traj._steps[idx - 1]
+    y = _interpolate(np.array(q), h, traj.s[idx - 1], mirror * traj.states[idx - 1], s)
+    return core.State.from_array(mirror * y)
 
 
 def write_csv(traj: Trajectory, path: str) -> None:

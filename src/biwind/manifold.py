@@ -10,7 +10,8 @@ integrator tolerances), too coarse for its orbit to stay by the equator over
 the full span; `refine_heteroclinic` sharpens the angle in mpmath.
 Classification grids integrate all of their seeds together, as lanes of
 `integrate.integrate_lanes`; single orbits and the shooting bisection use the
-serial integrator, which is faster per orbit.
+serial integrator, which is faster per orbit.  Both run one Dormand-Prince
+kernel, so an angle classifies bit for bit alike either way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import config, core, integrate, regions, taylor
 
@@ -123,16 +123,22 @@ def theta0(eps0: float) -> float:
 
     Solves 2*sqrt(6) sin(eps0 cos theta) = eps0 sin theta.  The left side
     decreases and the right side increases over [0, pi/2], so the bracket
-    endpoints have opposite signs and the root is unique.
+    endpoints have opposite signs and the root is unique.  Bisection runs to
+    adjacent doubles and returns the upper one: the least double it meets
+    where the gap is <= 0.
     """
     if not (0.0 < eps0 <= 0.1) or not math.isfinite(eps0):
         raise ValueError(f"eps0 must lie in (0, 0.1], got {eps0}")
     s6 = 2.0 * math.sqrt(6.0)
-
-    def gap(theta: float) -> float:
-        return s6 * math.sin(eps0 * math.cos(theta)) - eps0 * math.sin(theta)
-
-    return float(brentq(gap, 0.0, 0.5 * math.pi, xtol=1e-15, rtol=8.9e-16))
+    lo, hi = 0.0, 0.5 * math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if s6 * math.sin(eps0 * math.cos(mid)) - eps0 * math.sin(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
 
 
 _EVENT_TO_G = {
@@ -399,13 +405,12 @@ def classification_grid(
 ) -> list[ClassificationResult]:
     """Classify every angle in the grid; order follows the input.
 
-    All seeds run as lanes of one lockstep RK45 (`integrate.integrate_lanes`),
-    in one thread, and each result maps to its outcome as in `classify_orbit`.
-    A lane's bits depend on its own seed only, so a result is the same
-    whatever the grid's size, order or `workers`; `workers` must be >= 1 and
-    changes nothing.  Against `classify_orbit` the outcome and g agree and
-    tau differs by rounding (within 1e-10 on the benchmark grids), since the
-    two sum the RK stages in different orders.
+    All seeds run as lanes of one lockstep Dormand-Prince loop
+    (`integrate.integrate_lanes`), in one thread, and each result maps to its
+    outcome as in `classify_orbit`.  A lane's bits depend on its own seed
+    only, so a result is the same whatever the grid's size, order or
+    `workers`, and equals `classify_orbit`'s bit for bit; `workers` must be
+    >= 1 and changes nothing.
     """
     workers = workers if workers is not None else config.default_workers()
     if workers < 1:

@@ -301,19 +301,21 @@ def sos_identity_check(y: float, v: float) -> tuple[float, float]:
 # Cubic blowup polynomial and its growth sandwich.
 
 
-def p_value(d: int, xi0: float, xi1: float, xi2: float) -> float:
+def p_value(d: int, xi0, xi1, xi2):
     """p = q xi2 - f + 6 xi2 xi1^2 + q'/2 xi1^2 + 2(d-4) g xi1 + 2(d-4) xi1^3.
 
     This is the second derivative of phi'' phi' along the flow written in the
     phase variables (xi0, xi1, xi2) = (phi, phi', phi''); its positivity and
-    growth drive the finite-time blowup argument.
+    growth drive the finite-time blowup argument.  Takes floats or numpy
+    arrays.
     """
-    q = float(core.coeff_q(d, xi0))
-    f = float(core.coeff_f(d, xi0))
-    g = float(core.coeff_g(d, xi0))
-    qp = float(core.coeff_q_prime(d, xi0))
+    q = core.coeff_q(d, xi0)
+    f = core.coeff_f(d, xi0)
+    g = core.coeff_g(d, xi0)
+    qp = core.coeff_q_prime(d, xi0)
     alpha = 2.0 * (d - 4)
-    return q * xi2 - f + 6.0 * xi2 * xi1 ** 2 + 0.5 * qp * xi1 ** 2 + alpha * g * xi1 + alpha * xi1 ** 3
+    p = q * xi2 - f + 6.0 * xi2 * xi1 ** 2 + 0.5 * qp * xi1 ** 2 + alpha * g * xi1 + alpha * xi1 ** 3
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def growth_bounds(d: int, xi0: float, xi1: float, xi2: float) -> tuple[float, float, float]:
@@ -359,12 +361,7 @@ def growth_bound_check(d: int, samples: int = 100_000, seed: int = 0) -> GrowthR
         [rng.uniform(0.0, 3.0, n1), rng.uniform(0.0, 50.0, n2), rng.uniform(0.0, 1e3, n3)]
     )
     xi0 = rng.uniform(-10.0, 10.0, samples)
-    q = core.coeff_q(d, xi0)
-    f = core.coeff_f(d, xi0)
-    g = core.coeff_g(d, xi0)
-    qp = core.coeff_q_prime(d, xi0)
-    alpha = 2.0 * (d - 4)
-    p = q * xi2 - f + 6.0 * xi2 * xi1 ** 2 + 0.5 * qp * xi1 ** 2 + alpha * g * xi1 + alpha * xi1 ** 3
+    p = p_value(d, xi0, xi1, xi2)
     lower = 6.0 * (xi2 - c0) * xi1 ** 2 + xi1 ** 3 / GROWTH_C1
     upper = 6.0 * xi1 ** 2 * xi2 + GROWTH_C1 * (1.0 + xi2 + xi1 ** 3)
     lo_margin = p - lower

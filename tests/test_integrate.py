@@ -1,5 +1,7 @@
 import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,11 +26,12 @@ def _connection_jet(s, c=0.0, k=0, refl=False):
 def test_internal_rhs_agrees_with_public_field(d):
     fwd = itg._make_rhs(d, reverse=False)
     rev = itg._make_rhs(d, reverse=True)
+    J = core.REVERSAL_SIGNS
     rng = np.random.default_rng(91 + d)
     for _ in range(50):
         x = rng.uniform(-2.5, 2.5, size=4)
-        assert np.allclose(fwd(0.0, x), core.vector_field(d, x), rtol=1e-13, atol=1e-12)
-        assert np.allclose(rev(0.0, x), core.reversed_vector_field(d, x), rtol=1e-13, atol=1e-12)
+        assert np.array_equal(fwd(0.0, x), core.vector_field(d, x))
+        assert np.array_equal(rev(0.0, x), -J * core.vector_field(d, J * x))
 
 
 @pytest.mark.parametrize("d", [5, 6, 7])
@@ -54,6 +57,20 @@ def test_lane_rhs_matches_public_field_column_by_column(d):
         assert np.array_equal(got[:, j], scalar(0.0, x[:, j]))
 
 
+def test_tableau_is_dormand_prince_as_in_scipy():
+    rk45 = pytest.importorskip("scipy.integrate").RK45
+    for s, row in enumerate(itg._A):
+        assert np.array_equal(row, rk45.A[s, :s]), s
+    assert np.array_equal(itg._B, rk45.B)
+    assert np.array_equal(itg._E, rk45.E)
+    assert np.array_equal(itg._P, rk45.P)
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import biwind.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
 _GATE_WATCH = [itg.EventKind.SECOND_DERIV_UP, itg.EventKind.SECOND_DERIV_DOWN]
 
 
@@ -74,8 +91,8 @@ def test_lanes_end_as_the_serial_integrator(d, cfg):
         traj = itg.integrate(d, x0, cfg=cfg, watch=_GATE_WATCH)
         term = traj.termination
         assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
-        assert lane.end.s_last == pytest.approx(term.s_last, abs=1e-9)
-        assert np.allclose(lane.state.as_array(), traj.states[-1], rtol=1e-8, atol=1e-9)
+        assert lane.end.s_last == term.s_last
+        assert np.array_equal(lane.state.as_array(), traj.states[-1])
         if term.kind is itg.TerminationKind.SPAN_EXHAUSTED:
             assert lane.kept == bool(np.all(traj.states[:, 0] > -0.01))
         kinds.add(term.kind)
@@ -94,7 +111,7 @@ def test_lanes_take_the_earliest_crossing_of_a_long_step():
     for x0, lane in zip(seeds, lanes):
         term = itg.integrate(5, x0, cfg=cfg, watch=_GATE_WATCH).termination
         assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
-        assert lane.end.s_last == pytest.approx(term.s_last, abs=1e-9)
+        assert lane.end.s_last == term.s_last
         kinds.add(term.kind)
     assert kinds == {itg.TerminationKind.BLOWUP_DETECTED, itg.TerminationKind.EVENT_STOP}
 
@@ -109,7 +126,7 @@ def test_lane_step_underflow_retires_only_that_lane():
     err = lanes[0].end
     assert isinstance(err, itg.IntegrationError)
     assert str(err) == str(serial.value)
-    assert err.s_last == pytest.approx(serial.value.s_last, abs=1e-9)
+    assert err.s_last == serial.value.s_last
     assert lanes[0].state is err.state_last
     traj = itg.integrate(5, seeds[1], cfg=cfg, watch=_GATE_WATCH)
     assert lanes[1].end.event == traj.termination.event == "second_deriv_down"
@@ -227,40 +244,9 @@ def test_second_deriv_down_event_is_the_reflected_stop():
     assert abs(state.d2phi + cs) < 1e-6
 
 
-def test_region_exit_event_requires_entering_first():
-    # Start inside the comparison region: the exit fires once the orbit
-    # leaves.  Start outside on a path that never enters: no event, the run
-    # ends by blowup instead.
-    inside = np.array([0.5, 0.5, 1.0, 1.0])
-    traj = itg.integrate(5, inside, watch=[itg.EventKind.REGION_C_EXIT])
-    assert traj.termination.kind is itg.TerminationKind.EVENT_STOP
-    assert traj.termination.event == "region_c_exit"
-
-    outside = np.array([0.5, 0.5, 3.0, 1.0])
-    from biwind import regions
-
-    assert regions.region_gap(outside[0], outside[2]) < 0
-    traj2 = itg.integrate(5, outside, watch=[itg.EventKind.REGION_C_EXIT])
-    assert traj2.termination.kind is itg.TerminationKind.BLOWUP_DETECTED
-    assert traj2.events == []
-
-
-def test_custom_event_zero_crossing():
-    ev = itg.CustomEvent("dphi_hits_two", lambda s, y: y[1] - 2.0)
-    x0 = np.array([0.2, 0.5, 4.0, 5.0])
-    traj = itg.integrate(5, x0, watch=[ev])
-    assert traj.termination.kind is itg.TerminationKind.EVENT_STOP
-    assert traj.termination.event == "dphi_hits_two"
-    assert abs(traj.events[-1][2].dphi - 2.0) < 1e-6
-
-
 def test_watch_entries_validate_dimension():
     with pytest.raises(ValueError):
         itg.integrate(4, _connection_jet(0.0), watch=[itg.EventKind.SECOND_DERIV_UP])
-    with pytest.raises(ValueError):
-        itg.integrate(
-            6, np.array([0.1, 0.1, 0.1, 0.1]), watch=[itg.EventKind.REGION_C_EXIT]
-        )
     with pytest.raises(ValueError):
         itg.integrate(5, np.array([0.1, 0.1, 0.1, 0.1]), watch=["not-an-event"])
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from biwind import core
+from biwind import core, regions
 
 
 def sweep_points(d, rng, n):
@@ -40,17 +40,8 @@ def sweep_points(d, rng, n):
     return xi0, xi1, xi2, cs
 
 
-def p_vec(d, xi0, xi1, xi2):
-    q = core.coeff_q(d, xi0)
-    f = core.coeff_f(d, xi0)
-    g = core.coeff_g(d, xi0)
-    qp = core.coeff_q_prime(d, xi0)
-    al = 2.0 * (d - 4)
-    return q * xi2 - f + 6.0 * xi2 * xi1 ** 2 + 0.5 * qp * xi1 ** 2 + al * g * xi1 + al * xi1 ** 3
-
-
 def violations(d, c1, xi0, xi1, xi2, cs):
-    p = p_vec(d, xi0, xi1, xi2)
+    p = regions.p_value(d, xi0, xi1, xi2)
     lower = 6.0 * (xi2 - cs) * xi1 ** 2 + xi1 ** 3 / c1
     upper = 6.0 * xi1 ** 2 * xi2 + c1 * (1.0 + xi2 + xi1 ** 3)
     return int(np.sum(lower > p)) + int(np.sum(p > upper))
