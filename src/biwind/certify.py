@@ -1,7 +1,11 @@
 """Certified positivity of the tangent-frame and cone forcing coefficients.
 
 Every computer-assisted inequality behind the d = 5 heteroclinic argument is
-re-proved here with outward-rounded interval arithmetic:
+re-proved here with outward-rounded interval arithmetic.  The coefficients
+themselves are not written here: they are the generic forms of `regions`
+(`coeff_a`, `coeff_c0`, ..., `phi_of_z`), evaluated under
+`intervals.INTERVAL` on interval boxes and under an exact-series context on
+polynomials.  This module holds
 
 * a branch-and-bound engine (`prove_lower_bound`) that bisects the widest
   box dimension, discharges a box once the interval evaluation clears the
@@ -10,8 +14,9 @@ re-proved here with outward-rounded interval arithmetic:
   evaluates each level of the tree as one batch: the coefficient functions
   take a box whose dimensions are `IntervalArray` lanes, one per live box;
 * two-term Taylor-with-remainder enclosures of the cubic and linear
-  coefficients near the origin (`taylor_enclose_P_coeff`), computed in exact
-  rational arithmetic over Q[sqrt 6] and only rounded outward at the end;
+  coefficients near the origin (`taylor_enclose_P_coeff`): `coeff_c0` and
+  `coeff_c2` evaluated on polynomials with theta-remainders in exact
+  rational arithmetic over Q[sqrt 6], and only rounded outward at the end;
 * a divide-and-conquer sublevel-set bounding box on the dyadic grid
   (`enclose_sublevel`);
 * the nine named certificates V1-V9 (`run_task`), serialized as JSON.
@@ -29,25 +34,20 @@ bit-identical for any worker count (wall-clock time aside).
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import config
-from .intervals import (
-    Box,
-    Interval,
-    IntervalArray,
-    eighth_pi_iv,
-    half_pi_iv,
-    pi_iv,
-    sqrt6_iv,
-)
+from .intervals import INTERVAL, Box, Interval, IntervalArray, eighth_pi_iv, half_pi_iv, pi_iv
+from .regions import coeff_a, coeff_c0, coeff_c1, coeff_c2, coeff_q0, phi_of_z
 
 __all__ = [
     "Status",
@@ -60,14 +60,9 @@ __all__ = [
     "run_task",
     "TASK_IDS",
     "ROUNDING_MODE",
-    "a_iv",
     "c0_iv",
     "c1_iv",
     "c2_iv",
-    "phi_of_z_iv",
-    "c0_z_iv",
-    "c1_z_iv",
-    "q0_iv",
 ]
 
 ROUNDING_MODE = "nextafter-outward"
@@ -76,53 +71,19 @@ TASK_IDS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9")
 
 
 # ---------------------------------------------------------------------------
-# Interval transcriptions of the coefficient functions (same structure as the
-# floating-point forms in `regions`, with every constant enclosed).  They take
-# `Interval` and `IntervalArray` arguments alike.
-
-
-def a_iv(phi0: Interval, phi: Interval, v: Interval) -> Interval:
-    """a = 4 cos(2 phi) - 2 sqrt(6) cos(phi0) + 9 + 6 v^2."""
-    return (phi * 2).cos() * 4 - sqrt6_iv() * 2 * phi0.cos() + 9 + v.power(2) * 6
+# The coefficient forms of `regions` on intervals, in the (phi0, phi) chart.
 
 
 def c0_iv(phi0: Interval, phi: Interval) -> Interval:
-    u = phi - phi0
-    box = (phi * 2).cos() * 4 + 9
-    return (
-        (phi0 * 2).sin() * -12
-        - (u + (phi * 2).sin()) * 12
-        + sqrt6_iv() * 2 * u * box * phi0.cos()
-        + (phi0 - phi) * 12 * (phi0 * 2).cos()
-        + sqrt6_iv() * 2 * box * phi0.sin()
-    )
+    return coeff_c0(phi0, phi, INTERVAL)
 
 
 def c1_iv(phi0: Interval, phi: Interval) -> Interval:
-    return (phi * 2).cos() * 4 - sqrt6_iv() * 4 * phi0.cos() + 10
+    return coeff_c1(phi0, phi, INTERVAL)
 
 
 def c2_iv(phi0: Interval, phi: Interval) -> Interval:
-    u = phi - phi0
-    return sqrt6_iv() * 12 * (phi0.sin() + u * phi0.cos()) - (phi * 2).sin() * 4
-
-
-def phi_of_z_iv(phi0: Interval, z: Interval) -> Interval:
-    """phi = phi0 + z cos(phi0) / (1 + sin(phi0)), the frame-relative chart."""
-    return phi0 + z * phi0.cos() / (phi0.sin() + 1)
-
-
-def c0_z_iv(phi0: Interval, z: Interval) -> Interval:
-    return c0_iv(phi0, phi_of_z_iv(phi0, z))
-
-
-def c1_z_iv(phi0: Interval, z: Interval) -> Interval:
-    return c1_iv(phi0, phi_of_z_iv(phi0, z))
-
-
-def q0_iv(phi: Interval) -> Interval:
-    """Constant coefficient of the cone forcing: 6 (3 phi - 2 sin 2phi + 2 phi cos 2phi)."""
-    return (phi * 3 - (phi * 2).sin() * 2 + phi * 2 * (phi * 2).cos()) * 6
+    return coeff_c2(phi0, phi, INTERVAL)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +200,9 @@ def prove_lower_bound(
 # Numbers are pairs (a, b) of Fractions meaning a + b sqrt(6).  Polynomials
 # in (phi0, phi) are dicts {(j, k): pair}; remainder mass lives in a separate
 # list of (j, k, M) monomials meaning theta * M * phi0^j phi^k with theta in
-# [-1, 1] (M a nonnegative Fraction).  All arithmetic is exact; rounding
-# happens once, at the final conversion to float intervals.
+# [-1, 1] (M a nonnegative Fraction).  The series of c0 and c2 are the
+# `regions` forms evaluated on these polynomials.  All arithmetic is exact;
+# rounding happens once, at the final conversion to float intervals.
 
 _SQRT6_LO = Fraction(24494, 10**4)
 _SQRT6_HI = Fraction(24495, 10**4)
@@ -261,7 +223,12 @@ def _pair_abs_hi(c: _Pair) -> Fraction:
 
 
 class _Sym:
-    """Exact polynomial in (phi0, phi) over Q[sqrt 6] plus remainder mass."""
+    """Exact polynomial in (phi0, phi) over Q[sqrt 6] plus remainder mass.
+
+    Int operands are promoted to constants.  `sin` and `cos` take an integer
+    multiple m x of x = phi0 or phi and return its Taylor polynomial with a
+    theta-remainder term; any other argument raises ValueError.
+    """
 
     __slots__ = ("poly", "fuzz")
 
@@ -278,14 +245,18 @@ class _Sym:
         key = (1, 0) if which == "phi0" else (0, 1)
         return _Sym({key: (Fraction(1), Fraction(0))})
 
-    def __add__(self, other: "_Sym") -> "_Sym":
+    def __add__(self, other: "_Sym | int") -> "_Sym":
+        if isinstance(other, int):
+            other = _Sym.const(other)
         poly = dict(self.poly)
         for key, (a, b) in other.poly.items():
             pa, pb = poly.get(key, (Fraction(0), Fraction(0)))
             poly[key] = (pa + a, pb + b)
         return _Sym(poly, self.fuzz + other.fuzz)
 
-    def __mul__(self, other: "_Sym") -> "_Sym":
+    def __mul__(self, other: "_Sym | int") -> "_Sym":
+        if isinstance(other, int):
+            other = _Sym.const(other)
         poly: dict[tuple[int, int], _Pair] = {}
         for (j1, k1), (a1, b1) in self.poly.items():
             for (j2, k2), (a2, b2) in other.poly.items():
@@ -308,64 +279,34 @@ class _Sym:
                 fuzz.append((j1 + j2, k1 + k2, m1 * m2))
         return _Sym(poly, fuzz)
 
-    def scale(self, a, b=0) -> "_Sym":
-        return self * _Sym.const(a, b)
+    def __sub__(self, other: "_Sym | int") -> "_Sym":
+        return self + other * -1
 
-    def __sub__(self, other: "_Sym") -> "_Sym":
-        return self + other.scale(-1)
+    def _series(self, terms, rem: int, rem_den: int) -> "_Sym":
+        """sum c (m x)^n over terms (n, c) plus theta |m x|^rem / rem_den, self being m x."""
+        if not self.fuzz and len(self.poly) == 1:
+            ((j, k), (m, b)), = self.poly.items()
+            if (j, k) in ((1, 0), (0, 1)) and b == 0 and m.denominator == 1:
+                poly = {(j * n, k * n): (c * m**n, Fraction(0)) for n, c in terms}
+                return _Sym(poly, [(j * rem, k * rem, abs(m) ** rem / rem_den)])
+        raise ValueError("sin and cos take an integer multiple of phi0 or phi")
 
+    def sin(self) -> "_Sym":
+        """x - x^3/6 + x^5/120 + theta x^7/5040."""
+        return self._series(((1, Fraction(1)), (3, Fraction(-1, 6)), (5, Fraction(1, 120))), 7, 5040)
 
-def _sin_sym(var: str, factor: int) -> _Sym:
-    """sin(factor * var) as x - x^3/6 + x^5/120 + theta x^7/5040."""
-    e = (1, 0) if var == "phi0" else (0, 1)
-    poly = {}
-    for k, c in ((1, Fraction(1)), (3, Fraction(-1, 6)), (5, Fraction(1, 120))):
-        poly[(e[0] * k, e[1] * k)] = (c * factor**k, Fraction(0))
-    fuzz = [(e[0] * 7, e[1] * 7, Fraction(factor**7, 5040))]
-    return _Sym(poly, fuzz)
-
-
-def _cos_sym(var: str, factor: int) -> _Sym:
-    """cos(factor * var) as 1 - x^2/2 + x^4/24 + theta x^6/720."""
-    e = (1, 0) if var == "phi0" else (0, 1)
-    poly = {}
-    for k, c in ((0, Fraction(1)), (2, Fraction(-1, 2)), (4, Fraction(1, 24))):
-        poly[(e[0] * k, e[1] * k)] = (c * factor**k, Fraction(0))
-    fuzz = [(e[0] * 6, e[1] * 6, Fraction(factor**6, 720))]
-    return _Sym(poly, fuzz)
+    def cos(self) -> "_Sym":
+        """1 - x^2/2 + x^4/24 + theta x^6/720."""
+        return self._series(((0, Fraction(1)), (2, Fraction(-1, 2)), (4, Fraction(1, 24))), 6, 720)
 
 
-def _c0_sym() -> _Sym:
-    phi0 = _Sym.var("phi0")
-    phi = _Sym.var("phi")
-    u = phi - phi0
-    box = _cos_sym("phi", 2).scale(4) + _Sym.const(9)
-    return (
-        _sin_sym("phi0", 2).scale(-12)
-        + (u + _sin_sym("phi", 2)).scale(-12)
-        + u.scale(0, 2) * box * _cos_sym("phi0", 1)
-        + (phi0 - phi).scale(12) * _cos_sym("phi0", 2)
-        + box.scale(0, 2) * _sin_sym("phi0", 1)
-    )
+_SERIES = SimpleNamespace(sin=_Sym.sin, cos=_Sym.cos, sqrt6=_Sym.const(0, 1))
 
 
-def _c2_sym() -> _Sym:
-    phi0 = _Sym.var("phi0")
-    phi = _Sym.var("phi")
-    u = phi - phi0
-    return (
-        (_sin_sym("phi0", 1) + u * _cos_sym("phi0", 1)).scale(0, 12)
-        - _sin_sym("phi", 2).scale(4)
-    )
-
-
-_SYM_CACHE: dict[str, _Sym] = {}
-
-
+@functools.cache
 def _coeff_sym(which: str) -> _Sym:
-    if which not in _SYM_CACHE:
-        _SYM_CACHE[which] = _c0_sym() if which == "v0" else _c2_sym()
-    return _SYM_CACHE[which]
+    coeff = coeff_c0 if which == "v0" else coeff_c2
+    return coeff(_Sym.var("phi0"), _Sym.var("phi"), _SERIES)
 
 
 def _fr_dn(x: Fraction) -> float:
@@ -632,14 +573,6 @@ def _merge_outcomes(parts: Sequence[BnbOutcome]) -> BnbOutcome:
     return BnbOutcome(Status.PROVED, None, boxes, depth, tuple(levels))
 
 
-def _worst_status(statuses: Sequence[Status]) -> Status:
-    if Status.FAILED in statuses:
-        return Status.FAILED
-    if Status.INCONCLUSIVE in statuses:
-        return Status.INCONCLUSIVE
-    return Status.PROVED
-
-
 def _samples_small() -> list[Interval]:
     # point samples pi/8 * 2^-k; halving is exact so these stay enclosures
     out = []
@@ -672,18 +605,18 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         # 6 v^2 >= 0 reduces the claim to the v = 0 slice; one cosine period
         # in phi and the full [0, pi/2] range of phi0 cover all arguments.
         region = Box((Interval(0.0, hp.hi), Interval(0.0, pi_iv().hi)))
-        f = lambda b: a_iv(b.dims[0], b.dims[1], Interval.point(0.0))
+        f = lambda b: coeff_a(*b.dims, Interval.point(0.0), INTERVAL)
         out = prove_lower_bound(f, region, 0.1, min_width)
         cert = ("(phi0, phi)", (region,), "a(phi0, phi, v) >= 0.1 via a >= a|_{v=0}", out)
     elif task_id == "V2":
         region = Box((Interval(0.4, hp.hi), Interval(0.0, hp.hi)))
-        f = lambda b: c0_iv(b.dims[0], b.dims[1])
+        f = lambda b: c0_iv(*b.dims)
         out = prove_lower_bound(f, region, 0.01, min_width)
         cert = ("(phi0, phi)", (region,), "v^0 coefficient of P >= 0.01", out)
     elif task_id == "V3":
         r1 = Box((Interval(0.01, 0.4), Interval(0.0, 1.0)))
         r2 = Box((Interval(0.0, 0.4), Interval(0.01, 1.0)))
-        f = lambda b: c0_z_iv(b.dims[0], b.dims[1])
+        f = lambda b: c0_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL))
         parts = [
             prove_lower_bound(f, r, 0.01, min_width) for r in (r1, r2)
         ]
@@ -708,7 +641,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         r1 = Box((Interval(0.11, hp.hi), Interval(0.0, hp.hi)))
         r2 = Box((Interval(0.0, hp.hi), Interval(0.0006, hp.hi)))
         taylor_box = Box((Interval(0.0, 0.11), Interval(0.0, 0.0006)))
-        f = lambda b: c2_iv(b.dims[0], b.dims[1])
+        f = lambda b: c2_iv(*b.dims)
         parts = [
             prove_lower_bound(f, r, 0.01, min_width) for r in (r1, r2)
         ]
@@ -730,12 +663,12 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         )
     elif task_id == "V6":
         region = Box((Interval(1.0, hp.hi), Interval(0.0, hp.hi)))
-        f = lambda b: c1_iv(b.dims[0], b.dims[1])
+        f = lambda b: c1_iv(*b.dims)
         out = prove_lower_bound(f, region, 0.01, min_width)
         cert = ("(phi0, phi)", (region,), "v^1 coefficient of P >= 0.01", out)
     elif task_id == "V7":
         region = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
-        f = lambda b: c1_z_iv(b.dims[0], b.dims[1])
+        f = lambda b: c1_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL))
         enc = enclose_sublevel(f, 0.01, config.SUBLEVEL_DENOMINATOR, region)
         a_lo1, a_hi1 = Fraction(0), Fraction(783, 1024)
         a_lo2, a_hi2 = Fraction(779, 1024), Fraction(1)
@@ -770,7 +703,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
 
         def quad_min(b: Box) -> IntervalArray:
             phi0, z = b.dims
-            phi = phi_of_z_iv(phi0, z)
+            phi = phi_of_z(phi0, z, INTERVAL)
             c2 = c2_iv(phi0, phi)
             # the closed-form minimum needs c2 > 0; other lanes get a value
             # that forces a split, and no division sees their c2
@@ -792,19 +725,19 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         )
     else:  # V9
         region = Box((Interval(eighth_pi_iv().lo, 3.0),))
-        f = lambda b: q0_iv(b.dims[0])
+        f = lambda b: coeff_q0(b.dims[0], INTERVAL)
         out = prove_lower_bound(f, region, 1.9, min_width, strict=True)
         s2 = math.sqrt(2.0)
         sqrt2 = Interval(math.nextafter(s2, 0.0), math.nextafter(s2, 2.0))
         small, large = [], []
         ok = True
         for p in _samples_small():
-            margin = q0_iv(p) - (sqrt2 - 1) * 6 * p
+            margin = coeff_q0(p, INTERVAL) - (sqrt2 - 1) * 6 * p
             small.append({"phi": _interval_json(p), "margin_lo": margin.lo})
             ok = ok and margin.lo >= 0.0
         for x in _SAMPLES_LARGE:
             p = Interval.point(x)
-            margin = q0_iv(p) - (p - 2) * 6
+            margin = coeff_q0(p, INTERVAL) - (p - 2) * 6
             large.append({"phi": _interval_json(p), "margin_lo": margin.lo})
             ok = ok and margin.lo >= 0.0
         details["small_phi_bound"] = {"form": "q0 >= 6 (sqrt(2) - 1) phi", "samples": small}

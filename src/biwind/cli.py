@@ -177,7 +177,7 @@ def _run_shoot(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
         )
         integrate.write_csv(orbit, f"{base}.csv")
         outputs.append(f"{base}.csv")
-    return EXIT_OK, {"theta_star": theta_star, "outcome": res.outcome.value}, outputs
+    return EXIT_OK, report, outputs
 
 
 def _cmd_shoot(args, parser: _Parser) -> int:
@@ -388,7 +388,7 @@ def _run_energy(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
         path = f"{_out_base(out)}.json"
         _write_json(path, report)
         outputs.append(path)
-    return EXIT_OK, {"worst": worst}, outputs
+    return EXIT_OK, report, outputs
 
 
 def _cmd_energy(args, parser: _Parser) -> int:
@@ -439,7 +439,7 @@ def _run_spectrum(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
         path = f"{_out_base(out)}.json"
         _write_json(path, report)
         outputs.append(path)
-    return EXIT_OK, {}, outputs
+    return EXIT_OK, report, outputs
 
 
 def _cmd_spectrum(args, parser: _Parser) -> int:
@@ -469,27 +469,24 @@ _RUNNERS = {
 def _recorded_summary(command: str, manifest: dict) -> dict | None:
     """The summary that the artifacts listed in the manifest record.
 
-    Returns None when the original artifacts are gone (nothing to compare).
+    That is the certificate statuses for verify, the grid rows for classify
+    and the whole JSON report for every other command.  Returns None when
+    the original artifacts are gone (nothing to compare).
     """
     originals = [p for p in manifest.get("outputs", []) if os.path.exists(p)]
-    if command == "verify":
-        path = next((p for p in originals if p.endswith(".json")), None)
-        if path is None:
-            return None
-        with open(path) as fh:
-            return {c["task_id"]: c["status"] for c in json.load(fh)}
-    if command == "classify":
-        path = next((p for p in originals if p.endswith(".csv")), None)
-        if path is None:
-            return None
-        old = []
-        with open(path) as fh:
+    suffix = ".csv" if command == "classify" else ".json"
+    path = next((p for p in originals if p.endswith(suffix)), None)
+    if path is None:
+        return None
+    with open(path) as fh:
+        if command == "classify":
             next(fh)
-            for line in fh:
-                cells = line.rstrip("\n").split(",")
-                old.append([float(cells[0]), cells[1], int(cells[2]) if cells[2] else None])
-        return {"grid": old}
-    return None
+            rows = [line.rstrip("\n").split(",") for line in fh]
+            return {"grid": [[float(c[0]), c[1], int(c[2]) if c[2] else None] for c in rows]}
+        recorded = json.load(fh)
+    if command == "verify":
+        return {c["task_id"]: c["status"] for c in recorded}
+    return recorded
 
 
 def _cmd_replay(args, parser: _Parser) -> int:
@@ -508,11 +505,13 @@ def _cmd_replay(args, parser: _Parser) -> int:
     code, summary, outputs = _RUNNERS[command](manifest["parameters"], args.out)
     if args.out is not None:
         _finish(command, manifest["parameters"], outputs, started)
-    if recorded is not None and recorded != summary:
+    if recorded is None:
+        return code
+    # compared as JSON text, so a tuple matches its list and NaN matches NaN
+    if json.dumps(recorded, sort_keys=True) != json.dumps(summary, sort_keys=True):
         print("replay: results differ from the recorded artifacts", file=sys.stderr)
         return EXIT_FAILED
-    if recorded is not None:
-        print("replay: results match the recorded artifacts")
+    print("replay: results match the recorded artifacts")
     return code
 
 

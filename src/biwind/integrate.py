@@ -114,7 +114,6 @@ class Trajectory:
     s: np.ndarray
     states: np.ndarray
     termination: Termination
-    events: list[tuple[str, float, core.State]] = field(default_factory=list)
     _steps: list[tuple[list, float]] = field(default_factory=list, repr=False)
     _mirror: bool = field(default=False, repr=False)
 
@@ -309,11 +308,10 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     ss: list[float] = [s0]
     ys: list = [y]
     steps: list[tuple[list, float]] = []
-    events: list[tuple[str, float, core.State]] = []
 
     def finish(term: Termination) -> Trajectory:
         return Trajectory(d, np.array(ss), mirror * np.array(ys), term,
-                          events=events, _steps=steps, _mirror=reverse)
+                          _steps=steps, _mirror=reverse)
 
     # As in the lanes, a zero error or jet gives inf and nan, not warnings.
     with np.errstate(all="ignore"):
@@ -376,9 +374,6 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
                     ss.append(term.s_last)
                     ys.append(y_hit)
                     steps.append((q, h))
-                    if term.event is not None:
-                        events.append((term.event, term.s_last,
-                                       core.State.from_array(mirror * y_hit)))
                     return finish(term)
 
             steps.append((q, h))

@@ -24,7 +24,10 @@ NotImplemented for an array, so the array's reflected operator runs.  The
 scalar `Interval` stays the reference implementation.
 
 Transcendental constants are provided as two-endpoint enclosures: `pi_iv`
-brackets pi (math.pi itself rounds down), `sqrt6_iv` brackets sqrt(6).  Boxes
+brackets pi (math.pi itself rounds down), `sqrt6_iv` brackets sqrt(6).
+`INTERVAL` is the number-type context (`sin`, `cos`, `sqrt6`, `square`) under
+which the generic coefficient forms of `regions` evaluate on `Interval` and
+`IntervalArray` arguments alike.  Boxes
 are ordered tuples of intervals, or of `IntervalArray`s for one box per lane;
 bisection always splits the widest dimension at the floating-point midpoint.
 """
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import methodcaller
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +50,7 @@ __all__ = [
     "half_pi_iv",
     "eighth_pi_iv",
     "sqrt6_iv",
+    "INTERVAL",
 ]
 
 _INF = math.inf
@@ -432,6 +438,14 @@ def eighth_pi_iv() -> Interval:
 def sqrt6_iv() -> Interval:
     s = math.sqrt(6.0)
     return Interval(_dn(s), _up(s))
+
+
+INTERVAL = SimpleNamespace(
+    sin=methodcaller("sin"),
+    cos=methodcaller("cos"),
+    sqrt6=sqrt6_iv(),
+    square=methodcaller("power", 2),
+)
 
 
 # ---------------------------------------------------------------------------

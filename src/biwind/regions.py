@@ -14,11 +14,17 @@ positivity is certified in `certify`:
 * the cone variable xi = phi'' - 3 phi satisfies
   xi'' = (6 phi'^2 + 4 cos(2 phi) + 6) xi - 2 xi' + Q(phi, phi').
 
-This module evaluates all of those objects in plain floating point (numpy
-broadcasting supported where useful) and checks the growth sandwich for the
-cubic blowup polynomial p.  Residual helpers verify the decompositions along
-trajectories; like `core.psi_residual` they scale by the magnitude of the
-compared terms so the check stays meaningful at large states.
+The coefficients a, c0, c1, c2 and q0 of those problems, and the chart
+phi_of_z, are written once here, generic over their number type: each takes
+a context `ctx` with `sin`, `cos`, `sqrt6` and `square`, as
+`taylor.coefficients` does.  `NUMPY` evaluates them on floats and numpy
+arrays, `intervals.INTERVAL` on the interval boxes of `certify`, and `certify`
+builds an exact-series context for its Taylor enclosures.  The rest of the
+module works in plain floating point (numpy broadcasting supported where
+useful) and checks the growth sandwich for the cubic blowup polynomial p.
+Residual helpers verify the decompositions along whole trajectories; like
+`core.psi_residual` they scale by the magnitude of the compared terms so the
+check stays meaningful at large states.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +49,13 @@ __all__ = [
     "region_gap",
     "in_region_C",
     "in_minus_C",
+    "NUMPY",
+    "phi_of_z",
+    "coeff_a",
+    "coeff_c0",
+    "coeff_c1",
+    "coeff_c2",
+    "coeff_q0",
     "TangentFrame",
     "eval_a",
     "eval_P",
@@ -121,6 +135,55 @@ def in_minus_C(x: float, y: float, tol: float = BOUNDARY_TOL) -> Membership:
 
 
 # ---------------------------------------------------------------------------
+# Coefficient forms, generic over the number type.
+#
+# Constants stand right of each product so that one expression serves every
+# type, and each form keeps one operation order: floats and intervals round
+# in that order, and the exact series collect remainder mass in it.
+
+NUMPY = SimpleNamespace(sin=np.sin, cos=np.cos, sqrt6=SQRT6, square=np.square)
+
+
+def phi_of_z(phi0, z, ctx=NUMPY):
+    """phi = phi0 + z cos(phi0) / (1 + sin(phi0)): the chart with z = 1 at phi_max."""
+    return phi0 + z * ctx.cos(phi0) / (ctx.sin(phi0) + 1)
+
+
+def coeff_a(phi0, phi, v, ctx=NUMPY):
+    """a = 4 cos(2 phi) - 2 sqrt(6) cos(phi0) + 9 + 6 v^2."""
+    return ctx.cos(phi * 2) * 4 - ctx.sqrt6 * 2 * ctx.cos(phi0) + 9 + ctx.square(v) * 6
+
+
+def coeff_c0(phi0, phi, ctx=NUMPY):
+    """v^0 coefficient of P."""
+    u = phi - phi0
+    box = ctx.cos(phi * 2) * 4 + 9
+    return (
+        ctx.sin(phi0 * 2) * -12
+        - (u + ctx.sin(phi * 2)) * 12
+        + ctx.sqrt6 * 2 * u * box * ctx.cos(phi0)
+        + (phi0 - phi) * 12 * ctx.cos(phi0 * 2)
+        + ctx.sqrt6 * 2 * box * ctx.sin(phi0)
+    )
+
+
+def coeff_c1(phi0, phi, ctx=NUMPY):
+    """v^1 coefficient of P: 4 cos(2 phi) - 4 sqrt(6) cos(phi0) + 10."""
+    return ctx.cos(phi * 2) * 4 - ctx.sqrt6 * 4 * ctx.cos(phi0) + 10
+
+
+def coeff_c2(phi0, phi, ctx=NUMPY):
+    """v^2 coefficient of P: 12 sqrt(6) (sin(phi0) + (phi - phi0) cos(phi0)) - 4 sin(2 phi)."""
+    u = phi - phi0
+    return ctx.sqrt6 * 12 * (ctx.sin(phi0) + u * ctx.cos(phi0)) - ctx.sin(phi * 2) * 4
+
+
+def coeff_q0(phi, ctx=NUMPY):
+    """v^0 coefficient of Q: 6 (3 phi - 2 sin(2 phi) + 2 phi cos(2 phi))."""
+    return (phi * 3 - ctx.sin(phi * 2) * 2 + phi * 2 * ctx.cos(phi * 2)) * 6
+
+
+# ---------------------------------------------------------------------------
 # Tangent frame.
 
 
@@ -128,10 +191,10 @@ def in_minus_C(x: float, y: float, tol: float = BOUNDARY_TOL) -> Membership:
 class TangentFrame:
     """Affine frame attached to the sine arc at abscissa phi0 in [0, pi/2].
 
-    y_line is the tangent line to the arc at phi0; phi_max is where that line
-    reaches the cap height 2 sqrt(6) (computed as phi0 + cos(phi0) /
-    (1 + sin(phi0)), which is exact and stable at phi0 = pi/2 where the line
-    is horizontal at the cap).
+    y_line is the tangent line to the arc at phi0; phi_max = phi_of_z(phi0, 1)
+    is where that line reaches the cap height 2 sqrt(6) (the form
+    phi0 + cos(phi0) / (1 + sin(phi0)) is exact and stable at phi0 = pi/2,
+    where the line is horizontal at the cap).
     """
 
     phi0: float
@@ -144,11 +207,7 @@ class TangentFrame:
             raise ValueError(f"tangency abscissa must lie in [0, pi/2], got {self.phi0}")
         object.__setattr__(self, "y0", float(arc_height(self.phi0)))
         object.__setattr__(self, "slope", float(arc_slope(self.phi0)))
-        object.__setattr__(
-            self,
-            "phi_max",
-            self.phi0 + math.cos(self.phi0) / (1.0 + math.sin(self.phi0)),
-        )
+        object.__setattr__(self, "phi_max", float(phi_of_z(self.phi0, 1)))
 
     def y_line(self, phi):
         return self.slope * (np.asarray(phi, dtype=float) - self.phi0) + self.y0
@@ -160,15 +219,12 @@ class TangentFrame:
 
 
 # ---------------------------------------------------------------------------
-# Coefficients of the damped tangent-frame oscillator  w'' = a w - 2 w' + P.
+# The damped tangent-frame oscillator  w'' = a w - 2 w' + P.
 
 
 def eval_a(phi0, phi, v):
-    """a = 4 cos(2 phi) - 2 sqrt(6) cos(phi0) + 9 + 6 v^2."""
-    phi0 = np.asarray(phi0, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = 4.0 * np.cos(2.0 * phi) - 2.0 * SQRT6 * np.cos(phi0) + 9.0 + 6.0 * v * v
+    """`coeff_a` on floats or arrays."""
+    out = coeff_a(*(np.asarray(t, dtype=float) for t in (phi0, phi, v)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -176,20 +232,8 @@ def P_cubic_coefficients(phi0, phi):
     """Coefficients (c0, c1, c2, c3) of P as a cubic in the velocity v."""
     phi0 = np.asarray(phi0, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    u = phi - phi0
-    cos2 = np.cos(2.0 * phi)
-    box = 4.0 * cos2 + 9.0
-    c0 = (
-        -12.0 * np.sin(2.0 * phi0)
-        - 12.0 * (u + np.sin(2.0 * phi))
-        + 2.0 * SQRT6 * u * box * np.cos(phi0)
-        + 12.0 * (phi0 - phi) * np.cos(2.0 * phi0)
-        + 2.0 * SQRT6 * box * np.sin(phi0)
-    )
-    c1 = 4.0 * cos2 - 4.0 * SQRT6 * np.cos(phi0) + 10.0
-    c2 = 12.0 * SQRT6 * (np.sin(phi0) + u * np.cos(phi0)) - 4.0 * np.sin(2.0 * phi)
-    c3 = np.full_like(c0, 2.0)
-    return c0, c1, c2, c3
+    c0 = coeff_c0(phi0, phi)
+    return c0, coeff_c1(phi0, phi), coeff_c2(phi0, phi), np.full_like(c0, 2.0)
 
 
 def eval_P(phi0, phi, v):
@@ -200,8 +244,17 @@ def eval_P(phi0, phi, v):
     return float(out) if out.ndim == 0 else out
 
 
-def _scaled_gap(lhs: float, rhs: float) -> float:
-    return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _jets(traj, what: str) -> tuple:
+    """Rows phi, phi', phi'', phi''' of a d = 5 trajectory, and the field's phi'''' row."""
+    if traj.d != 5:
+        raise ValueError(f"{what} decomposition requires d=5, got d={traj.d}")
+    x = np.asarray(traj.states, dtype=float).T
+    return (*x, core._make_rhs(5, lib=np)(0.0, x)[3])
+
+
+def _worst_scaled_gap(lhs, rhs) -> float:
+    gap = (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 def w_system_residual(phi0: float, traj) -> float:
@@ -211,19 +264,13 @@ def w_system_residual(phi0: float, traj) -> float:
     taken from the vector field, so this checks that the substitution
     w = phi'' - y_line(phi) really transforms the equation as claimed.
     """
-    if traj.d != 5:
-        raise ValueError(f"tangent-frame decomposition requires d=5, got d={traj.d}")
+    phi, v, y, z, d4 = _jets(traj, "tangent-frame")
     frame = TangentFrame(phi0)
-    worst = 0.0
-    for x in traj.states:
-        phi, v, y, z = (float(c) for c in x)
-        d4 = float(core.vector_field(5, x)[3])
-        w = y - float(frame.y_line(phi))
-        dw = z - frame.slope * v
-        lhs = d4 - frame.slope * y
-        rhs = eval_a(phi0, phi, v) * w - 2.0 * dw + eval_P(phi0, phi, v)
-        worst = max(worst, abs(_scaled_gap(lhs, rhs)))
-    return worst
+    w = y - frame.y_line(phi)
+    dw = z - frame.slope * v
+    lhs = d4 - frame.slope * y
+    rhs = eval_a(phi0, phi, v) * w - 2.0 * dw + eval_P(phi0, phi, v)
+    return _worst_scaled_gap(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +290,10 @@ def xi_prime(x) -> float:
 def Q_cubic_coefficients(phi):
     """Coefficients (q0, q1, q2, q3) of Q as a cubic in the velocity v."""
     phi = np.asarray(phi, dtype=float)
-    sin2 = np.sin(2.0 * phi)
-    cos2 = np.cos(2.0 * phi)
+    q0 = coeff_q0(phi)
     cosphi = np.cos(phi)
-    q0 = 6.0 * (3.0 * phi - 2.0 * sin2 + 2.0 * phi * cos2)
     q1 = 8.0 * cosphi * cosphi
-    q2 = 18.0 * phi - 4.0 * sin2
+    q2 = 18.0 * phi - 4.0 * np.sin(2.0 * phi)
     q3 = np.full_like(q0, 2.0)
     return q0, q1, q2, q3
 
@@ -262,18 +307,12 @@ def eval_Q(phi, v):
 
 def xi_system_residual(traj) -> float:
     """Largest scaled defect of xi'' = (6 v^2 + 4 cos(2 phi) + 6) xi - 2 xi' + Q."""
-    if traj.d != 5:
-        raise ValueError(f"cone decomposition requires d=5, got d={traj.d}")
-    worst = 0.0
-    for x in traj.states:
-        phi, v, y, z = (float(c) for c in x)
-        d4 = float(core.vector_field(5, x)[3])
-        xi = y - 3.0 * phi
-        dxi = z - 3.0 * v
-        lhs = d4 - 3.0 * y
-        rhs = (6.0 * v * v + 4.0 * math.cos(2.0 * phi) + 6.0) * xi - 2.0 * dxi + eval_Q(phi, v)
-        worst = max(worst, abs(_scaled_gap(lhs, rhs)))
-    return worst
+    phi, v, y, z, d4 = _jets(traj, "cone")
+    xi = y - 3.0 * phi
+    dxi = z - 3.0 * v
+    lhs = d4 - 3.0 * y
+    rhs = (6.0 * v * v + 4.0 * np.cos(2.0 * phi) + 6.0) * xi - 2.0 * dxi + eval_Q(phi, v)
+    return _worst_scaled_gap(lhs, rhs)
 
 
 def in_cone(x) -> bool:

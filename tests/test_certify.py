@@ -7,7 +7,7 @@ import pytest
 
 from biwind import certify, regions
 from biwind.certify import Status
-from biwind.intervals import Box, Interval
+from biwind.intervals import INTERVAL, Box, Interval
 
 SQRT6 = math.sqrt(6.0)
 
@@ -31,12 +31,13 @@ def test_interval_coefficients_contain_float_values():
         assert certify.c0_iv(i0, i1).contains(float(c0))
         assert certify.c1_iv(i0, i1).contains(float(c1))
         assert certify.c2_iv(i0, i1).contains(float(c2))
-        assert certify.a_iv(i0, i1, Interval.point(v)).contains(regions.eval_a(p0, ph, v))
+        a = regions.coeff_a(i0, i1, Interval.point(v), INTERVAL)
+        assert a.contains(regions.eval_a(p0, ph, v))
         z = rng.uniform(0.0, 1.0)
         phz = float(_zmap(p0, z))
-        assert certify.phi_of_z_iv(i0, Interval.point(z)).contains(phz)
+        assert regions.phi_of_z(i0, Interval.point(z), INTERVAL).contains(phz)
         q0 = float(regions.Q_cubic_coefficients(ph)[0])
-        assert certify.q0_iv(i1).contains(q0)
+        assert regions.coeff_q0(i1, INTERVAL).contains(q0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +117,16 @@ def _scalar_search(f, box, bound, min_width, strict=False):
         # V2 at a coarse floor: inconclusive
         (lambda b: certify.c0_iv(*b.dims), [(0.4, math.pi / 2), (0.0, math.pi / 2)], 0.01, 0.1, False),
         # V9 in full, strict
-        (lambda b: certify.q0_iv(b.dims[0]), [(math.pi / 8, 3.0)], 1.9, 1e-4, True),
+        (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), [(math.pi / 8, 3.0)], 1.9, 1e-4, True),
         # V3's first region in the z chart, coarse
-        (lambda b: certify.c0_z_iv(*b.dims), [(0.01, 0.4), (0.0, 1.0)], 0.01, 0.02, False),
+        (lambda b: certify.c0_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+         [(0.01, 0.4), (0.0, 1.0)], 0.01, 0.02, False),
         # a bound c1 fails on part of V7's square
-        (lambda b: certify.c1_z_iv(*b.dims), [(0.0, 1.0), (0.0, 1.0)], 0.5, 1e-3, False),
+        (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+         [(0.0, 1.0), (0.0, 1.0)], 0.5, 1e-3, False),
         # a three-dimensional box, failing near a's minimum 0.101 at (0, pi/2, 0)
-        (lambda b: certify.a_iv(*b.dims), [(0.0, 1.5), (0.0, 3.0), (-1.0, 1.0)], 0.2, 0.05, False),
+        (lambda b: regions.coeff_a(*b.dims, INTERVAL), [(0.0, 1.5), (0.0, 3.0), (-1.0, 1.0)],
+         0.2, 0.05, False),
     ],
 )
 def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
@@ -215,6 +219,20 @@ def test_v5_taylor_intervals_match_reference(all_certs):
     assert abs(c3[0] - ref3[0]) < 0.05 and abs(c3[1] - ref3[1]) < 0.05
     assert c1[0] < ref1[1] and ref1[0] < c1[1]
     assert abs(c1[0] - ref1[0]) < 0.05 and abs(c1[1] - ref1[1]) < 0.05
+
+
+def test_taylor_endpoints_are_pinned(all_certs):
+    # exact endpoints of the exact-series enclosures; any change to the
+    # series arithmetic or its remainder masses moves them
+    pinned = {
+        "V4": ("0x1.a74cddacfa0f6p+3", "0x1.a75da46381024p+3",
+               "0x1.f57674520207bp+3", "0x1.f5fbf37110f6fp+3"),
+        "V5": ("0x1.3924c327f5d66p+3", "0x1.3989459f2e151p+3",
+               "0x1.536fdc7b4bffdp+4", "0x1.5756e356d386fp+4"),
+    }
+    for tid, want in pinned.items():
+        t = all_certs[tid].details["taylor"]
+        assert (*t["phi0_cubed"]["hex"], *t["phi_linear"]["hex"]) == want, tid
 
 
 def test_v7_enclosure_contained_in_reference(all_certs):
@@ -456,3 +474,15 @@ def test_sublevel_dyadic_alignment_and_box_form():
         assert 16 % hi.denominator == 0
     box = enc.to_box()
     assert box.dims[0].lo <= float(enc.bounds[0][0])
+
+
+def test_series_sin_and_cos_take_integer_multiples_of_one_variable():
+    phi0, phi = certify._Sym.var("phi0"), certify._Sym.var("phi")
+    assert (phi * -3).sin().poly[(0, 5)] == (Fraction(-243, 120), Fraction(0))
+    assert (phi0 * 2).cos().fuzz == [(6, 0, Fraction(64, 720))]
+    sqrt6 = certify._Sym.const(0, 1)
+    for arg in (phi0 + phi, phi0 * phi, phi * sqrt6, phi + 1, phi.sin(), certify._Sym.const(1)):
+        with pytest.raises(ValueError):
+            arg.sin()
+        with pytest.raises(ValueError):
+            arg.cos()

@@ -376,6 +376,39 @@ def test_replay_detects_a_tampered_grid(tmp_path, capsys, onto_original):
     assert "differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shoot", "--span", "6", "--eps0", "0.05"],
+        ["energy", "--d", "5", "--mode", "monotonicity"],
+        ["spectrum", "--d", "5", "--parity", "odd"],
+        ["wind"],
+    ],
+)
+def test_replay_reproduces_json_reports(tmp_path, capsys, argv):
+    base = tmp_path / "report"
+    assert run(argv + ["--out", str(base)]) == 0
+    capsys.readouterr()
+    assert run(["replay", "--manifest", f"{base}.manifest.json"]) == 0
+    assert "match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("onto_original", [False, True])
+def test_replay_detects_a_tampered_wind_report(tmp_path, capsys, onto_original):
+    base = tmp_path / "w"
+    assert run(["wind", "--out", str(base)]) == 0
+    path = tmp_path / "w.json"
+    report = json.loads(path.read_text())
+    report["winding_count"] += 1
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    replay = ["replay", "--manifest", f"{base}.manifest.json"]
+    if onto_original:
+        replay += ["--out", str(base)]
+    assert run(replay) == 1
+    assert "differ" in capsys.readouterr().err
+
+
 def test_replay_usage_errors(tmp_path):
     assert usage_code(["replay", "--manifest", str(tmp_path / "missing.json")]) == 64
     bad = tmp_path / "bad.json"

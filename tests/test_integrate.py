@@ -223,7 +223,7 @@ def test_second_deriv_up_event_stops_at_c_star():
     traj = itg.integrate(5, x0, watch=[itg.EventKind.SECOND_DERIV_UP])
     assert traj.termination.kind is itg.TerminationKind.EVENT_STOP
     assert traj.termination.event == "second_deriv_up"
-    name, s_ev, state = traj.events[-1]
+    name, s_ev, state = traj.termination.event, traj.termination.s_last, traj.state_at_end()
     assert name == "second_deriv_up"
     assert s_ev == traj.s[-1]
     assert isinstance(state, core.State)
@@ -239,7 +239,7 @@ def test_second_deriv_down_event_is_the_reflected_stop():
     traj = itg.integrate(5, x0, watch=[itg.EventKind.SECOND_DERIV_DOWN])
     assert traj.termination.kind is itg.TerminationKind.EVENT_STOP
     assert traj.termination.event == "second_deriv_down"
-    state = traj.events[-1][2]
+    state = traj.state_at_end()
     assert state.d2phi <= -cs
     assert abs(state.d2phi + cs) < 1e-6
 

@@ -238,3 +238,25 @@ def test_growth_constant_is_a_stored_power_of_two():
     c1 = regions.GROWTH_C1
     assert c1 >= 1.0
     assert math.log2(c1) == int(math.log2(c1))
+
+
+def test_residuals_match_a_per_sample_loop():
+    # reference: one scalar field call per sample.  Both are roundoff-sized
+    # (about 1e-15), so they must agree to a few dozen ulps of 1.
+    cfg = itg.IntegrationConfig(max_span=2.0)
+    traj = itg.integrate(5, np.array([0.3, -0.2, 0.4, 0.1]), cfg=cfg)
+    frame = regions.TangentFrame(0.3)
+    worst_w = worst_xi = 0.0
+    for x in traj.states:
+        phi, v, y, z = x
+        d4 = core.vector_field(5, x)[3]
+        w, dw = y - frame.y_line(phi), z - frame.slope * v
+        rhs_w = regions.eval_a(0.3, phi, v) * w - 2.0 * dw + regions.eval_P(0.3, phi, v)
+        lhs_w = d4 - frame.slope * y
+        rhs_xi = ((6.0 * v * v + 4.0 * math.cos(2.0 * phi) + 6.0) * (y - 3.0 * phi)
+                  - 2.0 * (z - 3.0 * v) + regions.eval_Q(phi, v))
+        lhs_xi = d4 - 3.0 * y
+        worst_w = max(worst_w, abs(lhs_w - rhs_w) / max(1.0, abs(lhs_w), abs(rhs_w)))
+        worst_xi = max(worst_xi, abs(lhs_xi - rhs_xi) / max(1.0, abs(lhs_xi), abs(rhs_xi)))
+    assert regions.w_system_residual(0.3, traj) == pytest.approx(worst_w, rel=0.0, abs=1e-14)
+    assert regions.xi_system_residual(traj) == pytest.approx(worst_xi, rel=0.0, abs=1e-14)
