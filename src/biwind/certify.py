@@ -26,8 +26,8 @@ threads, one breadth-first level at a time, and every level holds its boxes
 in canonical order (the children of box j are boxes 2j and 2j + 1 of the
 next level).  Each lane is rounded exactly as the scalar `Interval` would
 round it, so the set of boxes, the depth and the first FAILED or
-INCONCLUSIVE witness in that order are fixed by the problem alone.  The
-`workers` arguments are accepted and change nothing, so certificates are
+INCONCLUSIVE witness in that order are fixed by the problem alone.
+`run_task` accepts a `workers` argument and ignores it, so certificates are
 bit-identical for any worker count (wall-clock time aside).
 """
 
@@ -149,7 +149,6 @@ def prove_lower_bound(
     bound: float,
     min_width: float,
     strict: bool = False,
-    workers: int | None = None,
 ) -> BnbOutcome:
     """Certify f >= bound (or > bound when strict) on the box.
 
@@ -159,8 +158,7 @@ def prove_lower_bound(
     discharged when its evaluation clears the bound; otherwise f at its
     center decides failure, and a box narrower than min_width is given up
     as inconclusive.  The first failing box in that order is the FAILED
-    witness and the first given-up box the INCONCLUSIVE one.  `workers` is
-    accepted for compatibility and changes nothing: the search is serial.
+    witness and the first given-up box the INCONCLUSIVE one.
     """
     if min_width <= 0:
         raise ValueError(f"min_width must be positive, got {min_width}")

@@ -1,11 +1,15 @@
 """Batch command line: certificates, shooting, grids, profiles, energy laws.
 
-Every command resolves its flags against the defaults in `config`, runs the
-corresponding library call, prints a short human summary, and (when --out is
-given) writes its artifacts plus a RunManifest cataloging the resolved
-parameters.  Exit codes: 0 success / all proved, 1 failure (a Failed
-certificate, a broken bracket, no blowup), 2 at least one Inconclusive
-certificate, 64 usage errors.
+Every command takes one path through `_execute`: its flags are checked and
+resolved against the defaults in `config` into a parameters dict, its
+runner calls the library and prints a short human summary, and (when --out
+is given) the artifacts are written atomically next to a manifest that
+records the parameters, the tool version, the rounding mode, the wall time
+and the outputs.  `replay` runs a manifest's parameters through the same
+path and compares every recorded output file with its fresh copy.
+Exit codes: 0 success / all proved, 1 failure (a Failed certificate, a
+broken bracket, no blowup, a replayed artifact that differs), 2 at least
+one Inconclusive certificate, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, certify, config, core, integrate, manifold, profile
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -36,28 +40,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a command ran with and what it wrote."""
-
-    command: str
-    parameters: dict
-    tool_version: str
-    rounding_mode: str
-    wall_ms: int
-    outputs: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "rounding_mode": self.rounding_mode,
-            "wall_ms": self.wall_ms,
-            "outputs": list(self.outputs),
-        }
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -78,26 +60,46 @@ def _out_base(out: str) -> str:
     return out
 
 
-def _finish(command: str, parameters: dict, outputs: list[str], started: float) -> None:
-    if not outputs:
-        return
-    manifest = RunManifest(
-        command=command,
-        parameters=parameters,
-        tool_version=__version__,
-        rounding_mode=certify.ROUNDING_MODE,
-        wall_ms=int(round((time.perf_counter() - started) * 1000.0)),
-        outputs=tuple(outputs),
-    )
-    base = _out_base(outputs[0])
-    _write_json(f"{base}.manifest.json", manifest.to_json_dict())
+def _execute(command: str, params: dict, out: str | None) -> tuple[int, list[str]]:
+    """Run one command and write its artifacts and manifest under `out`.
+
+    The runner gets the parameters and the artifact base (None without
+    --out) and returns its exit code, its JSON report (None when it has
+    none), and the other files it wrote.  The report goes to `<base>.json`.
+    Returns the exit code and every output path.
+    """
+    started = time.perf_counter()
+    base = None if out is None else _out_base(out)
+    code, report, outputs = _RUNNERS[command](params, base)
+    if base is not None and report is not None:
+        _write_json(f"{base}.json", report)
+        outputs = [f"{base}.json", *outputs]
+    if outputs:
+        manifest = {
+            "command": command,
+            "parameters": params,
+            "tool_version": __version__,
+            "rounding_mode": certify.ROUNDING_MODE,
+            "wall_ms": int(round((time.perf_counter() - started) * 1000.0)),
+            "outputs": outputs,
+        }
+        _write_json(f"{base}.manifest.json", manifest)
+    return code, outputs
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _run_verify(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
+def _verify_params(args, parser: _Parser) -> dict:
+    if args.min_width is not None and not (
+        args.min_width > 0.0 and math.isfinite(args.min_width)
+    ):
+        parser.error(f"--min-width must be positive and finite, got {args.min_width}")
+    return {"task": args.task, "min_width": args.min_width}
+
+
+def _run_verify(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     tasks = list(certify.TASK_IDS) if params["task"] == "all" else [params["task"]]
     certs = [
         certify.run_task(tid, min_width=params["min_width"]) for tid in tasks
@@ -108,46 +110,53 @@ def _run_verify(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
             f" (boxes={cert.boxes_examined}, depth={cert.max_depth},"
             f" {cert.wall_ms} ms)"
         )
-    outputs: list[str] = []
-    if out is not None:
-        path = f"{_out_base(out)}.json"
-        _write_json(path, [c.to_json_dict() for c in certs])
-        outputs.append(path)
-    statuses = {c.task_id: c.status for c in certs}
-    if any(s is certify.Status.FAILED for s in statuses.values()):
+    statuses = {c.status for c in certs}
+    if certify.Status.FAILED in statuses:
         code = EXIT_FAILED
-    elif any(s is certify.Status.INCONCLUSIVE for s in statuses.values()):
+    elif certify.Status.INCONCLUSIVE in statuses:
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_OK
-    return code, {tid: s.value for tid, s in statuses.items()}, outputs
-
-
-def _cmd_verify(args, parser: _Parser) -> int:
-    started = time.perf_counter()
-    if args.min_width is not None and not (
-        args.min_width > 0.0 and math.isfinite(args.min_width)
-    ):
-        parser.error(f"--min-width must be positive and finite, got {args.min_width}")
-    params = {"task": args.task, "min_width": args.min_width}
-    code, _, outputs = _run_verify(params, args.out)
-    _finish("verify", params, outputs, started)
-    return code
+    return code, [c.to_json_dict() for c in certs], []
 
 
 # ---------------------------------------------------------------------------
 # shoot
 
 
-def _run_shoot(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
+def _shoot_params(args, parser: _Parser) -> dict:
+    if args.d != 5:
+        parser.error(f"shooting is implemented for d=5 only, got --d {args.d}")
+    if not (0.0 < args.eps0 <= 0.1):
+        parser.error(f"--eps0 must lie in (0, 0.1], got {args.eps0}")
+    if not (args.theta_tol > 0.0 and math.isfinite(args.theta_tol)):
+        parser.error(f"--theta-tol must be positive, got {args.theta_tol}")
+    if not (args.span > 0.0 and math.isfinite(args.span)):
+        parser.error(f"--span must be positive, got {args.span}")
+    resolved = max(args.theta_tol, config.THETA_TOL_FLOOR)
+    if resolved != args.theta_tol:
+        print(
+            f"theta tolerance clamped to the floating-point floor {resolved:g}",
+            file=sys.stderr,
+        )
+    return {
+        "d": args.d,
+        "eps0": args.eps0,
+        "theta_tol": resolved,
+        "theta_tol_requested": args.theta_tol,
+        "span": args.span,
+    }
+
+
+def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     cfg = integrate.IntegrationConfig(max_span=params["span"])
     try:
         theta_star, res = manifold.find_heteroclinic(
             theta_tol=params["theta_tol"], cfg=cfg, eps0=params["eps0"]
         )
-    except ValueError as err:
+    except manifold.BracketError as err:
         print(f"shoot: {err}", file=sys.stderr)
-        return EXIT_FAILED, {}, []
+        return EXIT_FAILED, None, []
     end = res.end_state.as_array()
     target = np.array([0.5 * math.pi, 0.0, 0.0, 0.0])
     distance = float(np.linalg.norm(end - target))
@@ -167,45 +176,13 @@ def _run_shoot(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
         "theta_tol_requested": params["theta_tol_requested"],
         "span": params["span"],
     }
-    outputs: list[str] = []
-    if out is not None:
-        base = _out_base(out)
-        _write_json(f"{base}.json", report)
-        outputs.append(f"{base}.json")
-        orbit = integrate.integrate(
-            5, manifold.seed_state(manifold.SeedSpec(params["eps0"], theta_star)), cfg=cfg
-        )
-        integrate.write_csv(orbit, f"{base}.csv")
-        outputs.append(f"{base}.csv")
-    return EXIT_OK, report, outputs
-
-
-def _cmd_shoot(args, parser: _Parser) -> int:
-    started = time.perf_counter()
-    if args.d != 5:
-        parser.error(f"shooting is implemented for d=5 only, got --d {args.d}")
-    if not (0.0 < args.eps0 <= 0.1):
-        parser.error(f"--eps0 must lie in (0, 0.1], got {args.eps0}")
-    if not (args.theta_tol > 0.0 and math.isfinite(args.theta_tol)):
-        parser.error(f"--theta-tol must be positive, got {args.theta_tol}")
-    if not (args.span > 0.0 and math.isfinite(args.span)):
-        parser.error(f"--span must be positive, got {args.span}")
-    resolved = max(args.theta_tol, config.THETA_TOL_FLOOR)
-    if resolved != args.theta_tol:
-        print(
-            f"theta tolerance clamped to the floating-point floor {resolved:g}",
-            file=sys.stderr,
-        )
-    params = {
-        "d": args.d,
-        "eps0": args.eps0,
-        "theta_tol": resolved,
-        "theta_tol_requested": args.theta_tol,
-        "span": args.span,
-    }
-    code, _, outputs = _run_shoot(params, args.out)
-    _finish("shoot", params, outputs, started)
-    return code
+    if base is None:
+        return EXIT_OK, report, []
+    orbit = integrate.integrate(
+        5, manifold.seed_state(manifold.SeedSpec(params["eps0"], theta_star)), cfg=cfg
+    )
+    integrate.write_csv(orbit, f"{base}.csv")
+    return EXIT_OK, report, [f"{base}.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,29 +202,7 @@ def _parse_range(text: str, parser: _Parser) -> tuple[float, float]:
     return lo, hi
 
 
-def _run_classify(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
-    thetas = np.linspace(params["lo"], params["hi"], params["grid"])
-    results = manifold.classification_grid(
-        thetas, eps0=params["eps0"], workers=params["workers"]
-    )
-    counts: dict[str, int] = {}
-    for r in results:
-        counts[r.outcome.value] = counts.get(r.outcome.value, 0) + 1
-    print(
-        f"classified {len(results)} angles on [{params['lo']:.6g}, {params['hi']:.6g}]: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    )
-    outputs: list[str] = []
-    if out is not None:
-        path = f"{_out_base(out)}.csv"
-        manifold.write_grid_csv(results, path)
-        outputs.append(path)
-    grid_summary = [[r.theta, r.outcome.value, r.g] for r in results]
-    return EXIT_OK, {"grid": grid_summary}, outputs
-
-
-def _cmd_classify(args, parser: _Parser) -> int:
-    started = time.perf_counter()
+def _classify_params(args, parser: _Parser) -> dict:
     if args.grid < 2:
         parser.error(f"--grid must be at least 2, got {args.grid}")
     if not (0.0 < args.eps0 <= 0.1):
@@ -256,48 +211,30 @@ def _cmd_classify(args, parser: _Parser) -> int:
         lo, hi = -0.5 * math.pi, manifold.theta0(args.eps0)
     else:
         lo, hi = _parse_range(args.theta_range, parser)
-    params = {
-        "grid": args.grid,
-        "lo": lo,
-        "hi": hi,
-        "eps0": args.eps0,
-        "workers": config.default_workers(),
-    }
-    code, _, outputs = _run_classify(params, args.out)
-    _finish("classify", params, outputs, started)
-    return code
+    return {"grid": args.grid, "lo": lo, "hi": hi, "eps0": args.eps0}
+
+
+def _run_classify(params: dict, base: str | None) -> tuple[int, object, list[str]]:
+    thetas = np.linspace(params["lo"], params["hi"], params["grid"])
+    results = manifold.classification_grid(thetas, eps0=params["eps0"])
+    counts: dict[str, int] = {}
+    for r in results:
+        counts[r.outcome.value] = counts.get(r.outcome.value, 0) + 1
+    print(
+        f"classified {len(results)} angles on [{params['lo']:.6g}, {params['hi']:.6g}]: "
+        + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    )
+    if base is None:
+        return EXIT_OK, None, []
+    manifold.write_grid_csv(results, f"{base}.csv")
+    return EXIT_OK, None, [f"{base}.csv"]
 
 
 # ---------------------------------------------------------------------------
 # wind
 
 
-def _run_wind(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
-    cfg = integrate.IntegrationConfig(
-        max_span=params["span"], blowup_norm=params["blowup_norm"]
-    )
-    policy = profile.SeedPolicy(eps0=params["eps0"], theta_offset=params["theta_offset"])
-    try:
-        traj, prof, report = profile.build_winding_profile(cfg=cfg, seed_policy=policy)
-    except profile.WindingError as err:
-        print(f"wind: {err}", file=sys.stderr)
-        return EXIT_FAILED, {}, []
-    print(
-        f"winding_count = {report.winding_count}, s_f estimate = {report.s_f_estimate!r},"
-        f" blowup at s = {float(traj.s[-1])!r}"
-    )
-    outputs: list[str] = []
-    if out is not None:
-        base = _out_base(out)
-        _write_json(f"{base}.json", report.to_json_dict())
-        outputs.append(f"{base}.json")
-        profile.write_profile_csv(prof, 5, f"{base}.csv")
-        outputs.append(f"{base}.csv")
-    return EXIT_OK, report.to_json_dict(), outputs
-
-
-def _cmd_wind(args, parser: _Parser) -> int:
-    started = time.perf_counter()
+def _wind_params(args, parser: _Parser) -> dict:
     if not (0.0 < args.eps0 <= 0.1):
         parser.error(f"--eps0 must lie in (0, 0.1], got {args.eps0}")
     if not (args.blowup_norm > 0.0 and math.isfinite(args.blowup_norm)):
@@ -311,22 +248,44 @@ def _cmd_wind(args, parser: _Parser) -> int:
                 f"--theta must exceed the boundary angle theta0 = "
                 f"{manifold.theta0(args.eps0):.6g}, got {args.theta}"
             )
-    params = {
+    return {
         "eps0": args.eps0,
         "theta_offset": offset,
         "blowup_norm": args.blowup_norm,
         "span": args.span,
     }
+
+
+def _run_wind(params: dict, base: str | None) -> tuple[int, object, list[str]]:
+    cfg = integrate.IntegrationConfig(
+        max_span=params["span"], blowup_norm=params["blowup_norm"]
+    )
+    policy = profile.SeedPolicy(eps0=params["eps0"], theta_offset=params["theta_offset"])
     try:
-        code, _, outputs = _run_wind(params, args.out)
-    except ValueError as err:
-        parser.error(str(err))
-    _finish("wind", params, outputs, started)
-    return code
+        traj, prof, report = profile.build_winding_profile(cfg=cfg, seed_policy=policy)
+    except profile.WindingError as err:
+        print(f"wind: {err}", file=sys.stderr)
+        return EXIT_FAILED, None, []
+    print(
+        f"winding_count = {report.winding_count}, s_f estimate = {report.s_f_estimate!r},"
+        f" blowup at s = {float(traj.s[-1])!r}"
+    )
+    if base is None:
+        return EXIT_OK, report.to_json_dict(), []
+    profile.write_profile_csv(prof, 5, f"{base}.csv")
+    return EXIT_OK, report.to_json_dict(), [f"{base}.csv"]
 
 
 # ---------------------------------------------------------------------------
 # energy
+
+
+def _energy_params(args, parser: _Parser) -> dict:
+    if args.mode == "conservation" and args.d != 4:
+        parser.error("--mode conservation requires --d 4 (energy is conserved only there)")
+    if args.mode == "monotonicity" and args.d not in (5, 6, 7):
+        parser.error(f"--mode monotonicity requires --d in {{5, 6, 7}}, got {args.d}")
+    return {"d": args.d, "mode": args.mode, "orbits": 20, "seed": args.seed}
 
 
 def _connection_state(rng: np.random.Generator) -> np.ndarray:
@@ -352,7 +311,7 @@ def _connection_state(rng: np.random.Generator) -> np.ndarray:
     return -x if reflect else x
 
 
-def _run_energy(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
+def _run_energy(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     rng = np.random.default_rng(params["seed"])
     d, mode = params["d"], params["mode"]
     worst = 0.0
@@ -383,31 +342,20 @@ def _run_energy(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
         "worst": worst,
         "spans": spans,
     }
-    outputs: list[str] = []
-    if out is not None:
-        path = f"{_out_base(out)}.json"
-        _write_json(path, report)
-        outputs.append(path)
-    return EXIT_OK, report, outputs
-
-
-def _cmd_energy(args, parser: _Parser) -> int:
-    started = time.perf_counter()
-    if args.mode == "conservation" and args.d != 4:
-        parser.error("--mode conservation requires --d 4 (energy is conserved only there)")
-    if args.mode == "monotonicity" and args.d not in (5, 6, 7):
-        parser.error(f"--mode monotonicity requires --d in {{5, 6, 7}}, got {args.d}")
-    params = {"d": args.d, "mode": args.mode, "orbits": 20, "seed": args.seed}
-    code, _, outputs = _run_energy(params, args.out)
-    _finish("energy", params, outputs, started)
-    return code
+    return EXIT_OK, report, []
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def _run_spectrum(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
+def _spectrum_params(args, parser: _Parser) -> dict:
+    if not (3 <= args.d <= 10):
+        parser.error(f"--d must lie in [3, 10], got {args.d}")
+    return {"d": args.d, "parity": args.parity}
+
+
+def _run_spectrum(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     lin = core.linearization(params["d"], params["parity"])
     print(f"linearization matrix (d={params['d']}, {params['parity']} parity):")
     for row in lin.matrix:
@@ -434,26 +382,7 @@ def _run_spectrum(params: dict, out: str | None) -> tuple[int, dict, list[str]]:
         "eigenvalues": eigs,
         "eigenvectors": vecs,
     }
-    outputs: list[str] = []
-    if out is not None:
-        path = f"{_out_base(out)}.json"
-        _write_json(path, report)
-        outputs.append(path)
-    return EXIT_OK, report, outputs
-
-
-def _cmd_spectrum(args, parser: _Parser) -> int:
-    started = time.perf_counter()
-    if not (3 <= args.d <= 10):
-        parser.error(f"--d must lie in [3, 10], got {args.d}")
-    params = {"d": args.d, "parity": args.parity}
-    code, _, outputs = _run_spectrum(params, args.out)
-    _finish("spectrum", params, outputs, started)
-    return code
-
-
-# ---------------------------------------------------------------------------
-# replay
+    return EXIT_OK, report, []
 
 
 _RUNNERS = {
@@ -466,50 +395,67 @@ _RUNNERS = {
 }
 
 
-def _recorded_summary(command: str, manifest: dict) -> dict | None:
-    """The summary that the artifacts listed in the manifest record.
+# ---------------------------------------------------------------------------
+# replay
 
-    That is the certificate statuses for verify, the grid rows for classify
-    and the whole JSON report for every other command.  Returns None when
-    the original artifacts are gone (nothing to compare).
-    """
-    originals = [p for p in manifest.get("outputs", []) if os.path.exists(p)]
-    suffix = ".csv" if command == "classify" else ".json"
-    path = next((p for p in originals if p.endswith(suffix)), None)
-    if path is None:
+
+def _without_wall_ms(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_ms(v) for k, v in value.items() if k != "wall_ms"}
+    if isinstance(value, list):
+        return [_without_wall_ms(v) for v in value]
+    return value
+
+
+def _comparable(path: str) -> str | bytes | None:
+    """What replay compares of one output: JSON as canonical text without
+    any `wall_ms`, every other file as its bytes; None if unreadable."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not path.endswith(".json"):
+            return data
+        # compared as text, so a tuple matches its list and NaN matches NaN
+        return json.dumps(_without_wall_ms(json.loads(data)), sort_keys=True)
+    except (OSError, ValueError):
         return None
-    with open(path) as fh:
-        if command == "classify":
-            next(fh)
-            rows = [line.rstrip("\n").split(",") for line in fh]
-            return {"grid": [[float(c[0]), c[1], int(c[2]) if c[2] else None] for c in rows]}
-        recorded = json.load(fh)
-    if command == "verify":
-        return {c["task_id"]: c["status"] for c in recorded}
-    return recorded
 
 
-def _cmd_replay(args, parser: _Parser) -> int:
+def _replay(args, parser: _Parser) -> int:
     try:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         parser.error(f"cannot read manifest {args.manifest!r}: {err}")
-    command = manifest.get("command")
-    if command not in _RUNNERS:
-        parser.error(f"manifest names unknown command {command!r}")
+    if not isinstance(manifest, dict) or manifest.get("command") not in _RUNNERS:
+        parser.error(f"manifest {args.manifest!r} names no known command")
+    params = manifest.get("parameters")
+    if not isinstance(params, dict):
+        parser.error(f"manifest {args.manifest!r} has no parameters")
     # Read the originals first: `--out` may name the recorded base and
     # overwrite them.
-    recorded = _recorded_summary(command, manifest)
-    started = time.perf_counter()
-    code, summary, outputs = _RUNNERS[command](manifest["parameters"], args.out)
-    if args.out is not None:
-        _finish(command, manifest["parameters"], outputs, started)
-    if recorded is None:
+    recorded = {
+        path: _comparable(path)
+        for path in manifest.get("outputs", [])
+        if os.path.exists(path)
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or os.path.join(tmp, "replay")
+        try:
+            code, outputs = _execute(manifest["command"], params, out)
+        except KeyError as err:
+            parser.error(f"manifest parameters lack {err}")
+        fresh = {os.path.splitext(p)[1]: _comparable(p) for p in outputs}
+    if not recorded:
         return code
-    # compared as JSON text, so a tuple matches its list and NaN matches NaN
-    if json.dumps(recorded, sort_keys=True) != json.dumps(summary, sort_keys=True):
-        print("replay: results differ from the recorded artifacts", file=sys.stderr)
+    differing = [
+        path
+        for path, data in recorded.items()
+        if data is None or data != fresh.get(os.path.splitext(path)[1])
+    ]
+    for path in differing:
+        print(f"replay: {path} differs from the re-run", file=sys.stderr)
+    if differing:
         return EXIT_FAILED
     print("replay: results match the recorded artifacts")
     return code
@@ -528,7 +474,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--task", default="all", choices=list(certify.TASK_IDS) + ["all"])
     p.add_argument("--min-width", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(params=_verify_params)
 
     p = sub.add_parser("shoot", help="locate the connecting orbit by bisection")
     p.add_argument("--d", type=int, default=5)
@@ -536,14 +482,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta-tol", type=float, default=config.THETA_TOL)
     p.add_argument("--span", type=float, default=config.SHOOT_SPAN)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_shoot)
+    p.set_defaults(params=_shoot_params)
 
     p = sub.add_parser("classify", help="classify seeded orbits over an angle grid")
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--theta-range", default=None, metavar="LO:HI")
     p.add_argument("--eps0", type=float, default=config.EPS0)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(params=_classify_params)
 
     p = sub.add_parser("wind", help="build the winding radial profile")
     p.add_argument("--theta", type=float, default=None)
@@ -551,25 +497,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--blowup-norm", type=float, default=config.BLOWUP_NORM)
     p.add_argument("--span", type=float, default=config.MAX_SPAN)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_wind)
+    p.set_defaults(params=_wind_params)
 
     p = sub.add_parser("energy", help="sample energy conservation or monotonicity")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", required=True, choices=["conservation", "monotonicity"])
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_energy)
+    p.set_defaults(params=_energy_params)
 
     p = sub.add_parser("spectrum", help="print a linearization and its eigensystem")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--parity", default="even", choices=["even", "odd"])
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_spectrum)
+    p.set_defaults(params=_spectrum_params)
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_replay)
 
     return parser
 
@@ -577,7 +522,13 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    try:
+        if args.command == "replay":
+            return _replay(args, parser)
+        return _execute(args.command, args.params(args, parser), args.out)[0]
+    except ValueError as err:
+        # the library rejected a parameter that the flag checks let through
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

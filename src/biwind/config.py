@@ -8,8 +8,6 @@ explicitly through the dataclasses that consume them.
 
 from __future__ import annotations
 
-import os
-
 # Integration defaults.
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -39,17 +37,3 @@ SUBLEVEL_DENOMINATOR = 1024
 
 # Region-membership boundary tolerance.
 BOUNDARY_TOL = 1e-9
-
-# Worker count, validated (>= 1) and recorded but without effect: grids run
-# as lanes of one lockstep integrator and certificates run serially.
-WORKERS_ENV_VAR = "BIWIND_WORKERS"
-
-
-def default_workers() -> int:
-    """Worker count from the environment, falling back to 1."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1

@@ -13,8 +13,8 @@ Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
 scans over a fixed grid in each accepted step, evaluated on the step's quartic
 interpolant (dense-output event location, Hairer, Norsett and Wanner, sec.
 II.6).  The first scan interval with a sign change is sharpened by bisection on
-the interpolant to `event_refine_tol`; the earliest crossing found there ends
-the run.  Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
+the interpolant to `event_refine_tol`, or to adjacent doubles when that is
+finer; the earliest crossing found there ends the run.  Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
 samples are the true backward states of the orbit through x0, so a forward run
 followed by a reversed run returns to the starting jet.
 """
@@ -223,23 +223,25 @@ _SCAN_POINTS = 8
 _FRACS = np.arange(_SCAN_POINTS + 2.0)
 
 
-def _bisect_crossing(
-    g: Callable[[float], float], lo: float, hi: float, up: bool, tol: float
-) -> float:
-    """First zero of g in (lo, hi], assuming a sign change; returns the far side.
+def bisect(
+    far: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0
+) -> tuple[float, float]:
+    """Bracket (lo, hi] of the point where `far` starts to hold, assuming it
+    fails at lo and holds at hi.
 
-    The returned abscissa satisfies the crossed condition (g >= 0 for upward
-    crossings, g <= 0 for downward ones) within the bracket width `tol`.
+    Halves while the bracket is wider than `tol` and its midpoint is a double
+    strictly between the ends, so any `tol`, 0 included, ends at adjacent
+    doubles at the latest.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        on_far_side = (gm >= 0.0) if up else (gm <= 0.0)
-        if on_far_side:
+        if mid <= lo or mid >= hi:
+            break
+        if far(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def _refine_hit(at: Callable[[float], np.ndarray], crossed: Sequence[bool], ta: float,
@@ -250,15 +252,15 @@ def _refine_hit(at: Callable[[float], np.ndarray], crossed: Sequence[bool], ta: 
     downward gate; ties go to the first.  Returns the termination and the jet
     there.
     """
-    gaps = (
-        lambda s: float(np.max(np.abs(at(s)))) - cfg.blowup_norm,
-        lambda s: at(s)[2] - cs,
-        lambda s: at(s)[2] + cs,
+    past = (
+        lambda s: float(np.max(np.abs(at(s)))) - cfg.blowup_norm >= 0.0,
+        lambda s: at(s)[2] - cs >= 0.0,
+        lambda s: at(s)[2] + cs <= 0.0,
     )
     best: tuple[float, int] | None = None
-    for k, (flag, g) in enumerate(zip(crossed, gaps)):
+    for k, (flag, far) in enumerate(zip(crossed, past)):
         if flag:
-            s_hit = _bisect_crossing(g, ta, tb, up=k < 2, tol=cfg.event_refine_tol)
+            s_hit = bisect(far, ta, tb, cfg.event_refine_tol)[1]
             if best is None or s_hit < best[0]:
                 best = (s_hit, k)
     assert best is not None

@@ -32,6 +32,7 @@ __all__ = [
     "SeedSpec",
     "Outcome",
     "ClassificationResult",
+    "BracketError",
     "seed_state",
     "theta0",
     "classify_orbit",
@@ -79,6 +80,10 @@ class SeedSpec:
             raise ValueError(f"eps0 must lie in (0, 0.1], got {self.eps0}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+
+
+class BracketError(ValueError):
+    """The shooting bracket does not classify as g = -1 and g = +1 at its ends."""
 
 
 class Outcome(enum.Enum):
@@ -130,15 +135,8 @@ def theta0(eps0: float) -> float:
     if not (0.0 < eps0 <= 0.1) or not math.isfinite(eps0):
         raise ValueError(f"eps0 must lie in (0, 0.1], got {eps0}")
     s6 = 2.0 * math.sqrt(6.0)
-    lo, hi = 0.0, 0.5 * math.pi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if s6 * math.sin(eps0 * math.cos(mid)) - eps0 * math.sin(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+    below = lambda t: s6 * math.sin(eps0 * math.cos(t)) - eps0 * math.sin(t) <= 0.0
+    return integrate.bisect(below, 0.0, 0.5 * math.pi)[1]
 
 
 _EVENT_TO_G = {
@@ -248,7 +246,7 @@ def find_heteroclinic(
     """Bisect the seed angle between a downward and an upward blowup.
 
     The bracket must classify with g = -1 on the left and g = +1 on the
-    right.  An undecided midpoint (the span ran out deep inside the
+    right, or `BracketError` is raised.  An undecided midpoint (the span ran out deep inside the
     trapping region) means the connecting angle was straddled, so the
     bracket is narrowed on alternating sides.  Returns the midpoint of the
     final bracket together with its classification.
@@ -267,7 +265,7 @@ def find_heteroclinic(
     res_lo = classify_orbit(SeedSpec(eps0, lo), cfg)
     res_hi = classify_orbit(SeedSpec(eps0, hi), cfg)
     if res_lo.g != -1 or res_hi.g != 1:
-        raise ValueError(
+        raise BracketError(
             "bracket does not straddle a sign change: "
             f"g({lo:.6g}) = {res_lo.g}, g({hi:.6g}) = {res_hi.g}"
         )
@@ -410,10 +408,9 @@ def classification_grid(
     outcome as in `classify_orbit`.  A lane's bits depend on its own seed
     only, so a result is the same whatever the grid's size, order or
     `workers`, and equals `classify_orbit`'s bit for bit; `workers` must be
-    >= 1 and changes nothing.
+    >= 1 when given and changes nothing.
     """
-    workers = workers if workers is not None else config.default_workers()
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     specs = [SeedSpec(eps0, float(t)) for t in thetas]
     lanes = integrate.integrate_lanes(

@@ -238,18 +238,10 @@ def _pi_crossings(traj: integrate.Trajectory) -> list[float]:
     for i in range(len(s) - 1):
         while phi[i] < k * math.pi <= phi[i + 1]:
             level = k * math.pi
-            lo, hi = float(s[i]), float(s[i + 1])
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if integrate.sample_at(traj, mid).phi < level:
-                    bracket = (mid, hi)
-                else:
-                    bracket = (lo, mid)
-                # (lo, hi) is the loop's only state: once a halving leaves
-                # it unchanged, every later one would too
-                if bracket == (lo, hi):
-                    break
-                lo, hi = bracket
+            lo, hi = integrate.bisect(
+                lambda t: integrate.sample_at(traj, t).phi >= level,
+                float(s[i]), float(s[i + 1]),
+            )
             crossings.append(0.5 * (lo + hi))
             k += 1
     return crossings

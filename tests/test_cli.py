@@ -127,7 +127,6 @@ def test_shoot_bracket_failure_exits_one(capsys):
 
 
 def test_classify_above_boundary_all_plus(tmp_path, monkeypatch):
-    monkeypatch.setenv(config.WORKERS_ENV_VAR, "4")
     theta0 = manifold.theta0(config.EPS0)
     base = tmp_path / "grid"
     code = run(
@@ -344,7 +343,6 @@ def test_replay_detects_tampered_statuses(tmp_path, capsys):
 
 
 def test_replay_classify_reproduces_grid(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(config.WORKERS_ENV_VAR, "2")
     base = tmp_path / "grid"
     assert (
         run(["classify", "--grid", "6", "--theta-range", "1.4:1.5", "--out", str(base)])
@@ -407,6 +405,74 @@ def test_replay_detects_a_tampered_wind_report(tmp_path, capsys, onto_original):
         replay += ["--out", str(base)]
     assert run(replay) == 1
     assert "differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("onto_original", [False, True])
+def test_replay_names_a_tampered_wind_profile(tmp_path, capsys, onto_original):
+    base = tmp_path / "w"
+    assert run(["wind", "--out", str(base)]) == 0
+    path = tmp_path / "w.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace("0", "1", 1)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    replay = ["replay", "--manifest", f"{base}.manifest.json"]
+    if onto_original:
+        replay += ["--out", str(base)]
+    assert run(replay) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert str(tmp_path / "w.json") not in err
+
+
+def test_replay_counts_a_corrupt_recorded_json_as_differing(tmp_path, capsys):
+    base = tmp_path / "s"
+    assert run(["spectrum", "--d", "5", "--parity", "even", "--out", str(base)]) == 0
+    (tmp_path / "s.json").write_text("{broken")
+    capsys.readouterr()
+    assert run(["replay", "--manifest", f"{base}.manifest.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "s.json") in err
+    assert "Traceback" not in err
+
+
+def test_replay_ignores_a_recorded_workers_parameter(tmp_path, capsys):
+    base = tmp_path / "grid"
+    assert run(["classify", "--grid", "4", "--theta-range", "1.4:1.5", "--out", str(base)]) == 0
+    manifest = read_manifest(base)
+    manifest["parameters"]["workers"] = 4
+    (tmp_path / "grid.manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["replay", "--manifest", f"{base}.manifest.json"]) == 0
+    assert "match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, parameters, message",
+    [
+        ("spectrum", {"d": 12, "parity": "even"}, "d=12 outside"),
+        (
+            "wind",
+            {"eps0": 0.5, "theta_offset": 0.2, "blowup_norm": 1e8, "span": 25.0},
+            "eps0 must lie in",
+        ),
+        (
+            "shoot",
+            {"eps0": 0.5, "theta_tol": 1e-10, "theta_tol_requested": 1e-10, "span": 6.0},
+            "eps0 must lie in",
+        ),
+        ("spectrum", {"d": 5}, "'parity'"),
+        ("spectrum", None, "no parameters"),
+    ],
+)
+def test_replay_rejects_bad_recorded_parameters(tmp_path, capsys, command, parameters, message):
+    path = tmp_path / "bad.manifest.json"
+    manifest = {"command": command, "outputs": []}
+    if parameters is not None:
+        manifest["parameters"] = parameters
+    path.write_text(json.dumps(manifest))
+    assert usage_code(["replay", "--manifest", str(path)]) == 64
+    assert message in capsys.readouterr().err
 
 
 def test_replay_usage_errors(tmp_path):

@@ -71,6 +71,24 @@ def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
+def test_event_refinement_below_the_spacing_of_s_returns():
+    # 1e-20 is far below the spacing of doubles near s ~ 1, so the bisection
+    # must stop once its midpoint rounds onto an end of the bracket
+    code = (
+        "from biwind import integrate, manifold;"
+        "cfg = integrate.IntegrationConfig(event_refine_tol=1e-20);"
+        "res = manifold.classify_orbit(manifold.SeedSpec(1e-3, 0.5), cfg);"
+        "assert res.g in (-1, 1), res"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_bisect_ends_at_adjacent_doubles():
+    third = 1.0 / 3.0
+    assert itg.bisect(lambda t: t >= third, 0.0, 1.0) == (math.nextafter(third, 0.0), third)
+    assert itg.bisect(lambda t: t >= 0.3, 0.0, 1.0, tol=0.25) == (0.25, 0.5)
+
+
 _GATE_WATCH = [itg.EventKind.SECOND_DERIV_UP, itg.EventKind.SECOND_DERIV_DOWN]
 
 
