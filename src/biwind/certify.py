@@ -160,8 +160,8 @@ def prove_lower_bound(
     as inconclusive.  The first failing box in that order is the FAILED
     witness and the first given-up box the INCONCLUSIVE one.
     """
-    if min_width <= 0:
-        raise ValueError(f"min_width must be positive, got {min_width}")
+    if not 0.0 < min_width < math.inf:
+        raise ValueError(f"min_width must be positive and finite, got {min_width}")
     lo = np.array([[iv.lo] for iv in box.dims])
     hi = np.array([[iv.hi] for iv in box.dims])
     levels: list[int] = []
@@ -593,8 +593,8 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         raise ValueError(f"unknown task id {task_id!r}; expected one of {', '.join(TASK_IDS)}")
     if min_width is None:
         min_width = _DEFAULT_MIN_WIDTH[task_id]
-    if min_width <= 0:
-        raise ValueError(f"min_width must be positive, got {min_width}")
+    if not 0.0 < min_width < math.inf:
+        raise ValueError(f"min_width must be positive and finite, got {min_width}")
     start = time.perf_counter()
     hp = half_pi_iv()
     details: dict = {}

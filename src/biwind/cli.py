@@ -1,12 +1,15 @@
 """Batch command line: certificates, shooting, grids, profiles, energy laws.
 
-Every command takes one path through `_execute`: its flags are checked and
-resolved against the defaults in `config` into a parameters dict, its
-runner calls the library and prints a short human summary, and (when --out
-is given) the artifacts are written atomically next to a manifest that
-records the parameters, the tool version, the rounding mode, the wall time
-and the outputs.  `replay` runs a manifest's parameters through the same
-path and compares every recorded output file with its fresh copy.
+Every command takes one path through `_execute`: its flags are resolved
+against the defaults in `config` into a parameters dict, its runner calls
+the library and prints a short human summary, and (when --out is given) the
+artifacts are written atomically next to a manifest that records the
+parameters, the tool version, the rounding mode, the wall time and the
+outputs.  Each parameter rule is checked once on that path, by the library
+or by the runner; a params function checks only what needs the flags
+themselves.  `replay` runs a manifest's parameters through the same path,
+so it rejects what the command line rejects, and compares every output file
+next to the manifest with its fresh copy.
 Exit codes: 0 success / all proved, 1 failure (a Failed certificate, a
 broken bracket, no blowup, a replayed artifact that differs), 2 at least
 one Inconclusive certificate, 64 usage errors.
@@ -42,15 +45,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with integrate.atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _out_base(out: str) -> str:
@@ -92,10 +89,6 @@ def _execute(command: str, params: dict, out: str | None) -> tuple[int, list[str
 
 
 def _verify_params(args, parser: _Parser) -> dict:
-    if args.min_width is not None and not (
-        args.min_width > 0.0 and math.isfinite(args.min_width)
-    ):
-        parser.error(f"--min-width must be positive and finite, got {args.min_width}")
     return {"task": args.task, "min_width": args.min_width}
 
 
@@ -127,12 +120,9 @@ def _run_verify(params: dict, base: str | None) -> tuple[int, object, list[str]]
 def _shoot_params(args, parser: _Parser) -> dict:
     if args.d != 5:
         parser.error(f"shooting is implemented for d=5 only, got --d {args.d}")
-    if not (0.0 < args.eps0 <= 0.1):
-        parser.error(f"--eps0 must lie in (0, 0.1], got {args.eps0}")
+    # before the floor, which would lift a negative tolerance to a valid one
     if not (args.theta_tol > 0.0 and math.isfinite(args.theta_tol)):
         parser.error(f"--theta-tol must be positive, got {args.theta_tol}")
-    if not (args.span > 0.0 and math.isfinite(args.span)):
-        parser.error(f"--span must be positive, got {args.span}")
     resolved = max(args.theta_tol, config.THETA_TOL_FLOOR)
     if resolved != args.theta_tol:
         print(
@@ -194,19 +184,12 @@ def _parse_range(text: str, parser: _Parser) -> tuple[float, float]:
     if len(parts) != 2:
         parser.error(f"--theta-range must look like '<lo>:<hi>', got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         parser.error(f"--theta-range endpoints must be numbers, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        parser.error(f"--theta-range needs lo < hi, got {text!r}")
-    return lo, hi
 
 
 def _classify_params(args, parser: _Parser) -> dict:
-    if args.grid < 2:
-        parser.error(f"--grid must be at least 2, got {args.grid}")
-    if not (0.0 < args.eps0 <= 0.1):
-        parser.error(f"--eps0 must lie in (0, 0.1], got {args.eps0}")
     if args.theta_range is None:
         lo, hi = -0.5 * math.pi, manifold.theta0(args.eps0)
     else:
@@ -215,6 +198,10 @@ def _classify_params(args, parser: _Parser) -> dict:
 
 
 def _run_classify(params: dict, base: str | None) -> tuple[int, object, list[str]]:
+    if params["grid"] < 2:
+        raise ValueError(f"grid must be at least 2, got {params['grid']}")
+    if not -math.inf < params["lo"] < params["hi"] < math.inf:
+        raise ValueError(f"theta range needs finite lo < hi, got {params['lo']}:{params['hi']}")
     thetas = np.linspace(params["lo"], params["hi"], params["grid"])
     results = manifold.classification_grid(thetas, eps0=params["eps0"])
     counts: dict[str, int] = {}
@@ -235,10 +222,6 @@ def _run_classify(params: dict, base: str | None) -> tuple[int, object, list[str
 
 
 def _wind_params(args, parser: _Parser) -> dict:
-    if not (0.0 < args.eps0 <= 0.1):
-        parser.error(f"--eps0 must lie in (0, 0.1], got {args.eps0}")
-    if not (args.blowup_norm > 0.0 and math.isfinite(args.blowup_norm)):
-        parser.error(f"--blowup-norm must be positive, got {args.blowup_norm}")
     if args.theta is None:
         offset = config.WIND_THETA_OFFSET
     else:
@@ -281,10 +264,6 @@ def _run_wind(params: dict, base: str | None) -> tuple[int, object, list[str]]:
 
 
 def _energy_params(args, parser: _Parser) -> dict:
-    if args.mode == "conservation" and args.d != 4:
-        parser.error("--mode conservation requires --d 4 (energy is conserved only there)")
-    if args.mode == "monotonicity" and args.d not in (5, 6, 7):
-        parser.error(f"--mode monotonicity requires --d in {{5, 6, 7}}, got {args.d}")
     return {"d": args.d, "mode": args.mode, "orbits": 20, "seed": args.seed}
 
 
@@ -312,8 +291,15 @@ def _connection_state(rng: np.random.Generator) -> np.ndarray:
 
 
 def _run_energy(params: dict, base: str | None) -> tuple[int, object, list[str]]:
-    rng = np.random.default_rng(params["seed"])
     d, mode = params["d"], params["mode"]
+    if mode not in ("conservation", "monotonicity"):
+        raise ValueError(f"mode must be conservation or monotonicity, got {mode!r}")
+    if mode == "conservation" and d != 4:
+        raise ValueError(f"mode conservation requires d = 4 (energy is conserved only there), "
+                         f"got {d}")
+    if mode == "monotonicity" and d not in (5, 6, 7):
+        raise ValueError(f"mode monotonicity requires d in {{5, 6, 7}}, got {d}")
+    rng = np.random.default_rng(params["seed"])
     worst = 0.0
     spans: list[float] = []
     for _ in range(params["orbits"]):
@@ -350,8 +336,6 @@ def _run_energy(params: dict, base: str | None) -> tuple[int, object, list[str]]
 
 
 def _spectrum_params(args, parser: _Parser) -> dict:
-    if not (3 <= args.d <= 10):
-        parser.error(f"--d must lie in [3, 10], got {args.d}")
     return {"d": args.d, "parity": args.parity}
 
 
@@ -432,19 +416,22 @@ def _replay(args, parser: _Parser) -> int:
     params = manifest.get("parameters")
     if not isinstance(params, dict):
         parser.error(f"manifest {args.manifest!r} has no parameters")
-    # Read the originals first: `--out` may name the recorded base and
-    # overwrite them.
-    recorded = {
-        path: _comparable(path)
-        for path in manifest.get("outputs", [])
-        if os.path.exists(path)
-    }
+    if not isinstance(manifest.get("outputs", []), list):
+        parser.error(f"manifest {args.manifest!r} has no list of outputs")
+    here = os.path.dirname(args.manifest)
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or os.path.join(tmp, "replay")
         try:
+            # Every output is <base>.<suffix> next to <base>.manifest.json.  Read
+            # them first: `--out` may name the recorded base and overwrite them.
+            paths = [os.path.join(here, os.path.basename(p)) for p in manifest.get("outputs", [])]
+            recorded = {path: _comparable(path) for path in paths}
             code, outputs = _execute(manifest["command"], params, out)
         except KeyError as err:
             parser.error(f"manifest parameters lack {err}")
+        except TypeError as err:
+            # argparse types what `main` gets; a manifest can record anything
+            parser.error(str(err))
         fresh = {os.path.splitext(p)[1]: _comparable(p) for p in outputs}
     if not recorded:
         return code
@@ -454,7 +441,8 @@ def _replay(args, parser: _Parser) -> int:
         if data is None or data != fresh.get(os.path.splitext(path)[1])
     ]
     for path in differing:
-        print(f"replay: {path} differs from the re-run", file=sys.stderr)
+        why = "cannot be read" if recorded[path] is None else "differs from the re-run"
+        print(f"replay: {path} {why}", file=sys.stderr)
     if differing:
         return EXIT_FAILED
     print("replay: results match the recorded artifacts")

@@ -21,10 +21,12 @@ followed by a reversed run returns to the starting jet.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,6 +47,7 @@ __all__ = [
     "LaneEnd",
     "integrate_lanes",
     "sample_at",
+    "atomic_open",
     "write_csv",
 ]
 
@@ -588,9 +591,19 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
     return core.State.from_array(mirror * y)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str) -> Iterator:
+    """A text file open on `<path>.tmp`, moved onto `path` once the block
+    completes, so a run that dies mid-write leaves no partial file there."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
 def write_csv(traj: Trajectory, path: str) -> None:
     """Delimited dump: s, jet components, energy total and dissipation rate."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         wr = csv.writer(fh)
         wr.writerow(["s", "phi", "dphi", "d2phi", "d3phi", "energy_total", "energy_rate"])
         for sk, xk in zip(traj.s, traj.states):

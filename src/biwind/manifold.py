@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -68,6 +69,12 @@ class LocalChart:
 CHART = LocalChart()
 
 
+def _check_eps0(eps0: float) -> None:
+    """The seed radius must lie in (0, 0.1]; NaN and inf fail the comparison."""
+    if not 0.0 < eps0 <= 0.1:
+        raise ValueError(f"eps0 must lie in (0, 0.1], got {eps0}")
+
+
 @dataclass(frozen=True, slots=True)
 class SeedSpec:
     """Polar coordinates of one seed on the chart circle of radius eps0."""
@@ -76,8 +83,7 @@ class SeedSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps0 <= 0.1) or not math.isfinite(self.eps0):
-            raise ValueError(f"eps0 must lie in (0, 0.1], got {self.eps0}")
+        _check_eps0(self.eps0)
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
@@ -110,16 +116,16 @@ class ClassificationResult:
     note: str | None = None
 
 
-def seed_state(spec: SeedSpec, chart: LocalChart = CHART) -> core.State:
+def seed_state(spec: SeedSpec) -> core.State:
     """Point on the first-order unstable chart at angle theta, radius eps0."""
-    return core.State(*_seed_jet(spec.eps0, spec.theta, chart, taylor.FLOAT))
+    return core.State(*_seed_jet(spec.eps0, spec.theta, taylor.FLOAT))
 
 
-def _seed_jet(eps0, theta, chart: LocalChart, ctx) -> tuple:
+def _seed_jet(eps0, theta, ctx) -> tuple:
     """(phi, phi', phi'', phi''') of the chart seed in the number type of ctx."""
     z1 = eps0 * ctx.cos(theta)
     z2 = eps0 * ctx.sin(theta)
-    (m11, m12), (m21, m22) = chart.dw0
+    (m11, m12), (m21, m22) = CHART.dw0
     return (z1, m11 * z1 + m12 * z2, z2, m21 * z1 + m22 * z2)
 
 
@@ -132,8 +138,7 @@ def theta0(eps0: float) -> float:
     adjacent doubles and returns the upper one: the least double it meets
     where the gap is <= 0.
     """
-    if not (0.0 < eps0 <= 0.1) or not math.isfinite(eps0):
-        raise ValueError(f"eps0 must lie in (0, 0.1], got {eps0}")
+    _check_eps0(eps0)
     s6 = 2.0 * math.sqrt(6.0)
     below = lambda t: s6 * math.sin(eps0 * math.cos(t)) - eps0 * math.sin(t) <= 0.0
     return integrate.bisect(below, 0.0, 0.5 * math.pi)[1]
@@ -161,9 +166,7 @@ def _stays_in_region(traj: integrate.Trajectory) -> bool:
 
 
 def classify_orbit(
-    spec: SeedSpec,
-    cfg: integrate.IntegrationConfig | None = None,
-    chart: LocalChart = CHART,
+    spec: SeedSpec, cfg: integrate.IntegrationConfig | None = None
 ) -> ClassificationResult:
     """Integrate one seed forward and report which way it left (d = 5).
 
@@ -173,7 +176,7 @@ def classify_orbit(
     else without a gate crossing is undecided.
     """
     cfg = cfg or integrate.IntegrationConfig()
-    x0 = seed_state(spec, chart)
+    x0 = seed_state(spec)
     try:
         traj = integrate.integrate(_D, x0, cfg=cfg, watch=_GATES)
     except integrate.IntegrationError as err:
@@ -269,20 +272,13 @@ def find_heteroclinic(
             "bracket does not straddle a sign change: "
             f"g({lo:.6g}) = {res_lo.g}, g({hi:.6g}) = {res_hi.g}"
         )
-    shrink_lo = True
-    while hi - lo > theta_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        res = classify_orbit(SeedSpec(eps0, mid), cfg)
-        if res.g == 1:
-            hi = mid
-        elif res.g == -1:
-            lo = mid
-        elif shrink_lo:
-            lo, shrink_lo = mid, False
-        else:
-            hi, shrink_lo = mid, True
+    undecided = itertools.cycle((False, True))  # narrow lo, then hi, and so on
+
+    def upward(theta: float) -> bool:
+        g = classify_orbit(SeedSpec(eps0, theta), cfg).g
+        return next(undecided) if g is None else g == 1
+
+    lo, hi = integrate.bisect(upward, lo, hi, theta_tol)
     theta_star = 0.5 * (lo + hi)
     return theta_star, classify_orbit(SeedSpec(eps0, theta_star), cfg)
 
@@ -328,7 +324,7 @@ def refine_heteroclinic(
 
     def shoot(th):
         orbit = taylor.integrate(
-            _D, _seed_jet(eps0, th, CHART, ctx), config.SHOOT_SPAN,
+            _D, _seed_jet(eps0, th, ctx), config.SHOOT_SPAN,
             tol=tol, ctx=ctx, stop=leaves_c,
         )
         miss = [ctx.fdot(left, [a - b for a, b in zip(x, target)]) for x in orbit.states]
@@ -424,7 +420,7 @@ def classification_grid(
 
 def write_grid_csv(results: Sequence[ClassificationResult], path: str) -> None:
     """One row per classified angle; None fields are left empty."""
-    with open(path, "w", newline="") as fh:
+    with integrate.atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "outcome", "g", "tau", "phi", "dphi", "d2phi", "d3phi"])
         for r in results:

@@ -125,8 +125,7 @@ class SeedPolicy:
     theta_offset: float = config.WIND_THETA_OFFSET
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps0 <= 0.1) or not math.isfinite(self.eps0):
-            raise ValueError(f"eps0 must lie in (0, 0.1], got {self.eps0}")
+        manifold._check_eps0(self.eps0)
         if not (self.theta_offset > 0.0 and math.isfinite(self.theta_offset)):
             raise ValueError(f"theta_offset must be positive, got {self.theta_offset}")
 
@@ -293,7 +292,7 @@ def build_winding_profile(
 
 def write_profile_csv(prof: RadialProfile, d: int, path: str) -> None:
     """One row per radius: the radial jet plus both Laplacian components."""
-    with open(path, "w", newline="") as fh:
+    with integrate.atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "psi", "dpsi", "d2psi", "L0f0", "L1f1"])
         for k in range(len(prof.r)):

@@ -212,11 +212,6 @@ class TangentFrame:
     def y_line(self, phi):
         return self.slope * (np.asarray(phi, dtype=float) - self.phi0) + self.y0
 
-    def w_value(self, x) -> float:
-        """w = phi'' - y_line(phi) for a full jet."""
-        s = core.State.from_array(x) if not isinstance(x, core.State) else x
-        return s.d2phi - float(self.y_line(s.phi))
-
 
 # ---------------------------------------------------------------------------
 # The damped tangent-frame oscillator  w'' = a w - 2 w' + P.

@@ -150,6 +150,15 @@ def test_prove_lower_bound_validates_min_width():
         certify.prove_lower_bound(lambda b: b.dims[0], box, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("min_width", [math.nan, math.inf])
+def test_min_width_must_be_finite(min_width):
+    box = Box((Interval(0.0, 1.0),))
+    with pytest.raises(ValueError, match="finite"):
+        certify.prove_lower_bound(lambda b: b.dims[0], box, 0.0, min_width)
+    with pytest.raises(ValueError, match="finite"):
+        certify.run_task("V2", min_width=min_width)
+
+
 # ---------------------------------------------------------------------------
 # The nine tasks.
 

@@ -1,11 +1,13 @@
 import csv
+import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from biwind import __version__, certify, cli, config, manifold
+from biwind import __version__, certify, cli, config, core, integrate, manifold, profile
 
 
 def run(argv):
@@ -312,6 +314,45 @@ def test_no_temp_files_left_behind(verify_all, wind_run, tmp_path):
         assert not list(parent.glob("*.tmp"))
 
 
+def _raise_on_call(n, real):
+    """`real`, except that its call number n (from 0) raises."""
+    calls = itertools.count()
+
+    def wrapped(*args):
+        if next(calls) == n:
+            raise RuntimeError("writer died")
+        return real(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("writer", ["trajectory", "grid", "profile"])
+def test_a_csv_writer_that_dies_leaves_no_file(tmp_path, monkeypatch, writer):
+    path = str(tmp_path / "a.csv")
+    if writer == "trajectory":
+        cfg = integrate.IntegrationConfig(max_span=1.0)
+        traj = integrate.integrate(4, [0.5, 0.1, 0.0, 0.0], cfg=cfg)
+        monkeypatch.setattr(core, "energy", _raise_on_call(3, core.energy))
+        write = lambda: integrate.write_csv(traj, path)
+    elif writer == "grid":
+        results = manifold.classification_grid([1.4, 1.5])
+
+        def rows():
+            yield from results
+            raise RuntimeError("writer died")
+
+        write = lambda: manifold.write_grid_csv(rows(), path)
+    else:
+        _, prof, _ = profile.build_winding_profile()
+        monkeypatch.setattr(
+            profile, "laplacian_components", _raise_on_call(3, profile.laplacian_components)
+        )
+        write = lambda: profile.write_profile_csv(prof, 5, path)
+    with pytest.raises(RuntimeError, match="writer died"):
+        write()
+    assert not os.path.exists(path)
+
+
 def test_no_output_without_out_flag(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(["spectrum", "--d", "5", "--parity", "even"]) == 0
@@ -463,6 +504,21 @@ def test_replay_ignores_a_recorded_workers_parameter(tmp_path, capsys):
         ),
         ("spectrum", {"d": 5}, "'parity'"),
         ("spectrum", None, "no parameters"),
+        ("spectrum", {"d": "5", "parity": "even"}, "dimension must be an integer"),
+        ("classify", {"grid": 1, "lo": 0.0, "hi": 1.0, "eps0": 0.1}, "grid must be at least 2"),
+        ("classify", {"grid": 4, "lo": 1.0, "hi": 0.0, "eps0": 0.1}, "needs finite lo < hi"),
+        (
+            "energy",
+            {"d": 5, "mode": "conservation", "orbits": 20, "seed": 5},
+            "mode conservation requires d = 4",
+        ),
+        (
+            "energy",
+            {"d": 5, "mode": "average", "orbits": 20, "seed": 5},
+            "mode must be conservation or monotonicity",
+        ),
+        ("verify", {"task": "V1", "min_width": math.nan}, "min_width must be positive and finite"),
+        ("verify", {"task": "V1", "min_width": math.inf}, "min_width must be positive and finite"),
     ],
 )
 def test_replay_rejects_bad_recorded_parameters(tmp_path, capsys, command, parameters, message):
@@ -472,13 +528,36 @@ def test_replay_rejects_bad_recorded_parameters(tmp_path, capsys, command, param
         manifest["parameters"] = parameters
     path.write_text(json.dumps(manifest))
     assert usage_code(["replay", "--manifest", str(path)]) == 64
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spoil", ["tamper", "delete"])
+def test_replay_compares_the_files_next_to_the_manifest(tmp_path, monkeypatch, capsys, spoil):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--d", "5", "--parity", "even", "--out", "sub/sp"]) == 0
+    path = tmp_path / "sub" / "sp.json"
+    if spoil == "tamper":
+        report = json.loads(path.read_text())
+        report["d"] = 6
+        path.write_text(json.dumps(report))
+    else:
+        path.unlink()
+    monkeypatch.chdir(tmp_path / "sub")
+    capsys.readouterr()
+    assert run(["replay", "--manifest", "sp.manifest.json"]) == 1
+    assert "sp.json" in capsys.readouterr().err
 
 
 def test_replay_usage_errors(tmp_path):
     assert usage_code(["replay", "--manifest", str(tmp_path / "missing.json")]) == 64
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "dance", "parameters": {}}))
+    assert usage_code(["replay", "--manifest", str(bad)]) == 64
+    spectrum = {"d": 5, "parity": "even"}
+    bad.write_text(json.dumps({"command": "spectrum", "parameters": spectrum, "outputs": "s.json"}))
     assert usage_code(["replay", "--manifest", str(bad)]) == 64
 
 
