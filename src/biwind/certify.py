@@ -19,7 +19,10 @@ polynomials.  This module holds
   rational arithmetic over Q[sqrt 6], and only rounded outward at the end;
 * a divide-and-conquer sublevel-set bounding box on the dyadic grid
   (`enclose_sublevel`);
-* the nine named certificates V1-V9 (`run_task`), serialized as JSON.
+* the nine named certificates V1-V9, serialized as JSON.  Each certificate
+  is one entry of the `_TASKS` table: its coordinate system, target,
+  default `min_width`, and the ordered (region, check) parts that prove it.
+  `run_task` runs every part's check on its region and merges the outcomes.
 
 Determinism comes from the structure: the search runs serially, with no
 threads, one breadth-first level at a time, and every level holds its boxes
@@ -66,8 +69,6 @@ __all__ = [
 ]
 
 ROUNDING_MODE = "nextafter-outward"
-
-TASK_IDS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9")
 
 
 # ---------------------------------------------------------------------------
@@ -351,42 +352,27 @@ def taylor_enclose_P_coeff(which: str, box: Box) -> tuple[Interval, Interval]:
     c3 = [Fraction(0), Fraction(0)]
     c1 = [Fraction(0), Fraction(0)]
 
-    def absorb(target, lo: Fraction, hi: Fraction) -> None:
-        target[0] += min(Fraction(0), lo)
-        target[1] += max(Fraction(0), hi)
+    def slot(j: int, k: int) -> tuple[list[Fraction], Fraction]:
+        """The coefficient that phi0^j phi^k goes to, and its factor H^(degree left over)."""
+        if k == 0 and j < 3:
+            raise ArithmeticError(f"low-order pure-phi0 monomial phi0^{j} survived")
+        return (c3, H ** (j - 3)) if k == 0 else (c1, H ** (j + k - 1))
 
     for (j, k), pair in sym.poly.items():
         lo, hi = _pair_bounds(pair)
         if lo == 0 and hi == 0:
             continue
-        if k == 0:
-            if j < 3:
-                raise ArithmeticError(
-                    f"low-order pure-phi0 monomial phi0^{j} survived with bounds [{lo}, {hi}]"
-                )
-            if j == 3:
-                c3[0] += lo
-                c3[1] += hi
-            else:
-                scale = H ** (j - 3)
-                absorb(c3, lo * scale, hi * scale)
-        elif (j, k) == (0, 1):
-            c1[0] += lo
-            c1[1] += hi
+        target, scale = slot(j, k)
+        if (j, k) in ((3, 0), (0, 1)):
+            target[0] += lo
+            target[1] += hi
         else:
-            scale = H ** (j + k - 1)
-            absorb(c1, lo * scale, hi * scale)
+            target[0] += min(Fraction(0), lo * scale)
+            target[1] += max(Fraction(0), hi * scale)
     for (j, k, m) in sym.fuzz:
-        if k == 0:
-            if j < 3:
-                raise ArithmeticError(f"low-order remainder monomial phi0^{j}")
-            scale = H ** (j - 3)
-            c3[0] -= m * scale
-            c3[1] += m * scale
-        else:
-            scale = H ** (j + k - 1)
-            c1[0] -= m * scale
-            c1[1] += m * scale
+        target, scale = slot(j, k)
+        target[0] -= m * scale
+        target[1] += m * scale
     return _fr_interval(c3[0], c3[1]), _fr_interval(c1[0], c1[1])
 
 
@@ -544,19 +530,6 @@ def _interval_json(iv: Interval) -> dict:
     return {"decimal": [iv.lo, iv.hi], "hex": [iv.lo.hex(), iv.hi.hex()]}
 
 
-_DEFAULT_MIN_WIDTH = {
-    "V1": config.MIN_WIDTH_COEFF,
-    "V2": config.MIN_WIDTH_COEFF,
-    "V3": config.MIN_WIDTH_COEFF,
-    "V4": config.MIN_WIDTH_COEFF,
-    "V5": config.MIN_WIDTH_COEFF,
-    "V6": config.MIN_WIDTH_COEFF,
-    "V7": config.MIN_WIDTH_COEFF,
-    "V8": config.MIN_WIDTH_QUAD,
-    "V9": config.MIN_WIDTH_QUAD,
-}
-
-
 def _merge_outcomes(parts: Sequence[BnbOutcome]) -> BnbOutcome:
     boxes = sum(p.boxes_examined for p in parts)
     depth = max(p.max_depth for p in parts)
@@ -571,191 +544,187 @@ def _merge_outcomes(parts: Sequence[BnbOutcome]) -> BnbOutcome:
     return BnbOutcome(Status.PROVED, None, boxes, depth, tuple(levels))
 
 
+def _verdict(
+    ok: bool, witness: Box | None = None, boxes: int = 0, depth: int = 0, levels: tuple[int, ...] = ()
+) -> BnbOutcome:
+    """PROVED, or FAILED with the witness: the outcome of a check that is not a box search."""
+    return BnbOutcome(Status.PROVED if ok else Status.FAILED, None if ok else witness, boxes, depth, levels)
+
+
+# A check proves its part of a certificate on one region: it takes the region,
+# the branch-and-bound floor and the certificate's details (which it may
+# extend), and returns its outcome.
+_Check = Callable[[Box, float, dict], BnbOutcome]
+
+
+def _parts(f: Callable[[Box], Interval], bound: float, *regions) -> tuple[tuple[Box, _Check], ...]:
+    """Branch-and-bound parts proving f >= bound on each region, given by its bounds."""
+    check = lambda region, min_width, details: prove_lower_bound(f, region, bound, min_width)
+    return tuple((Box.from_bounds(r), check) for r in regions)
+
+
+def _taylor_part(which: str) -> tuple[Box, _Check]:
+    """The part proving both two-term Taylor coefficients of `which` positive on its domain."""
+
+    def check(region: Box, min_width: float, details: dict) -> BnbOutcome:
+        c3, c1 = taylor_enclose_P_coeff(which, region)
+        details["taylor"] = {"phi0_cubed": _interval_json(c3), "phi_linear": _interval_json(c1)}
+        return _verdict(c3.lo > 0.0 and c1.lo > 0.0, region)
+
+    return Box.from_bounds(_TAYLOR_DOMAINS[which]), check
+
+
+# The box in the (phi0, z) chart that V7 encloses the sublevel set in and V8
+# bounds the discriminant on.
+_REFERENCE = ((Fraction(0), Fraction(783, 1024)), (Fraction(779, 1024), Fraction(1)))
+
+
+def _sublevel_in_reference(region: Box, min_width: float, details: dict) -> BnbOutcome:
+    f = lambda b: c1_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL))
+    enc = enclose_sublevel(f, 0.01, config.SUBLEVEL_DENOMINATOR, region)
+    contained = enc.is_empty or all(a <= lo and hi <= b for (lo, hi), (a, b) in zip(enc.bounds, _REFERENCE))
+    details["enclosure"] = None if enc.is_empty else [[str(lo), str(hi)] for lo, hi in enc.bounds]
+    details["reference"] = [[str(a), str(b)] for a, b in _REFERENCE]
+    details["contained_in_reference"] = contained
+    details["equals_reference"] = enc.bounds == _REFERENCE
+    details["cells_retained"] = enc.cells_retained
+    depth = int(math.log2(config.SUBLEVEL_DENOMINATOR)) * 2
+    return _verdict(contained, None, enc.cells_examined, depth, enc.level_cells)
+
+
+def _quad_min(b: Box) -> IntervalArray:
+    """min over v of c0 + c1 v + c2 v^2, that is c0 - c1^2 / 4 c2, in the (phi0, z) chart."""
+    phi0, z = b.dims
+    phi = phi_of_z(phi0, z, INTERVAL)
+    c2 = c2_iv(phi0, phi)
+    # the closed-form minimum needs c2 > 0; other lanes get a value
+    # that forces a split, and no division sees their c2
+    ok = np.flatnonzero(c2.lo > 0.0)
+    lo = np.full(len(c2), -1e30)
+    hi = np.full(len(c2), 1e30)
+    if ok.size:
+        phi0, phi, c2 = phi0[ok], phi[ok], c2[ok]
+        q = c0_iv(phi0, phi) - c1_iv(phi0, phi).power(2) / (c2 * 4)
+        lo[ok], hi[ok] = q.lo, q.hi
+    return IntervalArray(lo, hi)
+
+
 def _samples_small() -> list[Interval]:
     # point samples pi/8 * 2^-k; halving is exact so these stay enclosures
-    out = []
     base = eighth_pi_iv()
-    for k in range(10):
-        s = 0.5**k
-        out.append(Interval(base.lo * s, base.hi * s))
-    return out
+    return [Interval(base.lo * 0.5**k, base.hi * 0.5**k) for k in range(10)]
 
 
 _SAMPLES_LARGE = (3.0, 3.5, 4.0, 5.0, 8.0, 16.0, 100.0, 1000.0)
 
 
+def _q0_with_tails(region: Box, min_width: float, details: dict) -> BnbOutcome:
+    out = prove_lower_bound(lambda b: coeff_q0(b.dims[0], INTERVAL), region, 1.9, min_width, strict=True)
+    s2 = math.sqrt(2.0)
+    sqrt2 = Interval(math.nextafter(s2, 0.0), math.nextafter(s2, 2.0))
+    tails = {
+        "small_phi_bound": ("q0 >= 6 (sqrt(2) - 1) phi", _samples_small(), lambda p: (sqrt2 - 1) * 6 * p),
+        "large_phi_bound": ("q0 >= 6 (phi - 2)", map(Interval.point, _SAMPLES_LARGE), lambda p: (p - 2) * 6),
+    }
+    ok = True
+    for key, (form, samples, lower) in tails.items():
+        margins = [(p, coeff_q0(p, INTERVAL) - lower(p)) for p in samples]
+        details[key] = {
+            "form": form,
+            "samples": [{"phi": _interval_json(p), "margin_lo": m.lo} for p, m in margins],
+        }
+        ok = ok and all(m.lo >= 0.0 for _, m in margins)
+    return _merge_outcomes([out, _verdict(ok)])
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One certificate: its claim, its default floor, and the parts that prove it."""
+
+    coordinate_system: str
+    target: str
+    min_width: float
+    parts: tuple[tuple[Box, _Check], ...]  # (region, check), in the order of `regions`
+
+
+_HALF_PI = half_pi_iv().hi
+
+_TASKS = {
+    # 6 v^2 >= 0 reduces the claim to the v = 0 slice; one cosine period
+    # in phi and the full [0, pi/2] range of phi0 cover all arguments.
+    "V1": _Task(
+        "(phi0, phi)", "a(phi0, phi, v) >= 0.1 via a >= a|_{v=0}",
+        config.MIN_WIDTH_COEFF, _parts(
+            lambda b: coeff_a(*b.dims, Interval.point(0.0), INTERVAL), 0.1,
+            [(0.0, _HALF_PI), (0.0, pi_iv().hi)],
+        ),
+    ),
+    "V2": _Task(
+        "(phi0, phi)", "v^0 coefficient of P >= 0.01",
+        config.MIN_WIDTH_COEFF, _parts(lambda b: c0_iv(*b.dims), 0.01, [(0.4, _HALF_PI), (0.0, _HALF_PI)]),
+    ),
+    "V3": _Task(
+        "(phi0, z)", "v^0 coefficient of P >= 0.01",
+        config.MIN_WIDTH_COEFF, _parts(
+            lambda b: c0_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL)), 0.01,
+            [(0.01, 0.4), (0.0, 1.0)], [(0.0, 0.4), (0.01, 1.0)],
+        ),
+    ),
+    "V4": _Task(
+        "(phi0, phi)", "two-term Taylor enclosure of the v^0 coefficient is strictly positive",
+        config.MIN_WIDTH_COEFF, (_taylor_part("v0"),),
+    ),
+    "V5": _Task(
+        "(phi0, phi)", "v^2 coefficient of P >= 0.01 away from the origin; Taylor-positive near it",
+        config.MIN_WIDTH_COEFF, _parts(
+            lambda b: c2_iv(*b.dims), 0.01,
+            [(0.11, _HALF_PI), (0.0, _HALF_PI)], [(0.0, _HALF_PI), (0.0006, _HALF_PI)],
+        ) + (_taylor_part("v2"),),
+    ),
+    "V6": _Task(
+        "(phi0, phi)", "v^1 coefficient of P >= 0.01",
+        config.MIN_WIDTH_COEFF, _parts(lambda b: c1_iv(*b.dims), 0.01, [(1.0, _HALF_PI), (0.0, _HALF_PI)]),
+    ),
+    "V7": _Task(
+        "(phi0, z)", "sublevel set {v^1 coefficient <= 0.01} lies inside [0, 783/1024] x [779/1024, 1]",
+        config.MIN_WIDTH_COEFF, ((Box.from_bounds([(0.0, 1.0), (0.0, 1.0)]), _sublevel_in_reference),),
+    ),
+    "V8": _Task(
+        "(phi0, z)", "min over v of c0 + c1 v + c2 v^2 (= c0 - c1^2 / 4 c2) >= 0.5 on the reference box",
+        config.MIN_WIDTH_QUAD, _parts(_quad_min, 0.5, [(float(a), float(b)) for a, b in _REFERENCE]),
+    ),
+    "V9": _Task(
+        "(phi)", "q0 > 1.9 on [pi/8, 3]; analytic tail bounds confirmed at sample points",
+        config.MIN_WIDTH_QUAD, ((Box.from_bounds([(eighth_pi_iv().lo, 3.0)]), _q0_with_tails),),
+    ),
+}
+
+TASK_IDS = tuple(_TASKS)
+
+
 def run_task(task_id: str, min_width: float | None = None, workers: int | None = None) -> Certificate:
     """Execute one named certificate and package the outcome.
 
-    `workers` is accepted for compatibility and changes nothing.
+    Each part's check runs on its region in table order; the certificate
+    carries their merged outcome.  `workers` is accepted for compatibility
+    and changes nothing.
     """
-    if task_id not in TASK_IDS:
+    if task_id not in _TASKS:
         raise ValueError(f"unknown task id {task_id!r}; expected one of {', '.join(TASK_IDS)}")
+    task = _TASKS[task_id]
     if min_width is None:
-        min_width = _DEFAULT_MIN_WIDTH[task_id]
+        min_width = task.min_width
     if not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
     start = time.perf_counter()
-    hp = half_pi_iv()
     details: dict = {}
-
-    if task_id == "V1":
-        # 6 v^2 >= 0 reduces the claim to the v = 0 slice; one cosine period
-        # in phi and the full [0, pi/2] range of phi0 cover all arguments.
-        region = Box((Interval(0.0, hp.hi), Interval(0.0, pi_iv().hi)))
-        f = lambda b: coeff_a(*b.dims, Interval.point(0.0), INTERVAL)
-        out = prove_lower_bound(f, region, 0.1, min_width)
-        cert = ("(phi0, phi)", (region,), "a(phi0, phi, v) >= 0.1 via a >= a|_{v=0}", out)
-    elif task_id == "V2":
-        region = Box((Interval(0.4, hp.hi), Interval(0.0, hp.hi)))
-        f = lambda b: c0_iv(*b.dims)
-        out = prove_lower_bound(f, region, 0.01, min_width)
-        cert = ("(phi0, phi)", (region,), "v^0 coefficient of P >= 0.01", out)
-    elif task_id == "V3":
-        r1 = Box((Interval(0.01, 0.4), Interval(0.0, 1.0)))
-        r2 = Box((Interval(0.0, 0.4), Interval(0.01, 1.0)))
-        f = lambda b: c0_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL))
-        parts = [
-            prove_lower_bound(f, r, 0.01, min_width) for r in (r1, r2)
-        ]
-        out = _merge_outcomes(parts)
-        cert = ("(phi0, z)", (r1, r2), "v^0 coefficient of P >= 0.01", out)
-    elif task_id == "V4":
-        region = Box((Interval(0.0, 0.01), Interval(0.0, 0.021)))
-        c3, c1 = taylor_enclose_P_coeff("v0", region)
-        ok = c3.lo > 0.0 and c1.lo > 0.0
-        details["taylor"] = {
-            "phi0_cubed": _interval_json(c3),
-            "phi_linear": _interval_json(c1),
-        }
-        out = BnbOutcome(Status.PROVED if ok else Status.FAILED, None if ok else region, 0, 0)
-        cert = (
-            "(phi0, phi)",
-            (region,),
-            "two-term Taylor enclosure of the v^0 coefficient is strictly positive",
-            out,
-        )
-    elif task_id == "V5":
-        r1 = Box((Interval(0.11, hp.hi), Interval(0.0, hp.hi)))
-        r2 = Box((Interval(0.0, hp.hi), Interval(0.0006, hp.hi)))
-        taylor_box = Box((Interval(0.0, 0.11), Interval(0.0, 0.0006)))
-        f = lambda b: c2_iv(*b.dims)
-        parts = [
-            prove_lower_bound(f, r, 0.01, min_width) for r in (r1, r2)
-        ]
-        c3, c1 = taylor_enclose_P_coeff("v2", taylor_box)
-        ok = c3.lo > 0.0 and c1.lo > 0.0
-        details["taylor"] = {
-            "phi0_cubed": _interval_json(c3),
-            "phi_linear": _interval_json(c1),
-        }
-        parts.append(
-            BnbOutcome(Status.PROVED if ok else Status.FAILED, None if ok else taylor_box, 0, 0)
-        )
-        out = _merge_outcomes(parts)
-        cert = (
-            "(phi0, phi)",
-            (r1, r2, taylor_box),
-            "v^2 coefficient of P >= 0.01 away from the origin; Taylor-positive near it",
-            out,
-        )
-    elif task_id == "V6":
-        region = Box((Interval(1.0, hp.hi), Interval(0.0, hp.hi)))
-        f = lambda b: c1_iv(*b.dims)
-        out = prove_lower_bound(f, region, 0.01, min_width)
-        cert = ("(phi0, phi)", (region,), "v^1 coefficient of P >= 0.01", out)
-    elif task_id == "V7":
-        region = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
-        f = lambda b: c1_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL))
-        enc = enclose_sublevel(f, 0.01, config.SUBLEVEL_DENOMINATOR, region)
-        a_lo1, a_hi1 = Fraction(0), Fraction(783, 1024)
-        a_lo2, a_hi2 = Fraction(779, 1024), Fraction(1)
-        if enc.is_empty:
-            contained = True
-            equals = False
-            details["enclosure"] = None
-        else:
-            (b_lo1, b_hi1), (b_lo2, b_hi2) = enc.bounds
-            contained = a_lo1 <= b_lo1 and b_hi1 <= a_hi1 and a_lo2 <= b_lo2 and b_hi2 <= a_hi2
-            equals = (b_lo1, b_hi1, b_lo2, b_hi2) == (a_lo1, a_hi1, a_lo2, a_hi2)
-            details["enclosure"] = [[str(b_lo1), str(b_hi1)], [str(b_lo2), str(b_hi2)]]
-        details["reference"] = [[str(a_lo1), str(a_hi1)], [str(a_lo2), str(a_hi2)]]
-        details["contained_in_reference"] = contained
-        details["equals_reference"] = equals
-        details["cells_retained"] = enc.cells_retained
-        out = BnbOutcome(
-            Status.PROVED if contained else Status.FAILED,
-            None,
-            enc.cells_examined,
-            int(math.log2(config.SUBLEVEL_DENOMINATOR)) * 2,
-            enc.level_cells,
-        )
-        cert = (
-            "(phi0, z)",
-            (region,),
-            "sublevel set {v^1 coefficient <= 0.01} lies inside [0, 783/1024] x [779/1024, 1]",
-            out,
-        )
-    elif task_id == "V8":
-        region = Box.from_bounds([(0.0, 783 / 1024), (779 / 1024, 1.0)])
-
-        def quad_min(b: Box) -> IntervalArray:
-            phi0, z = b.dims
-            phi = phi_of_z(phi0, z, INTERVAL)
-            c2 = c2_iv(phi0, phi)
-            # the closed-form minimum needs c2 > 0; other lanes get a value
-            # that forces a split, and no division sees their c2
-            ok = np.flatnonzero(c2.lo > 0.0)
-            lo = np.full(len(c2), -1e30)
-            hi = np.full(len(c2), 1e30)
-            if ok.size:
-                phi0, phi, c2 = phi0[ok], phi[ok], c2[ok]
-                q = c0_iv(phi0, phi) - c1_iv(phi0, phi).power(2) / (c2 * 4)
-                lo[ok], hi[ok] = q.lo, q.hi
-            return IntervalArray(lo, hi)
-
-        out = prove_lower_bound(quad_min, region, 0.5, min_width)
-        cert = (
-            "(phi0, z)",
-            (region,),
-            "min over v of c0 + c1 v + c2 v^2 (= c0 - c1^2 / 4 c2) >= 0.5 on the reference box",
-            out,
-        )
-    else:  # V9
-        region = Box((Interval(eighth_pi_iv().lo, 3.0),))
-        f = lambda b: coeff_q0(b.dims[0], INTERVAL)
-        out = prove_lower_bound(f, region, 1.9, min_width, strict=True)
-        s2 = math.sqrt(2.0)
-        sqrt2 = Interval(math.nextafter(s2, 0.0), math.nextafter(s2, 2.0))
-        small, large = [], []
-        ok = True
-        for p in _samples_small():
-            margin = coeff_q0(p, INTERVAL) - (sqrt2 - 1) * 6 * p
-            small.append({"phi": _interval_json(p), "margin_lo": margin.lo})
-            ok = ok and margin.lo >= 0.0
-        for x in _SAMPLES_LARGE:
-            p = Interval.point(x)
-            margin = coeff_q0(p, INTERVAL) - (p - 2) * 6
-            large.append({"phi": _interval_json(p), "margin_lo": margin.lo})
-            ok = ok and margin.lo >= 0.0
-        details["small_phi_bound"] = {"form": "q0 >= 6 (sqrt(2) - 1) phi", "samples": small}
-        details["large_phi_bound"] = {"form": "q0 >= 6 (phi - 2)", "samples": large}
-        parts = [out, BnbOutcome(Status.PROVED if ok else Status.FAILED, None, 0, 0)]
-        out = _merge_outcomes(parts)
-        cert = (
-            "(phi)",
-            (region,),
-            "q0 > 1.9 on [pi/8, 3]; analytic tail bounds confirmed at sample points",
-            out,
-        )
-
-    coords, regions_, target, outcome = cert
+    outcome = _merge_outcomes([check(region, min_width, details) for region, check in task.parts])
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return Certificate(
         task_id=task_id,
-        coordinate_system=coords,
-        regions=regions_,
-        target=target,
+        coordinate_system=task.coordinate_system,
+        regions=tuple(region for region, _ in task.parts),
+        target=task.target,
         status=outcome.status,
         witness=outcome.witness,
         boxes_examined=outcome.boxes_examined,

@@ -85,7 +85,10 @@ class State:
         return np.array([self.phi, self.dphi, self.d2phi, self.d3phi])
 
     @classmethod
-    def from_array(cls, x: Sequence[float] | np.ndarray) -> "State":
+    def from_array(cls, x: "State | Sequence[float] | np.ndarray") -> "State":
+        """The jet x as a State; a State is returned as it is."""
+        if isinstance(x, cls):
+            return x
         a = np.asarray(x, dtype=float)
         if a.shape != (4,):
             raise ValueError(f"state needs exactly 4 components, got shape {a.shape}")

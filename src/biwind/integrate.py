@@ -545,7 +545,7 @@ def integrate(
     IntegrationError if the stepper underflows.
     """
     cfg = cfg or IntegrationConfig()
-    x0 = core.State.from_array(x0).as_array() if not isinstance(x0, core.State) else x0.as_array()
+    x0 = core.State.from_array(x0).as_array()
     if not (isinstance(s0, (int, float)) and math.isfinite(s0)):
         raise ValueError(f"s0 must be finite, got {s0!r}")
     watch = tuple(watch)
@@ -566,7 +566,7 @@ def integrate_reversed(d: int, x0, cfg: IntegrationConfig | None = None) -> Traj
     the same span lands back on the initial jet).
     """
     cfg = cfg or IntegrationConfig()
-    x0 = core.State.from_array(x0).as_array() if not isinstance(x0, core.State) else x0.as_array()
+    x0 = core.State.from_array(x0).as_array()
     core.vector_field(d, x0)
     return _drive(d, x0, 0.0, cfg, (False, False), reverse=True)
 
@@ -594,10 +594,16 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
 @contextlib.contextmanager
 def atomic_open(path: str) -> Iterator:
     """A text file open on `<path>.tmp`, moved onto `path` once the block
-    completes, so a run that dies mid-write leaves no partial file there."""
+    completes and removed if it raises, so a run that dies mid-write leaves
+    no partial file there."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        yield fh
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

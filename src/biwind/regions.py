@@ -273,12 +273,12 @@ def w_system_residual(phi0: float, traj) -> float:
 
 
 def xi_value(x) -> float:
-    s = core.State.from_array(x) if not isinstance(x, core.State) else x
+    s = core.State.from_array(x)
     return s.d2phi - 3.0 * s.phi
 
 
 def xi_prime(x) -> float:
-    s = core.State.from_array(x) if not isinstance(x, core.State) else x
+    s = core.State.from_array(x)
     return s.d3phi - 3.0 * s.dphi
 
 
@@ -315,7 +315,7 @@ def in_cone(x) -> bool:
 
     Equivalent to phi, phi', xi, xi' all nonnegative.
     """
-    s = core.State.from_array(x) if not isinstance(x, core.State) else x
+    s = core.State.from_array(x)
     return s.phi >= 0.0 and s.dphi >= 0.0 and xi_value(s) >= 0.0 and xi_prime(s) >= 0.0
 
 

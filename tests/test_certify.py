@@ -200,6 +200,43 @@ def test_proof_trees_are_pinned(all_certs):
     assert d["cells_retained"] == 5392
 
 
+# The nine certificates' statements: coordinate system, target, default
+# min_width, and the hex endpoints of every region in order.
+_0, _1 = "0x0.0p+0", "0x1.0000000000000p+0"
+_HALF_PI = "0x1.921fb54442d19p+0"  # pi/2 rounded up
+PINNED_TASKS = {
+    "V1": ("(phi0, phi)", "a(phi0, phi, v) >= 0.1 via a >= a|_{v=0}", 1e-5,
+           [[(_0, _HALF_PI), (_0, "0x1.921fb54442d19p+1")]]),
+    "V2": ("(phi0, phi)", "v^0 coefficient of P >= 0.01", 1e-5,
+           [[("0x1.999999999999ap-2", _HALF_PI), (_0, _HALF_PI)]]),
+    "V3": ("(phi0, z)", "v^0 coefficient of P >= 0.01", 1e-5,
+           [[("0x1.47ae147ae147bp-7", "0x1.999999999999ap-2"), (_0, _1)],
+            [(_0, "0x1.999999999999ap-2"), ("0x1.47ae147ae147bp-7", _1)]]),
+    "V4": ("(phi0, phi)", "two-term Taylor enclosure of the v^0 coefficient is strictly positive", 1e-5,
+           [[(_0, "0x1.47ae147ae147bp-7"), (_0, "0x1.5810624dd2f1bp-6")]]),
+    "V5": ("(phi0, phi)", "v^2 coefficient of P >= 0.01 away from the origin; Taylor-positive near it", 1e-5,
+           [[("0x1.c28f5c28f5c29p-4", _HALF_PI), (_0, _HALF_PI)],
+            [(_0, _HALF_PI), ("0x1.3a92a30553261p-11", _HALF_PI)],
+            [(_0, "0x1.c28f5c28f5c29p-4"), (_0, "0x1.3a92a30553261p-11")]]),
+    "V6": ("(phi0, phi)", "v^1 coefficient of P >= 0.01", 1e-5,
+           [[(_1, _HALF_PI), (_0, _HALF_PI)]]),
+    "V7": ("(phi0, z)", "sublevel set {v^1 coefficient <= 0.01} lies inside [0, 783/1024] x [779/1024, 1]",
+           1e-5, [[(_0, _1), (_0, _1)]]),
+    "V8": ("(phi0, z)", "min over v of c0 + c1 v + c2 v^2 (= c0 - c1^2 / 4 c2) >= 0.5 on the reference box",
+           1e-4, [[(_0, "0x1.8780000000000p-1"), ("0x1.8580000000000p-1", _1)]]),
+    "V9": ("(phi)", "q0 > 1.9 on [pi/8, 3]; analytic tail bounds confirmed at sample points", 1e-4,
+           [[("0x1.921fb54442d18p-2", "0x1.8000000000000p+1")]]),
+}
+
+
+def test_certificate_tasks_are_pinned(all_certs):
+    assert tuple(PINNED_TASKS) == certify.TASK_IDS
+    for tid, (coords, target, min_width, regions_hex) in PINNED_TASKS.items():
+        cert = all_certs[tid]
+        assert (cert.coordinate_system, cert.target, cert.min_width) == (coords, target, min_width), tid
+        assert [[(iv.lo.hex(), iv.hi.hex()) for iv in r.dims] for r in cert.regions] == regions_hex, tid
+
+
 def test_v1_and_v6_discharge_at_the_root(all_certs):
     assert all_certs["V1"].boxes_examined == 1
     assert all_certs["V6"].boxes_examined == 1

@@ -351,6 +351,7 @@ def test_a_csv_writer_that_dies_leaves_no_file(tmp_path, monkeypatch, writer):
     with pytest.raises(RuntimeError, match="writer died"):
         write()
     assert not os.path.exists(path)
+    assert not os.path.exists(path + ".tmp")
 
 
 def test_no_output_without_out_flag(tmp_path, monkeypatch, capsys):
