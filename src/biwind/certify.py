@@ -4,8 +4,8 @@ Every computer-assisted inequality behind the d = 5 heteroclinic argument is
 re-proved here with outward-rounded interval arithmetic.  The coefficients
 themselves are not written here: they are the generic forms of `regions`
 (`coeff_a`, `coeff_c0`, ..., `phi_of_z`), evaluated under
-`intervals.INTERVAL` on interval boxes and under an exact-series context on
-polynomials.  This module holds
+`intervals.INTERVAL` on interval boxes and under the exact-series context
+`_SERIES` on polynomials (contexts are described in `core`).  This module holds
 
 * a branch-and-bound engine (`prove_lower_bound`) that bisects the widest
   box dimension, discharges a box once the interval evaluation clears the
@@ -41,9 +41,9 @@ import functools
 import json
 import math
 import time
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -299,7 +299,7 @@ class _Sym:
         return self._series(((0, Fraction(1)), (2, Fraction(-1, 2)), (4, Fraction(1, 24))), 6, 720)
 
 
-_SERIES = SimpleNamespace(sin=_Sym.sin, cos=_Sym.cos, sqrt6=_Sym.const(0, 1))
+_SERIES = types.SimpleNamespace(sin=_Sym.sin, cos=_Sym.cos, sqrt6=_Sym.const(0, 1))
 
 
 @functools.cache

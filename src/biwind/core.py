@@ -18,19 +18,30 @@ companion), the Lyapunov energy and its dissipation rate, the
 pi-shift/reflection symmetries, the threshold c_star used by the blowup
 criterion, the linearizations at the two families of equilibria, the
 classical second-order (harmonic map) analogue, and the residual of the
-original radial equation.  Everything here is plain
-floating point; certified bounds live in `intervals`/`certify`.
+original radial equation, in plain floating point; certified bounds live
+in `intervals`/`certify`.
+
+Code written once for every number type takes a context `ctx` drawn from
+one vocabulary: `mpf(x)` (x in the type), `sin`, `cos`, `sqrt6`, `square(x)`
+(x^2) and `fdot(a, b)` (the sum of the a_i b_i).  `FLOAT` (`mpf`, `sin`,
+`cos`, `fdot`) works on doubles and `NUMPY` (`sin`, `cos`, `sqrt6`, `square`)
+on numpy arrays; `intervals.INTERVAL` and `taylor.mp_context` carry all six,
+and the exact series of `certify` carry `sin`, `cos` and `sqrt6`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import types
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
 __all__ = [
+    "FLOAT",
+    "NUMPY",
     "State",
     "EnergyBreakdown",
     "HarmonicState",
@@ -64,6 +75,11 @@ def _check_dim(d: int) -> None:
         raise TypeError(f"dimension must be an integer, got {type(d).__name__}")
     if not DIM_LO <= d <= DIM_HI:
         raise ValueError(f"dimension d={d} outside supported range [{DIM_LO}, {DIM_HI}]")
+
+
+FLOAT = types.SimpleNamespace(mpf=float, sin=math.sin, cos=math.cos,
+                              fdot=lambda a, b: math.fsum(map(operator.mul, a, b)))
+NUMPY = types.SimpleNamespace(sin=np.sin, cos=np.cos, sqrt6=math.sqrt(6.0), square=np.square)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,30 +164,31 @@ def coeff_q_prime(d: int, phi):
 # Vector fields.
 
 
-def _make_rhs(d: int, reverse: bool = False, lib=math) -> Callable[[float, object], tuple]:
-    """The field as a 4-tuple of derivatives; `lib` supplies sin and cos.
+def _field_constants(d: int) -> tuple[float, ...]:
+    """d-1, -(d-11) d - 21, (3/2)(d-3)(d-1), 3d-5 and d-4: integers or exact halves."""
+    return float(d - 1), float(-(d - 11) * d - 21), 1.5 * (d - 3) * (d - 1), float(3 * d - 5), float(d - 4)
 
-    With `math` it takes one jet.  With `numpy` it takes a (4, n) array whose
-    columns are jets and returns one row of n values per component, each lane
-    computed by the same operations in the same order as a single jet.  With
-    `reverse` it is the field of the s -> -s pullback u(sigma) = phi(-sigma):
-    the odd-derivative forcing terms flip sign, which is -J f(J x) with
-    J = diag(1,-1,1,-1).
+
+def _make_rhs(d: int, reverse: bool = False, ctx=FLOAT) -> Callable[[float, object], tuple]:
+    """The field as a 4-tuple of derivatives, with `ctx.sin` and `ctx.cos`.
+
+    Under `FLOAT` it takes one jet; under `NUMPY`, a (4, n) array of jet
+    columns, and each of its n lanes runs the operations of a single jet in
+    the same order.  With `reverse` it is the field of the pullback
+    u(sigma) = phi(-sigma): the odd-derivative terms flip sign, giving
+    -J f(J x) with J = diag(1,-1,1,-1).
     """
-    d1 = float(d - 1)
-    k = float(-(d - 11) * d - 21)
-    c3 = 1.5 * (d - 3) * (d - 1)
-    gk = float(3 * d - 5)
-    a = float(d - 4)
+    d1, k, c3, gk, a = _field_constants(d)
     sgn = -1.0 if reverse else 1.0
+    sin, cos = ctx.sin, ctx.cos
 
     def rhs(s: float, y) -> tuple:
         phi = y[0]
         v = y[1]
         w2 = y[2]
         w3 = y[3]
-        sin2 = lib.sin(2.0 * phi)
-        cos2 = lib.cos(2.0 * phi)
+        sin2 = sin(2.0 * phi)
+        cos2 = cos(2.0 * phi)
         acc = (
             (d1 * cos2 + k) * w2
             - c3 * sin2
@@ -265,12 +282,8 @@ def c_star(d: int) -> float:
     """
     if d not in (5, 6, 7):
         raise ValueError(f"c_star requires d in {{5, 6, 7}}, got d={d}")
-    a = float(d - 1)
-    b = float(-(d - 11) * d - 21)
-    m1 = (d - 1) / 6.0
-    m2 = 1.5 * (d - 3) * (d - 1) / math.sqrt(b * b - a * a)
-    m3 = math.sqrt(3.0 * (d - 3) * (d - 1))
-    return max(m1, m2, m3)
+    a, b, c3, _, _ = _field_constants(d)
+    return max(a / 6.0, c3 / math.sqrt(b * b - a * a), math.sqrt(2.0 * c3))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import config, core
-from .core import _make_rhs
+from .core import NUMPY, _make_rhs
 
 __all__ = [
     "IntegrationConfig",
@@ -322,7 +322,7 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     with np.errstate(all="ignore"):
         f = rhs(0.0, y)
         h_abs = float(_initial_step(
-            _make_rhs(d, reverse, lib=np), np.array(y)[:, None], np.array(f)[:, None],
+            _make_rhs(d, reverse, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
             float(cfg.max_span), max_step, rtol, atol,
         )[0])
         while True:
@@ -430,7 +430,7 @@ def integrate_lanes(
     if not jets:
         return []
     core.vector_field(d, jets[0])  # validates d
-    rhs = _make_rhs(d, reverse=False, lib=np)
+    rhs = _make_rhs(d, reverse=False, ctx=NUMPY)
     cs = core.c_star(d)
     t_bound, max_step = float(cfg.max_span), float(cfg.max_step)
     rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol

@@ -25,19 +25,20 @@ scalar `Interval` stays the reference implementation.
 
 Transcendental constants are provided as two-endpoint enclosures: `pi_iv`
 brackets pi (math.pi itself rounds down), `sqrt6_iv` brackets sqrt(6).
-`INTERVAL` is the number-type context (`sin`, `cos`, `sqrt6`, `square`) under
-which the generic coefficient forms of `regions` evaluate on `Interval` and
-`IntervalArray` arguments alike.  Boxes
+`INTERVAL` is the number-type context (see `core`) under which the
+coefficient forms of `regions` evaluate on `Interval` and `IntervalArray`
+arguments alike, and `taylor.coefficients` on `Interval` jets.  Boxes
 are ordered tuples of intervals, or of `IntervalArray`s for one box per lane;
 bisection always splits the widest dimension at the floating-point midpoint.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import types
 from dataclasses import dataclass
-from operator import methodcaller
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -440,11 +441,13 @@ def sqrt6_iv() -> Interval:
     return Interval(_dn(s), _up(s))
 
 
-INTERVAL = SimpleNamespace(
-    sin=methodcaller("sin"),
-    cos=methodcaller("cos"),
+INTERVAL = types.SimpleNamespace(
+    mpf=Interval.point,
+    sin=operator.methodcaller("sin"),
+    cos=operator.methodcaller("cos"),
     sqrt6=sqrt6_iv(),
-    square=methodcaller("power", 2),
+    square=operator.methodcaller("power", 2),
+    fdot=lambda a, b: functools.reduce(operator.add, map(operator.mul, a, b)),
 )
 
 

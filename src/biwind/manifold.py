@@ -118,7 +118,7 @@ class ClassificationResult:
 
 def seed_state(spec: SeedSpec) -> core.State:
     """Point on the first-order unstable chart at angle theta, radius eps0."""
-    return core.State(*_seed_jet(spec.eps0, spec.theta, taylor.FLOAT))
+    return core.State(*_seed_jet(spec.eps0, spec.theta, core.FLOAT))
 
 
 def _seed_jet(eps0, theta, ctx) -> tuple:

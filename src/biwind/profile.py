@@ -151,7 +151,7 @@ def to_radial(traj: integrate.Trajectory, shift: float | None = None) -> RadialP
     states = np.asarray(traj.states, dtype=float)[keep]
     r = np.exp(s - shift)
     phi, dphi, d2phi, d3phi = states.T
-    d4phi = core._make_rhs(traj.d, lib=np)(0.0, states.T)[3]
+    d4phi = core._make_rhs(traj.d, ctx=core.NUMPY)(0.0, states.T)[3]
     return RadialProfile(
         r=r,
         psi=phi.copy(),

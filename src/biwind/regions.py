@@ -16,10 +16,10 @@ positivity is certified in `certify`:
 
 The coefficients a, c0, c1, c2 and q0 of those problems, and the chart
 phi_of_z, are written once here, generic over their number type: each takes
-a context `ctx` with `sin`, `cos`, `sqrt6` and `square`, as
-`taylor.coefficients` does.  `NUMPY` evaluates them on floats and numpy
-arrays, `intervals.INTERVAL` on the interval boxes of `certify`, and `certify`
-builds an exact-series context for its Taylor enclosures.  The rest of the
+a context `ctx` (see `core`) with `sin`, `cos`, `sqrt6` and `square`.
+`core.NUMPY` evaluates them on floats and numpy arrays, `intervals.INTERVAL`
+on the interval boxes of `certify`, `taylor.mp_context` in mpmath, and the
+exact series of `certify` give its Taylor enclosures.  The rest of the
 module works in plain floating point (numpy broadcasting supported where
 useful) and checks the growth sandwich for the cubic blowup polynomial p.
 Residual helpers verify the decompositions along whole trajectories; like
@@ -32,11 +32,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import core
+from .core import NUMPY
 from .config import BOUNDARY_TOL
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "region_gap",
     "in_region_C",
     "in_minus_C",
-    "NUMPY",
     "phi_of_z",
     "coeff_a",
     "coeff_c0",
@@ -74,7 +73,7 @@ __all__ = [
     "growth_bound_check",
 ]
 
-SQRT6 = math.sqrt(6.0)
+SQRT6 = NUMPY.sqrt6
 
 #: Constant of the growth sandwich
 #:     6 (xi2 - c*) xi1^2 + xi1^3 / C1  <=  p  <=  6 xi1^2 xi2 + C1 (1 + xi2 + xi1^3)
@@ -140,9 +139,6 @@ def in_minus_C(x: float, y: float, tol: float = BOUNDARY_TOL) -> Membership:
 # Constants stand right of each product so that one expression serves every
 # type, and each form keeps one operation order: floats and intervals round
 # in that order, and the exact series collect remainder mass in it.
-
-NUMPY = SimpleNamespace(sin=np.sin, cos=np.cos, sqrt6=SQRT6, square=np.square)
-
 
 def phi_of_z(phi0, z, ctx=NUMPY):
     """phi = phi0 + z cos(phi0) / (1 + sin(phi0)): the chart with z = 1 at phi_max."""
@@ -244,7 +240,7 @@ def _jets(traj, what: str) -> tuple:
     if traj.d != 5:
         raise ValueError(f"{what} decomposition requires d=5, got d={traj.d}")
     x = np.asarray(traj.states, dtype=float).T
-    return (*x, core._make_rhs(5, lib=np)(0.0, x)[3])
+    return (*x, core._make_rhs(5, ctx=NUMPY)(0.0, x)[3])
 
 
 def _worst_scaled_gap(lhs, rhs) -> float:
@@ -352,21 +348,20 @@ def p_value(d: int, xi0, xi1, xi2):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def growth_bounds(d: int, xi0: float, xi1: float, xi2: float) -> tuple[float, float, float]:
-    """(lower, p, upper) of the growth sandwich at one phase point.
+def growth_bounds(d: int, xi0, xi1, xi2) -> tuple:
+    """(lower, p, upper) of the growth sandwich at phase points, floats or arrays.
 
     Requires d in {5, 6, 7}, xi1 >= 0 and xi2 >= c_star(d); within that cone
     lower <= p <= upper holds with the module constant GROWTH_C1.
     """
     c0 = core.c_star(d)
-    if xi1 < 0.0:
-        raise ValueError(f"xi1 must be nonnegative, got {xi1}")
-    if xi2 < c0:
-        raise ValueError(f"xi2 must be at least c_star(d)={c0}, got {xi2}")
-    value = p_value(d, xi0, xi1, xi2)
+    if np.min(xi1) < 0.0:
+        raise ValueError(f"xi1 must be nonnegative, got {np.min(xi1)}")
+    if np.min(xi2) < c0:
+        raise ValueError(f"xi2 must be at least c_star(d)={c0}, got {np.min(xi2)}")
     lower = 6.0 * (xi2 - c0) * xi1 ** 2 + xi1 ** 3 / GROWTH_C1
     upper = 6.0 * xi1 ** 2 * xi2 + GROWTH_C1 * (1.0 + xi2 + xi1 ** 3)
-    return lower, value, upper
+    return lower, p_value(d, xi0, xi1, xi2), upper
 
 
 @dataclass(frozen=True)
@@ -383,21 +378,14 @@ def growth_bound_check(d: int, samples: int = 100_000, seed: int = 0) -> GrowthR
     Draws mix moderate and large scales so the cubic terms dominate on part
     of the sweep; margins are the smallest slack seen on each side.
     """
-    c0 = core.c_star(d)
     rng = np.random.default_rng(seed)
-    n1 = samples // 2
-    n2 = samples // 4
-    n3 = samples - n1 - n2
-    xi1 = np.concatenate(
-        [rng.uniform(0.0, 3.0, n1), rng.uniform(0.0, 50.0, n2), rng.uniform(0.0, 1e3, n3)]
-    )
-    xi2 = c0 + np.concatenate(
-        [rng.uniform(0.0, 3.0, n1), rng.uniform(0.0, 50.0, n2), rng.uniform(0.0, 1e3, n3)]
-    )
+    n1, n2 = samples // 2, samples // 4
+    scales = ((3.0, n1), (50.0, n2), (1e3, samples - n1 - n2))
+    draw = lambda: np.concatenate([rng.uniform(0.0, hi, n) for hi, n in scales])
+    xi1 = draw()
+    xi2 = core.c_star(d) + draw()
     xi0 = rng.uniform(-10.0, 10.0, samples)
-    p = p_value(d, xi0, xi1, xi2)
-    lower = 6.0 * (xi2 - c0) * xi1 ** 2 + xi1 ** 3 / GROWTH_C1
-    upper = 6.0 * xi1 ** 2 * xi2 + GROWTH_C1 * (1.0 + xi2 + xi1 ** 3)
+    lower, p, upper = growth_bounds(d, xi0, xi1, xi2)
     lo_margin = p - lower
     hi_margin = upper - p
     violations = int(np.sum(lo_margin < 0.0) + np.sum(hi_margin < 0.0))

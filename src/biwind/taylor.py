@@ -11,34 +11,26 @@ coefficient of phi'''' divided by (n+1)(n+2)(n+3)(n+4).  The step size comes
 from the size of the last two coefficients and the order from the tolerance
 (Jorba and Zou, Experimental Mathematics 14, 2005).
 
-Arithmetic goes through a context object with `mpf`, `sin`, `cos` and
-`fdot` attributes.  `FLOAT` is plain double precision; an mpmath `MPContext`
-has the same attributes, so the same code runs at any precision.
+Arithmetic goes through a number-type context (see `core`) with `mpf`,
+`sin`, `cos` and `fdot`: `core.FLOAT` in double precision, `mp_context` at any
+precision, and `intervals.INTERVAL` for outward-rounded coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
+from . import core
+
 __all__ = [
-    "FLOAT",
     "TaylorOrbit",
     "mp_context",
     "coefficients",
     "jet",
     "integrate",
 ]
-
-FLOAT = SimpleNamespace(
-    mpf=float,
-    sin=math.sin,
-    cos=math.cos,
-    fdot=lambda a, b: math.fsum(map(operator.mul, a, b)),
-)
 
 # Jorba-Zou safety factor exp(-0.7 / (order - 1)) keeps the step inside the
 # estimated radius of convergence.
@@ -51,8 +43,8 @@ SAMPLE_STEP = 0.1
 def mp_context(digits: int):
     """A private mpmath context working at `digits` significant digits.
 
-    mpmath is imported here, not at module level, so the double-precision
-    code paths never load it.
+    It adds `sqrt6` and `square` to mpmath's own attributes.  mpmath is
+    imported here, not at module level, so double-precision runs never load it.
     """
     if not (isinstance(digits, int) and digits >= 16):
         raise ValueError(f"digits must be an integer >= 16, got {digits!r}")
@@ -65,6 +57,8 @@ def mp_context(digits: int):
         ) from err
     ctx = mpmath.MPContext()
     ctx.dps = digits
+    ctx.sqrt6 = ctx.sqrt(6)
+    ctx.square = lambda x: x * x
     return ctx
 
 
@@ -80,17 +74,16 @@ class TaylorOrbit:
     stopped: bool
 
 
-def coefficients(d: int, x: Sequence, order: int, ctx=FLOAT) -> list:
+def coefficients(d: int, x: Sequence, order: int, ctx=core.FLOAT) -> list:
     """Taylor coefficients c_0..c_order of phi about the jet x = (phi, phi', phi'', phi''').
 
     c_k = phi^(k)(s0) / k!, so 24 c_4 is the field's fourth derivative at x.
     """
+    core._check_dim(d)
     if order < 4:
         raise ValueError(f"order must be at least 4, got {order}")
     phi, dphi, d2phi, d3phi = (ctx.mpf(t) for t in x)
-    a4 = d - 4
-    k_q = -(d - 11) * d - 21
-    c_f = 1.5 * (d - 3) * (d - 1)
+    d1, k_q, c_f, gk, a4 = core._field_constants(d)
     c = [phi, dphi, d2phi / 2, d3phi / 6]
     sin2 = [ctx.sin(2 * phi)]
     cos2 = [ctx.cos(2 * phi)]
@@ -112,20 +105,20 @@ def coefficients(d: int, x: Sequence, order: int, ctx=FLOAT) -> list:
             sin2.append(s_n)
         vv.append(ctx.fdot(v, v[::-1]))
         lin.append(y[n] + a4 * v[n])
-        quad.append(6 * y[n] - (d - 1) * sin2[n] + 2 * a4 * v[n])
+        quad.append(6 * y[n] - d1 * sin2[n] + 2 * a4 * v[n])
         acc = (
-            (d - 1) * ctx.fdot(cos2, lin[::-1])
+            d1 * ctx.fdot(cos2, lin[::-1])
             + k_q * y[n]
             - c_f * sin2[n]
             + ctx.fdot(vv, quad[::-1])
-            + a4 * (3 * d - 5) * v[n]
+            + a4 * gk * v[n]
             - 2 * a4 * w[n]
         )
         c.append(acc / ((n + 1) * (n + 2) * (n + 3) * (n + 4)))
     return c
 
 
-def jet(c: Sequence, h, ctx=FLOAT) -> tuple:
+def jet(c: Sequence, h, ctx=core.FLOAT) -> tuple:
     """(phi, phi', phi'', phi''') of the polynomial sum_k c_k h^k at h."""
     powers = [ctx.mpf(1)]
     for _ in range(len(c) - 1):
@@ -156,7 +149,7 @@ def integrate(
     span: float,
     *,
     tol: float,
-    ctx=FLOAT,
+    ctx=core.FLOAT,
     stop: Callable[[tuple], bool] | None = None,
 ) -> TaylorOrbit:
     """Integrate the forward flow from x0 over [0, span].
@@ -167,6 +160,9 @@ def integrate(
     from the Taylor polynomial of the step that covers it.  A run ends early
     at the first sample where stop(state) is true.
     """
+    core._check_dim(d)
+    if not all(math.isfinite(t) for t in x0):
+        raise ValueError(f"seed must be finite, got {tuple(x0)!r}")
     if not (span > 0.0 and math.isfinite(span)):
         raise ValueError(f"span must be positive and finite, got {span}")
     if not (0.0 < tol < 1.0):

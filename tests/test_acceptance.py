@@ -36,7 +36,7 @@ def certs_w1():
 
 
 # ---------------------------------------------------------------------------
-# 1. All nine certificate tasks prove at default widths, each under 5 minutes.
+# 1. Every task in certify.TASK_IDS proves at default widths, each under 5 minutes.
 
 
 def test_criterion_01_certificates_all_proved(certs_w1):

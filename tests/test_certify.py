@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from biwind import certify, regions
+from biwind import certify, core, regions, taylor
 from biwind.certify import Status
 from biwind.intervals import INTERVAL, Box, Interval
 
@@ -21,6 +21,7 @@ def _zmap(phi0, z):
 
 
 def test_interval_coefficients_contain_float_values():
+    mp = taylor.mp_context(30)
     rng = np.random.default_rng(3)
     for _ in range(2000):
         p0 = rng.uniform(0.0, math.pi / 2)
@@ -38,6 +39,22 @@ def test_interval_coefficients_contain_float_values():
         assert regions.phi_of_z(i0, Interval.point(z), INTERVAL).contains(phz)
         q0 = float(regions.Q_cubic_coefficients(ph)[0])
         assert regions.coeff_q0(i1, INTERVAL).contains(q0)
+        # the same forms in mpmath: inside the enclosure, and near the doubles
+        # (an absolute floor covers cancellation near the zeros of c0 and c1)
+        for form, xs in [(regions.coeff_a, (p0, ph, v)), (regions.coeff_c0, (p0, ph)),
+                         (regions.coeff_c1, (p0, ph)), (regions.coeff_c2, (p0, ph)),
+                         (regions.coeff_q0, (ph,)), (regions.phi_of_z, (p0, z))]:
+            got = form(*map(mp.mpf, xs), mp)
+            assert form(*map(Interval.point, xs), INTERVAL).contains(got), form.__name__
+            assert float(got) == pytest.approx(form(*xs, core.NUMPY), rel=1e-14, abs=1e-13)
+
+
+def test_number_type_contexts_share_one_vocabulary():
+    vocabulary = {"mpf", "sin", "cos", "sqrt6", "square", "fdot"}
+    for ctx in (core.FLOAT, core.NUMPY, INTERVAL, certify._SERIES):
+        assert set(vars(ctx)) <= vocabulary
+    for ctx in (INTERVAL, taylor.mp_context(30)):
+        assert all(hasattr(ctx, name) for name in vocabulary)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -312,6 +313,35 @@ def test_no_temp_files_left_behind(verify_all, wind_run, tmp_path):
     for base in (verify_all[2], wind_run[1]):
         parent = type(tmp_path)(base).parent
         assert not list(parent.glob("*.tmp"))
+
+
+# The float-side artifacts, pinned by the sha256 of what replay compares:
+# JSON without `wall_ms`, every other file as its bytes.
+PINNED_ARTIFACTS = {
+    ("classify", "--grid", "6"): {
+        "classify.csv": "ebbf9da7cb82e2b825c029c7d7e802e23e89b5376e53074b2b5a12e4fe5521f5",
+    },
+    ("wind",): {
+        "wind.json": "9a10221af02ce555f3efb3fca49cb58fc423729600398e1cd4ed2f65f2feedf7",
+        "wind.csv": "2fe6f96018eae588d1f1c62a84b68013de22daeec4d601142e66d78642f19cf3",
+    },
+    ("shoot", "--theta-tol", "1e-3"): {
+        "shoot.json": "bb0c1a70a0f37019d55840090e7cce642ba0a94384f47519a8b81ea00d58fc54",
+        "shoot.csv": "48dd40ada8332dfcfe3f3c68d43068cd735ec0c1be2434eb14ff9889b8865475",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_ARTIFACTS), ids=lambda argv: argv[0])
+def test_float_artifacts_are_pinned(tmp_path, argv):
+    base = tmp_path / argv[0]
+    assert run([*argv, "--out", str(base)]) == 0
+    got = {}
+    for path in read_manifest(base)["outputs"]:
+        data = cli._comparable(path)
+        data = data.encode() if isinstance(data, str) else data
+        got[os.path.basename(path)] = hashlib.sha256(data).hexdigest()
+    assert got == PINNED_ARTIFACTS[argv]
 
 
 def _raise_on_call(n, real):

@@ -39,7 +39,7 @@ def test_lane_rhs_matches_public_field_column_by_column(d):
     # the lanes evaluate the same closure as the serial integrator, on (4, n) arrays
     rng = np.random.default_rng(17 + d)
     x = rng.uniform(-2.5, 2.5, size=(4, 500))
-    got = np.array(itg._make_rhs(d, reverse=False, lib=np)(0.0, x))
+    got = np.array(itg._make_rhs(d, reverse=False, ctx=core.NUMPY)(0.0, x))
     scalar = itg._make_rhs(d, reverse=False)
     phi, v, y, w = x
     terms = np.abs([

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biwind import core, integrate, manifold, taylor
+from biwind.intervals import INTERVAL
 
 
 @pytest.mark.parametrize("d", [5, 7])
@@ -25,6 +26,18 @@ def test_fourth_coefficient_in_extended_precision():
     assert float(24 * c[4]) == pytest.approx(core.vector_field(5, x)[3], rel=1e-14)
 
 
+def test_coefficients_on_intervals_enclose_the_float_ones():
+    # the same recurrences under the outward-rounded interval context
+    x = manifold.seed_state(manifold.SeedSpec(1e-3, -math.pi / 2)).as_array()
+    enclosed = taylor.coefficients(5, x, 20, INTERVAL)
+    floats = taylor.coefficients(5, x, 20, core.FLOAT)
+    assert len(enclosed) == len(floats) == 21
+    for iv, c in zip(enclosed, floats):
+        assert iv.contains(c)
+    assert (24 * enclosed[4]).contains(core.vector_field(5, x)[3])
+    assert 0.0 < enclosed[20].width < 1e-22
+
+
 def test_jet_differentiates_the_polynomial():
     c = [1.0, 2.0, -3.0, 0.5, 0.25]
     h = 0.7
@@ -39,7 +52,7 @@ def test_jet_differentiates_the_polynomial():
     )
 
 
-@pytest.mark.parametrize("ctx", [taylor.FLOAT, "mp"])
+@pytest.mark.parametrize("ctx", [core.FLOAT, "mp"])
 def test_state_at_s5_matches_rk45(ctx):
     if ctx == "mp":
         pytest.importorskip("mpmath")
@@ -78,6 +91,18 @@ def test_integrate_rejects_bad_input():
         taylor.integrate(5, x, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         taylor.coefficients(5, x, 3)
+    for d in (2, 11):
+        with pytest.raises(ValueError, match="dimension"):
+            taylor.coefficients(d, x, 8)
+        with pytest.raises(ValueError, match="dimension"):
+            taylor.integrate(d, x, 1.0, tol=1e-12)
+    with pytest.raises(TypeError, match="dimension"):
+        taylor.coefficients(5.5, x, 8)
+    with pytest.raises(TypeError, match="dimension"):
+        taylor.integrate(5.5, x, 1.0, tol=1e-12)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            taylor.integrate(5, (bad, 0.0, 0.0, 0.0), 1.0, tol=1e-12)
     with pytest.raises(ValueError):
         taylor.mp_context(10)
 
