@@ -3,18 +3,24 @@
 One Dormand-Prince 5(4) kernel (Dormand and Prince, J. Comput. Appl. Math. 6,
 1980) with the step control and initial step of Hairer, Norsett and Wanner,
 Solving ODEs I, sec. II.4, drives two loops.  `integrate` runs one orbit on
-four Python floats and keeps every accepted step's dense-output coefficients.
-`integrate_lanes` runs many seeds at once as the columns of a (4, n) array, a
-step size per lane, and keeps no trajectory.  Both sum the stages, the error
-norm and the interpolant elementwise in one fixed order, so an orbit's bits
-depend on its seed only: not on the loop that ran it, nor on the other lanes.
+four Python floats and keeps every accepted step's stages, from which
+`sample_at` builds the dense output.  `integrate_lanes` runs many seeds at
+once as the columns of a (4, n) array, a step size per lane, and keeps no
+trajectory.  Both sum the stages, the error norm and the interpolant
+elementwise in one fixed order, so an orbit's bits depend on its seed only:
+not on the loop that ran it, nor on the other lanes.
 
 Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
 scans over a fixed grid in each accepted step, evaluated on the step's quartic
 interpolant (dense-output event location, Hairer, Norsett and Wanner, sec.
 II.6).  The first scan interval with a sign change is sharpened by bisection on
 the interpolant to `event_refine_tol`, or to adjacent doubles when that is
-finer; the earliest crossing found there ends the run.  Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
+finer; the earliest crossing found there ends the run.  A single orbit first
+bounds the interpolant over the whole step by its stages (`_reach`) and skips
+the scan, and the dense output it needs, when that bound stays below the
+blowup threshold and the watched gates; a skipped scan could have found
+nothing, so the orbit is the same bit for bit.  The lanes scan every step.
+Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
 samples are the true backward states of the orbit through x0, so a forward run
 followed by a reversed run returns to the starting jet.
 """
@@ -41,6 +47,7 @@ __all__ = [
     "TerminationKind",
     "Termination",
     "Trajectory",
+    "StepStats",
     "IntegrationError",
     "integrate",
     "integrate_reversed",
@@ -105,12 +112,32 @@ class Termination:
 
 
 @dataclass
+class StepStats:
+    """What one `integrate` or `integrate_reversed` run did.
+
+    Every accepted step is either `scanned` for events or `skipped`, because
+    its `_reach` bound showed that no event can lie on it.  `field_evals`
+    counts the field calls, six per trial step (a trial cut short by an
+    overflowing stage counts all six) plus two for the initial step.
+    `bisections` counts the halvings that located the ending event.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    field_evals: int = 0
+    scanned: int = 0
+    skipped: int = 0
+    bisections: int = 0
+
+
+@dataclass
 class Trajectory:
-    """Ordered samples of one run plus its dense output.
+    """Ordered samples of one run plus what it takes to interpolate them.
 
     `s` is strictly increasing; `states[k]` is the jet at `s[k]`.  The step
-    from `s[k]` has the dense-output coefficients and size `_steps[k]`, which
-    cover [s[k], s[k+1]] and back `sample_at`.
+    from `s[k]` has the Runge-Kutta stages and size `_steps[k]`; its dense
+    output (`_dense`) covers [s[k], s[k+1]] and backs `sample_at`.  `stats`
+    counts the run's steps and is kept in memory only.
     """
 
     d: int
@@ -119,6 +146,7 @@ class Trajectory:
     termination: Termination
     _steps: list[tuple[list, float]] = field(default_factory=list, repr=False)
     _mirror: bool = field(default=False, repr=False)
+    stats: StepStats = field(default_factory=StepStats, repr=False)
 
     @property
     def samples(self) -> Iterator[tuple[float, core.State]]:
@@ -158,6 +186,23 @@ _P = (
 )
 _P_COLUMNS = tuple(zip(*_P))  # coefficient k of the interpolant, one weight per stage
 _P_LANES = np.array(_P)[:, :, None, None]  # one (4, 4, n) combination for all lanes
+
+# The interpolant of a step is y + h * sum_k q_k x^(k+1) with x in [0, 1] and
+# q_k = sum_j P[j][k] K_j, so each component c obeys
+#     |y_c(x)| <= |y_c| + h * sum_j _P_REACH[j] * |K_j,c|,  _P_REACH[j] = sum_k |P[j][k]|.
+# The scan's x = (g - t) / h lies in [0, 1] up to a rounding or two: g >= t,
+# and the last grid point gives x = h / h = 1 exactly.  The bound and a scanned
+# jet each take fewer than 40 roundings to nearest (the 7-term stage sums, the
+# powers of x and the polynomial, the factor h, the term y_c, the sums of
+# _P_REACH and of the bound itself), so each lies within a factor
+# 1 + gamma_40 ~ 1 + 5e-15 of its exact value (Higham, Accuracy and Stability
+# of Numerical Algorithms, sec. 3.1).  _REACH_MARGIN covers that with room to
+# spare.  A product in the subnormal range errs by up to 2**-1075 absolute
+# instead, fewer than 40 of them, scaled by at most h; (1 + h) * _REACH_FLOOR
+# covers those.  An inf or nan bound never passes the test, so its step scans.
+_P_REACH = tuple(math.fsum(abs(p) for p in row) for row in _P)
+_REACH_MARGIN = 1.0 + 1e-9
+_REACH_FLOOR = 2.0 ** -1000
 
 _ERROR_EXPONENT = -1.0 / 5  # -1 / (order of the embedded estimate + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -219,11 +264,37 @@ def _trial_step(rhs, y: Sequence[float], f: tuple, h: float) -> tuple[list, list
     return y_new, K
 
 
+def _dense(K: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The dense-output coefficients q[k][c] of one jet's step from its stages."""
+    return [[_combo(kc, col) for kc in zip(*K)] for col in _P_COLUMNS]
+
+
+def _reach(y: Sequence[float], K: Sequence[Sequence[float]], h: float) -> list[float]:
+    """Per component, a bound on the step's interpolant over all of [t, t + h]."""
+    return [abs(yc) + h * _combo([abs(k) for k in kc], _P_REACH) for yc, kc in zip(y, zip(*K))]
+
+
 # Each accepted step is scanned at its two ends and _SCAN_POINTS equally
 # spaced interior points, on the step's interpolant.  _FRACS * (h / 9) + t0
 # is np.linspace's own arithmetic, without its overhead.
 _SCAN_POINTS = 8
 _FRACS = np.arange(_SCAN_POINTS + 2.0)
+
+
+def _scan(q: list[list[float]], h: float, t: float, t_new: float,
+          y: Sequence[float]) -> tuple[list[float], list[list[float]]]:
+    """The lanes' scan grid on one jet's step and the jet at each grid point;
+    each jet is `_interpolate`'s arithmetic, inlined."""
+    dt = h / (_SCAN_POINTS + 1)
+    grid = [i * dt + t for i in range(_SCAN_POINTS + 1)] + [t_new]
+    jets = []
+    for x in ((g - t) / h for g in grid):
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        jets.append([h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + yc
+                     for q0, q1, q2, q3, yc in zip(*q, y)])
+    return grid, jets
 
 
 def bisect(
@@ -294,7 +365,9 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
 
     Trial steps, step control and the scan are those of `integrate_lanes`,
     on floats, so a forward orbit with both gates watched ends bit for bit as
-    its lane does.
+    its lane does.  An accepted step whose `_reach` bound, with its rounding
+    margin, stays below the blowup threshold and below c_star in |phi''|
+    cannot reach an event, and is neither scanned nor given dense output.
     """
     mirror = core.REVERSAL_SIGNS if reverse else np.ones(4)
     y = (mirror * x0).tolist()
@@ -313,10 +386,14 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     ss: list[float] = [s0]
     ys: list = [y]
     steps: list[tuple[list, float]] = []
+    stats = StepStats()
 
     def finish(term: Termination) -> Trajectory:
+        stats.accepted = len(steps)
+        stats.skipped = stats.accepted - stats.scanned
+        stats.field_evals = 2 + 6 * (stats.accepted + stats.rejected)
         return Trajectory(d, np.array(ss), mirror * np.array(ys), term,
-                          _steps=steps, _mirror=reverse)
+                          _steps=steps, _mirror=reverse, stats=stats)
 
     # As in the lanes, a zero error or jet gives inf and nan, not warnings.
     with np.errstate(all="ignore"):
@@ -348,40 +425,44 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
             if not err < 1.0:  # nan shrinks the step by _MIN_FACTOR
                 h_abs = h * (grow if grow > _MIN_FACTOR else _MIN_FACTOR)
                 rejected = True
+                stats.rejected += 1
                 continue
             up = grow if grow < _MAX_FACTOR else _MAX_FACTOR
             h_abs = h * (min(up, 1.0) if rejected else up)
             rejected = False
+            steps.append((K, h))
 
             # Scan the step on the lanes' grid for the first interval with a
-            # crossing; each jet is `_interpolate`'s arithmetic, inlined.
-            q = [[_combo(kc, col) for kc in zip(*K)] for col in _P_COLUMNS]
-            dt = h / (_SCAN_POINTS + 1)
-            grid = [i * dt + t for i in range(_SCAN_POINTS + 1)] + [t_new]
-            sup, phi2 = [], []
-            for x in ((g - t) / h for g in grid):
-                x2 = x * x
-                x3 = x2 * x
-                x4 = x3 * x
-                jet = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + yc
-                       for q0, q1, q2, q3, yc in zip(*q, y)]
-                sup.append(max(abs(jet[0]), abs(jet[1]), abs(jet[2]), abs(jet[3])))
-                phi2.append(jet[2])
-            for i in range(1, len(grid)):
-                crossed = (
-                    sup[i - 1] < cfg.blowup_norm <= sup[i],
-                    watch_up and phi2[i - 1] < cs <= phi2[i],
-                    watch_down and phi2[i - 1] > -cs >= phi2[i],
-                )
-                if any(crossed):
-                    at = functools.partial(_interpolate, np.array(q), h, t, np.array(y))
-                    term, y_hit = _refine_hit(at, crossed, grid[i - 1], grid[i], cs, cfg)
-                    ss.append(term.s_last)
-                    ys.append(y_hit)
-                    steps.append((q, h))
-                    return finish(term)
+            # crossing, unless no point of the step can reach one.
+            reach = _reach(y, K, h)
+            floor = (1.0 + h) * _REACH_FLOOR
+            if not (max(reach) * _REACH_MARGIN + floor < cfg.blowup_norm
+                    and reach[2] * _REACH_MARGIN + floor < cs):
+                stats.scanned += 1
+                q = _dense(K)
+                grid, jets = _scan(q, h, t, t_new, y)
+                sup = [max(abs(jet[0]), abs(jet[1]), abs(jet[2]), abs(jet[3])) for jet in jets]
+                phi2 = [jet[2] for jet in jets]
+                for i in range(1, len(grid)):
+                    crossed = (
+                        sup[i - 1] < cfg.blowup_norm <= sup[i],
+                        watch_up and phi2[i - 1] < cs <= phi2[i],
+                        watch_down and phi2[i - 1] > -cs >= phi2[i],
+                    )
+                    if any(crossed):
+                        interpolant = functools.partial(
+                            _interpolate, np.array(q), h, t, np.array(y))
 
-            steps.append((q, h))
+                        def at(s: float) -> np.ndarray:
+                            stats.bisections += 1
+                            return interpolant(s)
+
+                        term, y_hit = _refine_hit(at, crossed, grid[i - 1], grid[i], cs, cfg)
+                        stats.bisections -= 1  # the last call reads the jet at the hit
+                        ss.append(term.s_last)
+                        ys.append(y_hit)
+                        return finish(term)
+
             t_old, t, y, f = t, t_new, y_new, K[-1]
             ss.append(t)
             ys.append(y)
@@ -586,8 +667,8 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
     if traj.s[idx] == s:
         return core.State.from_array(traj.states[idx])
     mirror = core.REVERSAL_SIGNS if traj._mirror else 1.0
-    q, h = traj._steps[idx - 1]
-    y = _interpolate(np.array(q), h, traj.s[idx - 1], mirror * traj.states[idx - 1], s)
+    K, h = traj._steps[idx - 1]
+    y = _interpolate(np.array(_dense(K)), h, traj.s[idx - 1], mirror * traj.states[idx - 1], s)
     return core.State.from_array(mirror * y)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from biwind import core, integrate as itg
+from biwind import config, core, integrate as itg, manifold
 
 
 def _connection_jet(s, c=0.0, k=0, refl=False):
@@ -399,3 +400,115 @@ def test_trajectory_samples_iterator_and_end_state():
     assert s0 == 0.0 and isinstance(x0, core.State)
     end = traj.state_at_end()
     assert np.array_equal(end.as_array(), traj.states[-1])
+
+
+# ---------------------------------------------------------------------------
+# The per-step reach bound that lets a serial step skip its event scan.
+
+_GATE_SEED = np.array([0.2, 0.5, 4.0, 5.0])
+_BLOWUP_SEED = np.array([0.4, 0.3, -0.2, 0.5])
+
+
+def _near_underflow() -> itg.Trajectory:
+    # At blowup norm 1e38 the wind seed's step underflows near s = 3.2577.
+    # Ending the span at the last accepted point keeps every step of that run.
+    spec = manifold.SeedSpec(
+        config.WIND_EPS0, manifold.theta0(config.WIND_EPS0) + config.WIND_THETA_OFFSET
+    )
+    cfg = itg.IntegrationConfig(blowup_norm=1e38)
+    with pytest.raises(itg.IntegrationError) as err:
+        itg.integrate(5, manifold.seed_state(spec), cfg=cfg)
+    cfg = dataclasses.replace(cfg, max_span=err.value.s_last)
+    return itg.integrate(5, manifold.seed_state(spec), cfg=cfg)
+
+
+_RUNS = {
+    "up_gate": lambda: itg.integrate(5, _GATE_SEED, watch=[itg.EventKind.SECOND_DERIV_UP]),
+    "down_gate": lambda: itg.integrate(
+        5, -_GATE_SEED, watch=[itg.EventKind.SECOND_DERIV_DOWN]),
+    "blowup_1e3": lambda: itg.integrate(
+        5, _BLOWUP_SEED, cfg=itg.IntegrationConfig(blowup_norm=1e3)),
+    "blowup_1e8": lambda: itg.integrate(5, _BLOWUP_SEED),
+    "span": lambda: itg.integrate(
+        4, _connection_jet(0.0), cfg=itg.IntegrationConfig(max_span=3.0)),
+    # steps of up to 10, so the factor h of the bound is above 1
+    "long_steps": lambda: itg.integrate(5, [1e-9] * 4, cfg=itg.IntegrationConfig(
+        max_span=60.0, max_step=20.0, rel_tol=1e-6, abs_tol=1e-6, blowup_norm=1e3)),
+    "reversed": lambda: itg.integrate_reversed(
+        5, [0.3, -0.4, 0.9, -1.1], cfg=itg.IntegrationConfig(max_span=1.0)),
+    "near_underflow": _near_underflow,
+}
+
+
+def _step_scans(traj: itg.Trajectory):
+    """(reach, scanned jets) of each accepted step of `traj`, as `_drive` has them."""
+    mirror = core.REVERSAL_SIGNS if traj._mirror else np.ones(4)
+    ended_inside = traj.termination.kind is not itg.TerminationKind.SPAN_EXHAUSTED
+    for k, (K, h) in enumerate(traj._steps):
+        t = float(traj.s[k])
+        y = (mirror * traj.states[k]).tolist()
+        # an event or a blowup ends the run inside its last step
+        last = ended_inside and k == len(traj._steps) - 1
+        t_new = t + h if last else float(traj.s[k + 1])
+        yield itg._reach(y, K, h), itg._scan(itg._dense(K), h, t, t_new, y)[1]
+
+
+@pytest.mark.parametrize("run", _RUNS.values(), ids=_RUNS.keys())
+def test_reach_bounds_every_scanned_jet(run):
+    traj = run()
+    assert len(traj._steps) == len(traj.s) - 1 > 0
+    for reach, jets in _step_scans(traj):
+        for jet in jets:
+            assert all(abs(v) <= r for v, r in zip(jet, reach)), (jet, reach)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1.0, 1e3])
+def test_reach_bounds_the_interpolant_of_each_stage(h):
+    # One nonzero stage at a time: a bound without that stage, or (at h = 1e3)
+    # without the factor h, falls below a scanned jet.
+    zero = [0.0] * 4
+    for j, row in enumerate(itg._P):
+        for c in range(4):
+            for sign in (1.0, -1.0):
+                K = [list(zero) for _ in itg._P]
+                K[j][c] = sign
+                reach = itg._reach(zero, K, h)
+                _, jets = itg._scan(itg._dense(K), h, 0.0, h, zero)
+                top = max(abs(jet[c]) for jet in jets)
+                assert top <= reach[c], (j, c, sign)
+                assert (top > 0.0) == any(row), (j, c, sign)
+
+
+def test_shooting_orbits_skip_most_scans(monkeypatch):
+    trajs = []
+    run = itg.integrate
+
+    def recording(*args, **kwargs):
+        trajs.append(run(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(itg, "integrate", recording)
+    manifold.find_heteroclinic()
+    assert len(trajs) > 30
+    for traj in trajs:
+        st = traj.stats
+        assert st.accepted == len(traj.s) - 1 == st.scanned + st.skipped
+        assert st.field_evals == 2 + 6 * (st.accepted + st.rejected)
+        assert (st.bisections > 0) == (traj.termination.kind is itg.TerminationKind.EVENT_STOP)
+    skipped = sum(t.stats.skipped for t in trajs)
+    assert skipped >= 0.8 * sum(t.stats.accepted for t in trajs)
+
+
+@pytest.mark.parametrize("run", _RUNS.values(), ids=_RUNS.keys())
+def test_skipping_scans_changes_no_bit(run, monkeypatch):
+    fast = run()
+    monkeypatch.setattr(itg, "_REACH_MARGIN", math.inf)  # every step scans
+    slow = run()
+    assert fast.stats.skipped > 0 and slow.stats.skipped == 0
+    assert np.array_equal(fast.s, slow.s)
+    assert np.array_equal(fast.states, slow.states)
+    assert fast.termination == slow.termination
+    for s in (0.5 * (fast.s[:-1] + fast.s[1:]))[:: max(1, len(fast.s) // 50)]:
+        assert np.array_equal(
+            itg.sample_at(fast, float(s)).as_array(), itg.sample_at(slow, float(s)).as_array()
+        )
