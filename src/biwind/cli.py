@@ -118,8 +118,8 @@ def _run_verify(params: dict, base: str | None) -> tuple[int, object, list[str]]
 
 
 def _shoot_params(args, parser: _Parser) -> dict:
-    if args.d != 5:
-        parser.error(f"shooting is implemented for d=5 only, got --d {args.d}")
+    if args.d != manifold.D:
+        parser.error(f"shooting is implemented for d={manifold.D} only, got --d {args.d}")
     # before the floor, which would lift a negative tolerance to a valid one
     if not (args.theta_tol > 0.0 and math.isfinite(args.theta_tol)):
         parser.error(f"--theta-tol must be positive, got {args.theta_tol}")
@@ -148,8 +148,7 @@ def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
         print(f"shoot: {err}", file=sys.stderr)
         return EXIT_FAILED, None, []
     end = res.end_state.as_array()
-    target = np.array([0.5 * math.pi, 0.0, 0.0, 0.0])
-    distance = float(np.linalg.norm(end - target))
+    distance = float(np.linalg.norm(end - manifold.TARGET))
     print(
         f"theta* = {theta_star!r} ({res.outcome.value}),"
         f" end distance to (pi/2,0,0,0) = {distance:.6e}"
@@ -168,9 +167,8 @@ def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     }
     if base is None:
         return EXIT_OK, report, []
-    orbit = integrate.integrate(
-        5, manifold.seed_state(manifold.SeedSpec(params["eps0"], theta_star)), cfg=cfg
-    )
+    seed = manifold.seed_state(manifold.SeedSpec(params["eps0"], theta_star))
+    orbit = integrate.integrate(manifold.D, seed, cfg=cfg)
     integrate.write_csv(orbit, f"{base}.csv")
     return EXIT_OK, report, [f"{base}.csv"]
 
@@ -255,7 +253,7 @@ def _run_wind(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     )
     if base is None:
         return EXIT_OK, report.to_json_dict(), []
-    profile.write_profile_csv(prof, 5, f"{base}.csv")
+    profile.write_profile_csv(prof, manifold.D, f"{base}.csv")
     return EXIT_OK, report.to_json_dict(), [f"{base}.csv"]
 
 
@@ -465,7 +463,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(params=_verify_params)
 
     p = sub.add_parser("shoot", help="locate the connecting orbit by bisection")
-    p.add_argument("--d", type=int, default=5)
+    p.add_argument("--d", type=int, default=manifold.D)
     p.add_argument("--eps0", type=float, default=config.EPS0)
     p.add_argument("--theta-tol", type=float, default=config.THETA_TOL)
     p.add_argument("--span", type=float, default=config.SHOOT_SPAN)

@@ -309,20 +309,11 @@ def linearization(d: int, parity: Literal["even", "odd"]) -> Linearization:
     _check_dim(d)
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if parity == "even":
-        bottom = [
-            -3.0 * (d - 3) * (d - 1),
-            2.0 * (d - 4) * (2 * d - 3),
-            -(d - 12.0) * d - 22.0,
-            8.0 - 2.0 * d,
-        ]
-    else:
-        bottom = [
-            3.0 * (d - 3) * (d - 1),
-            2.0 * (d - 4) * (d - 2),
-            -(d - 10.0) * d - 20.0,
-            8.0 - 2.0 * d,
-        ]
+    # The field's Jacobian where phi' = phi'' = phi''' = sin 2phi = 0 and
+    # cos 2phi = c.  Every entry is an integer; 0.0 - 2a is +0.0 at d = 4.
+    d1, k, c3, gk, a = _field_constants(d)
+    c = 1.0 if parity == "even" else -1.0
+    bottom = [-2.0 * c3 * c, a * (d1 * c + gk), d1 * c + k, 0.0 - 2.0 * a]
     m = np.zeros((4, 4))
     m[0, 1] = m[1, 2] = m[2, 3] = 1.0
     m[3, :] = bottom

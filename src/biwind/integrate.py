@@ -55,6 +55,7 @@ __all__ = [
     "integrate_lanes",
     "sample_at",
     "atomic_open",
+    "write_rows",
     "write_csv",
 ]
 
@@ -510,7 +511,7 @@ def integrate_lanes(
     jets = [core.State.from_array(x).as_array() for x in x0s]
     if not jets:
         return []
-    core.vector_field(d, jets[0])  # validates d
+    core._check_dim(d)
     rhs = _make_rhs(d, reverse=False, ctx=NUMPY)
     cs = core.c_star(d)
     t_bound, max_step = float(cfg.max_span), float(cfg.max_step)
@@ -633,7 +634,7 @@ def integrate(
     for item in watch:
         if not isinstance(item, EventKind):
             raise ValueError(f"unknown watch entry: {item!r}")
-    core.vector_field(d, x0)  # validates d and x0 once up front
+    core._check_dim(d)
     gates = (EventKind.SECOND_DERIV_UP in watch, EventKind.SECOND_DERIV_DOWN in watch)
     return _drive(d, x0, float(s0), cfg, gates, reverse=False)
 
@@ -648,7 +649,7 @@ def integrate_reversed(d: int, x0, cfg: IntegrationConfig | None = None) -> Traj
     """
     cfg = cfg or IntegrationConfig()
     x0 = core.State.from_array(x0).as_array()
-    core.vector_field(d, x0)
+    core._check_dim(d)
     return _drive(d, x0, 0.0, cfg, (False, False), reverse=True)
 
 
@@ -688,15 +689,23 @@ def atomic_open(path: str) -> Iterator:
     os.replace(tmp, path)
 
 
-def write_csv(traj: Trajectory, path: str) -> None:
-    """Delimited dump: s, jet components, energy total and dissipation rate."""
+def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file of `header` and `rows`, written through `atomic_open`.
+
+    A float cell (numpy's included) is written as its repr, None as an empty
+    cell, and any other cell as `csv` writes it: text as it is, an int as str.
+    """
     with atomic_open(path) as fh:
         wr = csv.writer(fh)
-        wr.writerow(["s", "phi", "dphi", "d2phi", "d3phi", "energy_total", "energy_rate"])
-        for sk, xk in zip(traj.s, traj.states):
-            e = core.energy(traj.d, xk)
-            wr.writerow(
-                [repr(float(sk))]
-                + [repr(float(c)) for c in xk]
-                + [repr(float(e.total)), repr(float(e.rate))]
-            )
+        wr.writerow(header)
+        wr.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+
+
+def write_csv(traj: Trajectory, path: str) -> None:
+    """Delimited dump: s, jet components, energy total and dissipation rate."""
+    energies = (core.energy(traj.d, xk) for xk in traj.states)
+    write_rows(
+        path,
+        ["s", "phi", "dphi", "d2phi", "d3phi", "energy_total", "energy_rate"],
+        ([sk, *xk, e.total, e.rate] for sk, xk, e in zip(traj.s, traj.states, energies)),
+    )

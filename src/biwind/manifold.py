@@ -3,11 +3,12 @@
 The origin has a two-dimensional unstable manifold tangent to the
 eigenvectors for the exponents 1 and 3.  We parameterize it to first order
 by a circle of seeds at radius eps0, classify each seeded orbit by the sign
-of the second derivative when |phi''| first reaches 2*sqrt(6), and locate
-the connecting orbit (which tends to (pi/2, 0, 0, 0)) by bisection on that
-sign.  Double precision pins the connecting angle only to about 5e-14 (the
-integrator tolerances), too coarse for its orbit to stay by the equator over
-the full span; `refine_heteroclinic` sharpens the angle in mpmath.
+of the second derivative when |phi''| first reaches the gate c*(5) = 2 sqrt(6)
+that `integrate` watches, and locate the connecting orbit (which tends to
+`TARGET` = (pi/2, 0, 0, 0)) by bisection on that sign.  Double precision
+pins the connecting angle only to about 5e-14 (the integrator tolerances),
+too coarse for its orbit to stay by the equator over the full span;
+`refine_heteroclinic` sharpens the angle in mpmath.
 Classification grids integrate all of their seeds together, as lanes of
 `integrate.integrate_lanes`; single orbits and the shooting bisection use the
 serial integrator, which is faster per orbit.  Both run one Dormand-Prince
@@ -16,7 +17,6 @@ kernel, so an angle classifies bit for bit alike either way.
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
 import math
@@ -28,6 +28,8 @@ import numpy as np
 from . import config, core, integrate, regions, taylor
 
 __all__ = [
+    "D",
+    "TARGET",
     "LocalChart",
     "CHART",
     "SeedSpec",
@@ -44,7 +46,10 @@ __all__ = [
     "write_grid_csv",
 ]
 
-_D = 5
+#: The dimension of the shooting problem, and the equator equilibrium its
+#: connecting orbit tends to.
+D = 5
+TARGET = np.array([0.5 * math.pi, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class Outcome(enum.Enum):
 class ClassificationResult:
     """What happened to one seeded orbit.
 
-    tau is the first arclength with |phi''| >= 2*sqrt(6); g is the sign of
+    tau is the first arclength with |phi''| >= c*(5); g is the sign of
     phi'' there (+1 for the upward gate, -1 for the downward one).  Both are
     None when the run ended without reaching the gate.
     """
@@ -132,15 +137,15 @@ def _seed_jet(eps0, theta, ctx) -> tuple:
 def theta0(eps0: float) -> float:
     """Unique angle in [0, pi/2] whose seed sits on the upper boundary arc.
 
-    Solves 2*sqrt(6) sin(eps0 cos theta) = eps0 sin theta.  The left side
+    Solves c*(5) sin(eps0 cos theta) = eps0 sin theta.  The left side
     decreases and the right side increases over [0, pi/2], so the bracket
     endpoints have opposite signs and the root is unique.  Bisection runs to
     adjacent doubles and returns the upper one: the least double it meets
     where the gap is <= 0.
     """
     _check_eps0(eps0)
-    s6 = 2.0 * math.sqrt(6.0)
-    below = lambda t: s6 * math.sin(eps0 * math.cos(t)) - eps0 * math.sin(t) <= 0.0
+    cap = core.c_star(D)
+    below = lambda t: cap * math.sin(eps0 * math.cos(t)) - eps0 * math.sin(t) <= 0.0
     return integrate.bisect(below, 0.0, 0.5 * math.pi)[1]
 
 
@@ -148,8 +153,6 @@ _EVENT_TO_G = {
     integrate.EventKind.SECOND_DERIV_UP.value: 1,
     integrate.EventKind.SECOND_DERIV_DOWN.value: -1,
 }
-
-_TARGET = np.array([0.5 * math.pi, 0.0, 0.0, 0.0])
 
 
 _GATES = (integrate.EventKind.SECOND_DERIV_UP, integrate.EventKind.SECOND_DERIV_DOWN)
@@ -170,7 +173,7 @@ def classify_orbit(
 ) -> ClassificationResult:
     """Integrate one seed forward and report which way it left (d = 5).
 
-    Stops at the first |phi''| = 2*sqrt(6) crossing and records its sign.
+    Stops at the first |phi''| = c*(5) crossing and records its sign.
     A run that exhausts the span next to (pi/2, 0, 0, 0) while (phi, phi'')
     never left the trapping region is a heteroclinic candidate; anything
     else without a gate crossing is undecided.
@@ -178,7 +181,7 @@ def classify_orbit(
     cfg = cfg or integrate.IntegrationConfig()
     x0 = seed_state(spec)
     try:
-        traj = integrate.integrate(_D, x0, cfg=cfg, watch=_GATES)
+        traj = integrate.integrate(D, x0, cfg=cfg, watch=_GATES)
     except integrate.IntegrationError as err:
         return _classified(spec.theta, err, err.state_last)
     return _classified(
@@ -197,46 +200,23 @@ def _classified(
     `stayed_in_c` tells whether (phi, phi'') never left C; it is asked only
     of a span-exhausted orbit that ends next to the target.
     """
+    outcome, tau, g, note = Outcome.UNDECIDED, None, None, None
     if isinstance(end, integrate.IntegrationError):
-        return ClassificationResult(
-            theta=theta,
-            outcome=Outcome.UNDECIDED,
-            tau=None,
-            g=None,
-            end_state=state,
-            note=f"integration failed at s={end.s_last:.6g}: {end}",
-        )
-    if end.kind is integrate.TerminationKind.EVENT_STOP:
+        note = f"integration failed at s={end.s_last:.6g}: {end}"
+    elif end.kind is integrate.TerminationKind.EVENT_STOP:
         g = _EVENT_TO_G[end.event]
         outcome = Outcome.BLOWUP_PLUS if g > 0 else Outcome.BLOWUP_MINUS
-        return ClassificationResult(
-            theta=theta, outcome=outcome, tau=float(end.s_last), g=g, end_state=state
-        )
-    if end.kind is integrate.TerminationKind.SPAN_EXHAUSTED:
-        dist = float(np.linalg.norm(state.as_array() - _TARGET))
+        tau = float(end.s_last)
+    elif end.kind is integrate.TerminationKind.SPAN_EXHAUSTED:
+        dist = float(np.linalg.norm(state.as_array() - TARGET))
         if dist <= config.HETEROCLINIC_TOL and stayed_in_c():
-            return ClassificationResult(
-                theta=theta,
-                outcome=Outcome.HETEROCLINIC_CANDIDATE,
-                tau=None,
-                g=None,
-                end_state=state,
-            )
-        return ClassificationResult(
-            theta=theta,
-            outcome=Outcome.UNDECIDED,
-            tau=None,
-            g=None,
-            end_state=state,
-            note=f"span exhausted at distance {dist:.3e} from the target",
-        )
+            outcome = Outcome.HETEROCLINIC_CANDIDATE
+        else:
+            note = f"span exhausted at distance {dist:.3e} from the target"
+    else:
+        note = f"terminated by {end.kind.value} without a gate crossing"
     return ClassificationResult(
-        theta=theta,
-        outcome=Outcome.UNDECIDED,
-        tau=None,
-        g=None,
-        end_state=state,
-        note=f"terminated by {end.kind.value} without a gate crossing",
+        theta=theta, outcome=outcome, tau=tau, g=g, end_state=state, note=note
     )
 
 
@@ -315,7 +295,7 @@ def refine_heteroclinic(
     digits = config.PRECISION_DIGITS
     ctx = taylor.mp_context(digits)
     tol = 10.0 ** (2 - digits)
-    vals, vecs = np.linalg.eig(core.linearization(_D, "odd").matrix.T)
+    vals, vecs = np.linalg.eig(core.linearization(D, "odd").matrix.T)
     left = [ctx.mpf(t) for t in vecs[:, int(np.argmax(vals.real))].real]
     target = (ctx.pi / 2, 0, 0, 0)
 
@@ -324,7 +304,7 @@ def refine_heteroclinic(
 
     def shoot(th):
         orbit = taylor.integrate(
-            _D, _seed_jet(eps0, th, ctx), config.SHOOT_SPAN,
+            D, _seed_jet(eps0, th, ctx), config.SHOOT_SPAN,
             tol=tol, ctx=ctx, stop=leaves_c,
         )
         miss = [ctx.fdot(left, [a - b for a, b in zip(x, target)]) for x in orbit.states]
@@ -374,9 +354,9 @@ def verify_unstable_decay(
     floor truncate the window further; a window with fewer than two samples
     yields nan.
     """
-    traj = integrate.integrate_reversed(_D, seed_state(spec), cfg=cfg)
+    traj = integrate.integrate_reversed(D, seed_state(spec), cfg=cfg)
     sigma = np.abs(np.asarray(traj.s, dtype=float))
-    lin = core.linearization(_D, "even")
+    lin = core.linearization(D, "even")
     coords = np.linalg.solve(lin.eigenvectors, np.asarray(traj.states, dtype=float).T)
     horizon = math.log(spec.eps0 ** -2)
     rates = []
@@ -410,7 +390,7 @@ def classification_grid(
         raise ValueError(f"workers must be >= 1, got {workers}")
     specs = [SeedSpec(eps0, float(t)) for t in thetas]
     lanes = integrate.integrate_lanes(
-        _D, [seed_state(sp).as_array() for sp in specs], cfg, keep=_not_outside_c
+        D, [seed_state(sp).as_array() for sp in specs], cfg, keep=_not_outside_c
     )
     return [
         _classified(sp.theta, lane.end, lane.state, lambda lane=lane: lane.kept)
@@ -420,20 +400,8 @@ def classification_grid(
 
 def write_grid_csv(results: Sequence[ClassificationResult], path: str) -> None:
     """One row per classified angle; None fields are left empty."""
-    with integrate.atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "outcome", "g", "tau", "phi", "dphi", "d2phi", "d3phi"])
-        for r in results:
-            e = r.end_state
-            writer.writerow(
-                [
-                    repr(float(r.theta)),
-                    r.outcome.value,
-                    "" if r.g is None else str(r.g),
-                    "" if r.tau is None else repr(float(r.tau)),
-                    repr(float(e.phi)),
-                    repr(float(e.dphi)),
-                    repr(float(e.d2phi)),
-                    repr(float(e.d3phi)),
-                ]
-            )
+    integrate.write_rows(
+        path,
+        ["theta", "outcome", "g", "tau", "phi", "dphi", "d2phi", "d3phi"],
+        ([r.theta, r.outcome.value, r.g, r.tau, *r.end_state.as_array()] for r in results),
+    )

@@ -9,10 +9,8 @@ profile on (0, 1] that winds past successive multiples of pi on the way.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "build_winding_profile",
     "write_profile_csv",
 ]
-
-_D = 5
 
 
 class WindingError(RuntimeError):
@@ -267,14 +263,14 @@ def build_winding_profile(
         raise ValueError(
             f"seed at theta={theta:.6g} lies inside the doubled trapping region"
         )
-    traj = integrate.integrate(_D, x0, cfg=cfg)
+    traj = integrate.integrate(manifold.D, x0, cfg=cfg)
     if traj.termination.kind is not integrate.TerminationKind.BLOWUP_DETECTED:
         raise WindingError(
             f"seed did not blow up within span {cfg.max_span}: "
             f"terminated by {traj.termination.kind.value}"
         )
     if traj.state_at_end().d2phi < 0.0:
-        traj = integrate.integrate(_D, -x0.as_array(), cfg=cfg)
+        traj = integrate.integrate(manifold.D, -x0.as_array(), cfg=cfg)
         if traj.termination.kind is not integrate.TerminationKind.BLOWUP_DETECTED:
             raise WindingError("reflected seed did not blow up within the span")
     prof = to_radial(traj)
@@ -292,19 +288,9 @@ def build_winding_profile(
 
 def write_profile_csv(prof: RadialProfile, d: int, path: str) -> None:
     """One row per radius: the radial jet plus both Laplacian components."""
-    with integrate.atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "psi", "dpsi", "d2psi", "L0f0", "L1f1"])
-        for k in range(len(prof.r)):
-            r = float(prof.r[k])
-            l0, l1 = laplacian_components(d, prof, r)
-            writer.writerow(
-                [
-                    repr(r),
-                    repr(float(prof.psi[k])),
-                    repr(float(prof.dpsi[k])),
-                    repr(float(prof.d2psi[k])),
-                    repr(l0),
-                    repr(l1),
-                ]
-            )
+    integrate.write_rows(
+        path,
+        ["r", "psi", "dpsi", "d2psi", "L0f0", "L1f1"],
+        ([r, psi, dpsi, d2psi, *laplacian_components(d, prof, float(r))]
+         for r, psi, dpsi, d2psi in zip(prof.r, prof.psi, prof.dpsi, prof.d2psi)),
+    )

@@ -2,11 +2,12 @@
 
 The (phi, phi'') plane carries a lens-shaped open region bounded above by
 
-    F(x) = 2 sqrt(6) sin(x)   for x in [0, pi/2],   F(x) = 2 sqrt(6)  beyond,
+    F(x) = c* sin(x)   for x in [0, pi/2],   F(x) = c*  beyond,
 
-and below by -F(pi - x); orbits that leave it blow up, orbits of the
-connecting solution stay inside.  Several changes of variables reduce the
-fourth-order equation to damped second-order problems whose coefficient
+and below by -F(pi - x), where c* = c_star(5) = 2 sqrt(6) is the height at
+which `integrate` gates phi''.  Orbits that leave the region blow up, orbits
+of the connecting solution stay inside.  Several changes of variables reduce
+the fourth-order equation to damped second-order problems whose coefficient
 positivity is certified in `certify`:
 
 * the tangent-frame variable w = phi'' - y_line(phi), where y_line is the
@@ -40,7 +41,6 @@ from .core import NUMPY
 from .config import BOUNDARY_TOL
 
 __all__ = [
-    "SQRT6",
     "GROWTH_C1",
     "Membership",
     "boundary_curve",
@@ -73,7 +73,7 @@ __all__ = [
     "growth_bound_check",
 ]
 
-SQRT6 = NUMPY.sqrt6
+_CAP = core.c_star(5)  # c*, the height of the boundary's cap
 
 #: Constant of the growth sandwich
 #:     6 (xi2 - c*) xi1^2 + xi1^3 / C1  <=  p  <=  6 xi1^2 xi2 + C1 (1 + xi2 + xi1^3)
@@ -89,20 +89,20 @@ class Membership(enum.Enum):
 
 
 def boundary_curve(x):
-    """Upper boundary height F(x) over [0, pi]: the sine arc capped at 2 sqrt(6)."""
+    """Upper boundary height F(x) over [0, pi]: the sine arc capped at c*."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x <= math.pi / 2.0, 2.0 * SQRT6 * np.sin(x), 2.0 * SQRT6)
+    out = np.where(x <= math.pi / 2.0, _CAP * np.sin(x), _CAP)
     return float(out) if out.ndim == 0 else out
 
 
 def arc_height(phi0):
-    """Height 2 sqrt(6) sin(phi0) of the sine arc at the tangency abscissa."""
-    return 2.0 * SQRT6 * np.sin(phi0)
+    """Height c* sin(phi0) of the sine arc at the tangency abscissa."""
+    return _CAP * np.sin(phi0)
 
 
 def arc_slope(phi0):
-    """Slope 2 sqrt(6) cos(phi0) of the sine arc at the tangency abscissa."""
-    return 2.0 * SQRT6 * np.cos(phi0)
+    """Slope c* cos(phi0) of the sine arc at the tangency abscissa."""
+    return _CAP * np.cos(phi0)
 
 
 def region_gap(x, y):
@@ -240,7 +240,7 @@ def _jets(traj, what: str) -> tuple:
     if traj.d != 5:
         raise ValueError(f"{what} decomposition requires d=5, got d={traj.d}")
     x = np.asarray(traj.states, dtype=float).T
-    return (*x, core._make_rhs(5, ctx=NUMPY)(0.0, x)[3])
+    return (*x, core._make_rhs(traj.d, ctx=NUMPY)(0.0, x)[3])
 
 
 def _worst_scaled_gap(lhs, rhs) -> float:

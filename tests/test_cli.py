@@ -329,6 +329,14 @@ PINNED_ARTIFACTS = {
         "shoot.json": "bb0c1a70a0f37019d55840090e7cce642ba0a94384f47519a8b81ea00d58fc54",
         "shoot.csv": "48dd40ada8332dfcfe3f3c68d43068cd735ec0c1be2434eb14ff9889b8865475",
     },
+    # Every matrix entry of the linearization is an integer; a zero that
+    # flips its sign changes these.
+    ("spectrum", "--d", "4", "--parity", "even"): {
+        "spectrum.json": "014297e598e103c9b69b210cae001aa8e172ae9aae5e42d9b3f8f8a6630871d6",
+    },
+    ("spectrum", "--d", "4", "--parity", "odd"): {
+        "spectrum.json": "b8de8f8f6f7c0ba5312c966101f3715085414db3e1d8d908ebd1b20b97a874e4",
+    },
 }
 
 

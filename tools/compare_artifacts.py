@@ -32,6 +32,11 @@ COMMANDS = (
     ("wind_theta_1e10", ["wind", "--theta", "{theta}", "--blowup-norm", "1e10"]),
     ("classify", ["classify", "--grid", "200"]),
     ("verify", ["verify", "--task", "all"]),
+    ("spectrum_4_even", ["spectrum", "--d", "4", "--parity", "even"]),
+    ("spectrum_4_odd", ["spectrum", "--d", "4", "--parity", "odd"]),
+    ("spectrum_5_even", ["spectrum", "--d", "5", "--parity", "even"]),
+    ("spectrum_5_odd", ["spectrum", "--d", "5", "--parity", "odd"]),
+    ("energy_5", ["energy", "--d", "5", "--mode", "monotonicity"]),
 )
 
 # Runs in the child, in the output directory, with the commands on stdin.
