@@ -8,7 +8,13 @@ four Python floats and keeps every accepted step's stages, from which
 once as the columns of a (4, n) array, a step size per lane, and keeps no
 trajectory.  Both sum the stages, the error norm and the interpolant
 elementwise in one fixed order, so an orbit's bits depend on its seed only:
-not on the loop that ran it, nor on the other lanes.
+not on the loop that ran it, nor on the other lanes.  The lanes take each sum
+with `_combo` on arrays.  A single orbit's trial step and reach bound are
+straight-line code on scalar locals, generated at import from the tableau:
+every sum is `_combo`'s written out, with the same products, zero weights
+included, in the same order.  numpy rounds each elementwise operation on
+doubles as Python rounds it on a float, so each component rounds as its lane
+does.
 
 Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
 scans over a fixed grid in each accepted step, evaluated on the step's quartic
@@ -251,28 +257,60 @@ def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_bound: float,
     return np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound), max_step)
 
 
-def _trial_step(rhs, y: Sequence[float], f: tuple, h: float) -> tuple[list, list]:
-    """One trial step of a single jet: (y_new, stages), last stage rhs(y_new).
+# ---------------------------------------------------------------------------
+# The serial step, generated once from the tableau (see the module docstring).
+# Component c of stage j is the local kjc.  Keeping the zero-weight products
+# keeps a lane's -0.0, inf and nan.
 
-    Each component is summed as `_combo` sums a lane.  A stage that overflows
-    to inf makes `math.sin` raise ValueError, where a lane gets nan.
-    """
-    K = [f]
-    for a in _A[1:]:
-        K.append(rhs(0.0, [yc + _combo(kc, a) * h for yc, kc in zip(y, zip(*K))]))
-    y_new = [yc + h * _combo(kc, _B) for yc, kc in zip(y, zip(*K))]
-    K.append(rhs(0.0, y_new))
-    return y_new, K
+
+def _sum(terms: Sequence[str], weights: Sequence[float]) -> str:
+    """`_combo(terms, weights)` as source text."""
+    return "(" + " + ".join(f"{t} * {w!r}" for t, w in zip(terms, weights)) + ")"
+
+
+def _serial_source() -> str:
+    """Source of `_trial_step` and `_reach`, written out from _A, _B, _E and _P_REACH."""
+    n = len(_E)
+    k = [[f"k{j}{c}" for c in range(4)] for j in range(n)]
+    col = list(zip(*k))  # col[c][j] is component c of stage j
+    names = [", ".join(kj) for kj in k]
+    stages = [
+        f"    {names[j]} = K{j} = rhs(0.0, "
+        f"[{', '.join(f'y{c} + {_sum(col[c], a)} * h' for c in range(4))}])"
+        for j, a in enumerate(_A[1:], 1)
+    ]
+    y_new = ", ".join(f"y{c} + h * {_sum(col[c], _B)}" for c in range(4))
+    err = ", ".join(f"{_sum(col[c], _E)} * h / (atol + max(abs(y{c}), abs(n{c})) * rtol)"
+                    for c in range(4))
+    reach = ", ".join(f"abs(y{c}) + h * {_sum([f'abs({t})' for t in col[c]], _P_REACH)}"
+                      for c in range(4))
+    return "\n".join([
+        "def _trial_step(rhs, y, f, h, atol, rtol):",
+        "    'One trial step of a single jet: (y_new, stages, error norm), last stage rhs(y_new).'",
+        "    y0, y1, y2, y3 = y",
+        f"    {names[0]} = K0 = f",
+        *stages,
+        f"    n0, n1, n2, n3 = y_new = [{y_new}]",
+        f"    {names[-1]} = K{n - 1} = rhs(0.0, y_new)",
+        f"    return y_new, [{', '.join(f'K{j}' for j in range(n))}], _rms(({err}), sqrt)",
+        "def _reach(y, K, h):",
+        "    'Per component, a bound on the step interpolant over all of [t, t + h].'",
+        "    y0, y1, y2, y3 = y",
+        f"    {', '.join(f'({stage})' for stage in names)} = K",
+        f"    return [{reach}]",
+    ])
+
+
+# A stage that overflows to inf makes `math.sin` raise ValueError in
+# `_trial_step`, at that stage, where a lane gets nan.
+_serial = {"_rms": _rms, "sqrt": math.sqrt}
+exec(compile(_serial_source(), "<integrate._serial_source()>", "exec"), _serial)
+_trial_step, _reach = _serial["_trial_step"], _serial["_reach"]
 
 
 def _dense(K: Sequence[Sequence[float]]) -> list[list[float]]:
     """The dense-output coefficients q[k][c] of one jet's step from its stages."""
     return [[_combo(kc, col) for kc in zip(*K)] for col in _P_COLUMNS]
-
-
-def _reach(y: Sequence[float], K: Sequence[Sequence[float]], h: float) -> list[float]:
-    """Per component, a bound on the step's interpolant over all of [t, t + h]."""
-    return [abs(yc) + h * _combo([abs(k) for k in kc], _P_REACH) for yc, kc in zip(y, zip(*K))]
 
 
 # Each accepted step is scanned at its two ends and _SCAN_POINTS equally
@@ -366,9 +404,12 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
 
     Trial steps, step control and the scan are those of `integrate_lanes`,
     on floats, so a forward orbit with both gates watched ends bit for bit as
-    its lane does.  An accepted step whose `_reach` bound, with its rounding
-    margin, stays below the blowup threshold and below c_star in |phi''|
-    cannot reach an event, and is neither scanned nor given dense output.
+    its lane does.  The trial step and its error norm are the generated
+    `_trial_step`: each component's stage sums are `_combo`'s products added
+    in `_combo`'s order, the rounding a lane's column gets from numpy.  An
+    accepted step whose `_reach` bound, with its rounding margin, stays below
+    the blowup threshold and below c_star in |phi''| cannot reach an event,
+    and is neither scanned nor given dense output.
     """
     mirror = core.REVERSAL_SIGNS if reverse else np.ones(4)
     y = (mirror * x0).tolist()
@@ -414,11 +455,7 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             try:
-                y_new, K = _trial_step(rhs, y, f, h)
-                err = _rms([
-                    _combo(kc, _E) * h / (atol + max(abs(a), abs(b)) * rtol)
-                    for kc, a, b in zip(zip(*K), y, y_new)
-                ], math.sqrt)
+                y_new, K, err = _trial_step(rhs, y, f, h, atol, rtol)
             except ValueError:
                 err = math.nan
             # numpy's array power, as the lanes take it (float ** differs in the last bit).

@@ -67,6 +67,107 @@ def test_tableau_is_dormand_prince_as_in_scipy():
     assert np.array_equal(itg._P, rk45.P)
 
 
+# ---------------------------------------------------------------------------
+# The serial step generated from the tableau against `_combo`, component by
+# component, compared bit for bit.
+
+
+def _combo_step(rhs, y, f, h, atol, rtol):
+    """The serial trial step and error norm written with `_combo`, one component at a time."""
+    K = [f]
+    for a in itg._A[1:]:
+        K.append(rhs(0.0, [yc + itg._combo(kc, a) * h for yc, kc in zip(y, zip(*K))]))
+    y_new = [yc + h * itg._combo(kc, itg._B) for yc, kc in zip(y, zip(*K))]
+    K.append(rhs(0.0, y_new))
+    err = itg._rms([
+        itg._combo(kc, itg._E) * h / (atol + max(abs(a), abs(b)) * rtol)
+        for kc, a, b in zip(zip(*K), y, y_new)
+    ], math.sqrt)
+    return y_new, K, err
+
+
+def _combo_reach(y, K, h):
+    return [abs(yc) + h * itg._combo([abs(k) for k in kc], itg._P_REACH)
+            for yc, kc in zip(y, zip(*K))]
+
+
+def _hex(x):
+    return x.hex() if isinstance(x, float) else [_hex(v) for v in x]
+
+
+def _run_step(kernel, rhs, y, f, h):
+    """Hex of every stage input, then of (y_new, stages, error norm, reach), or
+    the error's type, of one trial step by `kernel` = (trial step, reach)."""
+    step, reach = kernel
+    inputs = []
+
+    def recording(s, x):
+        inputs.append(_hex(list(x)))
+        return rhs(s, x)
+
+    try:
+        y_new, K, err = step(recording, y, f, h, 1e-12, 1e-10)
+    except ValueError as exc:
+        return inputs, type(exc)
+    return inputs, _hex([y_new, K, err, reach(y, K, h)])
+
+
+_GENERATED, _COMBO = (itg._trial_step, itg._reach), (_combo_step, _combo_reach)
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1.0, -1.5, 1e300, -1e308,
+            math.inf, -math.inf, math.nan)
+
+
+def _field_jets():
+    # Jets of mixed scale, then jets up to 1e110, where large steps overflow a stage.
+    rng = np.random.default_rng(2024)
+    for top in [3] * 300 + [110] * 100:
+        y = (rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3, top, 4)).tolist()
+        yield y, float(10.0 ** rng.uniform(-300, 3))
+    for y in ([0.0] * 4, [-0.0, 0.0, -0.0, -0.0], [5e-324, -2.5e-310, 1e-320, -5e-324]):
+        for h in (1e-300, 1e-3, 1.0, 1e3):
+            yield y, h
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_generated_step_matches_combo_on_the_field(reverse):
+    rhs = itg._make_rhs(5, reverse)
+    raised = 0
+    for y, h in _field_jets():
+        f = rhs(0.0, y)
+        got = _run_step(_GENERATED, rhs, y, f, h)
+        assert got == _run_step(_COMBO, rhs, y, f, h), (y, h)
+        raised += got[1] is ValueError
+    assert 0 < raised < 100
+
+
+def test_generated_step_raises_at_the_stage_that_overflows():
+    rhs = itg._make_rhs(5)
+    y = [0.3, 1e100, -2.0, 1.0]
+    f = rhs(0.0, y)
+    got = _run_step(_GENERATED, rhs, y, f, 1e3)
+    assert got == _run_step(_COMBO, rhs, y, f, 1e3)
+    assert got[1] is ValueError and len(got[0]) == 4  # stage 4's phi is -inf
+
+
+def test_generated_step_matches_combo_on_special_stages():
+    # Scripted stages of -0.0, subnormals, huge values, inf and nan: a product
+    # with a zero weight and the order of every sum show in the bits.
+    rng = np.random.default_rng(7)
+    for trial in range(3000):
+        y = [float(v) for v in rng.choice(_SPECIAL, 4)]
+        K = [tuple(float(v) for v in rng.choice(_SPECIAL, 4)) for _ in itg._E]
+        if trial % 5 == 0:
+            K[rng.integers(len(K))] = (0.0,) * 4
+        h = float(10.0 ** rng.uniform(-300, 3))
+        runs = []
+        for kernel in (_GENERATED, _COMBO):
+            stages = iter(K[1:])
+            runs.append(_run_step(kernel, lambda s, x: next(stages), y, K[0], h))
+        assert runs[0] == runs[1], (y, K, h)
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import biwind.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -37,6 +37,8 @@ COMMANDS = (
     ("spectrum_5_even", ["spectrum", "--d", "5", "--parity", "even"]),
     ("spectrum_5_odd", ["spectrum", "--d", "5", "--parity", "odd"]),
     ("energy_5", ["energy", "--d", "5", "--mode", "monotonicity"]),
+    ("energy_4", ["energy", "--d", "4", "--mode", "conservation"]),
+    ("energy_7", ["energy", "--d", "7", "--mode", "monotonicity"]),
 )
 
 # Runs in the child, in the output directory, with the commands on stdin.
