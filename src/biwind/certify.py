@@ -12,13 +12,16 @@ themselves are not written here: they are the generic forms of `regions`
   bound, fails with a witness when a center point definitely violates it,
   and gives up at a minimum width otherwise.  It runs breadth first and
   evaluates each level of the tree as one batch: the coefficient functions
-  take a box whose dimensions are `IntervalArray` lanes, one per live box;
+  take a box whose dimensions are `IntervalArray` lanes, one per box of the
+  level, followed by point lanes for the centers of the previous level's
+  undischarged boxes, so each level costs one call of f;
 * two-term Taylor-with-remainder enclosures of the cubic and linear
   coefficients near the origin (`taylor_enclose_P_coeff`): `coeff_c0` and
   `coeff_c2` evaluated on polynomials with theta-remainders in exact
   rational arithmetic over Q[sqrt 6], and only rounded outward at the end;
 * a divide-and-conquer sublevel-set bounding box on the dyadic grid
-  (`enclose_sublevel`);
+  (`enclose_sublevel`), whose grid points are rounded outward in integer
+  arithmetic (`_grid`), bit for bit as over `Fraction`s;
 * the nine named certificates V1-V9, serialized as JSON.  Each certificate
   is one entry of the `_TASKS` table: its coordinate system, target,
   default `min_width`, and the ordered (region, check) parts that prove it.
@@ -104,6 +107,7 @@ class BnbOutcome:
     boxes_examined: int
     max_depth: int
     level_boxes: tuple[int, ...] = ()  # boxes examined at each breadth-first level
+    level_seconds: tuple[float, ...] = ()  # wall time of each breadth-first level
 
 
 def _lanes_box(lo: np.ndarray, hi: np.ndarray) -> Box:
@@ -153,44 +157,81 @@ def prove_lower_bound(
 ) -> BnbOutcome:
     """Certify f >= bound (or > bound when strict) on the box.
 
-    The tree is searched breadth first.  Each level is one call of f on a
-    box whose dimensions are `IntervalArray` lanes, one per live box, in
-    canonical order (the children of box j are 2j and 2j + 1).  A box is
-    discharged when its evaluation clears the bound; otherwise f at its
-    center decides failure, and a box narrower than min_width is given up
-    as inconclusive.  The first failing box in that order is the FAILED
-    witness and the first given-up box the INCONCLUSIVE one.
+    The tree is searched breadth first, in canonical order (the children of
+    box j are 2j and 2j + 1).  A box is discharged when its evaluation
+    clears the bound; otherwise f at its center decides failure, and a box
+    narrower than min_width is given up as inconclusive.  The first failing
+    box in that order is the FAILED witness and the first given-up box the
+    INCONCLUSIVE one.
+
+    Each level is one call of f on a box whose dimensions are
+    `IntervalArray` lanes: one lane per box of the level, followed by one
+    point lane per center of the previous level's live boxes.  The centers
+    are judged first, so the outcome is that of testing every level's
+    centers before the next level is formed; one last call carries the
+    deepest level's centers alone.  If a level's call or its bisection
+    raises, the pending centers are judged in a call of their own first,
+    so a failing center still comes before the error.  `level_seconds`
+    holds the wall time of each level's call, filtering and bisection; the
+    last call's time goes to the deepest level.
     """
     if not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
+    below = (lambda v: v <= bound) if strict else (lambda v: v < bound)
     lo = np.array([[iv.lo] for iv in box.dims])
     hi = np.array([[iv.hi] for iv in box.dims])
+    # the previous level's live boxes, whose centers are not yet judged, and
+    # their indices in that level
+    p_lo, p_hi, p_idx = lo[:, :0], hi[:, :0], np.arange(0)
     levels: list[int] = []
+    seconds: list[float] = []
     inconclusive: Box | None = None
-    while lo.shape[1]:
+    error: ArithmeticError | ValueError | None = None
+    clock = time.perf_counter()
+    while lo.shape[1] or p_idx.size:
         n = lo.shape[1]
-        v_lo, _ = _lane_bounds(f(_lanes_box(lo, hi)), n)
-        live = np.flatnonzero(v_lo <= bound if strict else v_lo < bound)
-        lo, hi = lo[:, live], hi[:, live]
-        if live.size:
-            mid = _midpoints(lo, hi)
-            _, c_hi = _lane_bounds(f(_lanes_box(mid, mid)), live.size)
-            fails = c_hi <= bound if strict else c_hi < bound
-            if fails.any():
-                j = int(np.argmax(fails))
-                levels.append(int(live[j]) + 1)
-                return BnbOutcome(
-                    Status.FAILED, _lane(lo, hi, j), sum(levels), len(levels) - 1, tuple(levels)
-                )
+        mid = _midpoints(p_lo, p_hi)
+        try:
+            val = f(_lanes_box(np.hstack((lo, mid)), np.hstack((hi, mid))))
+        except (ArithmeticError, ValueError) as exc:  # what interval evaluation raises
+            if not (n and p_idx.size):
+                raise
+            error, lo, hi = exc, lo[:, :0], hi[:, :0]
+            continue
+        v_lo, v_hi = _lane_bounds(val, n + p_idx.size)
+        fails = below(v_hi[n:])
+        if fails.any():
+            j = int(np.argmax(fails))
+            levels[-1] = int(p_idx[j]) + 1
+            seconds[-1] += time.perf_counter() - clock
+            return BnbOutcome(
+                Status.FAILED, _lane(p_lo, p_hi, j), sum(levels), len(levels) - 1, tuple(levels),
+                tuple(seconds),
+            )
+        if error is not None:
+            raise error
+        if not n:
+            break
+        live = np.flatnonzero(below(v_lo[:n]))
+        lo, hi, p_idx = lo[:, live], hi[:, live], live
+        p_lo, p_hi = lo, hi
         levels.append(n)
         narrow = (hi - lo).max(axis=0) < min_width
         if narrow.any():
             if inconclusive is None:
                 inconclusive = _lane(lo, hi, int(np.argmax(narrow)))
             lo, hi = lo[:, ~narrow], hi[:, ~narrow]
-        lo, hi = _bisect_lanes(lo, hi)
+        try:
+            lo, hi = _bisect_lanes(lo, hi)
+        except ValueError as exc:
+            error, lo, hi = exc, lo[:, :0], hi[:, :0]
+        now = time.perf_counter()
+        seconds.append(now - clock)
+        clock = now
+    if seconds:
+        seconds[-1] += time.perf_counter() - clock
     status = Status.PROVED if inconclusive is None else Status.INCONCLUSIVE
-    return BnbOutcome(status, inconclusive, sum(levels), len(levels) - 1, tuple(levels))
+    return BnbOutcome(status, inconclusive, sum(levels), len(levels) - 1, tuple(levels), tuple(seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +428,7 @@ class SublevelEnclosure:
     cells_retained: int
     cells_examined: int
     level_cells: tuple[int, ...] = ()  # cells examined at each breadth-first level
+    level_seconds: tuple[float, ...] = ()  # wall time of each breadth-first level
 
     @property
     def is_empty(self) -> bool:
@@ -398,6 +440,27 @@ class SublevelEnclosure:
         return Box(
             tuple(Interval(_fr_dn(lo), _fr_up(hi)) for lo, hi in self.bounds)
         )
+
+
+def _grid(lo: float, hi: float, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid points lo + j (hi - lo) / den, j = 0..den, rounded down and up.
+
+    Bit for bit `_fr_dn` and `_fr_up` of the exact points, in integers:
+    point j is N_j / M with M a power of two, `int / int` rounds it to
+    nearest, and an exact comparison steps it outward when it is inexact.
+    """
+    (a, p), (b, q) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    s = max(p, q)  # both denominators are powers of two and divide s
+    a, b, m = a * (s // p), b * (s // q), s * den
+    dn, up = [], []
+    for j in range(den + 1):
+        n = a * den + j * (b - a)
+        x = n / m
+        u, v = x.as_integer_ratio()
+        above = u * m - n * v  # the sign of x - n / m
+        dn.append(math.nextafter(x, -math.inf) if above > 0 else x)
+        up.append(math.nextafter(x, math.inf) if above < 0 else x)
+    return np.array(dn), np.array(up)
 
 
 def enclose_sublevel(
@@ -414,8 +477,9 @@ def enclose_sublevel(
     A cell is held exactly as grid indices: in dimension i it starts at grid
     point s and spans 2^e grid steps, grid point j being the exact rational
     lo_i + j (hi_i - lo_i) / grid_denominator, and f sees it rounded outward.
-    The search is breadth first, one f call per level on a box of
-    `IntervalArray` lanes.
+    The rounded grid is built in integers by `_grid`.  The search is breadth
+    first, one f call per level on a box of `IntervalArray` lanes, and
+    `level_seconds` holds the wall time of each level.
     """
     if grid_denominator < 1 or grid_denominator & (grid_denominator - 1):
         raise ValueError(f"grid denominator must be a power of two, got {grid_denominator}")
@@ -424,9 +488,7 @@ def enclose_sublevel(
     den = grid_denominator
     top = den.bit_length() - 1
     root = [(Fraction(iv.lo), Fraction(iv.hi)) for iv in box.dims]
-    points = [[lo + j * (hi - lo) / den for j in range(den + 1)] for lo, hi in root]
-    grid_dn = [np.array([_fr_dn(p) for p in row]) for row in points]
-    grid_up = [np.array([_fr_up(p) for p in row]) for row in points]
+    grid_dn, grid_up = zip(*(_grid(iv.lo, iv.hi, den) for iv in box.dims))
     # rank[i, e]: order of the width (hi_i - lo_i) 2^e / den over every
     # dimension and exponent, equal widths sharing a rank; -1 for a cell
     # that cannot split (e = 0).  The first dimension of largest rank is the
@@ -449,7 +511,9 @@ def enclose_sublevel(
     last = np.zeros(ndim, dtype=np.int64)
     retained = 0
     levels: list[int] = []
+    seconds: list[float] = []
     while start.shape[1]:
+        clock = time.perf_counter()
         end = start + (1 << expo)
         cells = tuple(IntervalArray(grid_dn[i][start[i]], grid_up[i][end[i]]) for i in range(ndim))
         v_lo, v_hi = _lane_bounds(f(Box(cells)), start.shape[1])
@@ -468,15 +532,16 @@ def enclose_sublevel(
         start = np.repeat(start, 2, axis=1)
         expo = np.repeat(expo, 2, axis=1)
         start[k, 2 * j + 1] += 1 << expo[k, 2 * j + 1]
+        seconds.append(time.perf_counter() - clock)
 
     examined = sum(levels)
     if retained == 0:
-        return SublevelEnclosure(None, 0, examined, tuple(levels))
+        return SublevelEnclosure(None, 0, examined, tuple(levels), tuple(seconds))
     bounds = tuple(
         (lo + int(a) * (hi - lo) / den, lo + int(b) * (hi - lo) / den)
         for (lo, hi), a, b in zip(root, first, last)
     )
-    return SublevelEnclosure(bounds, retained, examined, tuple(levels))
+    return SublevelEnclosure(bounds, retained, examined, tuple(levels), tuple(seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +563,7 @@ class Certificate:
     wall_ms: int
     details: dict = field(default_factory=dict)
     level_boxes: tuple[int, ...] = ()  # per breadth-first level; not serialized
+    level_seconds: tuple[float, ...] = ()  # per breadth-first level; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -530,25 +596,30 @@ def _interval_json(iv: Interval) -> dict:
     return {"decimal": [iv.lo, iv.hi], "hex": [iv.lo.hex(), iv.hi.hex()]}
 
 
+def _level_sums(rows: Sequence[tuple]) -> tuple:
+    """Level by level sums of per-level rows of different depths."""
+    sums = [0] * max(map(len, rows))
+    for row in rows:
+        for i, x in enumerate(row):
+            sums[i] += x
+    return tuple(sums)
+
+
 def _merge_outcomes(parts: Sequence[BnbOutcome]) -> BnbOutcome:
     boxes = sum(p.boxes_examined for p in parts)
     depth = max(p.max_depth for p in parts)
-    levels = [0] * max(len(p.level_boxes) for p in parts)
-    for p in parts:
-        for i, n in enumerate(p.level_boxes):
-            levels[i] += n
+    levels = _level_sums([p.level_boxes for p in parts])
+    seconds = _level_sums([p.level_seconds for p in parts])
     for status in (Status.FAILED, Status.INCONCLUSIVE):
         for p in parts:
             if p.status is status:
-                return BnbOutcome(status, p.witness, boxes, depth, tuple(levels))
-    return BnbOutcome(Status.PROVED, None, boxes, depth, tuple(levels))
+                return BnbOutcome(status, p.witness, boxes, depth, levels, seconds)
+    return BnbOutcome(Status.PROVED, None, boxes, depth, levels, seconds)
 
 
-def _verdict(
-    ok: bool, witness: Box | None = None, boxes: int = 0, depth: int = 0, levels: tuple[int, ...] = ()
-) -> BnbOutcome:
+def _verdict(ok: bool, witness: Box | None = None) -> BnbOutcome:
     """PROVED, or FAILED with the witness: the outcome of a check that is not a box search."""
-    return BnbOutcome(Status.PROVED if ok else Status.FAILED, None if ok else witness, boxes, depth, levels)
+    return BnbOutcome(Status.PROVED if ok else Status.FAILED, None if ok else witness, 0, 0)
 
 
 # A check proves its part of a certificate on one region: it takes the region,
@@ -589,7 +660,8 @@ def _sublevel_in_reference(region: Box, min_width: float, details: dict) -> BnbO
     details["equals_reference"] = enc.bounds == _REFERENCE
     details["cells_retained"] = enc.cells_retained
     depth = int(math.log2(config.SUBLEVEL_DENOMINATOR)) * 2
-    return _verdict(contained, None, enc.cells_examined, depth, enc.level_cells)
+    status = Status.PROVED if contained else Status.FAILED
+    return BnbOutcome(status, None, enc.cells_examined, depth, enc.level_cells, enc.level_seconds)
 
 
 def _quad_min(b: Box) -> IntervalArray:
@@ -734,4 +806,5 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         wall_ms=wall_ms,
         details=details,
         level_boxes=outcome.level_boxes,
+        level_seconds=outcome.level_seconds,
     )

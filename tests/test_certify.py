@@ -7,7 +7,7 @@ import pytest
 
 from biwind import certify, core, regions, taylor
 from biwind.certify import Status
-from biwind.intervals import INTERVAL, Box, Interval
+from biwind.intervals import INTERVAL, Box, Interval, IntervalArray
 
 SQRT6 = math.sqrt(6.0)
 
@@ -108,10 +108,13 @@ def test_prove_lower_bound_failure_is_the_first_in_breadth_first_order():
 
 
 def _scalar_search(f, box, bound, min_width, strict=False):
-    """Reference: the same breadth-first search, one scalar Box at a time."""
+    """Reference: the same breadth-first search, one scalar Box at a time.
+
+    Every center of a level is judged before any box of it is bisected.
+    """
     level, levels, inconclusive = [box], [], None
     while level:
-        children = []
+        live = []
         for j, b in enumerate(level):
             v = f(b)
             if v.lo > bound if strict else v.lo >= bound:
@@ -119,13 +122,45 @@ def _scalar_search(f, box, bound, min_width, strict=False):
             c = f(Box(tuple(Interval.point(x) for x in b.center())))
             if c.hi <= bound if strict else c.hi < bound:
                 return Status.FAILED, b, tuple(levels) + (j + 1,)
+            live.append(b)
+        levels.append(len(level))
+        children = []
+        for b in live:
             if b.max_width() < min_width:
                 inconclusive = inconclusive or b
                 continue
             children.extend(b.bisect())
-        levels.append(len(level))
         level = children
     return Status.PROVED if inconclusive is None else Status.INCONCLUSIVE, inconclusive, tuple(levels)
+
+
+def _raises_below_width(width, f):
+    """f, raising on a box with a dimension of positive width below `width`."""
+
+    def g(b):
+        for iv in b.dims:
+            w = np.asarray(iv.hi - iv.lo)
+            if ((w > 0) & (w < width)).any():
+                raise ZeroDivisionError("box too narrow for this f")
+        return f(b)
+
+    return g
+
+
+_ULP = math.ulp(1.0)
+
+
+def _fails_at_point(x0):
+    """[-1, 1] on a box of positive width; at a point, -1 at x0 and 0 elsewhere."""
+
+    def f(b):
+        x = b.dims[0]
+        point = x.lo == x.hi
+        lo = np.where(point & (x.lo != x0), 0.0, -1.0)
+        hi = np.where(point, lo, 1.0)
+        return IntervalArray(lo, hi) if lo.ndim else Interval(float(lo), float(hi))
+
+    return f
 
 
 @pytest.mark.parametrize(
@@ -144,6 +179,15 @@ def _scalar_search(f, box, bound, min_width, strict=False):
         # a three-dimensional box, failing near a's minimum 0.101 at (0, pi/2, 0)
         (lambda b: regions.coeff_a(*b.dims, INTERVAL), [(0.0, 1.5), (0.0, 3.0), (-1.0, 1.0)],
          0.2, 0.05, False),
+        # the dip at 5/16 is first hit by a center at depth 3, where every box
+        # is narrower than min_width: no children are left to carry the centers
+        (lambda b: (b.dims[0] - 0.3125).power(2) - 1e-6, [(0.0, 1.0)], 0.0, 0.2, False),
+        # a failing center on a box too thin to bisect: FAILED, not ValueError
+        (lambda b: b.dims[0], [(1.0, math.nextafter(1.0, 2.0))], 2.0, 1e-300, False),
+        # f raises on the children of a box whose center fails
+        (_raises_below_width(0.6, lambda b: b.dims[0] - 0.75), [(0.0, 1.0)], 0.0, 1e-3, False),
+        # at depth 1, box 0 is too thin to bisect and box 1's center fails
+        (_fails_at_point(1 + 3 * _ULP), [(1 + _ULP, 1 + 4 * _ULP)], 0.0, 1e-300, False),
     ],
 )
 def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
@@ -152,6 +196,44 @@ def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
     status, witness, levels = _scalar_search(f, box, bound, min_width, strict)
     assert (out.status, out.witness, out.level_boxes) == (status, witness, levels)
     assert (out.boxes_examined, out.max_depth) == (sum(levels), len(levels) - 1)
+
+
+def _counting(f):
+    calls = []
+
+    def g(b):
+        calls.append(len(np.atleast_1d(b.dims[0].lo)))
+        return f(b)
+
+    return g, calls
+
+
+@pytest.mark.parametrize(
+    "f, box, bound, min_width, status",
+    [
+        # V2 in full
+        (lambda b: certify.c0_iv(*b.dims), [(0.4, math.pi / 2), (0.0, math.pi / 2)], 0.01, 1e-5,
+         Status.PROVED),
+        (lambda b: ((b.dims[0] - 0.3).power(2) - 1e-6) * ((b.dims[0] - 14.5).power(2) - 0.01),
+         [(0.0, 16.0)], 0.0, 1e-9, Status.FAILED),
+        (lambda b: b.dims[0] - b.dims[0], [(0.0, 1.0)], 0.0, 1e-2, Status.INCONCLUSIVE),
+    ],
+)
+def test_prove_lower_bound_calls_f_once_per_level(f, box, bound, min_width, status):
+    g, calls = _counting(f)
+    out = certify.prove_lower_bound(g, Box.from_bounds(box), bound, min_width)
+    assert out.status is status
+    assert len(calls) <= len(out.level_boxes) + 1
+    # the lanes are the boxes examined and one center per box not discharged
+    assert sum(calls) > out.boxes_examined
+    assert len(out.level_seconds) == len(out.level_boxes)
+    assert all(t >= 0.0 for t in out.level_seconds)
+
+
+def test_prove_lower_bound_raises_on_a_thin_box_once_its_center_passes():
+    box = Box.from_bounds([(1.0, math.nextafter(1.0, 2.0))])
+    with pytest.raises(ValueError, match="too thin to bisect"):
+        certify.prove_lower_bound(lambda b: b.dims[0] - b.dims[0], box, 0.0, 1e-300)
 
 
 def test_prove_lower_bound_broadcasts_a_scalar_result():
@@ -252,6 +334,20 @@ def test_certificate_tasks_are_pinned(all_certs):
         cert = all_certs[tid]
         assert (cert.coordinate_system, cert.target, cert.min_width) == (coords, target, min_width), tid
         assert [[(iv.lo.hex(), iv.hi.hex()) for iv in r.dims] for r in cert.regions] == regions_hex, tid
+
+
+def test_level_seconds_sit_beside_level_boxes_in_memory_only(all_certs):
+    for tid, cert in all_certs.items():
+        assert len(cert.level_seconds) == len(cert.level_boxes), tid
+        assert all(t >= 0.0 for t in cert.level_seconds), tid
+        assert "level_seconds" not in cert.to_json_dict()
+
+
+def test_merged_outcomes_add_level_seconds_level_by_level():
+    a = certify.BnbOutcome(Status.PROVED, None, 3, 1, (1, 2), (0.5, 0.25))
+    b = certify.BnbOutcome(Status.PROVED, None, 1, 0, (1,), (0.125,))
+    merged = certify._merge_outcomes([a, b])
+    assert (merged.level_boxes, merged.level_seconds) == ((2, 2), (0.625, 0.25))
 
 
 def test_v1_and_v6_discharge_at_the_root(all_certs):
@@ -521,6 +617,35 @@ def test_sublevel_matches_scalar_reference(f, threshold, den, bounds):
     enc = certify.enclose_sublevel(f, threshold, den, box)
     assert (enc.bounds, enc.cells_retained, enc.cells_examined) == _scalar_sublevel(f, threshold, den, box)
     assert sum(enc.level_cells) == enc.cells_examined
+    assert len(enc.level_seconds) == len(enc.level_cells)
+
+
+@pytest.mark.parametrize("den", [1, 2, 16, 1024])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.0, 1.0),
+        (-0.7, 0.3),
+        (-3.0, -1e-3),
+        (0.1, 0.1 + 2.0**-30),
+        (1 / 3, math.nextafter(1 / 3, 1.0)),
+        (0.0, 1e-310),
+        (-2.5, -2.5),
+        (0.1, 1e20),
+    ],
+)
+def test_integer_grid_matches_fraction_grid(lo, hi, den):
+    points = [Fraction(lo) + j * (Fraction(hi) - Fraction(lo)) / den for j in range(den + 1)]
+    dn, up = certify._grid(lo, hi, den)
+    assert [x.hex() for x in dn] == [certify._fr_dn(p).hex() for p in points]
+    assert [x.hex() for x in up] == [certify._fr_up(p).hex() for p in points]
+
+
+def test_integer_grid_rounds_points_no_double_holds():
+    dn, up = certify._grid(0.1, 0.7, 1024)
+    inexact = dn != up
+    assert 0 < inexact.sum() < 1025
+    assert (np.nextafter(dn[inexact], np.inf) == up[inexact]).all()
 
 
 def test_sublevel_validates_denominator():

@@ -32,6 +32,7 @@ COMMANDS = (
     ("wind_theta_1e10", ["wind", "--theta", "{theta}", "--blowup-norm", "1e10"]),
     ("classify", ["classify", "--grid", "200"]),
     ("verify", ["verify", "--task", "all"]),
+    ("verify_coarse", ["verify", "--task", "all", "--min-width", "0.02"]),
     ("spectrum_4_even", ["spectrum", "--d", "4", "--parity", "even"]),
     ("spectrum_4_odd", ["spectrum", "--d", "4", "--parity", "odd"]),
     ("spectrum_5_even", ["spectrum", "--d", "5", "--parity", "even"]),
