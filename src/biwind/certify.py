@@ -175,7 +175,7 @@ def prove_lower_bound(
     holds the wall time of each level's call, filtering and bisection; the
     last call's time goes to the deepest level.
     """
-    if not 0.0 < min_width < math.inf:
+    if isinstance(min_width, bool) or not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
     below = (lambda v: v <= bound) if strict else (lambda v: v < bound)
     lo = np.array([[iv.lo] for iv in box.dims])
@@ -786,7 +786,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
     task = _TASKS[task_id]
     if min_width is None:
         min_width = task.min_width
-    if not 0.0 < min_width < math.inf:
+    if isinstance(min_width, bool) or not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
     start = time.perf_counter()
     details: dict = {}

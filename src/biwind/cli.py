@@ -308,7 +308,7 @@ def _run_energy(params: dict, base: str | None) -> tuple[int, object, list[str]]
             x0 = rng.uniform(-0.5, 0.5, size=4)
             cfg = integrate.IntegrationConfig(max_span=10.0, blowup_norm=1e3)
         traj = integrate.integrate(d, x0, cfg=cfg)
-        totals = np.array([core.energy(d, x).total for x in traj.states])
+        totals = core.energy(d, traj.states.T).total
         spans.append(float(traj.s[-1]))
         if mode == "conservation":
             worst = max(worst, float(np.max(np.abs(totals - totals[0]))))

@@ -8,10 +8,14 @@ O(d)-equivariant map into the sphere becomes an autonomous ODE for phi(s),
 
 with the coefficient functions
 
-    q(phi) = (d-1) cos(2 phi) - (d-11) d - 21,
-    f(phi) = (3/2) (d-3) (d-1) sin(2 phi),
-    g(phi) = ((d-1) cos(2 phi) + 3 d - 5) / 2,
-    F(phi) = (3/2) (d-3) (d-1) sin(phi)^2        (antiderivative of f, F(0) = 0).
+    q(phi) = d1 cos(2 phi) + k,          f(phi) = c3 sin(2 phi),
+    g(phi) = (d1 cos(2 phi) + gk) / 2,   F(phi) = c3 sin(phi)^2   (F' = f, F(0) = 0).
+
+Their constants d1 = d-1, k = -(d-11) d - 21, c3 = (3/2)(d-3)(d-1),
+gk = 3d-5 and a = d-4 (so 2(d-4) = 2a) are written once, in
+`_field_constants`; the field, its Jacobians, c_star, the Taylor
+recurrences, the energy and the blowup polynomial `regions.p_value` all
+read them there.
 
 This module evaluates the field (and, for the integrator, its time-reversed
 companion), the Lyapunov energy and its dissipation rate, the
@@ -47,11 +51,6 @@ __all__ = [
     "HarmonicState",
     "Linearization",
     "state",
-    "coeff_q",
-    "coeff_f",
-    "coeff_g",
-    "coeff_F",
-    "coeff_q_prime",
     "vector_field",
     "energy",
     "symmetry_shift",
@@ -126,46 +125,11 @@ def _components(x: "State | Sequence[float] | np.ndarray") -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# Coefficient functions.  They accept scalars or numpy arrays.
-
-
-def coeff_q(d: int, phi):
-    """(d-1) cos(2 phi) - (d-11) d - 21."""
-    _check_dim(d)
-    return (d - 1) * np.cos(2.0 * phi) - (d - 11) * d - 21
-
-
-def coeff_f(d: int, phi):
-    """(3/2) (d-3) (d-1) sin(2 phi)."""
-    _check_dim(d)
-    return 1.5 * (d - 3) * (d - 1) * np.sin(2.0 * phi)
-
-
-def coeff_g(d: int, phi):
-    """((d-1) cos(2 phi) + 3 d - 5) / 2."""
-    _check_dim(d)
-    return 0.5 * ((d - 1) * np.cos(2.0 * phi) + 3 * d - 5)
-
-
-def coeff_F(d: int, phi):
-    """(3/2) (d-3) (d-1) sin(phi)^2, the antiderivative of f with F(0) = 0."""
-    _check_dim(d)
-    s = np.sin(phi)
-    return 1.5 * (d - 3) * (d - 1) * s * s
-
-
-def coeff_q_prime(d: int, phi):
-    """d/dphi of coeff_q: -2 (d-1) sin(2 phi)."""
-    _check_dim(d)
-    return -2.0 * (d - 1) * np.sin(2.0 * phi)
-
-
-# ---------------------------------------------------------------------------
 # Vector fields.
 
 
 def _field_constants(d: int) -> tuple[float, ...]:
-    """d-1, -(d-11) d - 21, (3/2)(d-3)(d-1), 3d-5 and d-4: integers or exact halves."""
+    """(d1, k, c3, gk, a) = (d-1, -(d-11) d - 21, (3/2)(d-3)(d-1), 3d-5, d-4): integers or exact halves."""
     return float(d - 1), float(-(d - 11) * d - 21), 1.5 * (d - 3) * (d - 1), float(3 * d - 5), float(d - 4)
 
 
@@ -219,27 +183,40 @@ def vector_field(d: int, x) -> np.ndarray:
 class EnergyBreakdown:
     """Lyapunov energy split into its pairing and potential parts.
 
-    total == kinetic + potential exactly (the sum is stored, not recomputed),
-    and rate is the analytic dissipation 2 (d-4) (phi''^2 + g phi'^2 + phi'^4),
-    which vanishes identically at d = 4 and is nonnegative for d >= 5.
+    Each field is a float for one jet, or an array with one entry per jet
+    for a (4, n) array of jets.  total == kinetic + potential exactly (the
+    sum is stored, not recomputed), and rate is the analytic dissipation
+    2 (d-4) (phi''^2 + g phi'^2 + phi'^4), which vanishes identically at
+    d = 4 and is nonnegative for d >= 5.
     """
 
-    total: float
-    kinetic: float
-    potential: float
-    rate: float
+    total: float | np.ndarray
+    kinetic: float | np.ndarray
+    potential: float | np.ndarray
+    rate: float | np.ndarray
 
 
 def energy(d: int, x) -> EnergyBreakdown:
-    phi, v, y, w = _components(x)
+    """The energy of one jet (a State or 4 numbers) or of each column of a (4, n) array.
+
+    One jet is evaluated as a (4, 1) array, so it runs the same numpy
+    operations as the column that holds it and gives the same bits.
+    """
     _check_dim(d)
-    q = coeff_q(d, phi)
-    kinetic = v * (w + 2.0 * (d - 4) * y - 0.5 * q * v - 1.5 * v ** 3)
-    potential = coeff_F(d, phi) - 0.5 * y * y
-    rate = 2.0 * (d - 4) * (y * y + coeff_g(d, phi) * v * v + v ** 4)
-    return EnergyBreakdown(
-        total=kinetic + potential, kinetic=kinetic, potential=potential, rate=rate
-    )
+    jets = np.asarray(x.as_array() if isinstance(x, State) else x, dtype=float)
+    if jets.ndim not in (1, 2) or len(jets) != 4:
+        raise ValueError(f"energy needs a jet of 4 components or a (4, n) array, got shape {jets.shape}")
+    phi, v, y, w = jets.reshape(4, -1)
+    d1, k, c3, gk, a = _field_constants(d)
+    cos2 = np.cos(2.0 * phi)
+    sin = np.sin(phi)
+    kinetic = v * (w + 2.0 * a * y - 0.5 * (d1 * cos2 + k) * v - 1.5 * v ** 3)
+    potential = c3 * sin * sin - 0.5 * y * y
+    rate = 2.0 * a * (y * y + 0.5 * (d1 * cos2 + gk) * v * v + v ** 4)
+    parts = (kinetic + potential, kinetic, potential, rate)
+    if jets.ndim == 1:
+        parts = (float(p[0]) for p in parts)
+    return EnergyBreakdown(*parts)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class IntegrationConfig:
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "max_step", "blowup_norm", "max_span", "event_refine_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if self.rel_tol > 1e-6:
             raise ValueError(
@@ -302,9 +302,13 @@ def _serial_source() -> str:
 
 
 # A stage that overflows to inf makes `math.sin` raise ValueError in
-# `_trial_step`, at that stage, where a lane gets nan.
+# `_trial_step`, at that stage, where a lane gets nan.  The two functions
+# are compiled one at a time: one compile of both peaks at about 1.6 times
+# the traced memory.
 _serial = {"_rms": _rms, "sqrt": math.sqrt}
-exec(compile(_serial_source(), "<integrate._serial_source()>", "exec"), _serial)
+_head, _def, _tail = _serial_source().partition("def _reach")
+for _text in (_head, _def + _tail):
+    exec(compile(_text, "<integrate._serial_source()>", "exec"), _serial)
 _trial_step, _reach = _serial["_trial_step"], _serial["_reach"]
 
 
@@ -740,9 +744,9 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 def write_csv(traj: Trajectory, path: str) -> None:
     """Delimited dump: s, jet components, energy total and dissipation rate."""
-    energies = (core.energy(traj.d, xk) for xk in traj.states)
+    e = core.energy(traj.d, traj.states.T)
     write_rows(
         path,
         ["s", "phi", "dphi", "d2phi", "d3phi", "energy_total", "energy_rate"],
-        ([sk, *xk, e.total, e.rate] for sk, xk, e in zip(traj.s, traj.states, energies)),
+        ([sk, *xk, tk, rk] for sk, xk, tk, rk in zip(traj.s, traj.states, e.total, e.rate)),
     )

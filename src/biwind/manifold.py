@@ -238,7 +238,7 @@ def find_heteroclinic(
     `config.THETA_TOL_FLOOR` (only the command line's `shoot` does), and
     bisection stops early once the midpoint rounds onto an end.
     """
-    if not (theta_tol > 0.0 and math.isfinite(theta_tol)):
+    if isinstance(theta_tol, bool) or not 0.0 < theta_tol < math.inf:
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
     if bracket is None:
         bracket = (-0.5 * math.pi, theta0(eps0) + 0.05)

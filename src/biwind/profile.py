@@ -122,7 +122,7 @@ class SeedPolicy:
 
     def __post_init__(self) -> None:
         manifold._check_eps0(self.eps0)
-        if not (self.theta_offset > 0.0 and math.isfinite(self.theta_offset)):
+        if isinstance(self.theta_offset, bool) or not 0.0 < self.theta_offset < math.inf:
             raise ValueError(f"theta_offset must be positive, got {self.theta_offset}")
 
 
@@ -167,8 +167,6 @@ def laplacian_components(d: int, prof: RadialProfile, r: float) -> tuple[float, 
     term; these are the two components of the Laplacian of the equivariant
     map built from psi.
     """
-    if d not in (5, 6, 7):
-        raise ValueError(f"laplacian_components requires d in {{5, 6, 7}}, got d={d}")
     if not (prof.r[0] <= r <= prof.r[-1]):
         raise ValueError(
             f"radius {r!r} outside the sampled range [{prof.r[0]!r}, {prof.r[-1]!r}]"
@@ -176,6 +174,13 @@ def laplacian_components(d: int, prof: RadialProfile, r: float) -> tuple[float, 
     psi = float(np.interp(r, prof.r, prof.psi))
     dpsi = float(np.interp(r, prof.r, prof.dpsi))
     d2psi = float(np.interp(r, prof.r, prof.d2psi))
+    return _laplacian_at(d, r, psi, dpsi, d2psi)
+
+
+def _laplacian_at(d: int, r: float, psi: float, dpsi: float, d2psi: float) -> tuple[float, float]:
+    """`laplacian_components` from the jet (psi, psi', psi'') at radius r."""
+    if d not in (5, 6, 7):
+        raise ValueError(f"laplacian_components requires d in {{5, 6, 7}}, got d={d}")
     sin_p, cos_p = math.sin(psi), math.cos(psi)
     f0_p = cos_p * dpsi
     f0_pp = -sin_p * dpsi * dpsi + cos_p * d2psi
@@ -287,10 +292,10 @@ def build_winding_profile(
 
 
 def write_profile_csv(prof: RadialProfile, d: int, path: str) -> None:
-    """One row per radius: the radial jet plus both Laplacian components."""
+    """One row per radius: the radial jet plus both Laplacian components from its own samples."""
+    jets = np.column_stack((prof.r, prof.psi, prof.dpsi, prof.d2psi)).tolist()
     integrate.write_rows(
         path,
         ["r", "psi", "dpsi", "d2psi", "L0f0", "L1f1"],
-        ([r, psi, dpsi, d2psi, *laplacian_components(d, prof, float(r))]
-         for r, psi, dpsi, d2psi in zip(prof.r, prof.psi, prof.dpsi, prof.d2psi)),
+        ([*jet, *_laplacian_at(d, *jet)] for jet in jets),
     )

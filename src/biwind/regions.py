@@ -336,15 +336,18 @@ def p_value(d: int, xi0, xi1, xi2):
 
     This is the second derivative of phi'' phi' along the flow written in the
     phase variables (xi0, xi1, xi2) = (phi, phi', phi''); its positivity and
-    growth drive the finite-time blowup argument.  Takes floats or numpy
-    arrays.
+    growth drive the finite-time blowup argument.  q, f, g and q'/2 =
+    -d1 sin(2 xi0) come from `core._field_constants`.  Takes floats or numpy
+    arrays; floats run as 0-d arrays, so a scalar call gives the bits of the
+    array entry.
     """
-    q = core.coeff_q(d, xi0)
-    f = core.coeff_f(d, xi0)
-    g = core.coeff_g(d, xi0)
-    qp = core.coeff_q_prime(d, xi0)
-    alpha = 2.0 * (d - 4)
-    p = q * xi2 - f + 6.0 * xi2 * xi1 ** 2 + 0.5 * qp * xi1 ** 2 + alpha * g * xi1 + alpha * xi1 ** 3
+    core._check_dim(d)
+    xi0, xi1, xi2 = (np.asarray(t, dtype=float) for t in (xi0, xi1, xi2))
+    d1, k, c3, gk, a = core._field_constants(d)
+    sin2, cos2 = np.sin(2.0 * xi0), np.cos(2.0 * xi0)
+    g = 0.5 * (d1 * cos2 + gk)
+    p = ((d1 * cos2 + k) * xi2 - c3 * sin2 + 6.0 * xi2 * xi1 ** 2 - d1 * sin2 * xi1 ** 2
+         + 2.0 * a * g * xi1 + 2.0 * a * xi1 ** 3)
     return float(p) if np.ndim(p) == 0 else p
 
 

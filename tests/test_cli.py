@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -327,7 +328,7 @@ PINNED_ARTIFACTS = {
     },
     ("shoot", "--theta-tol", "1e-3"): {
         "shoot.json": "bb0c1a70a0f37019d55840090e7cce642ba0a94384f47519a8b81ea00d58fc54",
-        "shoot.csv": "48dd40ada8332dfcfe3f3c68d43068cd735ec0c1be2434eb14ff9889b8865475",
+        "shoot.csv": "f724016efdd7262e241b8531cdbdfe987b60206ce144b3a2cdfd690aa27cf84a",
     },
     # Every matrix entry of the linearization is an integer; a zero that
     # flips its sign changes these.
@@ -370,7 +371,19 @@ def test_a_csv_writer_that_dies_leaves_no_file(tmp_path, monkeypatch, writer):
     if writer == "trajectory":
         cfg = integrate.IntegrationConfig(max_span=1.0)
         traj = integrate.integrate(4, [0.5, 0.1, 0.0, 0.0], cfg=cfg)
-        monkeypatch.setattr(core, "energy", _raise_on_call(3, core.energy))
+        energy = core.energy
+
+        def energy_that_dies(d, x):
+            # one call for the whole trajectory, whose rates run out after 3 rows
+            e = energy(d, x)
+
+            def rates():
+                yield from e.rate[:3]
+                raise RuntimeError("writer died")
+
+            return dataclasses.replace(e, rate=rates())
+
+        monkeypatch.setattr(core, "energy", energy_that_dies)
         write = lambda: integrate.write_csv(traj, path)
     elif writer == "grid":
         results = manifold.classification_grid([1.4, 1.5])
@@ -382,9 +395,7 @@ def test_a_csv_writer_that_dies_leaves_no_file(tmp_path, monkeypatch, writer):
         write = lambda: manifold.write_grid_csv(rows(), path)
     else:
         _, prof, _ = profile.build_winding_profile()
-        monkeypatch.setattr(
-            profile, "laplacian_components", _raise_on_call(3, profile.laplacian_components)
-        )
+        monkeypatch.setattr(profile, "_laplacian_at", _raise_on_call(3, profile._laplacian_at))
         write = lambda: profile.write_profile_csv(prof, 5, path)
     with pytest.raises(RuntimeError, match="writer died"):
         write()
@@ -558,6 +569,23 @@ def test_replay_ignores_a_recorded_workers_parameter(tmp_path, capsys):
         ),
         ("verify", {"task": "V1", "min_width": math.nan}, "min_width must be positive and finite"),
         ("verify", {"task": "V1", "min_width": math.inf}, "min_width must be positive and finite"),
+        # JSON true is a bool, and a bool is an int: it must not pass as 1
+        ("verify", {"task": "V1", "min_width": True}, "min_width must be positive and finite"),
+        (
+            "wind",
+            {"eps0": 0.1, "theta_offset": 0.2, "blowup_norm": 1e8, "span": True},
+            "max_span must be a positive finite number",
+        ),
+        (
+            "wind",
+            {"eps0": 0.1, "theta_offset": True, "blowup_norm": 1e8, "span": 25.0},
+            "theta_offset must be positive",
+        ),
+        (
+            "shoot",
+            {"eps0": 0.001, "theta_tol": True, "theta_tol_requested": True, "span": 6.0},
+            "theta_tol must be positive",
+        ),
     ],
 )
 def test_replay_rejects_bad_recorded_parameters(tmp_path, capsys, command, parameters, message):

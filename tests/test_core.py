@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biwind import core
+from biwind import config, core, integrate, manifold, regions
 
 
 # Independent transcriptions of the dimension-specialized right-hand sides,
@@ -63,22 +63,32 @@ def test_vector_field_accepts_state_objects():
 
 
 def test_coefficients_at_zero_and_derivative_consistency():
-    # q(0) collapses to -(d-12)d - 22 and g(0) to 2d - 3.
+    # q(0) = d1 + k collapses to -(d-12)d - 22 and g(0) = (d1 + gk)/2 to 2d - 3;
+    # f(0) = 0 zeroes the field at the origin and F(0) = 0 the potential.
     for d in range(3, 11):
-        assert core.coeff_q(d, 0.0) == pytest.approx(-(d - 12) * d - 22)
-        assert core.coeff_g(d, 0.0) == pytest.approx(2 * d - 3)
-        assert core.coeff_f(d, 0.0) == 0.0
-        assert core.coeff_F(d, 0.0) == 0.0
-    # F' = f and q' = coeff_q_prime, via central differences.
+        d1, k, _, gk, _ = core._field_constants(d)
+        assert d1 + k == -(d - 12) * d - 22
+        assert (d1 + gk) / 2 == 2 * d - 3
+        assert core.vector_field(d, [0.0, 0.0, 0.0, 0.0])[3] == 0.0
+        assert core.energy(d, [0.0, 0.0, 0.0, 0.0]).potential == 0.0
+    # F' = f and q' = 2 (q'/2 of p_value), via central differences.  At
+    # (phi, 0, 0, 0) the energy's potential is F and the field's fourth
+    # derivative is -f; the field's q is its coefficient of phi'', and at
+    # xi2 = 0 the part of p_value even in xi1 is (q'/2) xi1^2 - f.
+    F = lambda d, p: core.energy(d, [p, 0.0, 0.0, 0.0]).potential
+    f = lambda d, p: -core.vector_field(d, [p, 0.0, 0.0, 0.0])[3]
+    q = lambda d, p: core.vector_field(d, [p, 0.0, 1.0, 0.0])[3] + f(d, p)
+    pv = lambda d, p, xi1: regions.p_value(d, p, xi1, 0.0)
     rng = np.random.default_rng(7)
     h = 1e-6
     for _ in range(100):
         d = int(rng.integers(3, 11))
         p = rng.uniform(-4, 4)
-        dF = (core.coeff_F(d, p + h) - core.coeff_F(d, p - h)) / (2 * h)
-        assert dF == pytest.approx(core.coeff_f(d, p), rel=1e-8, abs=1e-7)
-        dq = (core.coeff_q(d, p + h) - core.coeff_q(d, p - h)) / (2 * h)
-        assert dq == pytest.approx(core.coeff_q_prime(d, p), rel=1e-8, abs=1e-7)
+        dF = (F(d, p + h) - F(d, p - h)) / (2 * h)
+        assert dF == pytest.approx(f(d, p), rel=1e-8, abs=1e-7)
+        dq = (q(d, p + h) - q(d, p - h)) / (2 * h)
+        half_qp = (pv(d, p, 1.0) + pv(d, p, -1.0)) / 2 - pv(d, p, 0.0)
+        assert dq == pytest.approx(2 * half_qp, rel=1e-8, abs=1e-7)
 
 
 def test_reversed_field_example_and_conjugacy():
@@ -165,6 +175,30 @@ def test_energy_rate_nonnegative_supercritical():
         assert core.energy(d, x).rate >= 0.0
 
 
+def test_energy_of_a_jet_array_is_the_energy_of_each_column():
+    # one call on a (4, n) array, bit for bit the n calls on its columns
+    rng = np.random.default_rng(44)
+    jets = rng.uniform(-5.0, 5.0, size=(4, 300)) * 10.0 ** rng.integers(-8, 3, size=(4, 300))
+    theta_star, _ = manifold.find_heteroclinic(theta_tol=1e-3)
+    seed = manifold.seed_state(manifold.SeedSpec(config.EPS0, theta_star))
+    orbit = integrate.integrate(manifold.D, seed)
+    cases = [(d, jets) for d in range(3, 11)] + [(manifold.D, orbit.states.T)]
+    for d, x in cases:
+        whole = core.energy(d, x)
+        for j in range(x.shape[1]):
+            for one in (core.energy(d, x[:, j]), core.energy(d, core.State.from_array(x[:, j]))):
+                for name in ("total", "kinetic", "potential", "rate"):
+                    got = getattr(one, name)
+                    assert type(got) is float
+                    assert got.hex() == float(getattr(whole, name)[j]).hex(), (d, j, name)
+
+
+def test_energy_rejects_other_shapes():
+    for shape in ((3,), (5,), (3, 2), (4, 2, 1)):
+        with pytest.raises(ValueError):
+            core.energy(5, np.zeros(shape))
+
+
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 3])
 def test_energy_symmetries(k):
     rng = np.random.default_rng(100 + k)
@@ -204,11 +238,12 @@ def test_c_star_dominates_dense_grid(d):
     # Independent re-derivation: c_star must dominate each of the three
     # expressions it is defined from, sampled densely over a period.
     phis = np.linspace(0.0, math.pi, 20001)
-    q = core.coeff_q(d, phis)
+    d1, k, c3, _, _ = core._field_constants(d)
+    q = d1 * np.cos(2.0 * phis) + k
     assert np.all(q > 0)
-    m1 = np.max(-core.coeff_q_prime(d, phis) / 12.0)
-    m2 = np.max(core.coeff_f(d, phis) / q)
-    m3 = np.max(np.sqrt(2.0 * core.coeff_F(d, phis)))
+    m1 = np.max(2.0 * d1 * np.sin(2.0 * phis) / 12.0)  # -q'/12
+    m2 = np.max(c3 * np.sin(2.0 * phis) / q)  # f/q
+    m3 = np.max(np.sqrt(2.0 * c3 * np.sin(phis) ** 2))  # sqrt(2F)
     grid_max = max(m1, m2, m3)
     cs = core.c_star(d)
     assert grid_max <= cs + 1e-9
@@ -328,4 +363,4 @@ def test_dimension_validation():
         with pytest.raises(ValueError):
             core.vector_field(d, [0, 0, 0, 0])
     with pytest.raises(TypeError):
-        core.coeff_q(5.0, 0.3)
+        core.energy(5.0, [0.3, 0.0, 0.0, 0.0])

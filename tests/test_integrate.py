@@ -43,13 +43,14 @@ def test_lane_rhs_matches_public_field_column_by_column(d):
     got = np.array(itg._make_rhs(d, reverse=False, ctx=core.NUMPY)(0.0, x))
     scalar = itg._make_rhs(d, reverse=False)
     phi, v, y, w = x
+    d1, k, c3, gk, a = core._field_constants(d)
     terms = np.abs([
-        core.coeff_q(d, phi) * y,
-        core.coeff_f(d, phi),
-        (6.0 * y - (d - 1) * np.sin(2.0 * phi)) * v * v,
-        2.0 * (d - 4) * core.coeff_g(d, phi) * v,
-        2.0 * (d - 4) * v ** 3,
-        2.0 * (d - 4) * w,
+        (d1 * np.cos(2.0 * phi) + k) * y,  # q phi''
+        c3 * np.sin(2.0 * phi),  # f
+        (6.0 * y - d1 * np.sin(2.0 * phi)) * v * v,
+        a * (d1 * np.cos(2.0 * phi) + gk) * v,  # 2 (d-4) g phi'
+        2.0 * a * v ** 3,
+        2.0 * a * w,
     ]).max(axis=0)
     for j in range(x.shape[1]):
         want = core.vector_field(d, x[:, j])

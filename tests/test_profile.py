@@ -283,9 +283,12 @@ def test_profile_csv_roundtrip(tmp_path, winding):
     r = float(row[0])
     assert r == float(prof.r[mid])
     assert float(row[1]) == float(prof.psi[mid])
-    l0, l1 = profile.laplacian_components(5, prof, r)
-    assert float(row[4]) == l0
-    assert float(row[5]) == l1
+    # every row, not only the middle one, holds the components at its radius
+    for line, r in zip(lines[1:], prof.r):
+        row = line.split(",")
+        l0, l1 = profile.laplacian_components(5, prof, float(r))
+        assert float(row[4]) == l0
+        assert float(row[5]) == l1
 
 
 def test_winding_report_json(winding):

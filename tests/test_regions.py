@@ -234,6 +234,20 @@ def test_growth_bounds_validates_the_cone():
         regions.growth_bounds(5, 0.0, 1.0, c0 - 0.01)
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 10])
+def test_p_value_on_arrays_equals_its_scalar_calls(d):
+    rng = np.random.default_rng(60 + d)
+    n = 500
+    xi0 = rng.uniform(-10.0, 10.0, n)
+    xi1 = rng.uniform(0.0, 1e3, n) * 10.0 ** rng.integers(-6, 1, n)
+    xi2 = rng.uniform(-50.0, 50.0, n)
+    whole = regions.p_value(d, xi0, xi1, xi2)
+    for j in range(n):
+        one = regions.p_value(d, float(xi0[j]), float(xi1[j]), float(xi2[j]))
+        assert type(one) is float
+        assert one.hex() == float(whole[j]).hex(), j
+
+
 def test_growth_constant_is_a_stored_power_of_two():
     c1 = regions.GROWTH_C1
     assert c1 >= 1.0

@@ -8,12 +8,18 @@ runs every command of `COMMANDS` through `biwind.cli.main` into a temporary
 directory.  The artifacts are then compared with `biwind.cli._comparable`
 (JSON without `wall_ms`, every other file as its bytes), and so are the exit
 codes.  Prints each file that differs or exists on one side only, and exits
-1 if any does, 0 if every artifact and exit code matches.
+1 if any does, 0 if every artifact and exit code matches.  Under a differing
+CSV it prints each differing column with the number of rows that differ in
+it and the largest relative and absolute differences; under a differing
+JSON file, each differing key with both values.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +86,37 @@ def differing(parent: str, change: str, comparable) -> list[str]:
     return [name for name, (old, new) in pairs.items() if old is None or old != new]
 
 
+def csv_details(old: bytes, new: bytes) -> list[str]:
+    """Per differing column: rows that differ, largest relative and absolute difference."""
+    (head, *a), (new_head, *b) = (list(csv.reader(io.StringIO(x.decode()))) for x in (old, new))
+    if head != new_head or len(a) != len(b):
+        return [f"header or row count differs: {len(a)} -> {len(b)} rows"]
+    lines = []
+    for j, name in enumerate(head):
+        pairs = [(r[j], q[j]) for r, q in zip(a, b) if r[j] != q[j]]
+        if not pairs:
+            continue
+        try:
+            gaps = [(abs(float(y) - float(x)), abs(float(x))) for x, y in pairs]
+            rel = max(gap / ref if ref else math.inf for gap, ref in gaps)
+            size = f", largest relative {rel:.3g}, absolute {max(g for g, _ in gaps):.3g}"
+        except ValueError:
+            size = ""
+        lines.append(f"{name}: {len(pairs)} of {len(a)} rows{size}")
+    return lines
+
+
+def json_details(old, new, key: str = "") -> list[str]:
+    """Each key whose values differ, with both values (lists of one length item by item)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for k in sorted(set(old) | set(new))
+                for line in json_details(old.get(k), new.get(k), f"{key}.{k}" if key else k)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (x, y) in enumerate(zip(old, new))
+                for line in json_details(x, y, f"{key}[{i}]")]
+    return [] if old == new else [f"{key or '(document)'}: {old!r} -> {new!r}"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -94,8 +131,19 @@ def main(argv: list[str]) -> int:
             os.mkdir(out)
             run_tree(src, out)
         diff = differing(*outs, cli._comparable)
-    for name in diff:
-        print(f"differs: {name}")
+        for name in diff:
+            print(f"differs: {name}")
+            old, new = (cli._comparable(os.path.join(out, name)) for out in outs)
+            if old is None or new is None:
+                continue
+            if name.endswith(".csv"):
+                details = csv_details(old, new)
+            elif name.endswith(".json"):
+                details = json_details(json.loads(old), json.loads(new))
+            else:
+                details = []
+            for line in details:
+                print(f"    {line}")
     print(f"{len(diff)} differing file(s)")
     return 1 if diff else 0
 
