@@ -297,10 +297,16 @@ def _run_energy(params: dict, base: str | None) -> tuple[int, object, list[str]]
                          f"got {d}")
     if mode == "monotonicity" and d not in (5, 6, 7):
         raise ValueError(f"mode monotonicity requires d in {{5, 6, 7}}, got {d}")
-    rng = np.random.default_rng(params["seed"])
+    # JSON true is a bool, and a bool is an int: it must not pass as 1
+    orbits, seed = params["orbits"], params["seed"]
+    if isinstance(orbits, bool) or not isinstance(orbits, int) or orbits < 1:
+        raise ValueError(f"orbits must be a positive integer, got {orbits!r}")
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    rng = np.random.default_rng(seed)
     worst = 0.0
     spans: list[float] = []
-    for _ in range(params["orbits"]):
+    for _ in range(orbits):
         if mode == "conservation":
             x0 = _connection_state(rng)
             cfg = integrate.IntegrationConfig(max_span=10.0, blowup_norm=20.0)

@@ -15,7 +15,9 @@ Their constants d1 = d-1, k = -(d-11) d - 21, c3 = (3/2)(d-3)(d-1),
 gk = 3d-5 and a = d-4 (so 2(d-4) = 2a) are written once, in
 `_field_constants`; the field, its Jacobians, c_star, the Taylor
 recurrences, the energy and the blowup polynomial `regions.p_value` all
-read them there.
+read them there.  The field's phi'''' is written once too, as the source
+`FIELD_SOURCE`, which `_make_rhs` compiles and the serial integrator
+inlines into its generated step.
 
 This module evaluates the field (and, for the integrator, its time-reversed
 companion), the Lyapunov energy and its dissipation rate, the
@@ -23,7 +25,9 @@ pi-shift/reflection symmetries, the threshold c_star used by the blowup
 criterion, the linearizations at the two families of equilibria, the
 classical second-order (harmonic map) analogue, and the residual of the
 original radial equation, in plain floating point; certified bounds live
-in `intervals`/`certify`.
+in `intervals`/`certify`.  Powers go through libm's pow (`power`,
+`powers`), never numpy's vector loops, so these floats do not depend on
+numpy's CPU dispatch.
 
 Code written once for every number type takes a context `ctx` drawn from
 one vocabulary: `mpf(x)` (x in the type), `sin`, `cos`, `sqrt6`, `square(x)`
@@ -46,6 +50,8 @@ import numpy as np
 __all__ = [
     "FLOAT",
     "NUMPY",
+    "power",
+    "powers",
     "State",
     "EnergyBreakdown",
     "HarmonicState",
@@ -79,6 +85,29 @@ def _check_dim(d: int) -> None:
 FLOAT = types.SimpleNamespace(mpf=float, sin=math.sin, cos=math.cos,
                               fdot=lambda a, b: math.fsum(map(operator.mul, a, b)))
 NUMPY = types.SimpleNamespace(sin=np.sin, cos=np.cos, sqrt6=math.sqrt(6.0), square=np.square)
+
+
+def power(x: float, p: float) -> float:
+    """x ** p by the C library's pow, with numpy's value where Python raises:
+    inf for 0 to a negative power and on overflow, negative for a negative x
+    and an odd p.  x is nonnegative or nan, or p is an integer: for a
+    negative x and a fractional p Python gives a complex number, and no
+    caller has one.
+
+    On CPUs with AVX-512, numpy's own pow and exp loops round differently from
+    libm on a few percent of inputs.  Python floats take libm's value, so what
+    is computed through `power` and `powers`, and every artifact built on it,
+    does not depend on numpy's CPU dispatch.
+    """
+    try:
+        return x ** p
+    except (ZeroDivisionError, OverflowError):
+        return -math.inf if math.copysign(1.0, x) < 0.0 and p % 2.0 == 1.0 else math.inf
+
+
+def powers(x: np.ndarray, p: float) -> np.ndarray:
+    """`power` on each entry of the float array x."""
+    return np.array([power(v, p) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +162,45 @@ def _field_constants(d: int) -> tuple[float, ...]:
     return float(d - 1), float(-(d - 11) * d - 21), 1.5 * (d - 3) * (d - 1), float(3 * d - 5), float(d - 4)
 
 
+# The field's last component, the phi'''' of the jet (phi, v, w2, w3), stated
+# once as source that assigns it to `acc`.  Besides the jet it reads the
+# names `_field_scope` binds: the constants of `_field_constants`, the sign
+# sgn of the odd-derivative terms, sin and cos.  `_make_rhs` compiles it into
+# the field, and `integrate` inlines it into its generated serial step.
+FIELD_SOURCE = """\
+sin2 = sin(2.0 * phi)
+cos2 = cos(2.0 * phi)
+acc = (
+    (d1 * cos2 + k) * w2
+    - c3 * sin2
+    + (6.0 * w2 - d1 * sin2) * v * v
+    + sgn * (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
+)"""
+
+
+def _field_scope(d: int, reverse: bool, ctx) -> dict:
+    """The names FIELD_SOURCE reads besides the jet, for dimension d, the
+    direction and the context `ctx`."""
+    d1, k, c3, gk, a = _field_constants(d)
+    return {"sin": ctx.sin, "cos": ctx.cos, "d1": d1, "k": k, "c3": c3, "gk": gk, "a": a,
+            "sgn": -1.0 if reverse else 1.0}
+
+
+def _function_code(source: str, filename: str) -> types.CodeType:
+    """The code of the one function that `source` defines, to be bound to
+    globals, such as a `_field_scope`, by `types.FunctionType`."""
+    module = compile(source, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+_RHS = _function_code(
+    "def rhs(s, y):\n    phi = y[0]\n    v = y[1]\n    w2 = y[2]\n    w3 = y[3]\n"
+    + "".join(f"    {line}\n" for line in FIELD_SOURCE.splitlines())
+    + "    return (v, w2, w3, acc)\n",
+    "<core.FIELD_SOURCE>",
+)
+
+
 def _make_rhs(d: int, reverse: bool = False, ctx=FLOAT) -> Callable[[float, object], tuple]:
     """The field as a 4-tuple of derivatives, with `ctx.sin` and `ctx.cos`.
 
@@ -142,26 +210,7 @@ def _make_rhs(d: int, reverse: bool = False, ctx=FLOAT) -> Callable[[float, obje
     u(sigma) = phi(-sigma): the odd-derivative terms flip sign, giving
     -J f(J x) with J = diag(1,-1,1,-1).
     """
-    d1, k, c3, gk, a = _field_constants(d)
-    sgn = -1.0 if reverse else 1.0
-    sin, cos = ctx.sin, ctx.cos
-
-    def rhs(s: float, y) -> tuple:
-        phi = y[0]
-        v = y[1]
-        w2 = y[2]
-        w3 = y[3]
-        sin2 = sin(2.0 * phi)
-        cos2 = cos(2.0 * phi)
-        acc = (
-            (d1 * cos2 + k) * w2
-            - c3 * sin2
-            + (6.0 * w2 - d1 * sin2) * v * v
-            + sgn * (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
-        )
-        return (v, w2, w3, acc)
-
-    return rhs
+    return types.FunctionType(_RHS, _field_scope(d, reverse, ctx))
 
 
 def vector_field(d: int, x) -> np.ndarray:
@@ -210,9 +259,9 @@ def energy(d: int, x) -> EnergyBreakdown:
     d1, k, c3, gk, a = _field_constants(d)
     cos2 = np.cos(2.0 * phi)
     sin = np.sin(phi)
-    kinetic = v * (w + 2.0 * a * y - 0.5 * (d1 * cos2 + k) * v - 1.5 * v ** 3)
+    kinetic = v * (w + 2.0 * a * y - 0.5 * (d1 * cos2 + k) * v - 1.5 * powers(v, 3.0))
     potential = c3 * sin * sin - 0.5 * y * y
-    rate = 2.0 * a * (y * y + 0.5 * (d1 * cos2 + gk) * v * v + v ** 4)
+    rate = 2.0 * a * (y * y + 0.5 * (d1 * cos2 + gk) * v * v + powers(v, 4.0))
     parts = (kinetic + potential, kinetic, potential, rate)
     if jets.ndim == 1:
         parts = (float(p[0]) for p in parts)

@@ -145,7 +145,7 @@ def to_radial(traj: integrate.Trajectory, shift: float | None = None) -> RadialP
         )
     s = s[keep]
     states = np.asarray(traj.states, dtype=float)[keep]
-    r = np.exp(s - shift)
+    r = np.array([math.exp(x) for x in (s - shift).tolist()])  # libm's exp, as in core.power
     phi, dphi, d2phi, d3phi = states.T
     d4phi = core._make_rhs(traj.d, ctx=core.NUMPY)(0.0, states.T)[3]
     return RadialProfile(
@@ -153,8 +153,8 @@ def to_radial(traj: integrate.Trajectory, shift: float | None = None) -> RadialP
         psi=phi.copy(),
         dpsi=dphi / r,
         d2psi=(d2phi - dphi) / r**2,
-        d3psi=(d3phi - 3.0 * d2phi + 2.0 * dphi) / r**3,
-        d4psi=(d4phi - 6.0 * d3phi + 11.0 * d2phi - 6.0 * dphi) / r**4,
+        d3psi=(d3phi - 3.0 * d2phi + 2.0 * dphi) / core.powers(r, 3.0),
+        d4psi=(d4phi - 6.0 * d3phi + 11.0 * d2phi - 6.0 * dphi) / core.powers(r, 4.0),
         psi0=0.0,
         meta=f"trajectory d={traj.d} shift={shift!r}",
     )
@@ -211,7 +211,7 @@ def blowup_diagnostics(traj: integrate.Trajectory) -> BlowupDiagnostics:
     if len(s) - start < 8:
         raise ValueError("terminal phi''' > 0 segment has too few samples to fit")
     seg = slice(start, len(s))
-    lam = d3[seg] ** (1.0 / 3.0)
+    lam = core.powers(d3[seg], 1.0 / 3.0)
     v1 = np.asarray(traj.states, dtype=float)[seg, 1] / lam
     v2 = np.asarray(traj.states, dtype=float)[seg, 2] / lam**2
     inv = 1.0 / lam

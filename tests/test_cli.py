@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,18 +319,20 @@ def test_no_temp_files_left_behind(verify_all, wind_run, tmp_path):
 
 
 # The float-side artifacts, pinned by the sha256 of what replay compares:
-# JSON without `wall_ms`, every other file as its bytes.
+# JSON without `wall_ms`, every other file as its bytes.  They take libm's
+# pow and exp, never numpy's AVX-512 loops, so they do not depend on numpy's
+# CPU dispatch.
 PINNED_ARTIFACTS = {
     ("classify", "--grid", "6"): {
-        "classify.csv": "ebbf9da7cb82e2b825c029c7d7e802e23e89b5376e53074b2b5a12e4fe5521f5",
+        "classify.csv": "0ec59f2652e34e17e8e4374e97485d9d29ddb38367905a1730eb06ac318fa68a",
     },
     ("wind",): {
         "wind.json": "9a10221af02ce555f3efb3fca49cb58fc423729600398e1cd4ed2f65f2feedf7",
-        "wind.csv": "2fe6f96018eae588d1f1c62a84b68013de22daeec4d601142e66d78642f19cf3",
+        "wind.csv": "39f40dc1f5991d1b886ba5823bf0f2764c9d315f19fe1966fe6ee99768c39cdb",
     },
     ("shoot", "--theta-tol", "1e-3"): {
         "shoot.json": "bb0c1a70a0f37019d55840090e7cce642ba0a94384f47519a8b81ea00d58fc54",
-        "shoot.csv": "f724016efdd7262e241b8531cdbdfe987b60206ce144b3a2cdfd690aa27cf84a",
+        "shoot.csv": "e02b97621036be6a84ba4bdd33ddaa17a98a04cc7e1be5158cdb1f1e6b568b84",
     },
     # Every matrix entry of the linearization is an integer; a zero that
     # flips its sign changes these.
@@ -351,6 +355,76 @@ def test_float_artifacts_are_pinned(tmp_path, argv):
         data = data.encode() if isinstance(data, str) else data
         got[os.path.basename(path)] = hashlib.sha256(data).hexdigest()
     assert got == PINNED_ARTIFACTS[argv]
+
+
+def _numpy_dispatches_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return any(__cpu_features__.get(target) for target in __cpu_dispatch__
+               if target.startswith("AVX512") or target == "X86_V4")
+
+
+def _outputs_by_dispatch(tmp_path, script, *args):
+    """For numpy's default CPU dispatch and then with its AVX-512 code
+    disabled, the files that `script`, run with `args` in a child interpreter,
+    leaves in its working directory, as `cli._comparable` reads them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4"):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path / ("disabled" if disabled else "default")
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", script, *args], cwd=out, env=env, check=True, timeout=600)
+        outputs.append({p.name: cli._comparable(str(p)) for p in out.iterdir()})
+    return outputs
+
+
+# Runs in a child, in its output directory: every command of argv[1] into it.
+_ALL_COMMANDS = """
+import contextlib, io, json, sys
+from biwind import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", argv[0]]) == 0, argv
+"""
+
+
+@pytest.mark.skipif(not _numpy_dispatches_avx512(), reason="numpy dispatches no AVX-512 code here")
+def test_float_artifacts_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # numpy's AVX-512 pow and exp round differently from libm; with them
+    # switched off numpy takes libm's, so equal artifacts show that none of
+    # them reaches an artifact.
+    commands = [["shoot"], ["wind"], ["classify", "--grid", "6"],
+                ["energy", "--d", "5", "--mode", "monotonicity"]]
+    artifacts = _outputs_by_dispatch(tmp_path, _ALL_COMMANDS, json.dumps(commands))
+    assert len(artifacts[0]) == 10  # the four commands' manifests, JSON reports and CSV files
+    assert artifacts[0] == artifacts[1]
+
+
+# Every array column of the default winding profile, one .npy file each.
+_PROFILE_COLUMNS = """
+import dataclasses
+import numpy as np
+from biwind import profile
+_, prof, _ = profile.build_winding_profile()
+for field in dataclasses.fields(prof):
+    if isinstance(getattr(prof, field.name), np.ndarray):
+        np.save(field.name, getattr(prof, field.name))
+"""
+
+
+@pytest.mark.skipif(not _numpy_dispatches_avx512(), reason="numpy dispatches no AVX-512 code here")
+def test_profile_columns_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # The columns the wind CSV leaves out as well: d3psi and d4psi divide by
+    # r^3 and r^4.
+    columns = _outputs_by_dispatch(tmp_path, _PROFILE_COLUMNS)
+    assert sorted(columns[0]) == [f"{name}.npy" for name in ("d2psi", "d3psi", "d4psi", "dpsi", "psi", "r")]
+    assert columns[0] == columns[1]
 
 
 def _raise_on_call(n, real):
@@ -585,6 +659,22 @@ def test_replay_ignores_a_recorded_workers_parameter(tmp_path, capsys):
             "shoot",
             {"eps0": 0.001, "theta_tol": True, "theta_tol_requested": True, "span": 6.0},
             "theta_tol must be positive",
+        ),
+        # zero orbits would pass the energy law vacuously
+        (
+            "energy",
+            {"d": 5, "mode": "monotonicity", "orbits": 0, "seed": 5},
+            "orbits must be a positive integer",
+        ),
+        (
+            "energy",
+            {"d": 4, "mode": "conservation", "orbits": True, "seed": 5},
+            "orbits must be a positive integer",
+        ),
+        (
+            "energy",
+            {"d": 5, "mode": "monotonicity", "orbits": 20, "seed": True},
+            "seed must be an integer",
         ),
     ],
 )
