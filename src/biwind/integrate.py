@@ -8,8 +8,8 @@ four Python floats and keeps every accepted step's stages, from which
 once as the columns of a (4, n) array, a step size per lane, and keeps no
 trajectory.  Both sum the stages, the error norm and the interpolant
 elementwise in one fixed order, so an orbit's bits depend on its seed only:
-not on the loop that ran it, nor on the other lanes.  The lanes take each sum
-with `_combo` on arrays.  A single orbit's trial step and reach bounds are
+not on the loop that ran it, nor on the other lanes.  The lanes step with
+`_combo` on arrays.  A single orbit's trial step and reach bounds are
 straight-line code on scalar locals, generated at import from the tableau,
 with the field's source `core.FIELD_SOURCE` inlined at every stage of the
 step: every sum is `_combo`'s written out, with the same products, zero
@@ -23,16 +23,18 @@ CPU dispatch.
 Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
 scans over a fixed grid in each accepted step, evaluated on the step's quartic
 interpolant (dense-output event location, Hairer, Norsett and Wanner, sec.
-II.6).  The first scan interval with a sign change is sharpened by bisection on
-the interpolant to `event_refine_tol`, or to adjacent doubles when that is
-finer; the earliest crossing found there ends the run.  A single orbit first
-bounds the interpolant over the whole step by its stages and skips the scan,
-and the dense output it needs, when that bound stays below the blowup
-threshold and the watched gates; a skipped scan could have found nothing, so
-the orbit is the same bit for bit.  The loose bound `_reach` decides most
-steps; where it fails, the tight bound `_tight_reach`, written on the stage
-differences, decides (see _P_REACH), so a shooting orbit scans only the
-steps that come near an event.  The lanes scan every step.
+II.6).  Both loops scan on arrays with `_scan`, a single orbit as one lane.
+The first scan interval with a sign change is sharpened by bisection to
+`event_refine_tol`, or to adjacent doubles when that is finer, on the step's
+interpolant as four Python floats, `_interpolant`, which gives the scan's
+bits and backs `sample_at`; the earliest crossing found there ends the run.
+A single orbit first bounds the interpolant over the whole step by its
+stages and skips the scan when that bound stays below the blowup threshold
+and the watched gates; a skipped scan could have found nothing, so the orbit
+is the same bit for bit.  The loose bound `_reach` decides most steps; where
+it fails, the tight bound `_tight_reach`, written on the stage differences,
+decides (see _P_REACH), so a shooting orbit scans only the steps that come
+near an event.  The lanes scan every step.
 Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
 samples are the true backward states of the orbit through x0, so a forward run
 followed by a reversed run returns to the starting jet.
@@ -43,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
-import functools
 import math
 import os
 import types
@@ -151,7 +152,7 @@ class Trajectory:
 
     `s` is strictly increasing; `states[k]` is the jet at `s[k]`.  The step
     from `s[k]` has the Runge-Kutta stages and size `_steps[k]`; its dense
-    output (`_dense`) covers [s[k], s[k+1]] and backs `sample_at`.  `stats`
+    output (`_interpolant`) covers [s[k], s[k+1]] and backs `sample_at`.  `stats`
     counts the run's steps and is kept in memory only.
     """
 
@@ -366,9 +367,12 @@ def _trial_step(d: int, reverse: bool) -> Callable:
     return types.FunctionType(_STEP, scope)
 
 
-def _dense(K: Sequence[Sequence[float]]) -> list[list[float]]:
-    """The dense-output coefficients q[k][c] of one jet's step from its stages."""
-    return [[_combo(kc, col) for kc in zip(*K)] for col in _P_COLUMNS]
+def _interpolant(K: Sequence[Sequence[float]], h: float, t: float,
+                 y: Sequence[float]) -> Callable[[float], list[float]]:
+    """s -> the jet at s in [t, t + h] on one jet's step from y, on Python floats:
+    `_combo` by _P_COLUMNS, then `_interpolate` per component, as `_scan` does."""
+    q = [[_combo(kc, col) for col in _P_COLUMNS] for kc in zip(*K)]  # q[c][k]
+    return lambda s: [_interpolate(qc, h, t, yc, s) for qc, yc in zip(q, y)]
 
 
 # Each accepted step is scanned at its two ends and _SCAN_POINTS equally
@@ -378,20 +382,26 @@ _SCAN_POINTS = 8
 _FRACS = np.arange(_SCAN_POINTS + 2.0)
 
 
-def _scan(q: list[list[float]], h: float, t: float, t_new: float,
-          y: Sequence[float]) -> tuple[list[float], list[list[float]]]:
-    """The lanes' scan grid on one jet's step and the jet at each grid point;
-    each jet is `_interpolate`'s arithmetic, inlined."""
-    dt = h / (_SCAN_POINTS + 1)
-    grid = [i * dt + t for i in range(_SCAN_POINTS + 1)] + [t_new]
-    jets = []
-    for x in ((g - t) / h for g in grid):
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        jets.append([h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + yc
-                     for q0, q1, q2, q3, yc in zip(*q, y)])
-    return grid, jets
+def _scan(K: Sequence[np.ndarray], h, t, t_new, y: np.ndarray, cs: float,
+          blowup_norm: float, gates: tuple[bool, bool]):
+    """(grid, jets, crossings) of each lane's step, from its (4, n) stages K and
+    jets y at t; h, t and t_new are per lane, or floats for one lane.
+
+    `jets` (4, 10, n) is the interpolant on `grid` (10, n).  `crossings` masks
+    per grid interval (9, n) the sign changes of the blowup gap, of phi'' - cs
+    upward if gates[0] and of phi'' + cs downward if gates[1].
+    """
+    q = _combo(K, _P_LANES)
+    grid = _FRACS[:, None] * (h / (_SCAN_POINTS + 1)) + t
+    grid[-1] = t_new
+    jets = _interpolate(q[:, :, None, :], h, t, y[:, None, :], grid)
+    gap = np.max(np.abs(jets), axis=0) - blowup_norm
+    g_up, g_down = jets[2] - cs, jets[2] + cs
+    return grid, jets, (
+        (gap[:-1] < 0.0) & (gap[1:] >= 0.0),
+        (g_up[:-1] < 0.0) & (g_up[1:] >= 0.0) & gates[0],
+        (g_down[:-1] > 0.0) & (g_down[1:] <= 0.0) & gates[1],
+    )
 
 
 def bisect(
@@ -415,14 +425,13 @@ def bisect(
     return lo, hi
 
 
-def _refine_hit(at: Callable[[float], Sequence[float]], crossed: Sequence[bool], ta: float,
-                tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, Sequence[float]]:
-    """Earliest refined crossing in (ta, tb] of one orbit's interpolant `at`.
+def _refine_hit(at: Callable[[float], list[float]], crossed: Sequence[bool], ta: float,
+                tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, list[float]]:
+    """Earliest refined crossing in (ta, tb] of one step's `_interpolant` `at`.
 
-    `at` gives the jet as Python floats (one orbit) or as a numpy array (a
-    lane), with the same bits.  `crossed` flags sign changes of the blowup
-    gap, the upward gate and the downward gate; ties go to the first.
-    Returns the termination and the jet there.
+    `crossed` flags sign changes of the blowup gap, the upward gate and the
+    downward gate in the scan interval [ta, tb]; ties go to the first.
+    Returns the termination and the jet there, as four Python floats.
     """
     past = (
         lambda s: max(map(abs, at(s))) - cfg.blowup_norm >= 0.0,
@@ -439,7 +448,7 @@ def _refine_hit(at: Callable[[float], Sequence[float]], crossed: Sequence[bool],
     s_hit, k = best
     y_hit = at(s_hit)
     if k == 0:
-        norm = float(max(map(abs, y_hit)))
+        norm = max(map(abs, y_hit))
         return Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm), y_hit
     event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[k - 1].value
     return Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event), y_hit
@@ -461,17 +470,17 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
            gates: tuple[bool, bool], reverse: bool) -> Trajectory:
     """Integrate one jet, watching the (upward, downward) gates flagged in `gates`.
 
-    Trial steps, step control, the scan and the event refinement are those
-    of `integrate_lanes`, on floats, so a forward orbit with both gates
-    watched ends bit for bit as its lane does.  The trial step and its error
-    norm are the generated `_trial_step`, with the field inlined: each
-    component's stage sums are `_combo`'s products added in `_combo`'s order,
-    the rounding a lane's column gets from numpy.  The step factor takes
-    libm's pow, as the lanes do.  An accepted step whose loose `_reach` bound
-    or, failing that, whose tight `_tight_reach` bound, each with its rounding
-    margin (see _P_REACH), stays below the blowup threshold and below c_star
-    in |phi''| cannot reach an event, and is neither scanned nor given dense
-    output.
+    Trial steps and step control are those of `integrate_lanes` on floats,
+    the scan is `_scan` as one lane, and refinement reads `_interpolant` as a
+    retiring lane does, so a forward orbit with both gates watched ends bit
+    for bit as its lane does.  The trial step and its error norm are the
+    generated `_trial_step`, with the field inlined: each component's stage
+    sums are `_combo`'s products added in `_combo`'s order, the rounding a
+    lane's column gets from numpy.  The step factor takes libm's pow, as the
+    lanes do.  An accepted step whose loose `_reach` bound or, failing that,
+    whose tight `_tight_reach` bound, each with its rounding margin (see
+    _P_REACH), stays below the blowup threshold and below c_star in |phi''|
+    cannot reach an event, and is not scanned.
     """
     mirror = core.REVERSAL_SIGNS if reverse else np.ones(4)
     y = (mirror * x0).tolist()
@@ -482,8 +491,7 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
 
     rhs = _make_rhs(d, reverse)
     trial_step = _trial_step(d, reverse)
-    watch_up, watch_down = gates
-    cs = core.c_star(d) if watch_up or watch_down else math.inf
+    cs = core.c_star(d) if any(gates) else math.inf
     t_bound, max_step = s0 + cfg.max_span, float(cfg.max_step)
     rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
     t = t_old = s0
@@ -543,28 +551,23 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
                 scan = not (max(near) < cfg.blowup_norm and near[2] < cs)
             if scan:
                 stats.scanned += 1
-                q = _dense(K)
-                grid, jets = _scan(q, h, t, t_new, y)
-                sup = [max(abs(jet[0]), abs(jet[1]), abs(jet[2]), abs(jet[3])) for jet in jets]
-                phi2 = [jet[2] for jet in jets]
-                for i in range(1, len(grid)):
-                    crossed = (
-                        sup[i - 1] < cfg.blowup_norm <= sup[i],
-                        watch_up and phi2[i - 1] < cs <= phi2[i],
-                        watch_down and phi2[i - 1] > -cs >= phi2[i],
-                    )
-                    if any(crossed):
-                        coefficients = list(zip(*q))  # q_k,c for each component c
+                grid, _, crossings = _scan(np.array(K)[:, :, None], h, t, t_new,
+                                           np.array(y)[:, None], cs, cfg.blowup_norm, gates)
+                hit = crossings[0] | crossings[1] | crossings[2]
+                if hit.any():
+                    i = int(np.argmax(hit[:, 0]))
+                    jet = _interpolant(K, h, t, y)
 
-                        def at(s: float) -> list[float]:
-                            stats.bisections += 1
-                            return [_interpolate(qc, h, t, yc, s) for qc, yc in zip(coefficients, y)]
+                    def at(s: float) -> list[float]:
+                        stats.bisections += 1
+                        return jet(s)
 
-                        term, y_hit = _refine_hit(at, crossed, grid[i - 1], grid[i], cs, cfg)
-                        stats.bisections -= 1  # the last call reads the jet at the hit
-                        ss.append(term.s_last)
-                        ys.append(y_hit)
-                        return finish(term)
+                    term, y_hit = _refine_hit(at, [c[i, 0] for c in crossings],
+                                              float(grid[i, 0]), float(grid[i + 1, 0]), cs, cfg)
+                    stats.bisections -= 1  # the last call reads the jet at the hit
+                    ss.append(term.s_last)
+                    ys.append(y_hit)
+                    return finish(term)
 
             t_old, t, y, f = t, t_new, y_new, K[-1]
             ss.append(t)
@@ -610,10 +613,10 @@ def integrate_lanes(
     `LaneEnd.kept`.
     """
     cfg = cfg or IntegrationConfig()
+    core._check_dim(d)
     jets = [core.State.from_array(x).as_array() for x in x0s]
     if not jets:
         return []
-    core._check_dim(d)
     rhs = _make_rhs(d, reverse=False, ctx=NUMPY)
     cs = core.c_star(d)
     t_bound, max_step = float(cfg.max_span), float(cfg.max_step)
@@ -662,18 +665,8 @@ def integrate_lanes(
             h_abs = h * np.where(accepted, up, down)
             rejected = ~accepted
 
-            # Scan each accepted step on the serial integrator's grid.
-            q = _combo(K, _P_LANES)
-            grid = _FRACS[:, None] * (h / (_SCAN_POINTS + 1)) + t
-            grid[-1] = t_new
-            ys = _interpolate(q[:, :, None, :], h, t, y[:, None, :], grid)
-            gap = np.max(np.abs(ys), axis=0) - cfg.blowup_norm
-            g_up, g_down = ys[2] - cs, ys[2] + cs
-            crossings = (
-                (gap[:-1] < 0.0) & (gap[1:] >= 0.0),
-                (g_up[:-1] < 0.0) & (g_up[1:] >= 0.0),
-                (g_down[:-1] > 0.0) & (g_down[1:] <= 0.0),
-            )
+            # Scan every lane's step; a rejected step's crossings are dropped.
+            grid, _, crossings = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, (True, True))
             any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
             hit = any_crossing.any(axis=0)
             if keep is not None:
@@ -685,7 +678,8 @@ def integrate_lanes(
                     err_j = _underflow(t[j], t_old[j], y[:, j])
                     ends[lanes[j]] = LaneEnd(err_j, err_j.state_last, bool(kept[j]))
                 elif hit[j]:
-                    at = functools.partial(_interpolate, q[:, :, j], h[j], t[j], y[:, j])
+                    at = _interpolant([k[:, j].tolist() for k in K], float(h[j]), float(t[j]),
+                                      y[:, j].tolist())
                     i = int(np.argmax(any_crossing[:, j]))
                     term, y_hit = _refine_hit(
                         at, [c[i, j] for c in crossings], float(grid[i, j]),
@@ -758,9 +752,10 @@ def integrate_reversed(d: int, x0, cfg: IntegrationConfig | None = None) -> Traj
 def sample_at(traj: Trajectory, s: float) -> core.State:
     """Jet at an arbitrary time inside the sampled span.
 
-    Stored nodes are returned exactly; interior points come from the dense
-    interpolant of the covering step (agreeing with a fresh shorter
-    integration to within an order of 10 * abs_tol).
+    Stored nodes are returned exactly; interior points come from the covering
+    step's `_interpolant` on Python floats, the one that event refinement
+    reads (agreeing with a fresh shorter integration to within an order of
+    10 * abs_tol).
     """
     if not traj.s[0] <= s <= traj.s[-1]:
         raise ValueError(
@@ -769,10 +764,10 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
     idx = int(np.searchsorted(traj.s, s))
     if traj.s[idx] == s:
         return core.State.from_array(traj.states[idx])
-    mirror = core.REVERSAL_SIGNS if traj._mirror else 1.0
+    mirror = core.REVERSAL_SIGNS if traj._mirror else np.ones(4)
     K, h = traj._steps[idx - 1]
-    y = _interpolate(np.array(_dense(K)), h, traj.s[idx - 1], mirror * traj.states[idx - 1], s)
-    return core.State.from_array(mirror * y)
+    at = _interpolant(K, h, float(traj.s[idx - 1]), (mirror * traj.states[idx - 1]).tolist())
+    return core.State.from_array(mirror * at(float(s)))
 
 
 @contextlib.contextmanager

@@ -388,6 +388,7 @@ def classification_grid(
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_eps0(eps0)
     specs = [SeedSpec(eps0, float(t)) for t in thetas]
     lanes = integrate.integrate_lanes(
         D, [seed_state(sp).as_array() for sp in specs], cfg, keep=_not_outside_c

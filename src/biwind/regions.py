@@ -339,7 +339,8 @@ def p_value(d: int, xi0, xi1, xi2):
     growth drive the finite-time blowup argument.  q, f, g and q'/2 =
     -d1 sin(2 xi0) come from `core._field_constants`.  Takes floats or numpy
     arrays; floats run as 0-d arrays, so a scalar call gives the bits of the
-    array entry.
+    array entry.  xi1^3 takes libm's pow (`core.powers`), so p does not depend
+    on numpy's CPU dispatch.
     """
     core._check_dim(d)
     xi0, xi1, xi2 = (np.asarray(t, dtype=float) for t in (xi0, xi1, xi2))
@@ -347,7 +348,7 @@ def p_value(d: int, xi0, xi1, xi2):
     sin2, cos2 = np.sin(2.0 * xi0), np.cos(2.0 * xi0)
     g = 0.5 * (d1 * cos2 + gk)
     p = ((d1 * cos2 + k) * xi2 - c3 * sin2 + 6.0 * xi2 * xi1 ** 2 - d1 * sin2 * xi1 ** 2
-         + 2.0 * a * g * xi1 + 2.0 * a * xi1 ** 3)
+         + 2.0 * a * g * xi1 + 2.0 * a * core.powers(xi1, 3.0))
     return float(p) if np.ndim(p) == 0 else p
 
 
@@ -355,15 +356,17 @@ def growth_bounds(d: int, xi0, xi1, xi2) -> tuple:
     """(lower, p, upper) of the growth sandwich at phase points, floats or arrays.
 
     Requires d in {5, 6, 7}, xi1 >= 0 and xi2 >= c_star(d); within that cone
-    lower <= p <= upper holds with the module constant GROWTH_C1.
+    lower <= p <= upper holds with the module constant GROWTH_C1.  xi1^3
+    takes libm's pow, as in `p_value`.
     """
     c0 = core.c_star(d)
     if np.min(xi1) < 0.0:
         raise ValueError(f"xi1 must be nonnegative, got {np.min(xi1)}")
     if np.min(xi2) < c0:
         raise ValueError(f"xi2 must be at least c_star(d)={c0}, got {np.min(xi2)}")
-    lower = 6.0 * (xi2 - c0) * xi1 ** 2 + xi1 ** 3 / GROWTH_C1
-    upper = 6.0 * xi1 ** 2 * xi2 + GROWTH_C1 * (1.0 + xi2 + xi1 ** 3)
+    cube = core.powers(np.asarray(xi1, dtype=float), 3.0)
+    lower = 6.0 * (xi2 - c0) * xi1 ** 2 + cube / GROWTH_C1
+    upper = 6.0 * xi1 ** 2 * xi2 + GROWTH_C1 * (1.0 + xi2 + cube)
     return lower, p_value(d, xi0, xi1, xi2), upper
 
 

@@ -427,6 +427,29 @@ def test_profile_columns_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     assert columns[0] == columns[1]
 
 
+# The blowup polynomial and its growth sandwich at 10,000 seeded points of
+# the d = 5 cone, one .npy file each.
+_GROWTH_ARRAYS = """
+import numpy as np
+from biwind import core, regions
+rng = np.random.default_rng(19)
+xi0 = rng.uniform(-10.0, 10.0, 10_000)
+xi1 = rng.uniform(0.0, 1e3, 10_000)
+xi2 = core.c_star(5) + rng.uniform(0.0, 1e3, 10_000)
+np.save("p_value", regions.p_value(5, xi0, xi1, xi2))
+for name, values in zip(("lower", "p", "upper"), regions.growth_bounds(5, xi0, xi1, xi2)):
+    np.save(name, values)
+"""
+
+
+@pytest.mark.skipif(not _numpy_dispatches_avx512(), reason="numpy dispatches no AVX-512 code here")
+def test_growth_polynomial_does_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # Both take xi1^3, which numpy's AVX-512 pow rounds otherwise than libm.
+    arrays = _outputs_by_dispatch(tmp_path, _GROWTH_ARRAYS)
+    assert sorted(arrays[0]) == ["lower.npy", "p.npy", "p_value.npy", "upper.npy"]
+    assert arrays[0] == arrays[1]
+
+
 def _raise_on_call(n, real):
     """`real`, except that its call number n (from 0) raises."""
     calls = itertools.count()

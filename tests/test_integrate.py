@@ -324,8 +324,12 @@ def test_lanes_validate_their_seeds():
     assert itg.integrate_lanes(5, []) == []
     with pytest.raises(ValueError):
         itg.integrate_lanes(5, [[0.0, 0.0, float("nan"), 0.0]])
-    with pytest.raises(ValueError):
-        itg.integrate_lanes(11, [[0.1, 0.0, 0.0, 0.0]])
+    # the dimension is checked whether or not there are seeds
+    for seeds in ([[0.1, 0.0, 0.0, 0.0]], []):
+        with pytest.raises(ValueError):
+            itg.integrate_lanes(11, seeds)
+        with pytest.raises(TypeError):
+            itg.integrate_lanes(5.5, seeds)
 
 
 def test_tracks_explicit_connection_over_short_span():
@@ -609,6 +613,13 @@ _RUNS = {
 }
 
 
+def _scanned_jets(K, h, t, t_new, y):
+    """The jets `_scan` evaluates on one jet's step, as one lane: one list per grid point."""
+    jets = itg._scan(np.array(K)[:, :, None], h, t, t_new, np.array(y)[:, None],
+                     math.inf, math.inf, (False, False))[1]
+    return jets[:, :, 0].T.tolist()
+
+
 def _step_scans(traj: itg.Trajectory):
     """(loose reach, tight reach, floor, scanned jets) of each accepted step of
     `traj`, as `_drive` has them."""
@@ -621,7 +632,7 @@ def _step_scans(traj: itg.Trajectory):
         last = ended_inside and k == len(traj._steps) - 1
         t_new = t + h if last else float(traj.s[k + 1])
         yield (itg._reach(y, K, h), itg._tight_reach(y, K, h), (1.0 + h) * itg._REACH_FLOOR,
-               itg._scan(itg._dense(K), h, t, t_new, y)[1])
+               _scanned_jets(K, h, t, t_new, y))
 
 
 def _near(tight, floor):
@@ -664,7 +675,7 @@ def test_reach_bounds_the_interpolant_of_each_stage(h):
                 K[j][c] = sign
                 reach = itg._reach(zero, K, h)
                 tight = itg._tight_reach(zero, K, h)
-                _, jets = itg._scan(itg._dense(K), h, 0.0, h, zero)
+                jets = _scanned_jets(K, h, 0.0, h, zero)
                 top = max(abs(jet[c]) for jet in jets)
                 assert top <= reach[c] and top <= _near(tight, floor)[c], (j, c, sign)
                 assert _exact_top(K, h, c) <= tight[c], (j, c, sign)
@@ -676,6 +687,58 @@ def test_reach_bounds_the_interpolant_of_each_stage(h):
             K = [[sign if i == c else 0.0 for i in range(4)] for _ in itg._P]
             tight = itg._tight_reach(zero, K, h)
             assert Fraction(h) < _exact_top(K, h, c) <= tight[c], (c, sign)
+
+
+# Stage and jet entries for steps no orbit takes: signed zeros, subnormals,
+# mixed signs, and huge values that overflow the interpolant (1e300 at
+# h = 1e9) or its coefficients (1.5e308).
+_SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e300, -1e300, 1.5e308, -1.5e308,
+                    1.5, -2.75, 3e-8)
+
+
+def _agreement_steps():
+    """(K, h, t, y) of steps from real orbits and of steps drawn from
+    _SPECIAL_ENTRIES, with and without the entries that overflow q."""
+    steps = []
+    for name in ("up_gate", "blowup_1e8", "reversed", "long_steps", "near_underflow"):
+        traj = _RUNS[name]()
+        mirror = core.REVERSAL_SIGNS if traj._mirror else np.ones(4)
+        stride = max(1, len(traj._steps) // 30)
+        for k in [*range(0, len(traj._steps), stride), len(traj._steps) - 1]:
+            K, h = traj._steps[k]
+            steps.append((K, h, float(traj.s[k]), (mirror * traj.states[k]).tolist()))
+    rng = np.random.default_rng(19)
+    for entries in (_SPECIAL_ENTRIES, [v for v in _SPECIAL_ENTRIES if abs(v) < 1e308]):
+        for _ in range(200):
+            K = rng.choice(entries, size=(len(itg._P), 4)).tolist()
+            y = rng.choice(entries, size=4).tolist()
+            steps.append((K, float(rng.choice([1e-3, 0.37, 1.0, 1e3, 1e9])),
+                          float(rng.choice([0.0, 3.25, -7.5])), y))
+    return steps
+
+
+def test_interpolant_gives_the_bits_of_the_scan():
+    # At every scan-grid point, the float interpolant that event refinement
+    # and `sample_at` read equals the array scan's jet, for one lane and for
+    # that lane inside a many-lane scan.
+    steps = _agreement_steps()
+    K = np.array([st[0] for st in steps]).transpose(1, 2, 0)
+    h, t = (np.array([st[i] for st in steps]) for i in (1, 2))
+    y = np.array([st[3] for st in steps]).T
+    seen = []
+    with np.errstate(all="ignore"):
+        lanes = itg._scan(K, h, t, t + h, y, math.inf, math.inf, (False, False))
+        for j, (Kj, hj, tj, yj) in enumerate(steps):
+            one = itg._scan(np.array(Kj)[:, :, None], hj, tj, tj + hj, np.array(yj)[:, None],
+                            math.inf, math.inf, (False, False))
+            at = itg._interpolant(Kj, hj, tj, yj)
+            for (grid, jets, _), lane in ((one, 0), (lanes, j)):
+                for i, g in enumerate(grid[:, lane].tolist()):
+                    jet = at(g)
+                    assert [v.hex() for v in jet] == [v.hex() for v in jets[:, i, lane].tolist()], (j, i)
+                    seen.extend(jet)
+    assert any(math.isnan(v) for v in seen) and any(math.isinf(v) for v in seen)
+    assert any(0.0 < abs(v) < sys.float_info.min for v in seen)
 
 
 def test_shooting_orbits_skip_most_scans(monkeypatch):

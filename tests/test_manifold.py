@@ -246,6 +246,11 @@ def test_grid_changes_sign_once_and_is_worker_invariant(tmp_path):
 def test_classification_grid_validation():
     with pytest.raises(ValueError):
         manifold.classification_grid([0.0], workers=0)
+    # the seed radius is checked whether or not there are angles
+    for thetas in ([0.0], []):
+        for eps0 in (5.0, float("nan")):
+            with pytest.raises(ValueError):
+                manifold.classification_grid(thetas, eps0=eps0)
 
 
 # Lanes of the lockstep grid integrator.
