@@ -24,7 +24,6 @@ THETA_TOL = 1e-10
 THETA_TOL_FLOOR = 1e-13
 SHOOT_SPAN = 25.0
 HETEROCLINIC_TOL = 1e-3  # end-state closeness that flags a candidate
-PRECISION_DIGITS = 38  # working digits of the extended-precision refinement
 
 # Winding-profile defaults.
 WIND_THETA_OFFSET = 0.2  # seed angle beyond the boundary root

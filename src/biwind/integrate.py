@@ -586,20 +586,17 @@ class LaneEnd:
 
     `end` is the termination, or the IntegrationError `integrate` would
     raise; `state` is the jet at `end.s_last` (the last accepted jet on
-    error); `kept` says whether `keep` held at the start and at every
-    accepted step.
+    error).
     """
 
     end: Termination | IntegrationError
     state: core.State
-    kept: bool
 
 
 def integrate_lanes(
     d: int,
     x0s,
     cfg: IntegrationConfig | None = None,
-    keep: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[LaneEnd]:
     """Integrate the forward flow from every row of x0s, all in one loop.
 
@@ -609,8 +606,6 @@ def integrate_lanes(
     a crossing on its own interpolant, and the same terminations.  A lane
     retires at its event or at the end of the span; one whose step size
     underflows retires with the IntegrationError and the others run on.
-    `keep` maps a (4, n) array of jets to a boolean lane mask, tracked into
-    `LaneEnd.kept`.
     """
     cfg = cfg or IntegrationConfig()
     core._check_dim(d)
@@ -624,13 +619,12 @@ def integrate_lanes(
     ends: list[LaneEnd | None] = [None] * len(jets)
 
     y = np.ascontiguousarray(np.array(jets).T)
-    kept = keep(y) if keep is not None else np.ones(len(jets), dtype=bool)
     sup0 = np.max(np.abs(y), axis=0)
     for j in np.flatnonzero(sup0 > cfg.blowup_norm):
         term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=0.0, norm=float(sup0[j]))
-        ends[j] = LaneEnd(term, core.State.from_array(y[:, j]), bool(kept[j]))
+        ends[j] = LaneEnd(term, core.State.from_array(y[:, j]))
     lanes = np.flatnonzero(sup0 <= cfg.blowup_norm)
-    y, kept = y[:, lanes], kept[lanes]
+    y = y[:, lanes]
     t, t_old = np.zeros(lanes.size), np.zeros(lanes.size)
     rejected = np.zeros(lanes.size, dtype=bool)
 
@@ -669,14 +663,12 @@ def integrate_lanes(
             grid, _, crossings = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, (True, True))
             any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
             hit = any_crossing.any(axis=0)
-            if keep is not None:
-                kept &= ~accepted | keep(y_new)
 
             done = failed | hit | (accepted & (t_new >= t_bound))
             for j in np.flatnonzero(done):
                 if failed[j]:
                     err_j = _underflow(t[j], t_old[j], y[:, j])
-                    ends[lanes[j]] = LaneEnd(err_j, err_j.state_last, bool(kept[j]))
+                    ends[lanes[j]] = LaneEnd(err_j, err_j.state_last)
                 elif hit[j]:
                     at = _interpolant([k[:, j].tolist() for k in K], float(h[j]), float(t[j]),
                                       y[:, j].tolist())
@@ -685,11 +677,10 @@ def integrate_lanes(
                         at, [c[i, j] for c in crossings], float(grid[i, j]),
                         float(grid[i + 1, j]), cs, cfg,
                     )
-                    ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_hit), bool(kept[j]))
+                    ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_hit))
                 else:
                     term = Termination(TerminationKind.SPAN_EXHAUSTED, s_last=float(t_new[j]))
-                    y_end = core.State.from_array(y_new[:, j])
-                    ends[lanes[j]] = LaneEnd(term, y_end, bool(kept[j]))
+                    ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_new[:, j]))
 
             t_old = np.where(accepted, t, t_old)
             t = np.where(accepted, t_new, t)
@@ -697,8 +688,8 @@ def integrate_lanes(
             f = np.where(accepted, K[-1], f)
             if done.any():
                 live = ~done
-                lanes, t, t_old, h_abs, rejected, kept = (
-                    a[live] for a in (lanes, t, t_old, h_abs, rejected, kept)
+                lanes, t, t_old, h_abs, rejected = (
+                    a[live] for a in (lanes, t, t_old, h_abs, rejected)
                 )
                 y, f = y[:, live], f[:, live]
     return ends

@@ -5,10 +5,11 @@ eigenvectors for the exponents 1 and 3.  We parameterize it to first order
 by a circle of seeds at radius eps0, classify each seeded orbit by the sign
 of the second derivative when |phi''| first reaches the gate c*(5) = 2 sqrt(6)
 that `integrate` watches, and locate the connecting orbit (which tends to
-`TARGET` = (pi/2, 0, 0, 0)) by bisection on that sign.  Double precision
-pins the connecting angle only to about 5e-14 (the integrator tolerances),
-too coarse for its orbit to stay by the equator over the full span;
-`refine_heteroclinic` sharpens the angle in mpmath.
+`TARGET` = (pi/2, 0, 0, 0)) by bisection on that sign.  Bisection pins the
+connecting angle only to about 5e-14 (the integrator tolerances), too coarse
+for a single orbit to stay by the equator over the full span;
+`refine_heteroclinic` sharpens the angle to a few units in the last place by
+multiple shooting over unit segments, still in doubles.
 Classification grids integrate all of their seeds together, as lanes of
 `integrate.integrate_lanes`; single orbits and the shooting bisection use the
 serial integrator, which is faster per orbit.  Both run one Dormand-Prince
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import config, core, integrate, regions, taylor
+from . import config, core, integrate, regions
 
 __all__ = [
     "D",
@@ -123,15 +124,10 @@ class ClassificationResult:
 
 def seed_state(spec: SeedSpec) -> core.State:
     """Point on the first-order unstable chart at angle theta, radius eps0."""
-    return core.State(*_seed_jet(spec.eps0, spec.theta, core.FLOAT))
-
-
-def _seed_jet(eps0, theta, ctx) -> tuple:
-    """(phi, phi', phi'', phi''') of the chart seed in the number type of ctx."""
-    z1 = eps0 * ctx.cos(theta)
-    z2 = eps0 * ctx.sin(theta)
+    z1 = spec.eps0 * math.cos(spec.theta)
+    z2 = spec.eps0 * math.sin(spec.theta)
     (m11, m12), (m21, m22) = CHART.dw0
-    return (z1, m11 * z1 + m12 * z2, z2, m21 * z1 + m22 * z2)
+    return core.State(z1, m11 * z1 + m12 * z2, z2, m21 * z1 + m22 * z2)
 
 
 def theta0(eps0: float) -> float:
@@ -158,14 +154,10 @@ _EVENT_TO_G = {
 _GATES = (integrate.EventKind.SECOND_DERIV_UP, integrate.EventKind.SECOND_DERIV_DOWN)
 
 
-def _not_outside_c(states: np.ndarray) -> np.ndarray:
-    """Columns of a (4, n) jet array that `regions.in_region_C` does not put OUTSIDE."""
-    gap = regions.region_gap(states[0], states[2])
-    return (np.abs(gap) <= config.BOUNDARY_TOL) | (gap > 0.0)
-
-
 def _stays_in_region(traj: integrate.Trajectory) -> bool:
-    return bool(np.all(_not_outside_c(traj.states.T)))
+    """Whether `regions.in_region_C` puts no jet of traj OUTSIDE."""
+    gap = regions.region_gap(traj.states[:, 0], traj.states[:, 2])
+    return bool(np.all((np.abs(gap) <= config.BOUNDARY_TOL) | (gap > 0.0)))
 
 
 def classify_orbit(
@@ -263,78 +255,83 @@ def find_heteroclinic(
     return theta_star, classify_orbit(SeedSpec(eps0, theta_star), cfg)
 
 
-# A secant point is used only while its miss is in the linear regime.
-_LINEAR_MISS = 0.1
-_MAX_SECANT_STEPS = 40
+# Multiple shooting of the connecting orbit: one segment per unit of the
+# shooting span.  At rel_tol 1e-12 the truncation error of the first five
+# segments, where the jets are small, still moves the angle by about 2e-16;
+# at 1e-13 the angle comes out within 6e-17 of its 38-digit value.
+_SEGMENTS = int(config.SHOOT_SPAN)
+_SEGMENT_CFG = integrate.IntegrationConfig(rel_tol=1e-13, abs_tol=1e-16, max_span=1.0)
+_NEWTON_TOL = 1e-12
+_MAX_NEWTON_STEPS = 12
 
 
 def refine_heteroclinic(
     theta: float, eps0: float = config.EPS0
-) -> tuple[object, taylor.TaylorOrbit]:
-    """Sharpen a double-precision connecting angle in extended precision.
+) -> tuple[float, list[integrate.Trajectory]]:
+    """Sharpen a connecting angle by multiple shooting over the shooting span.
 
     Deviations from the connecting orbit grow like e^(2.499 s) at the
-    equator, so its end state at span 25 needs the angle to about 1e-28,
-    beyond any double seed.  Starting from theta (the result of
-    `find_heteroclinic`, say), orbits run over the shooting span through the
-    Taylor integrator in mpmath at `config.PRECISION_DIGITS` significant
-    digits with local tolerance 10^(2 - digits), and stop once (phi, phi'')
-    leaves C, after which they blow up.
-
-    The miss of an orbit at arclength T is the projection of
-    x(T) - (pi/2, 0, 0, 0) on the equator's unstable left eigenvector.  Each
-    step integrates one orbit and takes a secant through the two newest
-    orbits at their last common sample where both misses are at most 0.1,
-    so the span in use grows as the angle sharpens.  A secant point outside
-    the bracket of opposite terminal misses is replaced by its midpoint.
-    The search ends when an orbit covers the whole span and the next
-    correction is below 10^(4 - digits).  Returns the angle (an mpmath mpf)
-    and its orbit.  Needs mpmath, the `precision` extra.
+    equator, so no single orbit from a double seed stays by it for 25 units
+    of arclength.  The span is cut into N = 25 unit segments instead, each
+    run by `integrate` from a jet of its own: x_0 is the seed at the angle,
+    and x_1 .. x_{N-1}, the jets at s = 1 .. N-1, are unknowns.  The
+    junctions x_{k+1} = Phi_1(x_k) and the projection boundary condition
+    l . (Phi_1(x_{N-1}) - (pi/2, 0, 0, 0)) = 0, with l the equator's unstable
+    left eigenvector (Beyn, IMA J. Numer. Anal. 10, 1990), are 4N - 3
+    equations in the angle and the jets.  Newton's method solves them, with
+    the segment Jacobians taken by forward differences, until a step moves
+    no unknown by more than `_NEWTON_TOL`.  It starts from the orbit of
+    theta (the result of `find_heteroclinic`, say): its jets up to a unit
+    before it ends, and the target after.  Returns the angle and the N
+    segments; segment k starts at s = k.  Raises ValueError when a segment
+    blows up or Newton has not converged in `_MAX_NEWTON_STEPS` steps.
     """
     SeedSpec(eps0, float(theta))  # validates theta and eps0
-    digits = config.PRECISION_DIGITS
-    ctx = taylor.mp_context(digits)
-    tol = 10.0 ** (2 - digits)
     vals, vecs = np.linalg.eig(core.linearization(D, "odd").matrix.T)
-    left = [ctx.mpf(t) for t in vecs[:, int(np.argmax(vals.real))].real]
-    target = (ctx.pi / 2, 0, 0, 0)
+    left = vecs[:, int(np.argmax(vals.real))].real
+    n, fd = _SEGMENTS, math.sqrt(np.finfo(float).eps)
 
-    def leaves_c(x) -> bool:
-        return regions.in_region_C(float(x[0]), float(x[2])) is regions.Membership.OUTSIDE
+    def seed(th: float) -> np.ndarray:
+        return seed_state(SeedSpec(eps0, float(th))).as_array()
 
-    def shoot(th):
-        orbit = taylor.integrate(
-            D, _seed_jet(eps0, th, ctx), config.SHOOT_SPAN,
-            tol=tol, ctx=ctx, stop=leaves_c,
-        )
-        miss = [ctx.fdot(left, [a - b for a, b in zip(x, target)]) for x in orbit.states]
-        return orbit, miss
+    def segment(x: np.ndarray, k: int) -> integrate.Trajectory:
+        seg = integrate.integrate(D, x, s0=float(k), cfg=_SEGMENT_CFG)
+        if seg.termination.kind is not integrate.TerminationKind.SPAN_EXHAUSTED:
+            raise ValueError(f"segment {k} of the orbit near theta = {theta!r} blew up")
+        return seg
 
-    thetas = [ctx.mpf(theta), ctx.mpf(theta) + config.THETA_TOL]
-    runs = [shoot(th) for th in thetas]
-    bracket = {}  # sign of the terminal miss -> latest angle with that sign
-    for _ in range(_MAX_SECANT_STEPS):
-        (_, miss_a), (orbit_b, miss_b) = runs[-2], runs[-1]
-        for th, miss in zip(thetas[-2:], (miss_a, miss_b)):
-            bracket[miss[-1] > 0] = th
-        n = min(len(miss_a), len(miss_b))
-        linear = [k for k in range(n) if max(abs(miss_a[k]), abs(miss_b[k])) <= _LINEAR_MISS]
-        k = linear[-1] if linear else n - 1
-        slope = miss_b[k] - miss_a[k]
-        step = -miss_b[k] * (thetas[-1] - thetas[-2]) / slope if slope else None
-        if not orbit_b.stopped and step is not None and abs(step) < 10.0 ** (4 - digits):
-            return thetas[-1], orbit_b
-        nxt = None if step is None else thetas[-1] + step
-        if len(bracket) == 2:
-            lo, hi = sorted(bracket.values())
-            if nxt is None or not lo < nxt < hi:
-                nxt = (lo + hi) / 2
-        if nxt is None:
-            raise ValueError(f"the miss does not vary with the angle near {theta!r}")
-        thetas.append(nxt)
-        runs.append(shoot(nxt))
+    def shoot(z: np.ndarray) -> tuple[list, list[integrate.Trajectory]]:
+        starts = [seed(z[0]), *z[1:].reshape(n - 1, 4)]
+        return starts, [segment(x, k) for k, x in enumerate(starts)]
+
+    orbit = integrate.integrate(
+        D, seed(theta), cfg=integrate.IntegrationConfig(max_span=config.SHOOT_SPAN), watch=_GATES
+    )
+    z = np.concatenate([[theta], *(
+        integrate.sample_at(orbit, k).as_array() if k <= orbit.s[-1] - 1.0 else TARGET
+        for k in range(1, n)
+    )])
+    for _ in range(_MAX_NEWTON_STEPS):
+        starts, segments = shoot(z)
+        ends = np.array([seg.states[-1] for seg in segments])
+        resid = np.append(z[1:] - ends[:-1].ravel(), left @ (ends[-1] - TARGET))
+        # d ends[k] / dz in rows 4k .. 4k+3: the angle moves x_0, and x_k is z[4k-3 .. 4k]
+        dends = np.zeros((4 * n, 4 * n - 3))
+        step = (z[0] + fd * max(1.0, abs(z[0]))) - z[0]
+        dends[:4, 0] = (segment(seed(z[0] + step), 0).states[-1] - ends[0]) / step
+        for k in range(1, n):
+            for i in range(4):
+                x = starts[k].copy()
+                x[i] += fd * max(np.max(np.abs(x)), eps0)
+                col = (segment(x, k).states[-1] - ends[k]) / (x[i] - starts[k][i])
+                dends[4 * k:4 * k + 4, 4 * k - 3 + i] = col
+        jac = np.vstack([np.eye(4 * n - 4, 4 * n - 3, k=1) - dends[:-4], left @ dends[-4:]])
+        delta = np.linalg.solve(jac, -resid)
+        z = z + delta
+        if np.max(np.abs(delta)) <= _NEWTON_TOL:
+            return float(z[0]), shoot(z)[1]
     raise ValueError(
-        f"no connecting angle found near {theta!r} in {_MAX_SECANT_STEPS} secant steps"
+        f"no connecting angle found near {theta!r} in {_MAX_NEWTON_STEPS} Newton steps"
     )
 
 
@@ -381,20 +378,21 @@ def classification_grid(
 
     All seeds run as lanes of one lockstep Dormand-Prince loop
     (`integrate.integrate_lanes`), in one thread, and each result maps to its
-    outcome as in `classify_orbit`.  A lane's bits depend on its own seed
-    only, so a result is the same whatever the grid's size, order or
-    `workers`, and equals `classify_orbit`'s bit for bit; `workers` must be
-    >= 1 when given and changes nothing.
+    outcome as in `classify_orbit`.  A lane that exhausts the span next to
+    the target runs again as a single orbit, which tells whether it stayed
+    in C.  A lane's bits depend on its own seed only, so a result is the same
+    whatever the grid's size, order or `workers`, and equals
+    `classify_orbit`'s bit for bit; `workers` must be >= 1 when given and
+    changes nothing.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_eps0(eps0)
     specs = [SeedSpec(eps0, float(t)) for t in thetas]
-    lanes = integrate.integrate_lanes(
-        D, [seed_state(sp).as_array() for sp in specs], cfg, keep=_not_outside_c
-    )
+    lanes = integrate.integrate_lanes(D, [seed_state(sp).as_array() for sp in specs], cfg)
     return [
-        _classified(sp.theta, lane.end, lane.state, lambda lane=lane: lane.kept)
+        _classified(sp.theta, lane.end, lane.state, lambda sp=sp: _stays_in_region(
+            integrate.integrate(D, seed_state(sp), cfg=cfg, watch=_GATES)))
         for sp, lane in zip(specs, lanes)
     ]
 

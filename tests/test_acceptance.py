@@ -4,17 +4,19 @@ Each test prints a single `[criterion NN] PASS/FAIL: ...` line carrying the
 measured quantities before asserting them, so `pytest -v -s` doubles as a
 human-readable report.
 
-Criterion 06 takes its span-25 end state from the extended-precision
-refinement of the bisected angle: deviations grow like e^(2.499 s) at the
-equator, the double theta* is ~5.5e-14 off (the RK45 tolerances, not
-rounding), and at theta_tol=1e-10 the all-double orbit blows up near
-s = 11.7.  It skips when mpmath is not installed.  Criterion 08 asks for four
+Criterion 06 takes its span-25 end state and its C samples from the
+multiple-shooting refinement of the bisected angle: deviations grow like
+e^(2.499 s) at the equator, the bisected theta* is ~5.5e-14 off (the RK45
+tolerances, not rounding), and at theta_tol=1e-10 its single orbit blows up
+near s = 11.7, while 25 unit segments joined by Newton's method stay by the
+equator.  It runs in doubles, with mpmath blocked.  Criterion 08 asks for four
 windings at blowup threshold 1e20: each winding costs e^(3 pi) in phi''',
 so counts 2, 3, 4 and 5 begin near phi''' = 7e8, 9e12, 1.1e17 and 1.35e21,
 and the default threshold 1e8 gives one winding.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -199,11 +201,12 @@ def test_criterion_05_energy_laws():
 
 # ---------------------------------------------------------------------------
 # 6. Shooting: bracket signs, a single sign change on a 200-point grid, and
-#    the refined connecting orbit's approach to (pi/2, 0, 0, 0) over span 25.
+#    the approach to (pi/2, 0, 0, 0) over span 25 of the connecting orbit,
+#    refined by multiple shooting over unit segments.
 
 
-def test_criterion_06_shooting():
-    pytest.importorskip("mpmath")
+def test_criterion_06_shooting(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # doubles only
     theta_b = manifold.theta0(config.EPS0)
     g_lo = manifold.classify_orbit(manifold.SeedSpec(config.EPS0, -math.pi / 2)).g
     g_hi = manifold.classify_orbit(manifold.SeedSpec(config.EPS0, theta_b + 0.05)).g
@@ -214,14 +217,15 @@ def test_criterion_06_shooting():
     decided = all(g in (-1, 1) for g in gs)
     changes = sum(1 for a, b in zip(gs, gs[1:]) if a * b < 0)
     theta_star, _ = manifold.find_heteroclinic(theta_tol=1e-10)
-    # no double seed holds the orbit by the saddle for 25 units of arclength;
-    # the extended-precision refinement of theta* does
-    theta_hp, orbit = manifold.refine_heteroclinic(theta_star)
-    states = np.asarray(orbit.states, dtype=float)
+    # no single orbit from a double seed stays by the saddle for 25 units of
+    # arclength; 25 unit segments joined by multiple shooting do
+    theta_refined, segments = manifold.refine_heteroclinic(theta_star)
+    s = np.concatenate([seg.s for seg in segments])
+    states = np.concatenate([seg.states for seg in segments])
     target = np.array([math.pi / 2, 0.0, 0.0, 0.0])
     end_dist = float(np.linalg.norm(states[-1] - target))
     outside = [
-        float(orbit.s[i])
+        float(s[i])
         for i in range(len(states))
         if regions.in_region_C(states[i, 0], states[i, 2]) is regions.Membership.OUTSIDE
     ]
@@ -237,7 +241,7 @@ def test_criterion_06_shooting():
         6,
         ok,
         f"g(-pi/2)={g_lo}, g(theta0+0.05)={g_hi}; sign changes on 200-point "
-        f"grid: {changes}; theta*={theta_star!r} refined to {theta_hp}; end "
+        f"grid: {changes}; theta*={theta_star!r} refined to {theta_refined}; end "
         f"distance at span 25: {end_dist:.3e} (limit 1e-3); samples leaving "
         f"C: {len(outside)}"
         + (f", first at s={outside[0]:.2f}" if outside else ""),
@@ -247,17 +251,18 @@ def test_criterion_06_shooting():
     assert decided
     assert changes == 1
     assert end_dist <= 1e-3, (
-        f"end distance {end_dist:.3e} at s={orbit.s[-1]:.2f} exceeds 1e-3: "
+        f"end distance {end_dist:.3e} at s={s[-1]:.2f} exceeds 1e-3: "
         f"deviations from the connecting orbit grow like e^(2.499 s) at the "
-        f"equator while the stable spiral contracts like e^(-0.5 s), so span "
-        f"25 needs theta* to ~1e-28; the double theta* is ~5.5e-14 off (the "
-        f"tolerances of its RK45 runs, not rounding) and at theta_tol=1e-10 its "
-        f"orbit blows up near s=11.7; the refined {theta_hp} falls short"
+        f"equator while the stable spiral contracts like e^(-0.5 s), so the "
+        f"segments' end must lie on the equator's stable manifold; the double "
+        f"theta* is ~5.5e-14 off (the tolerances of its RK45 runs, not "
+        f"rounding) and at theta_tol=1e-10 its orbit blows up near s=11.7; the "
+        f"segments refined to {theta_refined!r} fall short"
     )
     assert not outside, (
         f"(phi, phi'') leaves the invariant region at s={outside[0]:.2f}: "
-        f"the refined angle {theta_hp} is not close enough to the connecting "
-        f"one (deviations grow like e^(2.499 s))"
+        f"the segments refined to {theta_refined!r} do not follow the connecting "
+        f"orbit (deviations grow like e^(2.499 s))"
     )
 
 

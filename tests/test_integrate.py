@@ -273,7 +273,7 @@ def test_lanes_end_as_the_serial_integrator(d, cfg):
         [-0.2, -0.5, -4.0, -5.0], [1e-3, 7.5e-4, 0.0, -2.25e-3], [0.01, 0.0, 0.0, 0.0],
         [0.25, 0.1, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0], [0.0, 0.0, 60.0, 0.0],
     ]
-    lanes = itg.integrate_lanes(d, seeds, cfg, keep=lambda y: y[0] > -0.01)
+    lanes = itg.integrate_lanes(d, seeds, cfg)
     kinds = set()
     for x0, lane in zip(seeds, lanes):
         traj = itg.integrate(d, x0, cfg=cfg, watch=_GATE_WATCH)
@@ -281,8 +281,6 @@ def test_lanes_end_as_the_serial_integrator(d, cfg):
         assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
         assert lane.end.s_last == term.s_last
         assert np.array_equal(lane.state.as_array(), traj.states[-1])
-        if term.kind is itg.TerminationKind.SPAN_EXHAUSTED:
-            assert lane.kept == bool(np.all(traj.states[:, 0] > -0.01))
         kinds.add(term.kind)
     assert len(kinds) >= 2
 
@@ -342,6 +340,18 @@ def test_tracks_explicit_connection_over_short_span():
         for k in range(len(traj.s))
     )
     assert worst < 1e-5
+
+
+def test_rk45_state_at_s5_matches_dop853():
+    # an independent integrator on the public field, near the connecting angle
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    seed = manifold.seed_state(manifold.SeedSpec(1e-3, 0.78539792886)).as_array()
+    rk = itg.integrate(5, seed, cfg=itg.IntegrationConfig(max_span=5.0))
+    assert rk.termination.kind is itg.TerminationKind.SPAN_EXHAUSTED
+    ref = solve_ivp(lambda s, x: core.vector_field(5, x), (0.0, 5.0), seed,
+                    method="DOP853", rtol=1e-13, atol=1e-16)
+    assert ref.success and ref.t[-1] == 5.0
+    np.testing.assert_allclose(rk.states[-1], ref.y[:, -1], rtol=0.0, atol=1e-8)
 
 
 def test_span_exhausted_lands_exactly_on_the_bound():

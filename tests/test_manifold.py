@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biwind import core, integrate, manifold, regions
+from biwind import config, core, integrate, manifold, regions
 
 SQRT6 = math.sqrt(6.0)
 EPS0 = 1e-3
@@ -241,6 +241,29 @@ def test_grid_changes_sign_once_and_is_worker_invariant(tmp_path):
     assert float(first[0]) == pytest.approx(-math.pi / 2)
     assert first[1] == "blowup_minus"
     assert int(first[2]) == -1
+
+
+def test_refine_rejects_bad_input():
+    with pytest.raises(ValueError):
+        manifold.refine_heteroclinic(math.nan)
+    with pytest.raises(ValueError):
+        manifold.refine_heteroclinic(0.7854, eps0=0.5)
+    # far from the connecting angle a Newton iterate blows up
+    with pytest.raises(ValueError, match="blew up"):
+        manifold.refine_heteroclinic(1.0)
+
+
+def test_grid_and_serial_agree_on_heteroclinic_candidates(monkeypatch):
+    # a loose closeness makes short orbits near the equator candidates, so
+    # the grid's lazy region check meets both of its answers
+    monkeypatch.setattr(config, "HETEROCLINIC_TOL", 2.0)
+    cfg = integrate.IntegrationConfig(max_span=1.0)
+    thetas = list(np.linspace(-3.0, 3.0, 25))
+    grid = manifold.classification_grid(thetas, cfg=cfg)
+    outcomes = {r.outcome for r in grid}
+    assert {manifold.Outcome.HETEROCLINIC_CANDIDATE, manifold.Outcome.UNDECIDED} <= outcomes
+    for th, r in zip(thetas, grid):
+        assert _fields(r) == _fields(manifold.classify_orbit(manifold.SeedSpec(EPS0, th), cfg))
 
 
 def test_classification_grid_validation():

@@ -54,55 +54,31 @@ def test_jet_differentiates_the_polynomial():
 
 @pytest.mark.parametrize("ctx", [core.FLOAT, "mp"])
 def test_state_at_s5_matches_rk45(ctx):
+    # forty fixed Taylor steps of order 20 from the recurrences, in the given
+    # number type, against the RK45 orbit near the connecting angle
     if ctx == "mp":
         pytest.importorskip("mpmath")
         ctx = taylor.mp_context(30)
     seed = manifold.seed_state(manifold.SeedSpec(1e-3, 0.78539792886))
     rk = integrate.integrate(5, seed, cfg=integrate.IntegrationConfig(max_span=5.0))
     assert rk.termination.kind is integrate.TerminationKind.SPAN_EXHAUSTED
-    orbit = taylor.integrate(5, seed.as_array(), 5.0, tol=1e-14, ctx=ctx)
-    assert orbit.s[-1] == 5.0 and not orbit.stopped
+    x = tuple(ctx.mpf(t) for t in seed.as_array())
+    for _ in range(40):
+        x = taylor.jet(taylor.coefficients(5, x, 20, ctx), ctx.mpf(0.125), ctx)
     np.testing.assert_allclose(
-        np.asarray(orbit.states[-1], dtype=float), rk.states[-1], rtol=0.0, atol=1e-8
+        np.asarray(x, dtype=float), rk.states[-1], rtol=0.0, atol=1e-8
     )
-
-
-def test_samples_fall_on_the_grid_and_the_span():
-    orbit = taylor.integrate(5, (0.1, 0.0, 0.2, 0.0), 0.45, tol=1e-12)
-    assert orbit.s == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.45], abs=1e-15)
-    assert orbit.s[-1] == 0.45
-    assert len(orbit.states) == len(orbit.s)
-
-
-def test_stop_predicate_ends_the_run():
-    orbit = taylor.integrate(
-        5, (0.1, 0.0, 0.2, 0.0), 5.0, tol=1e-12, stop=lambda x: x[0] > 0.2
-    )
-    assert orbit.stopped
-    assert orbit.states[-1][0] > 0.2
-    assert all(x[0] <= 0.2 for x in orbit.states[:-1])
 
 
 def test_integrate_rejects_bad_input():
     x = (0.1, 0.0, 0.2, 0.0)
     with pytest.raises(ValueError):
-        taylor.integrate(5, x, 0.0, tol=1e-12)
-    with pytest.raises(ValueError):
-        taylor.integrate(5, x, 1.0, tol=0.0)
-    with pytest.raises(ValueError):
         taylor.coefficients(5, x, 3)
     for d in (2, 11):
         with pytest.raises(ValueError, match="dimension"):
             taylor.coefficients(d, x, 8)
-        with pytest.raises(ValueError, match="dimension"):
-            taylor.integrate(d, x, 1.0, tol=1e-12)
     with pytest.raises(TypeError, match="dimension"):
         taylor.coefficients(5.5, x, 8)
-    with pytest.raises(TypeError, match="dimension"):
-        taylor.integrate(5.5, x, 1.0, tol=1e-12)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            taylor.integrate(5, (bad, 0.0, 0.0, 0.0), 1.0, tol=1e-12)
     with pytest.raises(ValueError):
         taylor.mp_context(10)
 
@@ -111,17 +87,13 @@ def test_missing_mpmath_names_the_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "mpmath", None)
     with pytest.raises(ImportError, match=r"biwind\[precision\]"):
         taylor.mp_context(38)
-    with pytest.raises(ImportError, match=r"biwind\[precision\]"):
-        manifold.refine_heteroclinic(math.pi / 4)
 
 
 def test_cli_import_does_not_load_mpmath():
-    code = "import biwind.cli, sys; assert 'mpmath' not in sys.modules"
+    # neither the Taylor recurrences nor mpmath: no command runs them
+    code = (
+        "import biwind.cli, sys; "
+        "assert 'biwind.taylor' not in sys.modules, 'biwind.taylor loaded'; "
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
-
-
-def test_refine_rejects_bad_input():
-    with pytest.raises(ValueError):
-        manifold.refine_heteroclinic(math.nan)
-    with pytest.raises(ValueError):
-        manifold.refine_heteroclinic(0.7854, eps0=0.5)
