@@ -19,13 +19,13 @@ themselves are not written here: they are the generic forms of `regions`
   coefficients near the origin (`taylor_enclose_P_coeff`): `coeff_c0` and
   `coeff_c2` evaluated on polynomials with theta-remainders in exact
   rational arithmetic over Q[sqrt 6], and only rounded outward at the end;
-* a divide-and-conquer sublevel-set bounding box on the dyadic grid
-  (`enclose_sublevel`), whose grid points are rounded outward in integer
-  arithmetic (`_grid`), bit for bit as over `Fraction`s;
 * the nine named certificates V1-V9, serialized as JSON.  Each certificate
   is one entry of the `_TASKS` table: its coordinate system, target,
   default `min_width`, and the ordered (region, check) parts that prove it.
   `run_task` runs every part's check on its region and merges the outcomes.
+  V7's claim that the sublevel set {c1 <= 0.01} of [0, 1]^2 lies in the
+  reference box A is proved as its complement: c1 > 0.01, strictly, on the
+  two boxes of [0, 1]^2 outside A.
 
 Determinism comes from the structure: the search runs serially, with no
 threads, one breadth-first level at a time, and every level holds its boxes
@@ -61,18 +61,12 @@ __all__ = [
     "Certificate",
     "prove_lower_bound",
     "taylor_enclose_P_coeff",
-    "enclose_sublevel",
-    "SublevelEnclosure",
     "run_task",
     "TASK_IDS",
-    "ROUNDING_MODE",
     "c0_iv",
     "c1_iv",
     "c2_iv",
 ]
-
-ROUNDING_MODE = "nextafter-outward"
-
 
 # ---------------------------------------------------------------------------
 # The coefficient forms of `regions` on intervals, in the (phi0, phi) chart.
@@ -418,133 +412,6 @@ def taylor_enclose_P_coeff(which: str, box: Box) -> tuple[Interval, Interval]:
 
 
 # ---------------------------------------------------------------------------
-# Dyadic sublevel-set enclosure.
-
-@dataclass(frozen=True)
-class SublevelEnclosure:
-    """Dyadic bounding box of the cells where f <= threshold cannot be excluded."""
-
-    bounds: tuple[tuple[Fraction, Fraction], ...] | None
-    cells_retained: int
-    cells_examined: int
-    level_cells: tuple[int, ...] = ()  # cells examined at each breadth-first level
-    level_seconds: tuple[float, ...] = ()  # wall time of each breadth-first level
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bounds is None
-
-    def to_box(self) -> Box:
-        if self.bounds is None:
-            raise ValueError("empty enclosure has no box")
-        return Box(
-            tuple(Interval(_fr_dn(lo), _fr_up(hi)) for lo, hi in self.bounds)
-        )
-
-
-def _grid(lo: float, hi: float, den: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid points lo + j (hi - lo) / den, j = 0..den, rounded down and up.
-
-    Bit for bit `_fr_dn` and `_fr_up` of the exact points, in integers:
-    point j is N_j / M with M a power of two, `int / int` rounds it to
-    nearest, and an exact comparison steps it outward when it is inexact.
-    """
-    (a, p), (b, q) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    s = max(p, q)  # both denominators are powers of two and divide s
-    a, b, m = a * (s // p), b * (s // q), s * den
-    dn, up = [], []
-    for j in range(den + 1):
-        n = a * den + j * (b - a)
-        x = n / m
-        u, v = x.as_integer_ratio()
-        above = u * m - n * v  # the sign of x - n / m
-        dn.append(math.nextafter(x, -math.inf) if above > 0 else x)
-        up.append(math.nextafter(x, math.inf) if above < 0 else x)
-    return np.array(dn), np.array(up)
-
-
-def enclose_sublevel(
-    f: Callable[[Box], Interval],
-    threshold: float,
-    grid_denominator: int,
-    box: Box | None = None,
-) -> SublevelEnclosure:
-    """Bounding box of {f <= threshold} on the dyadic grid of the given box.
-
-    Cells are excluded when the interval evaluation stays above the
-    threshold, retained whole when it stays at or below, and split on the
-    widest dimension down to width root_width / grid_denominator otherwise.
-    A cell is held exactly as grid indices: in dimension i it starts at grid
-    point s and spans 2^e grid steps, grid point j being the exact rational
-    lo_i + j (hi_i - lo_i) / grid_denominator, and f sees it rounded outward.
-    The rounded grid is built in integers by `_grid`.  The search is breadth
-    first, one f call per level on a box of `IntervalArray` lanes, and
-    `level_seconds` holds the wall time of each level.
-    """
-    if grid_denominator < 1 or grid_denominator & (grid_denominator - 1):
-        raise ValueError(f"grid denominator must be a power of two, got {grid_denominator}")
-    if box is None:
-        box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
-    den = grid_denominator
-    top = den.bit_length() - 1
-    root = [(Fraction(iv.lo), Fraction(iv.hi)) for iv in box.dims]
-    grid_dn, grid_up = zip(*(_grid(iv.lo, iv.hi, den) for iv in box.dims))
-    # rank[i, e]: order of the width (hi_i - lo_i) 2^e / den over every
-    # dimension and exponent, equal widths sharing a rank; -1 for a cell
-    # that cannot split (e = 0).  The first dimension of largest rank is the
-    # widest one, ties going to the lower index.
-    widths = {
-        (i, e): (hi - lo) * 2**e / den
-        for i, (lo, hi) in enumerate(root)
-        if hi > lo
-        for e in range(1, top + 1)
-    }
-    order = {w: r for r, w in enumerate(sorted(set(widths.values())))}
-    ndim = len(root)
-    rank = np.full((ndim, top + 1), -1)
-    for (i, e), w in widths.items():
-        rank[i, e] = order[w]
-
-    start = np.zeros((ndim, 1), dtype=np.int64)
-    expo = np.full((ndim, 1), top, dtype=np.int64)
-    first = np.full(ndim, den)
-    last = np.zeros(ndim, dtype=np.int64)
-    retained = 0
-    levels: list[int] = []
-    seconds: list[float] = []
-    while start.shape[1]:
-        clock = time.perf_counter()
-        end = start + (1 << expo)
-        cells = tuple(IntervalArray(grid_dn[i][start[i]], grid_up[i][end[i]]) for i in range(ndim))
-        v_lo, v_hi = _lane_bounds(f(Box(cells)), start.shape[1])
-        levels.append(start.shape[1])
-        r = rank[np.arange(ndim)[:, None], expo]
-        split = (v_lo <= threshold) & (v_hi > threshold) & (r.max(axis=0) >= 0)
-        keep = (v_lo <= threshold) & ~split
-        if keep.any():
-            retained += int(keep.sum())
-            first = np.minimum(first, start[:, keep].min(axis=1))
-            last = np.maximum(last, end[:, keep].max(axis=1))
-        start, expo = start[:, split], expo[:, split]
-        k = np.argmax(r[:, split], axis=0)
-        j = np.arange(start.shape[1])
-        expo[k, j] -= 1
-        start = np.repeat(start, 2, axis=1)
-        expo = np.repeat(expo, 2, axis=1)
-        start[k, 2 * j + 1] += 1 << expo[k, 2 * j + 1]
-        seconds.append(time.perf_counter() - clock)
-
-    examined = sum(levels)
-    if retained == 0:
-        return SublevelEnclosure(None, 0, examined, tuple(levels), tuple(seconds))
-    bounds = tuple(
-        (lo + int(a) * (hi - lo) / den, lo + int(b) * (hi - lo) / den)
-        for (lo, hi), a, b in zip(root, first, last)
-    )
-    return SublevelEnclosure(bounds, retained, examined, tuple(levels), tuple(seconds))
-
-
-# ---------------------------------------------------------------------------
 # Certificates.
 
 
@@ -645,23 +512,31 @@ def _taylor_part(which: str) -> tuple[Box, _Check]:
     return Box.from_bounds(_TAYLOR_DOMAINS[which]), check
 
 
-# The box in the (phi0, z) chart that V7 encloses the sublevel set in and V8
-# bounds the discriminant on.
+# The box A = [0, 783/1024] x [779/1024, 1] in the (phi0, z) chart: V7 proves
+# that it holds every point of [0, 1]^2 where c1 <= 0.01, and V8 bounds the
+# discriminant on it.
 _REFERENCE = ((Fraction(0), Fraction(783, 1024)), (Fraction(779, 1024), Fraction(1)))
 
 
-def _sublevel_in_reference(region: Box, min_width: float, details: dict) -> BnbOutcome:
-    f = lambda b: c1_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL))
-    enc = enclose_sublevel(f, 0.01, config.SUBLEVEL_DENOMINATOR, region)
-    contained = enc.is_empty or all(a <= lo and hi <= b for (lo, hi), (a, b) in zip(enc.bounds, _REFERENCE))
-    details["enclosure"] = None if enc.is_empty else [[str(lo), str(hi)] for lo, hi in enc.bounds]
-    details["reference"] = [[str(a), str(b)] for a, b in _REFERENCE]
-    details["contained_in_reference"] = contained
-    details["equals_reference"] = enc.bounds == _REFERENCE
-    details["cells_retained"] = enc.cells_retained
-    depth = int(math.log2(config.SUBLEVEL_DENOMINATOR)) * 2
-    status = Status.PROVED if contained else Status.FAILED
-    return BnbOutcome(status, None, enc.cells_examined, depth, enc.level_cells, enc.level_seconds)
+def _outside_reference(f: Callable[[Box], Interval], threshold: float) -> tuple[tuple[Box, _Check], ...]:
+    """Parts proving {f <= threshold} within A: f > threshold on the two boxes of [0, 1]^2 outside A.
+
+    The bound is strict, since a point outside A where f equals the
+    threshold lies in the sublevel set.  `contained_in_reference` stays true
+    while every part proves.
+    """
+
+    def check(region: Box, min_width: float, details: dict) -> BnbOutcome:
+        out = prove_lower_bound(f, region, threshold, min_width, strict=True)
+        details["reference"] = [[str(a), str(b)] for a, b in _REFERENCE]
+        details["contained_in_reference"] = (
+            details.get("contained_in_reference", True) and out.status is Status.PROVED
+        )
+        return out
+
+    (_, phi0_hi), (z_lo, _) = _REFERENCE
+    outside = ([(float(phi0_hi), 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, float(z_lo))])
+    return tuple((Box.from_bounds(r), check) for r in outside)
 
 
 def _quad_min(b: Box) -> IntervalArray:
@@ -759,7 +634,7 @@ _TASKS = {
     ),
     "V7": _Task(
         "(phi0, z)", "sublevel set {v^1 coefficient <= 0.01} lies inside [0, 783/1024] x [779/1024, 1]",
-        config.MIN_WIDTH_COEFF, ((Box.from_bounds([(0.0, 1.0), (0.0, 1.0)]), _sublevel_in_reference),),
+        config.MIN_WIDTH_COEFF, _outside_reference(lambda b: c1_iv(b.dims[0], phi_of_z(*b.dims, INTERVAL)), 0.01),
     ),
     "V8": _Task(
         "(phi0, z)", "min over v of c0 + c1 v + c2 v^2 (= c0 - c1^2 / 4 c2) >= 0.5 on the reference box",
@@ -802,7 +677,7 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         boxes_examined=outcome.boxes_examined,
         max_depth=outcome.max_depth,
         min_width=min_width,
-        rounding_mode=ROUNDING_MODE,
+        rounding_mode=config.ROUNDING_MODE,
         wall_ms=wall_ms,
         details=details,
         level_boxes=outcome.level_boxes,

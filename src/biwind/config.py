@@ -32,7 +32,9 @@ WIND_EPS0 = 1e-3
 # Certificate defaults.
 MIN_WIDTH_COEFF = 1e-5  # branch-and-bound floor for the coefficient tasks
 MIN_WIDTH_QUAD = 1e-4   # floor for the discriminant/cone source tasks
-SUBLEVEL_DENOMINATOR = 1024
+# How every certificate rounds its interval endpoints; recorded in certificates
+# and manifests.
+ROUNDING_MODE = "nextafter-outward"
 
 # Region-membership boundary tolerance.
 BOUNDARY_TOL = 1e-9

@@ -59,13 +59,12 @@ class LocalChart:
 
     The manifold is a graph over the (phi, phi'') coordinates z = (z1, z2):
     the missing (phi', phi''') components are dw0 @ z up to cubic error.
-    dw0 is determined by the eigenvectors eta3 (exponent 1) and eta4
-    (exponent 3): a tangent vector a*eta3 + b*eta4 has z = (a+b, a+9b) and
+    dw0 is determined by the eigenvectors (1, 1, 1, 1) of exponent 1 and
+    (1, 3, 9, 27) of exponent 3 (`core.linearization(5, "even")`): a tangent
+    vector a (1, 1, 1, 1) + b (1, 3, 9, 27) has z = (a+b, a+9b) and
     w = (a+3b, a+27b), and eliminating (a, b) gives w = (1/4)[[3,1],[-9,13]] z.
     """
 
-    eta3: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    eta4: tuple[float, float, float, float] = (1.0, 3.0, 9.0, 27.0)
     dw0: tuple[tuple[float, float], tuple[float, float]] = (
         (0.75, 0.25),
         (-2.25, 3.25),

@@ -17,13 +17,13 @@ and the default threshold 1e8 gives one winding.
 
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from biwind import certify, cli, config, core, integrate, manifold, profile, regions
 from biwind.certify import Status
+from biwind.intervals import Box
 
 SQRT6 = math.sqrt(6.0)
 
@@ -97,33 +97,45 @@ def test_criterion_02_taylor_enclosures(certs_w1):
 
 
 # ---------------------------------------------------------------------------
-# 3. The dyadic sublevel box at denominator 1024 sits inside the reference
-#    box A; whether it equals A exactly is reported, not required.
+# 3. The sublevel set {c1 <= 0.01} of [0, 1]^2 lies inside the reference box
+#    A = [0, 783/1024] x [779/1024, 1]: c1 > 0.01 on both boxes outside A.
+#    A shrunk by 5/1024 in phi0 or in z must fail, so A is nearly tight.
 
 
 def test_criterion_03_sublevel_enclosure(certs_w1):
-    details = certs_w1["V7"].details
-    contained = details["contained_in_reference"]
-    equals = details["equals_reference"]
-    (lo1, hi1), (lo2, hi2) = [
-        (Fraction(a), Fraction(b)) for a, b in details["enclosure"]
-    ]
-    inside = (
-        Fraction(0) <= lo1
-        and hi1 <= Fraction(783, 1024)
-        and Fraction(779, 1024) <= lo2
-        and hi2 <= Fraction(1)
+    cert = certs_w1["V7"]
+    contained = cert.details["contained_in_reference"]
+    parts = certify._TASKS["V7"].parts
+    trees = [check(region, cert.min_width, {}) for region, check in parts]
+    check = parts[0][1]
+    shrunk = {
+        "phi0 <= 778/1024": [(778 / 1024, 1.0), (0.0, 1.0)],
+        "z >= 784/1024": [(0.0, 1.0), (0.0, 784 / 1024)],
+    }
+    falsified = {name: check(Box.from_bounds(r), cert.min_width, {}) for name, r in shrunk.items()}
+    ok = (
+        cert.status is Status.PROVED
+        and contained is True
+        and all(t.status is Status.PROVED for t in trees)
+        and all(f.status is Status.FAILED for f in falsified.values())
     )
-    ok = bool(contained) and inside
     report(
         3,
         ok,
-        f"enclosure [{lo1}, {hi1}] x [{lo2}, {hi2}] contained in "
-        f"[0, 783/1024] x [779/1024, 1]: {contained}; equals it exactly: {equals}",
+        f"c1 > 0.01 on [0, 1]^2 outside [0, 783/1024] x [779/1024, 1]: {cert.status.value}, "
+        f"contained_in_reference={contained}; trees (boxes, depth) "
+        + ", ".join(f"({t.boxes_examined}, {t.max_depth})" for t in trees)
+        + "; A shrunk to "
+        + ", ".join(
+            f"{name}: {f.status.value} at {tuple(round(x, 5) for x in f.witness.center())}"
+            for name, f in falsified.items()
+        ),
     )
+    assert cert.status is Status.PROVED
     assert contained is True
-    assert inside
-    assert isinstance(equals, bool)
+    assert all(t.status is Status.PROVED for t in trees)
+    for f in falsified.values():
+        assert f.status is Status.FAILED
 
 
 # ---------------------------------------------------------------------------

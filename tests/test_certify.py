@@ -282,7 +282,7 @@ PINNED_TREES = {
     "V4": (0, 0),
     "V5": (10968, 29),
     "V6": (1, 0),
-    "V7": (14951, 20),
+    "V7": (724, 17),
     "V8": (7889, 16),
     "V9": (279, 12),
 }
@@ -294,9 +294,6 @@ def test_proof_trees_are_pinned(all_certs):
         assert (cert.boxes_examined, cert.max_depth) == tree, tid
         assert sum(cert.level_boxes) == cert.boxes_examined, tid
         assert len(cert.level_boxes) == (cert.max_depth + 1 if cert.boxes_examined else 0), tid
-    d = all_certs["V7"].details
-    assert d["enclosure"] == [["0", "195/256"], ["195/256", "1"]]
-    assert d["cells_retained"] == 5392
 
 
 # The nine certificates' statements: coordinate system, target, default
@@ -320,7 +317,7 @@ PINNED_TASKS = {
     "V6": ("(phi0, phi)", "v^1 coefficient of P >= 0.01", 1e-5,
            [[(_1, _HALF_PI), (_0, _HALF_PI)]]),
     "V7": ("(phi0, z)", "sublevel set {v^1 coefficient <= 0.01} lies inside [0, 783/1024] x [779/1024, 1]",
-           1e-5, [[(_0, _1), (_0, _1)]]),
+           1e-5, [[("0x1.8780000000000p-1", _1), (_0, _1)], [(_0, _1), (_0, "0x1.8580000000000p-1")]]),
     "V8": ("(phi0, z)", "min over v of c0 + c1 v + c2 v^2 (= c0 - c1^2 / 4 c2) >= 0.5 on the reference box",
            1e-4, [[(_0, "0x1.8780000000000p-1"), ("0x1.8580000000000p-1", _1)]]),
     "V9": ("(phi)", "q0 > 1.9 on [pi/8, 3]; analytic tail bounds confirmed at sample points", 1e-4,
@@ -395,18 +392,53 @@ def test_taylor_endpoints_are_pinned(all_certs):
 
 
 def test_v7_enclosure_contained_in_reference(all_certs):
-    d = all_certs["V7"].details
-    assert d["contained_in_reference"] is True
-    assert isinstance(d["equals_reference"], bool)
-    assert d["enclosure"] is not None
-    (lo1, hi1), (lo2, hi2) = [
-        (Fraction(a), Fraction(b)) for a, b in d["enclosure"]
-    ]
-    assert Fraction(0) <= lo1 and hi1 <= Fraction(783, 1024)
-    assert Fraction(779, 1024) <= lo2 and hi2 <= Fraction(1)
-    # denominators divide the grid
-    for q in (lo1, hi1, lo2, hi2):
-        assert 1024 % q.denominator == 0
+    # its regions, pinned above, are the two boxes of [0, 1]^2 outside A
+    assert all_certs["V7"].details == {
+        "reference": [["0", "783/1024"], ["779/1024", "1"]],
+        "contained_in_reference": True,
+    }
+
+
+def _v7_check(region):
+    _, check = certify._TASKS["V7"].parts[0]
+    details = {}
+    return check(Box.from_bounds(region), 1e-5, details), details
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        [(778 / 1024, 1.0), (0.0, 1.0)],  # A shrunk to phi0 <= 778/1024
+        [(0.0, 1.0), (0.0, 784 / 1024)],  # A shrunk to z >= 784/1024
+    ],
+)
+def test_v7_check_fails_on_a_shrunk_reference(region):
+    out, details = _v7_check(region)
+    assert out.status is Status.FAILED
+    assert details["contained_in_reference"] is False
+    # the witness center lies in A, and c1 <= 0.01 there, rounded outward
+    p0, z = out.witness.center()
+    assert p0 <= 783 / 1024 and z >= 779 / 1024
+    phi0 = Interval.point(p0)
+    assert certify.c1_iv(phi0, regions.phi_of_z(phi0, Interval.point(z), INTERVAL)).hi <= 0.01
+
+
+def test_v7_honours_min_width():
+    cert = certify.run_task("V7", min_width=0.02)
+    assert cert.status is Status.INCONCLUSIVE
+    assert cert.witness is not None
+    assert cert.details["contained_in_reference"] is False
+
+
+def test_v7_bound_is_strict():
+    # a form equal to the threshold outside A: the plain lower bound proves
+    # f >= 0.01 at the root, but such a point lies in the sublevel set
+    flat = lambda b: Interval(0.01, 0.01)
+    details = {}
+    for region, check in certify._outside_reference(flat, 0.01):
+        assert certify.prove_lower_bound(flat, region, 0.01, 1e-5).status is Status.PROVED
+        assert check(region, 1e-5, details).status is Status.FAILED
+    assert details["contained_in_reference"] is False
 
 
 def test_v9_sample_confirmations_recorded(all_certs):
@@ -497,6 +529,13 @@ def test_proved_bounds_survive_dense_sampling(all_certs):
     assert np.min(c2) > 0.0
     assert np.min(c0 - c1 * c1 / (4.0 * c2)) >= 0.5  # V8
 
+    p0 = rng.uniform(783 / 1024, 1.0, n // 2)
+    z = rng.uniform(0.0, 1.0, n // 2)
+    assert np.min(regions.P_cubic_coefficients(p0, _zmap(p0, z))[1]) > 0.01  # V7 region 1
+    p0 = rng.uniform(0.0, 1.0, n // 2)
+    z = rng.uniform(0.0, 779 / 1024, n // 2)
+    assert np.min(regions.P_cubic_coefficients(p0, _zmap(p0, z))[1]) > 0.01  # V7 region 2
+
     ph = rng.uniform(math.pi / 8, 3.0, n)
     assert np.min(regions.Q_cubic_coefficients(ph)[0]) > 1.9  # V9
 
@@ -547,121 +586,6 @@ def test_taylor_rejects_out_of_domain_boxes():
 def test_sqrt6_rational_bracket():
     lo, hi = certify._SQRT6_LO, certify._SQRT6_HI
     assert lo * lo < 6 < hi * hi
-
-
-# ---------------------------------------------------------------------------
-# Sublevel enclosure.
-
-
-def test_sublevel_halfplane_example():
-    f = lambda b: b.dims[0]
-    enc = certify.enclose_sublevel(f, 0.5, 4)
-    assert not enc.is_empty
-    (lo1, hi1), (lo2, hi2) = enc.bounds
-    assert lo1 == 0 and lo2 == 0 and hi2 == 1
-    # must contain the exact sublevel set; boundary cell may or may not drop
-    assert hi1 in (Fraction(1, 2), Fraction(3, 4))
-
-
-def test_sublevel_empty_sentinel():
-    f = lambda b: Interval(1.0, 1.0)
-    enc = certify.enclose_sublevel(f, 0.0, 4)
-    assert enc.is_empty
-    assert enc.cells_retained == 0
-    with pytest.raises(ValueError):
-        enc.to_box()
-
-
-def _scalar_sublevel(f, threshold, den, box):
-    """Reference: depth-first over exact Fraction cells, one scalar Box each."""
-    root = tuple((Fraction(iv.lo), Fraction(iv.hi)) for iv in box.dims)
-    floors = [(hi - lo) / den for lo, hi in root]
-    stack, kept, examined = [root], [], 0
-    while stack:
-        cell = stack.pop()
-        examined += 1
-        val = f(Box(tuple(Interval(float(lo), float(hi)) for lo, hi in cell)))
-        if val.lo > threshold:
-            continue
-        widths = [hi - lo for lo, hi in cell]
-        splittable = [i for i, w in enumerate(widths) if w > floors[i]]
-        if val.hi <= threshold or not splittable:
-            kept.append(cell)
-            continue
-        i = max(splittable, key=lambda i: (widths[i], -i))
-        lo, hi = cell[i]
-        mid = (lo + hi) / 2
-        stack += [cell[:i] + ((lo, mid),) + cell[i + 1:], cell[:i] + ((mid, hi),) + cell[i + 1:]]
-    bounds = None
-    if kept:
-        bounds = tuple(
-            (min(c[i][0] for c in kept), max(c[i][1] for c in kept)) for i in range(len(root))
-        )
-    return bounds, len(kept), examined
-
-
-@pytest.mark.parametrize(
-    "f, threshold, den, bounds",
-    [
-        # widths 2 and 1 tie at every other level; the first dimension wins
-        (lambda b: b.dims[0] * b.dims[1], 0.3, 16, [(0.0, 2.0), (0.0, 1.0)]),
-        (lambda b: (b.dims[0] - 0.7).power(2) + b.dims[1] - 0.5, 0.0, 32, [(0.0, 1.0), (0.25, 1.0)]),
-        # a zero-width dimension is never split
-        (lambda b: b.dims[0] + b.dims[1], 0.9, 8, [(0.0, 1.0), (0.5, 0.5)]),
-        # three dimensions of unequal width
-        (lambda b: b.dims[0] * b.dims[1] - b.dims[2], 0.1, 8, [(0.0, 1.0), (0.0, 0.5), (0.0, 0.25)]),
-    ],
-)
-def test_sublevel_matches_scalar_reference(f, threshold, den, bounds):
-    box = Box.from_bounds(bounds)
-    enc = certify.enclose_sublevel(f, threshold, den, box)
-    assert (enc.bounds, enc.cells_retained, enc.cells_examined) == _scalar_sublevel(f, threshold, den, box)
-    assert sum(enc.level_cells) == enc.cells_examined
-    assert len(enc.level_seconds) == len(enc.level_cells)
-
-
-@pytest.mark.parametrize("den", [1, 2, 16, 1024])
-@pytest.mark.parametrize(
-    "lo, hi",
-    [
-        (0.0, 1.0),
-        (-0.7, 0.3),
-        (-3.0, -1e-3),
-        (0.1, 0.1 + 2.0**-30),
-        (1 / 3, math.nextafter(1 / 3, 1.0)),
-        (0.0, 1e-310),
-        (-2.5, -2.5),
-        (0.1, 1e20),
-    ],
-)
-def test_integer_grid_matches_fraction_grid(lo, hi, den):
-    points = [Fraction(lo) + j * (Fraction(hi) - Fraction(lo)) / den for j in range(den + 1)]
-    dn, up = certify._grid(lo, hi, den)
-    assert [x.hex() for x in dn] == [certify._fr_dn(p).hex() for p in points]
-    assert [x.hex() for x in up] == [certify._fr_up(p).hex() for p in points]
-
-
-def test_integer_grid_rounds_points_no_double_holds():
-    dn, up = certify._grid(0.1, 0.7, 1024)
-    inexact = dn != up
-    assert 0 < inexact.sum() < 1025
-    assert (np.nextafter(dn[inexact], np.inf) == up[inexact]).all()
-
-
-def test_sublevel_validates_denominator():
-    with pytest.raises(ValueError):
-        certify.enclose_sublevel(lambda b: b.dims[0], 0.5, 3)
-
-
-def test_sublevel_dyadic_alignment_and_box_form():
-    f = lambda b: b.dims[0] + b.dims[1]
-    enc = certify.enclose_sublevel(f, 0.3, 16)
-    assert not enc.is_empty
-    for lo, hi in enc.bounds:
-        assert 16 % lo.denominator == 0
-        assert 16 % hi.denominator == 0
-    box = enc.to_box()
-    assert box.dims[0].lo <= float(enc.bounds[0][0])
 
 
 def test_series_sin_and_cos_take_integer_multiples_of_one_variable():

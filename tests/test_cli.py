@@ -70,6 +70,20 @@ def test_verify_usage_errors():
     assert usage_code(["verify", "--min-width", "nan"]) == 64
 
 
+def test_only_verify_loads_the_interval_engine():
+    code = (
+        "import sys\n"
+        "import biwind.cli\n"
+        "loaded = lambda: [m for m in ('biwind.certify', 'biwind.intervals') if m in sys.modules]\n"
+        "assert not loaded(), loaded()\n"
+        "assert biwind.cli.main(['classify', '--grid', '2']) == 0\n"
+        "assert not loaded(), loaded()\n"
+        "assert biwind.cli.main(['verify', '--task', 'V1']) == 0\n"
+        "assert loaded() == ['biwind.certify', 'biwind.intervals'], loaded()\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, timeout=120)
+
+
 def test_no_subcommand_is_usage_error():
     assert usage_code([]) == 64
 
@@ -289,7 +303,7 @@ def test_manifest_schema_and_outputs_exist(verify_all, wind_run, tmp_path):
             "outputs",
         }
         assert manifest["tool_version"] == __version__
-        assert manifest["rounding_mode"] == certify.ROUNDING_MODE
+        assert manifest["rounding_mode"] == config.ROUNDING_MODE == "nextafter-outward"
         assert isinstance(manifest["wall_ms"], int) and manifest["wall_ms"] >= 0
         assert manifest["outputs"]
         for path in manifest["outputs"]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,17 @@ EPS0 = 1e-3
 
 def test_chart_directions_are_eigenvectors():
     lin = core.linearization(5, "even")
-    m = lin.matrix
-    for eta, lam in ((manifold.CHART.eta3, 1.0), (manifold.CHART.eta4, 3.0)):
-        v = np.array(eta)
-        assert np.array_equal(m @ v, lam * v)
-    assert manifold.CHART.dw0 == ((0.75, 0.25), (-2.25, 3.25))
+    exponents = (1.0, 3.0)
+    v = lin.eigenvectors[:, [lin.eigenvalues.index(lam) for lam in exponents]]
+    for j, lam in enumerate(exponents):
+        assert np.array_equal(lin.matrix @ v[:, j], lam * v[:, j])
+    # dw0 = W Z^-1 exactly: Z holds the (phi, phi'') rows, W the (phi', phi''') rows
+    (a, b), (c, d) = [[Fraction(x) for x in v[r]] for r in (0, 2)]
+    det = a * d - b * c
+    z_inv = ((d / det, -b / det), (-c / det, a / det))
+    w = [[Fraction(x) for x in v[r]] for r in (1, 3)]
+    dw0 = tuple(tuple(sum(w[i][k] * z_inv[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+    assert dw0 == manifold.CHART.dw0 == ((0.75, 0.25), (-2.25, 3.25))
 
 
 def test_seed_state_axis_examples():
