@@ -34,7 +34,11 @@ and the watched gates; a skipped scan could have found nothing, so the orbit
 is the same bit for bit.  The loose bound `_reach` decides most steps; where
 it fails, the tight bound `_tight_reach`, written on the stage differences,
 decides (see _P_REACH), so a shooting orbit scans only the steps that come
-near an event.  The lanes scan every step.
+near an event.  The lanes take the same two bounds on all lanes at once,
+`_lanes_near`, and an iteration scans only when some accepted lane's step
+can reach an event.  Once no more than _HANDOFF_LANES lanes are live, the
+lockstep loop stops and `_drive`, resumed from each lane's state, finishes
+it alone: an iteration costs about as much at a few lanes as at fifty.
 Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
 samples are the true backward states of the orbit through x0, so a forward run
 followed by a reversed run returns to the starting jet.
@@ -467,7 +471,8 @@ def _underflow(s: float, s_last: float, y) -> IntegrationError:
 
 
 def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
-           gates: tuple[bool, bool], reverse: bool) -> Trajectory:
+           gates: tuple[bool, bool], reverse: bool,
+           resume: tuple[float, float, list[float], float, bool] | None = None) -> Trajectory:
     """Integrate one jet, watching the (upward, downward) gates flagged in `gates`.
 
     Trial steps and step control are those of `integrate_lanes` on floats,
@@ -481,22 +486,29 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     whose tight `_tight_reach` bound, each with its rounding margin (see
     _P_REACH), stays below the blowup threshold and below c_star in |phi''|
     cannot reach an event, and is not scanned.
+
+    `resume`, the state (t, t_old, f, h_abs, rejected) of a forward lane at
+    the top of its loop, with x0 its jet at t, replaces the start: the seed's
+    blowup test, the field at the seed and the initial step.  The run then
+    goes on as that lane would, to s0 + max_span, and its samples begin at t.
     """
     mirror = core.REVERSAL_SIGNS if reverse else np.ones(4)
     y = (mirror * x0).tolist()
-    sup0 = max(abs(c) for c in y)
-    if sup0 > cfg.blowup_norm:
-        term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=sup0)
-        return Trajectory(d, np.array([s0]), mirror * np.array([y]), term, _mirror=reverse)
+    if resume is None:
+        sup0 = max(abs(c) for c in y)
+        if sup0 > cfg.blowup_norm:
+            term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=sup0)
+            return Trajectory(d, np.array([s0]), mirror * np.array([y]), term, _mirror=reverse)
+        t = t_old = s0
+        rejected = False
+    else:
+        t, t_old, f, h_abs, rejected = resume
 
-    rhs = _make_rhs(d, reverse)
     trial_step = _trial_step(d, reverse)
     cs = core.c_star(d) if any(gates) else math.inf
     t_bound, max_step = s0 + cfg.max_span, float(cfg.max_step)
     rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
-    t = t_old = s0
-    rejected = False
-    ss: list[float] = [s0]
+    ss: list[float] = [t]
     ys: list = [y]
     steps: list[tuple[list, float]] = []
     stats = StepStats()
@@ -510,11 +522,12 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
 
     # As in the lanes, a zero error or jet gives inf and nan, not warnings.
     with np.errstate(all="ignore"):
-        f = rhs(0.0, y)
-        h_abs = float(_initial_step(
-            _make_rhs(d, reverse, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
-            float(cfg.max_span), max_step, rtol, atol,
-        )[0])
+        if resume is None:
+            f = _make_rhs(d, reverse)(0.0, y)
+            h_abs = float(_initial_step(
+                _make_rhs(d, reverse, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
+                float(cfg.max_span), max_step, rtol, atol,
+            )[0])
         while True:
             # The lanes' trial step: clamp a fresh step to [min_step, max_step];
             # a retried one fails below min_step.
@@ -593,19 +606,53 @@ class LaneEnd:
     state: core.State
 
 
+# A lane iteration costs about as much at one lane as at fifty, 175-260 µs,
+# while a trial step of `_drive` costs 10-13 µs (one 2-core x86 VM, best of
+# 7, on classification seeds), so twenty serial orbits cost about one lane
+# iteration per step.  The lockstep loop stops once no more than
+# _HANDOFF_LANES lanes are live, and `_drive` finishes each of them;
+# thresholds from 5 to 40 timed alike on the 50-angle classification grid.
+_HANDOFF_LANES = 20
+
+
+def _lanes_near(y: np.ndarray, K: Sequence[np.ndarray], h: np.ndarray, accepted: np.ndarray,
+                cs: float, blowup_norm: float) -> bool:
+    """Whether the step of some accepted lane can reach the blowup norm or cs
+    in |phi''|: `_drive`'s test on every lane at once, the loose bound `_reach`
+    first and the tight `_tight_reach` where it fails, summed as `_combo` sums,
+    with the same rounding margins (see _P_REACH)."""
+    floor = (1.0 + h) * _REACH_FLOOR
+    reach = np.abs(y) + h * _combo([np.abs(k) for k in K], _P_REACH)
+    near = accepted & ~((reach.max(axis=0) * _REACH_MARGIN + floor < blowup_norm)
+                        & (reach[2] * _REACH_MARGIN + floor < cs))
+    if not near.any():
+        return False
+    k0 = K[0]
+    tight = (np.maximum(np.abs(y), np.abs(y + h * k0))
+             + h * _combo([np.abs(k - k0) for k in K[1:]] + [np.abs(k0)], (*_P_REACH[1:], _R)))
+    tight = tight * _REACH_MARGIN + floor
+    return bool((near & ~((tight.max(axis=0) < blowup_norm) & (tight[2] < cs))).any())
+
+
 def integrate_lanes(
     d: int,
     x0s,
     cfg: IntegrationConfig | None = None,
 ) -> list[LaneEnd]:
-    """Integrate the forward flow from every row of x0s, all in one loop.
+    """Integrate the forward flow from every row of x0s, in one loop while
+    more than _HANDOFF_LANES lanes are live.
 
     Lane k runs `integrate(d, x0s[k], cfg=cfg, watch=[SECOND_DERIV_UP,
     SECOND_DERIV_DOWN])` step for step and ends bit for bit as it does: a
     step size of its own, the same scan grid per accepted step, bisection of
     a crossing on its own interpolant, and the same terminations.  A lane
     retires at its event or at the end of the span; one whose step size
-    underflows retires with the IntegrationError and the others run on.
+    underflows retires with the IntegrationError and the others run on.  An
+    iteration scans its steps only when `_lanes_near` finds an accepted lane
+    that can reach an event; a skipped scan could have found nothing.  The
+    lanes still live once no more than _HANDOFF_LANES are left, all of them
+    for a grid that small, are each finished by `_drive`, resumed from the
+    lane's state.
     """
     cfg = cfg or IntegrationConfig()
     core._check_dim(d)
@@ -633,7 +680,7 @@ def integrate_lanes(
     with np.errstate(all="ignore"):
         f = np.array(rhs(0.0, y))
         h_abs = _initial_step(rhs, y, f, t_bound, max_step, rtol, atol)
-        while lanes.size:
+        while lanes.size > _HANDOFF_LANES:
             # One trial step per lane: clamp a fresh step to [min_step,
             # max_step]; a retried one fails below min_step.
             min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
@@ -659,10 +706,13 @@ def integrate_lanes(
             h_abs = h * np.where(accepted, up, down)
             rejected = ~accepted
 
-            # Scan every lane's step; a rejected step's crossings are dropped.
-            grid, _, crossings = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, (True, True))
-            any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
-            hit = any_crossing.any(axis=0)
+            # Scan the steps if some accepted one can reach an event; a
+            # rejected step's crossings are dropped.
+            hit = np.zeros(lanes.size, dtype=bool)
+            if _lanes_near(y, K, h, accepted, cs, cfg.blowup_norm):
+                grid, _, crossings = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, (True, True))
+                any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
+                hit = any_crossing.any(axis=0)
 
             done = failed | hit | (accepted & (t_new >= t_bound))
             for j in np.flatnonzero(done):
@@ -692,6 +742,14 @@ def integrate_lanes(
                     a[live] for a in (lanes, t, t_old, h_abs, rejected)
                 )
                 y, f = y[:, live], f[:, live]
+
+    for j, lane in enumerate(lanes.tolist()):
+        resume = (float(t[j]), float(t_old[j]), f[:, j].tolist(), float(h_abs[j]), bool(rejected[j]))
+        try:
+            traj = _drive(d, y[:, j], 0.0, cfg, (True, True), False, resume)
+            ends[lane] = LaneEnd(traj.termination, core.State.from_array(traj.states[-1]))
+        except IntegrationError as err:
+            ends[lane] = LaneEnd(err, err.state_last)
     return ends
 
 

@@ -375,9 +375,10 @@ def classification_grid(
 ) -> list[ClassificationResult]:
     """Classify every angle in the grid; order follows the input.
 
-    All seeds run as lanes of one lockstep Dormand-Prince loop
-    (`integrate.integrate_lanes`), in one thread, and each result maps to its
-    outcome as in `classify_orbit`.  A lane that exhausts the span next to
+    All seeds run through `integrate.integrate_lanes`, in one thread: as
+    lanes of one lockstep Dormand-Prince loop, the last few (or all of a
+    small grid) finished one by one by the serial integrator.  Each result
+    maps to its outcome as in `classify_orbit`.  A lane that exhausts the span next to
     the target runs again as a single orbit, which tells whether it stayed
     in C.  A lane's bits depend on its own seed only, so a result is the same
     whatever the grid's size, order or `workers`, and equals

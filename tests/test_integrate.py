@@ -262,17 +262,25 @@ def test_bisect_ends_at_adjacent_doubles():
 _GATE_WATCH = [itg.EventKind.SECOND_DERIV_UP, itg.EventKind.SECOND_DERIV_DOWN]
 
 
-@pytest.mark.parametrize("d", [5, 6])
+# A handoff threshold of 0 keeps every lane in the lockstep loop to its end;
+# the module's default hands these few-lane runs to `_drive` at the start.
+_LOCKSTEP = 0
+
+
+@pytest.mark.parametrize(("d", "handoff"), [
+    (5, itg._HANDOFF_LANES), (6, itg._HANDOFF_LANES), (5, _LOCKSTEP), (6, _LOCKSTEP),
+], ids=["5", "6", "5-lockstep", "6-lockstep"])
 @pytest.mark.parametrize("cfg", [
     itg.IntegrationConfig(max_span=3.0, blowup_norm=50.0),  # gate events
     itg.IntegrationConfig(max_span=1.5, blowup_norm=3.0),   # blowup and span ends
 ])
-def test_lanes_end_as_the_serial_integrator(d, cfg):
+def test_lanes_end_as_the_serial_integrator(d, handoff, cfg, monkeypatch):
     seeds = [
         [0.0, 0.0, 4.0, 0.0], [0.2, 0.5, 1.0, 1.0], [0.2, 0.5, 4.0, 5.0],
         [-0.2, -0.5, -4.0, -5.0], [1e-3, 7.5e-4, 0.0, -2.25e-3], [0.01, 0.0, 0.0, 0.0],
         [0.25, 0.1, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0], [0.0, 0.0, 60.0, 0.0],
     ]
+    monkeypatch.setattr(itg, "_HANDOFF_LANES", handoff)
     lanes = itg.integrate_lanes(d, seeds, cfg)
     kinds = set()
     for x0, lane in zip(seeds, lanes):
@@ -285,13 +293,20 @@ def test_lanes_end_as_the_serial_integrator(d, cfg):
     assert len(kinds) >= 2
 
 
-def test_lanes_take_the_earliest_crossing_of_a_long_step():
-    # loose tolerances and a long step cap put the norm cap and the gate into
-    # one step, often into different scan intervals; the first one must win
+def _long_step_lanes() -> tuple[itg.IntegrationConfig, np.ndarray]:
+    """60 seeds at loose tolerances and a long step cap, which reject steps
+    and put the norm cap and the gate into one step, often into different
+    scan intervals."""
     cfg = itg.IntegrationConfig(blowup_norm=5.0, rel_tol=1e-6, abs_tol=1e-6, max_step=1.0)
     rng = np.random.default_rng(5)
     seeds = rng.uniform(-3.0, 3.0, size=(60, 4))
     seeds[:, 2] = rng.uniform(3.0, 4.8, size=60)
+    return cfg, seeds
+
+
+def test_lanes_take_the_earliest_crossing_of_a_long_step():
+    # the first crossing of a step must win
+    cfg, seeds = _long_step_lanes()
     lanes = itg.integrate_lanes(5, seeds, cfg)
     kinds = set()
     for x0, lane in zip(seeds, lanes):
@@ -302,10 +317,12 @@ def test_lanes_take_the_earliest_crossing_of_a_long_step():
     assert kinds == {itg.TerminationKind.BLOWUP_DETECTED, itg.TerminationKind.EVENT_STOP}
 
 
-def test_lane_step_underflow_retires_only_that_lane():
+@pytest.mark.parametrize("handoff", [itg._HANDOFF_LANES, _LOCKSTEP], ids=["default", "lockstep"])
+def test_lane_step_underflow_retires_only_that_lane(handoff, monkeypatch):
     # phi'' starts above c* and runs off to a singularity before the norm cap
     cfg = itg.IntegrationConfig(blowup_norm=1e300, max_span=3.0)
     seeds = [[0.2, 0.5, 6.0, 5.0], [1e-3, 7.5e-4, 0.0, -2.25e-3]]
+    monkeypatch.setattr(itg, "_HANDOFF_LANES", handoff)
     lanes = itg.integrate_lanes(5, seeds, cfg)
     with pytest.raises(itg.IntegrationError) as serial:
         itg.integrate(5, seeds[0], cfg=cfg, watch=_GATE_WATCH)
@@ -316,6 +333,132 @@ def test_lane_step_underflow_retires_only_that_lane():
     assert lanes[0].state is err.state_last
     traj = itg.integrate(5, seeds[1], cfg=cfg, watch=_GATE_WATCH)
     assert lanes[1].end.event == traj.termination.event == "second_deriv_down"
+
+
+def _lane_key(lane: itg.LaneEnd) -> tuple:
+    """Everything a lane's end tells, its state as bits."""
+    end = lane.end
+    if isinstance(end, itg.IntegrationError):
+        told = (str(end), end.s_last)
+    else:
+        told = (end.kind, end.event, end.s_last, end.norm)
+    return type(end), told, lane.state.as_array().tobytes()
+
+
+def _serial_key(d: int, x0, cfg: itg.IntegrationConfig) -> tuple:
+    """`_lane_key` of what `integrate` with both gates watched gives for x0."""
+    try:
+        traj = itg.integrate(d, x0, cfg=cfg, watch=_GATE_WATCH)
+    except itg.IntegrationError as err:
+        return _lane_key(itg.LaneEnd(err, err.state_last))
+    return _lane_key(itg.LaneEnd(traj.termination, core.State.from_array(traj.states[-1])))
+
+
+def _record_handoffs(monkeypatch) -> list:
+    """The `resume` state of every lane `integrate_lanes` hands to `_drive`."""
+    resumed = []
+    drive = itg._drive
+
+    def recording(*args):
+        resumed.append(args[6])
+        return drive(*args)
+
+    monkeypatch.setattr(itg, "_drive", recording)
+    return resumed
+
+
+def test_lanes_handed_off_mid_run_end_as_the_serial_integrator(monkeypatch):
+    # Lanes that go to `_drive` mid-run, some of them just after a rejected
+    # trial step, end as their serial orbits do, whatever the threshold.
+    cfg, seeds = _long_step_lanes()
+    serial = [_serial_key(5, x0, cfg) for x0 in seeds]
+    resumed = _record_handoffs(monkeypatch)
+    for handoff in (1, 10, 20, 30, 45, 59, 60):
+        monkeypatch.setattr(itg, "_HANDOFF_LANES", handoff)
+        start = len(resumed)
+        lanes = itg.integrate_lanes(5, seeds, cfg)
+        assert len(resumed) - start <= handoff
+        assert [_lane_key(lane) for lane in lanes] == serial, handoff
+    # at 60, all 60 lanes go to `_drive` before any lockstep iteration
+    mid_run, at_start = resumed[:-60], resumed[-60:]
+    assert mid_run and all(r[0] > 0.0 for r in mid_run)
+    assert all(r[0] == r[1] == 0.0 for r in at_start)
+    assert any(r[4] for r in mid_run) and not all(r[4] for r in mid_run)
+
+
+@pytest.mark.parametrize(("partner", "last_trial"), [
+    ([0.2, 0.5, 4.0, 5.0], None),                # meets its gate at s = 0.11
+    ([-0.34, 0.94, 6.27, 3.35], "accepted"),     # underflows two iterations before the first lane
+    ([0.472, 0.549, 6.687, 5.278], "rejected"),  # and one iteration before it
+], ids=["gate", "after_last_accepted", "after_last_rejected"])
+def test_lane_underflowing_after_its_handoff_ends_as_the_serial_integrator(
+        partner, last_trial, monkeypatch):
+    # The first lane underflows near s = 0.59 in its 2117th iteration; at a
+    # threshold of 1 it goes to `_drive` once its partner has ended, in the
+    # last two cases after its last accepted step.
+    cfg = itg.IntegrationConfig(blowup_norm=1e300, max_span=3.0)
+    seeds = [[0.2, 0.5, 6.0, 5.0], partner]
+    serial = [_serial_key(5, x0, cfg) for x0 in seeds]
+    resumed = _record_handoffs(monkeypatch)
+    monkeypatch.setattr(itg, "_HANDOFF_LANES", 1)
+    lanes = itg.integrate_lanes(5, seeds, cfg)
+    assert [_lane_key(lane) for lane in lanes] == serial
+    err = lanes[0].end
+    assert isinstance(err, itg.IntegrationError)
+    (t, t_old, _, _, rejected), = resumed
+    assert 0.0 < t_old < t
+    if last_trial is None:
+        assert t < err.s_last
+    else:  # the error reports the t_old the lane handed over
+        assert t_old == err.s_last
+        assert rejected == (last_trial == "rejected")
+
+
+def _count_lane_scans(monkeypatch) -> dict:
+    """Counts of lockstep iterations (calls of `_lanes_near`) and of the
+    iterations among them that scan (calls of `_scan` on per-lane steps)."""
+    count = {"iterations": 0, "scans": 0}
+    near, scan = itg._lanes_near, itg._scan
+
+    def counted_near(*args):
+        count["iterations"] += 1
+        return near(*args)
+
+    def counted_scan(K, h, *args):
+        count["scans"] += np.ndim(h) == 1
+        return scan(K, h, *args)
+
+    monkeypatch.setattr(itg, "_lanes_near", counted_near)
+    monkeypatch.setattr(itg, "_scan", counted_scan)
+    return count
+
+
+def _grid_thetas(n: int) -> np.ndarray:
+    return np.linspace(-math.pi / 2, manifold.theta0(config.EPS0), n)
+
+
+def test_lanes_scan_only_iterations_that_can_reach_an_event(monkeypatch):
+    count = _count_lane_scans(monkeypatch)
+    manifold.classification_grid(_grid_thetas(50))
+    assert count["iterations"] > 100
+    assert count["scans"] < 0.1 * count["iterations"]
+    count.update(iterations=0, scans=0)
+    manifold.classification_grid(_grid_thetas(2))  # all serial
+    assert count == {"iterations": 0, "scans": 0}
+
+
+def test_skipping_lane_scans_changes_no_bit(monkeypatch):
+    cfg, seeds = _long_step_lanes()
+    thetas = _grid_thetas(50)
+    fast = [_lane_key(lane) for lane in itg.integrate_lanes(5, seeds, cfg)]
+    fast_grid = manifold.classification_grid(thetas)
+    count = _count_lane_scans(monkeypatch)
+    monkeypatch.setattr(itg, "_REACH_MARGIN", math.inf)  # every iteration scans
+    slow = [_lane_key(lane) for lane in itg.integrate_lanes(5, seeds, cfg)]
+    slow_grid = manifold.classification_grid(thetas)
+    assert count["scans"] == count["iterations"] > 0
+    assert fast == slow
+    assert [repr(r) for r in fast_grid] == [repr(r) for r in slow_grid]
 
 
 def test_lanes_validate_their_seeds():

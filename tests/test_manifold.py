@@ -297,8 +297,10 @@ def _fields(r):
     return (r.theta, r.outcome, r.g, r.tau, r.end_state.as_array().tobytes())
 
 
-def test_grid_lanes_do_not_depend_on_the_batch():
-    # criterion 10's angles: a lane's bits depend on its own seed only
+def test_grid_lanes_do_not_depend_on_the_batch(monkeypatch):
+    # criterion 10's angles: a lane's bits depend on its own seed only; with
+    # no handoff, grids this small run in lockstep too
+    monkeypatch.setattr(integrate, "_HANDOFF_LANES", 0)
     thetas = list(np.linspace(0.5, 1.2, 15))
     together = [_fields(r) for r in manifold.classification_grid(thetas)]
     alone = [_fields(manifold.classification_grid([th])[0]) for th in thetas]

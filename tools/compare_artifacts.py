@@ -27,7 +27,10 @@ import tempfile
 
 # (artifact base, command line); "{theta}" is theta0 + 0.15 at the wind eps0,
 # computed by the tree that runs the command.  The shooting tolerance 1e-10
-# is the default, spelled out so that the run stays pinned if it moves.
+# is the default, spelled out so that the run stays pinned if it moves.  The
+# classify grids lie on both sides of `integrate._HANDOFF_LANES` (20): 2
+# angles run serially from the start, 21 run one lockstep stretch and then
+# serially, and 200 run in lockstep most of the way.
 COMMANDS = (
     ("shoot", ["shoot"]),
     ("shoot_tol", ["shoot", "--theta-tol", "1e-10"]),
@@ -37,6 +40,8 @@ COMMANDS = (
     ("wind_theta_1e8", ["wind", "--theta", "{theta}", "--blowup-norm", "1e8"]),
     ("wind_theta_1e10", ["wind", "--theta", "{theta}", "--blowup-norm", "1e10"]),
     ("classify", ["classify", "--grid", "200"]),
+    ("classify_2", ["classify", "--grid", "2"]),
+    ("classify_21", ["classify", "--grid", "21"]),
     ("verify", ["verify", "--task", "all"]),
     ("verify_coarse", ["verify", "--task", "all", "--min-width", "0.02"]),
     ("spectrum_4_even", ["spectrum", "--d", "4", "--parity", "even"]),
