@@ -41,8 +41,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
+import operator
 import time
 import types
 from dataclasses import dataclass, field
@@ -144,19 +146,21 @@ def _bisect_lanes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def prove_lower_bound(
     f: Callable[[Box], Interval],
-    box: Box,
+    box: Box | Sequence[Box],
     bound: float,
     min_width: float,
     strict: bool = False,
 ) -> BnbOutcome:
-    """Certify f >= bound (or > bound when strict) on the box.
+    """Certify f >= bound (or > bound when strict) on the box, or on each of
+    several boxes of one dimension.
 
-    The tree is searched breadth first, in canonical order (the children of
-    box j are 2j and 2j + 1).  A box is discharged when its evaluation
-    clears the bound; otherwise f at its center decides failure, and a box
-    narrower than min_width is given up as inconclusive.  The first failing
-    box in that order is the FAILED witness and the first given-up box the
-    INCONCLUSIVE one.
+    The tree is searched breadth first, in canonical order: the roots, in
+    the order given, are level 0, and the children of box j are 2j and
+    2j + 1.  A box is discharged when its evaluation clears the bound;
+    otherwise f at its center decides failure, and a box narrower than
+    min_width is given up as inconclusive.  The first failing box in that
+    level-major order is the FAILED witness and the first given-up box the
+    INCONCLUSIVE one, whichever root they descend from.
 
     Each level is one call of f on a box whose dimensions are
     `IntervalArray` lanes: one lane per box of the level, followed by one
@@ -171,9 +175,13 @@ def prove_lower_bound(
     """
     if isinstance(min_width, bool) or not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
+    roots = (box,) if isinstance(box, Box) else tuple(box)
+    if not roots or len({len(r.dims) for r in roots}) != 1:
+        raise ValueError(f"expected one or more boxes of one dimension, got {len(roots)} roots")
     below = (lambda v: v <= bound) if strict else (lambda v: v < bound)
-    lo = np.array([[iv.lo] for iv in box.dims])
-    hi = np.array([[iv.hi] for iv in box.dims])
+    # dimension i of root j spans [lo[i, j], hi[i, j]]
+    lo = np.array([[iv.lo for iv in dim] for dim in zip(*(r.dims for r in roots))])
+    hi = np.array([[iv.hi for iv in dim] for dim in zip(*(r.dims for r in roots))])
     # the previous level's live boxes, whose centers are not yet judged, and
     # their indices in that level
     p_lo, p_hi, p_idx = lo[:, :0], hi[:, :0], np.arange(0)
@@ -489,15 +497,16 @@ def _verdict(ok: bool, witness: Box | None = None) -> BnbOutcome:
     return BnbOutcome(Status.PROVED if ok else Status.FAILED, None if ok else witness, 0, 0)
 
 
-# A check proves its part of a certificate on one region: it takes the region,
-# the branch-and-bound floor and the certificate's details (which it may
-# extend), and returns its outcome.
-_Check = Callable[[Box, float, dict], BnbOutcome]
+# A check proves its part of a certificate: it takes its region, or a tuple
+# of regions that share it, the branch-and-bound floor and the certificate's
+# details (which it may extend), and returns its outcome.  A branch-and-bound
+# check searches a tuple of regions as one frontier.
+_Check = Callable[[Box | tuple[Box, ...], float, dict], BnbOutcome]
 
 
 def _parts(f: Callable[[Box], Interval], bound: float, *regions) -> tuple[tuple[Box, _Check], ...]:
     """Branch-and-bound parts proving f >= bound on each region, given by its bounds."""
-    check = lambda region, min_width, details: prove_lower_bound(f, region, bound, min_width)
+    check = lambda regions, min_width, details: prove_lower_bound(f, regions, bound, min_width)
     return tuple((Box.from_bounds(r), check) for r in regions)
 
 
@@ -526,8 +535,8 @@ def _outside_reference(f: Callable[[Box], Interval], threshold: float) -> tuple[
     while every part proves.
     """
 
-    def check(region: Box, min_width: float, details: dict) -> BnbOutcome:
-        out = prove_lower_bound(f, region, threshold, min_width, strict=True)
+    def check(regions: Box | tuple[Box, ...], min_width: float, details: dict) -> BnbOutcome:
+        out = prove_lower_bound(f, regions, threshold, min_width, strict=True)
         details["reference"] = [[str(a), str(b)] for a, b in _REFERENCE]
         details["contained_in_reference"] = (
             details.get("contained_in_reference", True) and out.status is Status.PROVED
@@ -652,9 +661,11 @@ TASK_IDS = tuple(_TASKS)
 def run_task(task_id: str, min_width: float | None = None, workers: int | None = None) -> Certificate:
     """Execute one named certificate and package the outcome.
 
-    Each part's check runs on its region in table order; the certificate
-    carries their merged outcome.  `workers` is accepted for compatibility
-    and changes nothing.
+    The parts run in table order, and consecutive parts that share one
+    check run as one call of it on their regions, so a branch-and-bound
+    check searches them as one frontier; the certificate carries the merged
+    outcome of the calls.  `workers` is accepted for compatibility and
+    changes nothing.
     """
     if task_id not in _TASKS:
         raise ValueError(f"unknown task id {task_id!r}; expected one of {', '.join(TASK_IDS)}")
@@ -665,7 +676,11 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
     start = time.perf_counter()
     details: dict = {}
-    outcome = _merge_outcomes([check(region, min_width, details) for region, check in task.parts])
+    outcomes = []
+    for check, parts in itertools.groupby(task.parts, key=operator.itemgetter(1)):
+        regions = tuple(region for region, _ in parts)
+        outcomes.append(check(regions[0] if len(regions) == 1 else regions, min_width, details))
+    outcome = _merge_outcomes(outcomes)
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return Certificate(
         task_id=task_id,

@@ -372,11 +372,11 @@ def _trial_step(d: int, reverse: bool) -> Callable:
 
 
 def _interpolant(K: Sequence[Sequence[float]], h: float, t: float,
-                 y: Sequence[float]) -> Callable[[float], list[float]]:
-    """s -> the jet at s in [t, t + h] on one jet's step from y, on Python floats:
-    `_combo` by _P_COLUMNS, then `_interpolate` per component, as `_scan` does."""
+                 y: Sequence[float]) -> Callable[..., list[float]]:
+    """(s, comps=all four) -> those components of the jet at s in [t, t + h] on one jet's step
+    from y, as Python floats: `_combo` by _P_COLUMNS, then `_interpolate` each, as `_scan` does."""
     q = [[_combo(kc, col) for col in _P_COLUMNS] for kc in zip(*K)]  # q[c][k]
-    return lambda s: [_interpolate(qc, h, t, yc, s) for qc, yc in zip(q, y)]
+    return lambda s, comps=range(4): [_interpolate(q[c], h, t, y[c], s) for c in comps]
 
 
 # Each accepted step is scanned at its two ends and _SCAN_POINTS equally
@@ -429,7 +429,7 @@ def bisect(
     return lo, hi
 
 
-def _refine_hit(at: Callable[[float], list[float]], crossed: Sequence[bool], ta: float,
+def _refine_hit(at: Callable[..., list[float]], crossed: Sequence[bool], ta: float,
                 tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, list[float]]:
     """Earliest refined crossing in (ta, tb] of one step's `_interpolant` `at`.
 
@@ -439,8 +439,8 @@ def _refine_hit(at: Callable[[float], list[float]], crossed: Sequence[bool], ta:
     """
     past = (
         lambda s: max(map(abs, at(s))) - cfg.blowup_norm >= 0.0,
-        lambda s: at(s)[2] - cs >= 0.0,
-        lambda s: at(s)[2] + cs <= 0.0,
+        lambda s: at(s, (2,))[0] - cs >= 0.0,
+        lambda s: at(s, (2,))[0] + cs <= 0.0,
     )
     best: tuple[float, int] | None = None
     for k, (flag, far) in enumerate(zip(crossed, past)):
@@ -571,9 +571,9 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
                     i = int(np.argmax(hit[:, 0]))
                     jet = _interpolant(K, h, t, y)
 
-                    def at(s: float) -> list[float]:
+                    def at(s: float, *comps) -> list[float]:
                         stats.bisections += 1
-                        return jet(s)
+                        return jet(s, *comps)
 
                     term, y_hit = _refine_hit(at, [c[i, 0] for c in crossings],
                                               float(grid[i, 0]), float(grid[i + 1, 0]), cs, cfg)

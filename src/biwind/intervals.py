@@ -242,6 +242,9 @@ def _trig_range(iv: Interval, fn, max_offset: float, min_offset: float) -> Inter
 # Lanes of intervals.
 
 
+_min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
+
+
 def _lanes_dn(x):
     return np.nextafter(x, -_INF)
 
@@ -282,8 +285,13 @@ class IntervalArray:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape:
             raise ValueError(f"lo and hi shapes differ: {lo.shape} and {hi.shape}")
-        # lo.min() and hi.max() are NaN or infinite exactly when some lane is
-        if lo.size and not (lo.min() > -_INF and hi.max() < _INF and (lo <= hi).all()):
+        # min of lo and max of hi are NaN or infinite exactly when some lane
+        # is; the ufunc reductions skip the ndarray.min/max/all wrappers
+        if lo.size and not (
+            _min(lo, axis=None) > -_INF
+            and _max(hi, axis=None) < _INF
+            and _all(np.less_equal(lo, hi), axis=None)
+        ):
             finite = np.isfinite(lo) & np.isfinite(hi)
             if not finite.all():
                 raise ValueError(

@@ -198,6 +198,71 @@ def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
     assert (out.boxes_examined, out.max_depth) == (sum(levels), len(levels) - 1)
 
 
+@pytest.mark.parametrize(
+    "f, boxes, bound, min_width, strict",
+    [
+        # V7's two regions outside A, strict
+        (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+         [[(783 / 1024, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 779 / 1024)]], 0.01, 1e-5, True),
+        # roots of different depths, one discharged at once
+        (lambda b: b.dims[0].sin(), [[(0.0, 3.0)], [(1.0, 2.0)], [(0.5, 1.0)]], -0.001, 1e-3, False),
+        (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), [[(math.pi / 8, 1.0)], [(1.0, 3.0)]],
+         1.9, 1e-4, True),
+    ],
+)
+def test_several_roots_prove_as_the_merged_scalar_references(f, boxes, bound, min_width, strict):
+    roots = [Box.from_bounds(b) for b in boxes]
+    out = certify.prove_lower_bound(f, roots, bound, min_width, strict=strict)
+    refs = [_scalar_search(f, root, bound, min_width, strict) for root in roots]
+    assert all(status is Status.PROVED for status, _, _ in refs)
+    assert (out.status, out.witness) == (Status.PROVED, None)
+    assert out.level_boxes == certify._level_sums([levels for _, _, levels in refs])
+    assert (out.boxes_examined, out.max_depth) == (sum(out.level_boxes), len(out.level_boxes) - 1)
+
+
+def test_several_roots_fail_at_the_first_center_in_level_major_order():
+    # the first root fails at depth 7 and the second at depth 2: the witness
+    # is the second root's, where failing each root in turn would give the first's
+    f = lambda b: ((b.dims[0] - 0.3).power(2) - 1e-6) * ((b.dims[0] - 2.5).power(2) - 0.01)
+    roots = [Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(2.0, 3.5)])]
+    assert certify.prove_lower_bound(f, roots[0], 0.0, 1e-9).max_depth == 7
+    out = certify.prove_lower_bound(f, roots, 0.0, 1e-9)
+    assert out.status is Status.FAILED
+    assert out.witness == Box.from_bounds([(2.375, 2.75)])
+    assert (out.level_boxes, out.boxes_examined, out.max_depth) == ((2, 4, 4), 10, 2)
+
+
+def test_several_roots_must_share_one_dimension():
+    f = lambda b: b.dims[0]
+    with pytest.raises(ValueError, match="one dimension"):
+        certify.prove_lower_bound(f, [Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)] * 2)],
+                                  0.0, 1e-3)
+    with pytest.raises(ValueError, match="one dimension"):
+        certify.prove_lower_bound(f, [], 0.0, 1e-3)
+
+
+def test_run_task_searches_the_regions_of_one_check_as_one_frontier(monkeypatch):
+    searched = []
+    search = certify.prove_lower_bound
+
+    def spy(f, box, *args, **kwargs):
+        searched.append(box)
+        return search(f, box, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "prove_lower_bound", spy)
+    for tid, roots in {"V2": 1, "V3": 2, "V5": 2, "V7": 2, "V9": 1}.items():
+        searched.clear()
+        cert = certify.run_task(tid)
+        assert cert.status is Status.PROVED, tid
+        assert searched == [cert.regions[0] if roots == 1 else cert.regions[:roots]], tid
+        assert cert.level_boxes[0] == roots, tid
+    # a check called on one region searches that region alone
+    searched.clear()
+    region, check = certify._TASKS["V7"].parts[1]
+    assert check(region, 1e-5, {}).level_boxes[0] == 1
+    assert searched == [region]
+
+
 def _counting(f):
     calls = []
 
