@@ -10,11 +10,19 @@ themselves are not written here: they are the generic forms of `regions`
 * a branch-and-bound engine (`prove_lower_bound`) that bisects the widest
   box dimension, discharges a box once the interval evaluation clears the
   bound, fails with a witness when a center point definitely violates it,
-  and gives up at a minimum width otherwise.  It runs breadth first and
-  evaluates each level of the tree as one batch: the coefficient functions
-  take a box whose dimensions are `IntervalArray` lanes, one per box of the
-  level, followed by point lanes for the centers of the previous level's
-  undischarged boxes, so each level costs one call of f;
+  and gives up at a minimum width otherwise.  It runs breadth first from
+  one root box or several, and evaluates each level of the tree as one
+  batch: the coefficient functions take a box whose dimensions are
+  `IntervalArray` lanes, one per box of the level, followed by point lanes
+  for the centers of the previous level's undischarged boxes, so each level
+  costs one call of f;
+* the mean-value form (`_mean_value`), through which every
+  branch-and-bound certificate evaluates its coefficient: one call of the
+  form on `GradientArray` lanes, the level's lanes followed by their float
+  centers, gives each lane its natural enclosure and the centered one
+  F(c) + sum_i G_i(B) (B_i - c_i); the lane keeps their intersection, and
+  an empty intersection raises, since it could only come from an unsound
+  enclosure;
 * two-term Taylor-with-remainder enclosures of the cubic and linear
   coefficients near the origin (`taylor_enclose_P_coeff`): `coeff_c0` and
   `coeff_c2` evaluated on polynomials with theta-remainders in exact
@@ -22,17 +30,20 @@ themselves are not written here: they are the generic forms of `regions`
 * the nine named certificates V1-V9, serialized as JSON.  Each certificate
   is one entry of the `_TASKS` table: its coordinate system, target,
   default `min_width`, and the ordered (region, check) parts that prove it.
-  `run_task` runs every part's check on its region and merges the outcomes.
+  `run_task` runs the parts in order, hands consecutive parts that share
+  one check to one call of it, so that a branch-and-bound check searches
+  their regions as one frontier, and merges the outcomes.
   V7's claim that the sublevel set {c1 <= 0.01} of [0, 1]^2 lies in the
   reference box A is proved as its complement: c1 > 0.01, strictly, on the
   two boxes of [0, 1]^2 outside A.
 
 Determinism comes from the structure: the search runs serially, with no
 threads, one breadth-first level at a time, and every level holds its boxes
-in canonical order (the children of box j are boxes 2j and 2j + 1 of the
-next level).  Each lane is rounded exactly as the scalar `Interval` would
-round it, so the set of boxes, the depth and the first FAILED or
-INCONCLUSIVE witness in that order are fixed by the problem alone.
+in canonical order (the roots in the order given, and the children of box
+j are boxes 2j and 2j + 1 of the next level).  Each lane is rounded on its
+own, exactly as the scalar `Interval` would round it, so the set of boxes,
+the depth and the first FAILED or INCONCLUSIVE witness in that
+level-major order are fixed by the problem alone.
 `run_task` accepts a `workers` argument and ignores it, so certificates are
 bit-identical for any worker count (wall-clock time aside).
 """
@@ -54,7 +65,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import config
-from .intervals import INTERVAL, Box, Interval, IntervalArray, eighth_pi_iv, half_pi_iv, pi_iv
+from .intervals import (
+    INTERVAL, Box, GradientArray, Interval, IntervalArray, eighth_pi_iv, half_pi_iv, pi_iv,
+)
 from .regions import coeff_a, coeff_c0, coeff_c1, coeff_c2, coeff_q0, phi_of_z
 
 __all__ = [
@@ -180,8 +193,8 @@ def prove_lower_bound(
         raise ValueError(f"expected one or more boxes of one dimension, got {len(roots)} roots")
     below = (lambda v: v <= bound) if strict else (lambda v: v < bound)
     # dimension i of root j spans [lo[i, j], hi[i, j]]
-    lo = np.array([[iv.lo for iv in dim] for dim in zip(*(r.dims for r in roots))])
-    hi = np.array([[iv.hi for iv in dim] for dim in zip(*(r.dims for r in roots))])
+    lo = np.array([[iv.lo for iv in r.dims] for r in roots]).T
+    hi = np.array([[iv.hi for iv in r.dims] for r in roots]).T
     # the previous level's live boxes, whose centers are not yet judged, and
     # their indices in that level
     p_lo, p_hi, p_idx = lo[:, :0], hi[:, :0], np.arange(0)
@@ -234,6 +247,50 @@ def prove_lower_bound(
         seconds[-1] += time.perf_counter() - clock
     status = Status.PROVED if inconclusive is None else Status.INCONCLUSIVE
     return BnbOutcome(status, inconclusive, sum(levels), len(levels) - 1, tuple(levels), tuple(seconds))
+
+
+def _mean_value(
+    f: Callable[[Box], GradientArray | Interval],
+) -> Callable[[Box], IntervalArray | Interval]:
+    """f on a box of n `IntervalArray` lanes, each lane narrowed by the mean-value form.
+
+    f is called once, on `GradientArray` lanes: the n boxes B followed by
+    their float centers c, every dimension seeded as one variable.  Lane j
+    then gets the natural enclosure (row 0 on B) intersected with the
+    centered form F(c) + sum_i G_i(B) (B_i - c_i), where F(c) is row 0 at
+    c and G_i the partial rows on B (Moore, Kearfott and Cloud,
+    *Introduction to Interval Analysis*, SIAM 2009, ch. 6).  Both enclose f
+    on B, so an empty intersection means an unsound enclosure: it raises
+    ArithmeticError and is never clamped.  A form that returns an
+    `Interval`, constant in the box, is returned unchanged.
+    """
+
+    def g(b: Box) -> IntervalArray | Interval:
+        lo = np.array([iv.lo for iv in b.dims])
+        hi = np.array([iv.hi for iv in b.dims])
+        c = _midpoints(lo, hi)
+        k, n = lo.shape
+        # the boxes, then their centers, as variable i of k in dimension i
+        both = IntervalArray(np.hstack((lo, c)), np.hstack((hi, c)))
+        val = f(Box(tuple(GradientArray.variable(both[i], i, k) for i in range(k))))
+        if not isinstance(val, GradientArray):
+            return val
+        natural, mv = val.value[:n], val.value[n:]
+        # F(c) + sum_i G_i(B) (B_i - c_i), summed in dimension order
+        terms = val.partials[:, :n] * (IntervalArray(lo, hi) - IntervalArray(c, c))
+        for i in range(k):
+            mv = mv + terms[i]
+        lo, hi = np.maximum(natural.lo, mv.lo), np.minimum(natural.hi, mv.hi)
+        empty = lo > hi
+        if empty.any():
+            j = int(np.argmax(empty))
+            raise ArithmeticError(
+                f"natural enclosure [{natural.lo[j]}, {natural.hi[j]}] and mean-value enclosure "
+                f"[{mv.lo[j]}, {mv.hi[j]}] are disjoint in lane {j}: one of them is unsound"
+            )
+        return IntervalArray(lo, hi)
+
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +562,9 @@ _Check = Callable[[Box | tuple[Box, ...], float, dict], BnbOutcome]
 
 
 def _parts(f: Callable[[Box], Interval], bound: float, *regions) -> tuple[tuple[Box, _Check], ...]:
-    """Branch-and-bound parts proving f >= bound on each region, given by its bounds."""
+    """Branch-and-bound parts proving f >= bound on each region, given by its bounds,
+    through the mean-value form."""
+    f = _mean_value(f)
     check = lambda regions, min_width, details: prove_lower_bound(f, regions, bound, min_width)
     return tuple((Box.from_bounds(r), check) for r in regions)
 
@@ -532,8 +591,9 @@ def _outside_reference(f: Callable[[Box], Interval], threshold: float) -> tuple[
 
     The bound is strict, since a point outside A where f equals the
     threshold lies in the sublevel set.  `contained_in_reference` stays true
-    while every part proves.
+    while every part proves.  f is evaluated through the mean-value form.
     """
+    f = _mean_value(f)
 
     def check(regions: Box | tuple[Box, ...], min_width: float, details: dict) -> BnbOutcome:
         out = prove_lower_bound(f, regions, threshold, min_width, strict=True)
@@ -548,21 +608,23 @@ def _outside_reference(f: Callable[[Box], Interval], threshold: float) -> tuple[
     return tuple((Box.from_bounds(r), check) for r in outside)
 
 
-def _quad_min(b: Box) -> IntervalArray:
-    """min over v of c0 + c1 v + c2 v^2, that is c0 - c1^2 / 4 c2, in the (phi0, z) chart."""
+def _quad_min(b: Box) -> GradientArray:
+    """min over v of c0 + c1 v + c2 v^2, that is c0 - c1^2 / 4 c2, in the (phi0, z) chart,
+    on gradient lanes."""
     phi0, z = b.dims
     phi = phi_of_z(phi0, z, INTERVAL)
     c2 = c2_iv(phi0, phi)
-    # the closed-form minimum needs c2 > 0; other lanes get a value
-    # that forces a split, and no division sees their c2
-    ok = np.flatnonzero(c2.lo > 0.0)
-    lo = np.full(len(c2), -1e30)
-    hi = np.full(len(c2), 1e30)
+    # the closed-form minimum needs c2 > 0 on the whole lane; other lanes
+    # get [-1e30, 1e30] as value and partials, which forces a split, and no
+    # division sees their c2
+    ok = np.flatnonzero(c2.lo[0] > 0.0)
+    lo = np.full(c2.lo.shape, -1e30)
+    hi = np.full(c2.hi.shape, 1e30)
     if ok.size:
         phi0, phi, c2 = phi0[ok], phi[ok], c2[ok]
         q = c0_iv(phi0, phi) - c1_iv(phi0, phi).power(2) / (c2 * 4)
-        lo[ok], hi[ok] = q.lo, q.hi
-    return IntervalArray(lo, hi)
+        lo[:, ok], hi[:, ok] = q.lo, q.hi
+    return GradientArray(lo, hi)
 
 
 def _samples_small() -> list[Interval]:
@@ -575,7 +637,8 @@ _SAMPLES_LARGE = (3.0, 3.5, 4.0, 5.0, 8.0, 16.0, 100.0, 1000.0)
 
 
 def _q0_with_tails(region: Box, min_width: float, details: dict) -> BnbOutcome:
-    out = prove_lower_bound(lambda b: coeff_q0(b.dims[0], INTERVAL), region, 1.9, min_width, strict=True)
+    q0 = _mean_value(lambda b: coeff_q0(b.dims[0], INTERVAL))
+    out = prove_lower_bound(q0, region, 1.9, min_width, strict=True)
     s2 = math.sqrt(2.0)
     sqrt2 = Interval(math.nextafter(s2, 0.0), math.nextafter(s2, 2.0))
     tails = {

@@ -23,13 +23,24 @@ freely on either side of an array: `Interval`'s operators return
 NotImplemented for an array, so the array's reflected operator runs.  The
 scalar `Interval` stays the reference implementation.
 
+`GradientArray` holds gradient lanes: the value of an interval function of
+k variables on n lanes together with its k first partials, as (1 + k, n)
+`lo` and `hi` arrays with row 0 the value.  Its operations compute row 0
+with the very `IntervalArray` operation a natural evaluation performs, and
+the partial rows by the sum, product, quotient, power and chain rules in
+interval arithmetic, so a generic form evaluated on it differentiates
+itself.  `Interval`, float and `IntervalArray` operands mix in as
+constants, and `IntervalArray` defers to it as it defers to `Interval`.
+`certify` builds the mean-value form on it.
+
 Transcendental constants are provided as two-endpoint enclosures: `pi_iv`
 brackets pi (math.pi itself rounds down), `sqrt6_iv` brackets sqrt(6).
 `INTERVAL` is the number-type context (see `core`) under which the
-coefficient forms of `regions` evaluate on `Interval` and `IntervalArray`
-arguments alike, and `taylor.coefficients` on `Interval` jets.  Boxes
-are ordered tuples of intervals, or of `IntervalArray`s for one box per lane;
-bisection always splits the widest dimension at the floating-point midpoint.
+coefficient forms of `regions` evaluate on `Interval`, `IntervalArray` and
+`GradientArray` arguments alike, and `taylor.coefficients` on `Interval`
+jets.  Boxes are ordered tuples of intervals, or of lanes for one box per
+lane; bisection always splits the widest dimension at the floating-point
+midpoint.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ import numpy as np
 __all__ = [
     "Interval",
     "IntervalArray",
+    "GradientArray",
     "Box",
     "pi_iv",
     "half_pi_iv",
@@ -266,7 +278,8 @@ def _first_lane(mask, lo, hi) -> str:
     i = int(np.argmax(mask)) if np.ndim(mask) else 0
     a = np.broadcast_to(lo, np.shape(mask)).flat[i]
     b = np.broadcast_to(hi, np.shape(mask)).flat[i]
-    return f"[{a}, {b}] in lane {i}"
+    where = f"lane {i}" if np.ndim(mask) < 2 else f"row {i // mask.shape[-1]}, lane {i % mask.shape[-1]}"
+    return f"[{a}, {b}] in {where}"
 
 
 class IntervalArray:
@@ -422,6 +435,157 @@ def _trig_lanes(x: IntervalArray, fn, max_offset: float, min_offset: float) -> I
     hi = np.where(at_max, 1.0, np.minimum(hi, 1.0))
     full = x.hi - x.lo >= _TWO_PI
     return IntervalArray(np.where(full, -1.0, lo), np.where(full, 1.0, hi))
+
+
+# ---------------------------------------------------------------------------
+# Lanes of intervals with their first partials.
+
+
+def _checked(lo, hi) -> IntervalArray:
+    """An `IntervalArray` of endpoints that an earlier operation has checked."""
+    x = object.__new__(IntervalArray)
+    x.lo, x.hi = lo, hi
+    return x
+
+
+class GradientArray:
+    """n lanes of an interval function of k variables, with its first partials.
+
+    `lo` and `hi` are (1 + k, n) float64 arrays.  Row 0 encloses the value
+    on each lane's box and row 1 + i the partial derivative in variable i
+    over the same box.  Every operation computes row 0 with exactly the
+    `IntervalArray` operation a natural evaluation performs, so row 0 is
+    that evaluation bit for bit; the partial rows follow the sum, product,
+    quotient, power and chain rules, each evaluated in outward-rounded
+    interval arithmetic on the lane's box (forward-mode differentiation), so
+    they enclose every partial derivative there.  `Interval`, float and
+    `IntervalArray` operands mix on either side as constants, with zero
+    partials.  Indexing picks lanes, as `IntervalArray`'s does.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, lo, hi) -> None:
+        rows = IntervalArray(lo, hi)  # the same finite and non-inverted check
+        if rows.lo.ndim != 2:
+            raise ValueError(f"expected (1 + k, n) rows, got shape {rows.lo.shape}")
+        self.lo, self.hi = rows.lo, rows.hi
+
+    @staticmethod
+    def variable(x: IntervalArray, i: int, k: int) -> "GradientArray":
+        """The lanes x as variable i of k: partial 1 in variable i and 0 in the others."""
+        lo = np.zeros((1 + k, len(x)))
+        lo[1 + i] = 1.0
+        hi = lo.copy()
+        lo[0], hi[0] = x.lo, x.hi
+        return GradientArray(lo, hi)
+
+    @property
+    def value(self) -> IntervalArray:
+        return _checked(self.lo[0], self.hi[0])
+
+    @property
+    def partials(self) -> IntervalArray:
+        return _checked(self.lo[1:], self.hi[1:])
+
+    @property
+    def _rows(self) -> IntervalArray:
+        """Value and partial rows as the lanes of one (1 + k, n) `IntervalArray`."""
+        return _checked(self.lo, self.hi)
+
+    @staticmethod
+    def _of(rows: IntervalArray, value: IntervalArray | None = None) -> "GradientArray":
+        """The fresh rows of an operation, with row 0 replaced by `value` if given."""
+        g = object.__new__(GradientArray)
+        g.lo, g.hi = rows.lo, rows.hi
+        if value is not None:
+            g.lo[0], g.hi[0] = value.lo, value.hi
+        return g
+
+    @staticmethod
+    def _join(value: IntervalArray, partials: IntervalArray) -> "GradientArray":
+        lo, hi = np.vstack((value.lo, partials.lo)), np.vstack((value.hi, partials.hi))
+        return GradientArray._of(_checked(lo, hi))
+
+    def __len__(self) -> int:
+        return self.lo.shape[1]
+
+    def __getitem__(self, index) -> "GradientArray":
+        """The lanes picked by a numpy index (a mask, index array or slice)."""
+        return GradientArray(self.lo[:, index], self.hi[:, index])
+
+    # -- arithmetic -----------------------------------------------------------
+    # Where a rule treats the value and the partials alike (a sum of gradient
+    # lanes, a product with a constant), it runs on all rows as one operation.
+
+    def __neg__(self) -> "GradientArray":
+        return GradientArray._of(-self._rows)
+
+    def __add__(self, other) -> "GradientArray":
+        if isinstance(other, GradientArray):
+            return GradientArray._of(self._rows + other._rows)
+        if _operand(other) is None:
+            return NotImplemented
+        return GradientArray._join(self.value + other, self.partials)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "GradientArray":
+        if isinstance(other, GradientArray):
+            return GradientArray._of(self._rows - other._rows)
+        if _operand(other) is None:
+            return NotImplemented
+        return GradientArray._join(self.value - other, self.partials)
+
+    def __rsub__(self, other) -> "GradientArray":
+        if _operand(other) is None:
+            return NotImplemented
+        return GradientArray._of(-self._rows, other - self.value)
+
+    def __mul__(self, other) -> "GradientArray":
+        if isinstance(other, GradientArray):
+            u, v = self.value, other.value
+            return GradientArray._join(u * v, self.partials * v + u * other.partials)
+        if _operand(other) is None:
+            return NotImplemented
+        return GradientArray._of(self._rows * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "GradientArray":
+        if isinstance(other, GradientArray):
+            v = other.value
+            q = self.value / v
+            # (u / v)' = (u' - (u / v) v') / v, with u / v enclosed by q
+            return GradientArray._join(q, (self.partials - q * other.partials) / v)
+        if _operand(other) is None:
+            return NotImplemented
+        return GradientArray._of(self._rows / other)
+
+    def __rtruediv__(self, other) -> "GradientArray":
+        if _operand(other) is None:
+            return NotImplemented
+        v = self.value
+        q = other / v
+        return GradientArray._join(q, -(q * self.partials) / v)
+
+    def power(self, n: int) -> "GradientArray":
+        """x^n for integer n >= 0: row 0 as `IntervalArray.power`, partials n x^(n-1) x'."""
+        value = self.value.power(n)
+        if n == 0:
+            return GradientArray._join(value, self.partials * 0.0)
+        return GradientArray._join(value, self.value.power(n - 1) * float(n) * self.partials)
+
+    # -- trig ------------------------------------------------------------------
+
+    def sin(self) -> "GradientArray":
+        x = self.value
+        return GradientArray._join(x.sin(), x.cos() * self.partials)
+
+    def cos(self) -> "GradientArray":
+        x = self.value
+        return GradientArray._join(x.cos(), -x.sin() * self.partials)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from biwind import certify, core, regions, taylor
 from biwind.certify import Status
-from biwind.intervals import INTERVAL, Box, Interval, IntervalArray
+from biwind.intervals import INTERVAL, Box, GradientArray, Interval, IntervalArray
 
 SQRT6 = math.sqrt(6.0)
 
@@ -342,14 +342,14 @@ def test_all_tasks_proved(all_certs):
 # (boxes_examined, max_depth) of every task's proof tree
 PINNED_TREES = {
     "V1": (1, 0),
-    "V2": (4505, 21),
-    "V3": (11128, 20),
+    "V2": (163, 11),
+    "V3": (202, 8),
     "V4": (0, 0),
-    "V5": (10968, 29),
+    "V5": (110, 12),
     "V6": (1, 0),
-    "V7": (724, 17),
-    "V8": (7889, 16),
-    "V9": (279, 12),
+    "V7": (78, 9),
+    "V8": (113, 8),
+    "V9": (39, 7),
 }
 
 
@@ -489,7 +489,7 @@ def test_v7_check_fails_on_a_shrunk_reference(region):
 
 
 def test_v7_honours_min_width():
-    cert = certify.run_task("V7", min_width=0.02)
+    cert = certify.run_task("V7", min_width=0.1)
     assert cert.status is Status.INCONCLUSIVE
     assert cert.witness is not None
     assert cert.details["contained_in_reference"] is False
@@ -550,6 +550,115 @@ def test_certificates_deterministic_across_worker_counts():
             d.pop("wall_ms")
             dicts.append(d)
         assert dicts[0] == dicts[1] == dicts[2]
+
+
+# ---------------------------------------------------------------------------
+# Gradient lanes and the mean-value form on every form a certificate evaluates.
+
+_HP = math.pi / 2
+
+
+def _quad_min_float(p0, z):
+    c0, c1, c2, _ = regions.P_cubic_coefficients(p0, _zmap(p0, z))
+    return c0 - c1 * c1 / (4.0 * c2)
+
+
+# name: (the form on a box, the same form on float arrays, the domain of its boxes)
+CERTIFIED_FORMS = {
+    "V1 a at v = 0": (lambda b: regions.coeff_a(*b.dims, Interval.point(0.0), INTERVAL),
+                      lambda p0, ph: regions.eval_a(p0, ph, 0.0), [(0.0, _HP), (0.0, math.pi)]),
+    "c0": (lambda b: certify.c0_iv(*b.dims), regions.coeff_c0, [(0.0, _HP), (0.0, _HP)]),
+    "c1": (lambda b: certify.c1_iv(*b.dims), regions.coeff_c1, [(0.0, _HP), (0.0, _HP)]),
+    "c2": (lambda b: certify.c2_iv(*b.dims), regions.coeff_c2, [(0.0, _HP), (0.0, _HP)]),
+    "c0 in z": (lambda b: certify.c0_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+                lambda p0, z: regions.coeff_c0(p0, _zmap(p0, z)), [(0.0, 0.4), (0.0, 1.0)]),
+    "c1 in z": (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+                lambda p0, z: regions.coeff_c1(p0, _zmap(p0, z)), [(0.0, 1.0), (0.0, 1.0)]),
+    # A widened to z >= 0, so that c2 reaches 0 on some boxes
+    "quad_min": (certify._quad_min, _quad_min_float, [(0.0, 783 / 1024), (0.0, 1.0)]),
+    "q0": (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), regions.coeff_q0, [(math.pi / 8, 3.0)]),
+}
+
+
+def _random_lanes(domain, seed: int, n: int = 2000):
+    """n random boxes in the domain, each dimension of zero width one time in five,
+    as `IntervalArray` lanes per dimension, and a random point of each box."""
+    rng = np.random.default_rng(seed)
+    lanes, points = [], []
+    for a, b in domain:
+        w = (b - a) * rng.uniform(0.0, 0.5, n) * (rng.uniform(size=n) > 0.2)
+        lo = rng.uniform(a, b - w)
+        lanes.append(IntervalArray(lo, lo + w))
+        points.append(np.clip(lo + rng.uniform(size=n) * w, lo, lo + w))
+    return lanes, points
+
+
+def _gradient_box(lanes) -> Box:
+    return Box(tuple(GradientArray.variable(x, i, len(lanes)) for i, x in enumerate(lanes)))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_FORMS))
+def test_gradient_lanes_enclose_every_certified_form_and_its_partials(name):
+    # at a random point of each random box: row 0 holds the float value, and
+    # partial row i a central difference in variable i, up to the
+    # difference's own error (step 1e-6: about 1e-12 truncation, 1e-10 rounding)
+    form, floats, domain = CERTIFIED_FORMS[name]
+    lanes, points = _random_lanes(domain, 11)
+    got = form(_gradient_box(lanes))
+    assert isinstance(got, GradientArray) and got.lo.shape == (1 + len(domain), 2000)
+    live = got.lo[0] > -1e30  # _quad_min's lanes where c2 may reach 0 carry no enclosure
+    assert live.mean() > 0.5
+    lo, hi = got.lo[:, live], got.hi[:, live]
+    points = [p[live] for p in points]
+    value = floats(*points)
+    assert np.all((lo[0] <= value) & (value <= hi[0]))
+    h = 1e-6
+    for i in range(len(domain)):
+        up = [p + h * (j == i) for j, p in enumerate(points)]
+        down = [p - h * (j == i) for j, p in enumerate(points)]
+        d = (floats(*up) - floats(*down)) / (2 * h)
+        tol = 1e-6 * (1.0 + np.abs(d))
+        assert np.all((lo[1 + i] - tol <= d) & (d <= hi[1 + i] + tol)), i
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_FORMS))
+def test_mean_value_enclosure_lies_inside_the_natural_one(name):
+    form, floats, domain = CERTIFIED_FORMS[name]
+    lanes, points = _random_lanes(domain, 12)
+    natural = form(_gradient_box(lanes)).value  # row 0 is the natural evaluation
+    got = certify._mean_value(form)(Box(tuple(lanes)))
+    assert isinstance(got, IntervalArray) and len(got) == 2000
+    assert np.all((natural.lo <= got.lo) & (got.hi <= natural.hi))
+    value = floats(*points)
+    live = natural.lo > -1e30
+    assert np.all((got.lo <= value) & (value <= got.hi) | ~live)
+    # a lane that has no enclosure (where c2 may reach 0 in _quad_min) gains none
+    assert np.all(got.lo[~live] < -1e20)
+    assert live.all() == (name != "quad_min")
+
+
+def test_mean_value_form_raises_on_disjoint_enclosures():
+    # a form claiming slope 0 whose center value lies 5 above its natural
+    # enclosure: the intersection is empty, and it is never clamped
+    def unsound(b):
+        x = b.dims[0]
+        lo, hi = x.lo.copy(), x.hi.copy()
+        lo[1:] = hi[1:] = 0.0
+        n = lo.shape[1] // 2
+        lo[0, n:] += 5.0
+        hi[0, n:] += 5.0
+        return GradientArray(lo, hi)
+
+    box = Box.from_bounds([(0.0, 1.0)])
+    with pytest.raises(ArithmeticError, match="disjoint in lane 0"):
+        certify._mean_value(unsound)(Box((IntervalArray([0.0], [1.0]),)))
+    with pytest.raises(ArithmeticError, match="disjoint"):
+        certify.prove_lower_bound(certify._mean_value(unsound), box, 0.0, 1e-3)
+
+
+def test_mean_value_form_passes_a_constant_through():
+    flat = Interval(0.01, 0.01)
+    assert certify._mean_value(lambda b: flat)(Box((IntervalArray([0.0], [1.0]),))) is flat
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from biwind.intervals import (
     Box,
+    GradientArray,
     Interval,
     IntervalArray,
     eighth_pi_iv,
@@ -324,3 +325,92 @@ def test_array_lane_selection():
     sub = x[np.array([2, 0])]
     assert sub.lo.tolist() == [2.0, 0.0] and sub.hi.tolist() == [2.5, 0.5]
     assert len(x[x.lo > 0.5]) == 2
+
+
+# ---------------------------------------------------------------------------
+# GradientArray: row 0 is the natural evaluation, the other rows enclose the
+# partial derivatives.
+
+# the derivative of each unary operation, and of each binary one in its two operands
+UNARY_DERIVATIVES = {
+    "neg": lambda v: -np.ones_like(v),
+    "sin": np.cos,
+    "cos": lambda v: -np.sin(v),
+    **{f"power{n}": (lambda v, n=n: n * v ** max(n - 1, 0)) for n in range(6)},
+}
+BINARY_DERIVATIVES = {
+    "add": lambda a, b: (np.ones_like(a), np.ones_like(b)),
+    "sub": lambda a, b: (np.ones_like(a), -np.ones_like(b)),
+    "mul": lambda a, b: (b, a),
+    "truediv": lambda a, b: (1.0 / b, -(a / b) / b),
+}
+
+
+def _assert_rows_enclose(g: GradientArray, rows: list[np.ndarray]) -> None:
+    for i, v in enumerate(rows):
+        v = np.broadcast_to(v, g.lo[i].shape)
+        assert np.all((g.lo[i] <= v) & (v <= g.hi[i])), i
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_gradient_unary_ops_keep_the_natural_value_and_enclose_the_derivative(name):
+    op, fn = UNARY[name]
+    x = _operand_lanes(1)
+    # x as variable 0 of 2: the partial in variable 1 is 0
+    got = op(GradientArray.variable(x, 0, 2))
+    assert isinstance(got, GradientArray) and got.lo.shape == (3, LANES)
+    _assert_bitwise_lanes(got.value, [op(_lane(x, i)) for i in range(len(x))])
+    v = _samples(x, 2)
+    _assert_rows_enclose(got, [fn(v), UNARY_DERIVATIVES[name](v), 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_gradient_binary_ops_keep_the_natural_value_and_enclose_the_derivative(name):
+    op = BINARY[name]
+    a, b = _operand_lanes(3), _operand_lanes(4)
+    if name == "truediv":
+        b = _nonzero_divisor(b)
+    got = op(GradientArray.variable(a, 0, 2), GradientArray.variable(b, 1, 2))
+    _assert_bitwise_lanes(got.value, [op(_lane(a, i), _lane(b, i)) for i in range(len(a))])
+    va, vb = _samples(a, 5), _samples(b, 6)
+    _assert_rows_enclose(got, [op(va, vb), *BINARY_DERIVATIVES[name](va, vb)])
+
+
+def _const_lane(c, i: int):
+    return _lane(c, i) if isinstance(c, IntervalArray) else c
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_gradient_mixed_operands_are_constants(name):
+    op = BINARY[name]
+    x = _nonzero_divisor(_operand_lanes(7))
+    gx = GradientArray.variable(x, 0, 1)
+    v = _samples(x, 8)
+    lanes = IntervalArray(np.full(LANES, 0.75), np.full(LANES, 0.75))
+    for c in (Interval.point(2.5), 2.5, -3, np.float64(1.25), lanes):
+        cv = c.lo if isinstance(c, (Interval, IntervalArray)) else float(c)
+        for position in (0, 1):
+            pair = (gx, c) if position == 0 else (c, gx)
+            got = op(*pair)
+            assert isinstance(got, GradientArray)
+            want = [op(_lane(x, i), _const_lane(c, i)) if position == 0
+                    else op(_const_lane(c, i), _lane(x, i)) for i in range(LANES)]
+            _assert_bitwise_lanes(got.value, want)
+            pair = (v, cv) if position == 0 else (cv, v)
+            _assert_rows_enclose(got, [op(*pair), BINARY_DERIVATIVES[name](*pair)[position]])
+
+
+def test_gradient_lanes_select_and_check_like_interval_lanes():
+    g = GradientArray.variable(IntervalArray([0.0, 1.0, 2.0], [0.5, 1.5, 2.5]), 1, 2)
+    assert g.lo.tolist() == [[0.0, 1.0, 2.0], [0.0] * 3, [1.0] * 3]
+    sub = g[np.array([2, 0])]
+    assert len(sub) == 2 and sub.hi.tolist() == [[2.5, 0.5], [0.0, 0.0], [1.0, 1.0]]
+    assert len(g[g.lo[0] > 0.5]) == 2
+    with pytest.raises(ValueError, match="inverted interval .* in row 1, lane 0"):
+        GradientArray([[0.0], [1.0]], [[1.0], [0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        GradientArray([[0.0], [0.0]], [[1.0], [math.inf]])
+    with pytest.raises(ValueError, match="rows"):
+        GradientArray([0.0], [1.0])
+    with pytest.raises(ZeroDivisionError):
+        g / GradientArray.variable(IntervalArray([-1.0, 1.0, 1.0], [1.0, 2.0, 2.0]), 0, 2)

@@ -44,6 +44,7 @@ COMMANDS = (
     ("classify_21", ["classify", "--grid", "21"]),
     ("verify", ["verify", "--task", "all"]),
     ("verify_coarse", ["verify", "--task", "all", "--min-width", "0.02"]),
+    ("verify_inconclusive", ["verify", "--task", "all", "--min-width", "0.1"]),
     ("spectrum_4_even", ["spectrum", "--d", "4", "--parity", "even"]),
     ("spectrum_4_odd", ["spectrum", "--d", "4", "--parity", "odd"]),
     ("spectrum_5_even", ["spectrum", "--d", "5", "--parity", "even"]),
