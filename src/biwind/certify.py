@@ -11,18 +11,14 @@ themselves are not written here: they are the generic forms of `regions`
   box dimension, discharges a box once the interval evaluation clears the
   bound, fails with a witness when a center point definitely violates it,
   and gives up at a minimum width otherwise.  It runs breadth first from
-  one root box or several, and evaluates each level of the tree as one
-  batch: the coefficient functions take a box whose dimensions are
-  `IntervalArray` lanes, one per box of the level, followed by point lanes
-  for the centers of the previous level's undischarged boxes, so each level
-  costs one call of f;
+  one root box or several, and evaluates each level of the tree, its boxes
+  and their centers, as one batch of lanes in one call of f;
 * the mean-value form (`_mean_value`), through which every
-  branch-and-bound certificate evaluates its coefficient: one call of the
-  form on `GradientArray` lanes, the level's lanes followed by their float
-  centers, gives each lane its natural enclosure and the centered one
-  F(c) + sum_i G_i(B) (B_i - c_i); the lane keeps their intersection, and
-  an empty intersection raises, since it could only come from an unsound
-  enclosure;
+  branch-and-bound certificate evaluates its coefficient on a level's
+  lanes, as `GradientArray` variables: each box gets its natural enclosure
+  intersected with the centered one F(c) + sum_i G_i(B) (B_i - c_i), F(c)
+  read from the box's center lane, and an empty intersection raises, since
+  it could only come from an unsound enclosure;
 * two-term Taylor-with-remainder enclosures of the cubic and linear
   coefficients near the origin (`taylor_enclose_P_coeff`): `coeff_c0` and
   `coeff_c2` evaluated on polynomials with theta-remainders in exact
@@ -175,16 +171,12 @@ def prove_lower_bound(
     level-major order is the FAILED witness and the first given-up box the
     INCONCLUSIVE one, whichever root they descend from.
 
-    Each level is one call of f on a box whose dimensions are
-    `IntervalArray` lanes: one lane per box of the level, followed by one
-    point lane per center of the previous level's live boxes.  The centers
-    are judged first, so the outcome is that of testing every level's
-    centers before the next level is formed; one last call carries the
-    deepest level's centers alone.  If a level's call or its bisection
-    raises, the pending centers are judged in a call of their own first,
-    so a failing center still comes before the error.  `level_seconds`
-    holds the wall time of each level's call, filtering and bisection; the
-    last call's time goes to the deepest level.
+    Each level of n boxes is one call of f on a box whose dimensions are
+    2n `IntervalArray` lanes: lane j is box j and lane n + j its float
+    center, a point.  A center is judged only where its box is not
+    discharged; a discharged box encloses f at its center, so that center
+    cannot fail.  `level_seconds` holds the wall time of each level's call,
+    filtering and bisection.
     """
     if isinstance(min_width, bool) or not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
@@ -192,59 +184,38 @@ def prove_lower_bound(
     if not roots or len({len(r.dims) for r in roots}) != 1:
         raise ValueError(f"expected one or more boxes of one dimension, got {len(roots)} roots")
     below = (lambda v: v <= bound) if strict else (lambda v: v < bound)
-    # dimension i of root j spans [lo[i, j], hi[i, j]]
+    # dimension i of box j spans [lo[i, j], hi[i, j]]
     lo = np.array([[iv.lo for iv in r.dims] for r in roots]).T
     hi = np.array([[iv.hi for iv in r.dims] for r in roots]).T
-    # the previous level's live boxes, whose centers are not yet judged, and
-    # their indices in that level
-    p_lo, p_hi, p_idx = lo[:, :0], hi[:, :0], np.arange(0)
     levels: list[int] = []
     seconds: list[float] = []
     inconclusive: Box | None = None
-    error: ArithmeticError | ValueError | None = None
     clock = time.perf_counter()
-    while lo.shape[1] or p_idx.size:
+    while lo.shape[1]:
         n = lo.shape[1]
-        mid = _midpoints(p_lo, p_hi)
-        try:
-            val = f(_lanes_box(np.hstack((lo, mid)), np.hstack((hi, mid))))
-        except (ArithmeticError, ValueError) as exc:  # what interval evaluation raises
-            if not (n and p_idx.size):
-                raise
-            error, lo, hi = exc, lo[:, :0], hi[:, :0]
-            continue
-        v_lo, v_hi = _lane_bounds(val, n + p_idx.size)
-        fails = below(v_hi[n:])
+        mid = _midpoints(lo, hi)
+        v_lo, v_hi = _lane_bounds(f(_lanes_box(np.hstack((lo, mid)), np.hstack((hi, mid)))), 2 * n)
+        live = below(v_lo[:n])
+        fails = live & below(v_hi[n:])
         if fails.any():
             j = int(np.argmax(fails))
-            levels[-1] = int(p_idx[j]) + 1
-            seconds[-1] += time.perf_counter() - clock
+            levels.append(j + 1)
+            seconds.append(time.perf_counter() - clock)
             return BnbOutcome(
-                Status.FAILED, _lane(p_lo, p_hi, j), sum(levels), len(levels) - 1, tuple(levels),
+                Status.FAILED, _lane(lo, hi, j), sum(levels), len(levels) - 1, tuple(levels),
                 tuple(seconds),
             )
-        if error is not None:
-            raise error
-        if not n:
-            break
-        live = np.flatnonzero(below(v_lo[:n]))
-        lo, hi, p_idx = lo[:, live], hi[:, live], live
-        p_lo, p_hi = lo, hi
         levels.append(n)
+        lo, hi = lo[:, live], hi[:, live]
         narrow = (hi - lo).max(axis=0) < min_width
         if narrow.any():
             if inconclusive is None:
                 inconclusive = _lane(lo, hi, int(np.argmax(narrow)))
             lo, hi = lo[:, ~narrow], hi[:, ~narrow]
-        try:
-            lo, hi = _bisect_lanes(lo, hi)
-        except ValueError as exc:
-            error, lo, hi = exc, lo[:, :0], hi[:, :0]
+        lo, hi = _bisect_lanes(lo, hi)
         now = time.perf_counter()
         seconds.append(now - clock)
         clock = now
-    if seconds:
-        seconds[-1] += time.perf_counter() - clock
     status = Status.PROVED if inconclusive is None else Status.INCONCLUSIVE
     return BnbOutcome(status, inconclusive, sum(levels), len(levels) - 1, tuple(levels), tuple(seconds))
 
@@ -252,34 +223,34 @@ def prove_lower_bound(
 def _mean_value(
     f: Callable[[Box], GradientArray | Interval],
 ) -> Callable[[Box], IntervalArray | Interval]:
-    """f on a box of n `IntervalArray` lanes, each lane narrowed by the mean-value form.
+    """f on the lanes of a `prove_lower_bound` level, narrowed by the mean-value form.
 
-    f is called once, on `GradientArray` lanes: the n boxes B followed by
-    their float centers c, every dimension seeded as one variable.  Lane j
-    then gets the natural enclosure (row 0 on B) intersected with the
-    centered form F(c) + sum_i G_i(B) (B_i - c_i), where F(c) is row 0 at
-    c and G_i the partial rows on B (Moore, Kearfott and Cloud,
-    *Introduction to Interval Analysis*, SIAM 2009, ch. 6).  Both enclose f
-    on B, so an empty intersection means an unsound enclosure: it raises
-    ArithmeticError and is never clamped.  A form that returns an
-    `Interval`, constant in the box, is returned unchanged.
+    f is called once, on the lanes as `GradientArray` variables.  Each box B
+    gets its natural enclosure (row 0) intersected with the centered form
+    F(c) + sum_i G_i(B) (B_i - c_i), F(c) being row 0 on B's center lane and
+    G_i the partial rows on B (Moore, Kearfott and Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009, ch. 6); each center lane gets F(c).  Both
+    enclose f on B, so an empty intersection means an unsound enclosure: it
+    raises ArithmeticError and is never clamped.  The form is sound only for
+    c in B, so lanes whose centers are not points inside their boxes raise
+    ValueError.  A form that returns an `Interval`, constant in the box, is
+    returned unchanged.
     """
 
     def g(b: Box) -> IntervalArray | Interval:
         lo = np.array([iv.lo for iv in b.dims])
         hi = np.array([iv.hi for iv in b.dims])
-        c = _midpoints(lo, hi)
-        k, n = lo.shape
-        # the boxes, then their centers, as variable i of k in dimension i
-        both = IntervalArray(np.hstack((lo, c)), np.hstack((hi, c)))
-        val = f(Box(tuple(GradientArray.variable(both[i], i, k) for i in range(k))))
+        k, n = lo.shape[0], lo.shape[1] // 2
+        c = lo[:, n:]
+        if lo.shape[1] % 2 or not np.all((c == hi[:, n:]) & (lo[:, :n] <= c) & (c <= hi[:, :n])):
+            raise ValueError("expected n box lanes followed by a point lane inside each")
+        val = f(Box(tuple(GradientArray.variable(x, i, k) for i, x in enumerate(b.dims))))
         if not isinstance(val, GradientArray):
             return val
-        natural, mv = val.value[:n], val.value[n:]
+        natural, fc = val.value[:n], val.value[n:]
         # F(c) + sum_i G_i(B) (B_i - c_i), summed in dimension order
-        terms = val.partials[:, :n] * (IntervalArray(lo, hi) - IntervalArray(c, c))
-        for i in range(k):
-            mv = mv + terms[i]
+        terms = val.partials[:, :n] * (IntervalArray(lo[:, :n], hi[:, :n]) - IntervalArray(c, c))
+        mv = sum((terms[i] for i in range(k)), fc)
         lo, hi = np.maximum(natural.lo, mv.lo), np.minimum(natural.hi, mv.hi)
         empty = lo > hi
         if empty.any():
@@ -288,7 +259,7 @@ def _mean_value(
                 f"natural enclosure [{natural.lo[j]}, {natural.hi[j]}] and mean-value enclosure "
                 f"[{mv.lo[j]}, {mv.hi[j]}] are disjoint in lane {j}: one of them is unsound"
             )
-        return IntervalArray(lo, hi)
+        return IntervalArray(np.concatenate((lo, fc.lo)), np.concatenate((hi, fc.hi)))
 
     return g
 

@@ -188,12 +188,19 @@ def _fails_at_point(x0):
         (_raises_below_width(0.6, lambda b: b.dims[0] - 0.75), [(0.0, 1.0)], 0.0, 1e-3, False),
         # at depth 1, box 0 is too thin to bisect and box 1's center fails
         (_fails_at_point(1 + 3 * _ULP), [(1 + _ULP, 1 + 4 * _ULP)], 0.0, 1e-300, False),
+        # f raises on the root box: both searches raise
+        (_raises_below_width(2.0, lambda b: b.dims[0]), [(0.0, 1.0)], 0.0, 1e-3, False),
     ],
 )
 def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
     box = Box.from_bounds(box)
+    try:
+        status, witness, levels = _scalar_search(f, box, bound, min_width, strict)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            certify.prove_lower_bound(f, box, bound, min_width, strict=strict)
+        return
     out = certify.prove_lower_bound(f, box, bound, min_width, strict=strict)
-    status, witness, levels = _scalar_search(f, box, bound, min_width, strict)
     assert (out.status, out.witness, out.level_boxes) == (status, witness, levels)
     assert (out.boxes_examined, out.max_depth) == (sum(levels), len(levels) - 1)
 
@@ -288,9 +295,14 @@ def test_prove_lower_bound_calls_f_once_per_level(f, box, bound, min_width, stat
     g, calls = _counting(f)
     out = certify.prove_lower_bound(g, Box.from_bounds(box), bound, min_width)
     assert out.status is status
-    assert len(calls) <= len(out.level_boxes) + 1
-    # the lanes are the boxes examined and one center per box not discharged
-    assert sum(calls) > out.boxes_examined
+    assert len(calls) == len(out.level_boxes)
+    # each level's lanes are its boxes followed by their centers
+    assert calls[:-1] == [2 * n for n in out.level_boxes[:-1]]
+    if status is Status.FAILED:
+        # the last level counts its boxes up to the witness only, the third of four
+        assert (calls[-1], out.level_boxes[-1]) == (8, 3)
+    else:
+        assert sum(calls) == 2 * out.boxes_examined
     assert len(out.level_seconds) == len(out.level_boxes)
     assert all(t >= 0.0 for t in out.level_seconds)
 
@@ -396,6 +408,27 @@ def test_certificate_tasks_are_pinned(all_certs):
         cert = all_certs[tid]
         assert (cert.coordinate_system, cert.target, cert.min_width) == (coords, target, min_width), tid
         assert [[(iv.lo.hex(), iv.hi.hex()) for iv in r.dims] for r in cert.regions] == regions_hex, tid
+
+
+def test_certificate_forms_see_two_gradient_lanes_per_box(monkeypatch):
+    # every level seeds its lanes once, as the boxes followed by their centers
+    seeded = []
+    variable = GradientArray.variable
+
+    def spy(x, i, k):
+        if i == 0:
+            seeded.append(len(x))
+        return variable(x, i, k)
+
+    monkeypatch.setattr(GradientArray, "variable", staticmethod(spy))
+    total = 0
+    for tid in certify.TASK_IDS:
+        seeded.clear()
+        cert = certify.run_task(tid)
+        assert len(seeded) == len(cert.level_boxes), tid
+        assert sum(seeded) == 2 * cert.boxes_examined, tid
+        total += sum(seeded)
+    assert total == 2 * sum(boxes for boxes, _ in PINNED_TREES.values()) == 1414
 
 
 def test_level_seconds_sit_beside_level_boxes_in_memory_only(all_certs):
@@ -597,6 +630,15 @@ def _gradient_box(lanes) -> Box:
     return Box(tuple(GradientArray.variable(x, i, len(lanes)) for i, x in enumerate(lanes)))
 
 
+def _with_centers(lanes) -> tuple[Box, list[IntervalArray]]:
+    """The lanes followed by their midpoints, as a `prove_lower_bound` level
+    lays them out, and the midpoints alone."""
+    centers = [IntervalArray(c, c) for c in (certify._midpoints(x.lo, x.hi) for x in lanes)]
+    both = [IntervalArray(np.concatenate((x.lo, c.lo)), np.concatenate((x.hi, c.hi)))
+            for x, c in zip(lanes, centers)]
+    return Box(tuple(both)), centers
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFIED_FORMS))
 def test_gradient_lanes_enclose_every_certified_form_and_its_partials(name):
     # at a random point of each random box: row 0 holds the float value, and
@@ -626,8 +668,14 @@ def test_mean_value_enclosure_lies_inside_the_natural_one(name):
     form, floats, domain = CERTIFIED_FORMS[name]
     lanes, points = _random_lanes(domain, 12)
     natural = form(_gradient_box(lanes)).value  # row 0 is the natural evaluation
-    got = certify._mean_value(form)(Box(tuple(lanes)))
-    assert isinstance(got, IntervalArray) and len(got) == 2000
+    box, centers = _with_centers(lanes)
+    got = certify._mean_value(form)(box)
+    assert isinstance(got, IntervalArray) and len(got) == 4000
+    # the center lanes carry the form's value at the centers
+    at_centers = form(_gradient_box(centers)).value
+    np.testing.assert_array_equal(got.lo[2000:], at_centers.lo)
+    np.testing.assert_array_equal(got.hi[2000:], at_centers.hi)
+    got = got[:2000]
     assert np.all((natural.lo <= got.lo) & (got.hi <= natural.hi))
     value = floats(*points)
     live = natural.lo > -1e30
@@ -651,14 +699,29 @@ def test_mean_value_form_raises_on_disjoint_enclosures():
 
     box = Box.from_bounds([(0.0, 1.0)])
     with pytest.raises(ArithmeticError, match="disjoint in lane 0"):
-        certify._mean_value(unsound)(Box((IntervalArray([0.0], [1.0]),)))
+        certify._mean_value(unsound)(Box((IntervalArray([0.0, 0.5], [1.0, 0.5]),)))
     with pytest.raises(ArithmeticError, match="disjoint"):
         certify.prove_lower_bound(certify._mean_value(unsound), box, 0.0, 1e-3)
 
 
 def test_mean_value_form_passes_a_constant_through():
     flat = Interval(0.01, 0.01)
-    assert certify._mean_value(lambda b: flat)(Box((IntervalArray([0.0], [1.0]),))) is flat
+    assert certify._mean_value(lambda b: flat)(Box((IntervalArray([0.0, 0.5], [1.0, 0.5]),))) is flat
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ([0.0], [1.0]),  # an odd number of lanes
+        ([0.0, 0.25], [1.0, 0.5]),  # a center lane that is not a point
+        ([0.0, 1.5], [1.0, 1.5]),  # a center outside its box
+    ],
+)
+def test_mean_value_form_takes_boxes_followed_by_their_centers(lo, hi):
+    # the centered form is sound only for a center inside its box
+    g = certify._mean_value(lambda b: b.dims[0] * b.dims[0])
+    with pytest.raises(ValueError, match="point lane inside each"):
+        g(Box((IntervalArray(lo, hi),)))
 
 
 # ---------------------------------------------------------------------------
