@@ -267,27 +267,22 @@ def _energy_params(args, parser: _Parser) -> dict:
     return {"d": args.d, "mode": args.mode, "orbits": 20, "seed": args.seed}
 
 
-def _connection_state(rng: np.random.Generator) -> np.ndarray:
+def _connection_state(rng: np.random.Generator) -> core.State:
     """Random member of the explicit d=4 connecting family at s = 0.
 
     The family is phi = 2 arctan(e^{s-c}) + k pi with jet (sech, -sech tanh,
-    sech (tanh^2 - sech^2)) in the shifted variable, optionally reflected.
-    Every member is a bounded orbit with exactly conserved energy.
+    sech (tanh^2 - sech^2)) in the shifted variable, optionally reflected
+    through phi = 0.  Every member is a bounded orbit with exactly conserved
+    energy.
     """
     c = float(rng.uniform(-2.0, 2.0))
     k = int(rng.integers(-1, 4))
     reflect = bool(rng.integers(0, 2))
     sech = 1.0 / math.cosh(-c)
     tanh = math.tanh(-c)
-    x = np.array(
-        [
-            2.0 * math.atan(math.exp(-c)) + k * math.pi,
-            sech,
-            -sech * tanh,
-            sech * (tanh * tanh - sech * sech),
-        ]
-    )
-    return -x if reflect else x
+    jet = (2.0 * math.atan(math.exp(-c)), sech, -sech * tanh, sech * (tanh * tanh - sech * sech))
+    x = core.symmetry_shift(jet, k)
+    return core.symmetry_reflect(x, 0) if reflect else x
 
 
 def _run_energy(params: dict, base: str | None) -> tuple[int, object, list[str]]:

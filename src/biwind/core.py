@@ -19,10 +19,9 @@ read them there.  The field's phi'''' is written once too, as the source
 `FIELD_SOURCE`, which `_make_rhs` compiles and the serial integrator
 inlines into its generated step.
 
-This module evaluates the field (and, for the integrator, its time-reversed
-companion), the Lyapunov energy and its dissipation rate, the
-pi-shift/reflection symmetries, the threshold c_star used by the blowup
-criterion, the linearizations at the two families of equilibria, the
+This module evaluates the field, the Lyapunov energy and its dissipation
+rate, the pi-shift/reflection symmetries, the threshold c_star used by the
+blowup criterion, the linearizations at the two families of equilibria, the
 classical second-order (harmonic map) analogue, and the residual of the
 original radial equation, in plain floating point; certified bounds live
 in `intervals`/`certify`.  Powers go through libm's pow (`power`,
@@ -70,9 +69,6 @@ __all__ = [
 
 DIM_LO = 3
 DIM_HI = 10
-
-#: Parity-flip conjugacy between forward and reversed fields: J = diag(1,-1,1,-1).
-REVERSAL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _check_dim(d: int) -> None:
@@ -164,9 +160,9 @@ def _field_constants(d: int) -> tuple[float, ...]:
 
 # The field's last component, the phi'''' of the jet (phi, v, w2, w3), stated
 # once as source that assigns it to `acc`.  Besides the jet it reads the
-# names `_field_scope` binds: the constants of `_field_constants`, the sign
-# sgn of the odd-derivative terms, sin and cos.  `_make_rhs` compiles it into
-# the field, and `integrate` inlines it into its generated serial step.
+# names `_field_scope` binds: the constants of `_field_constants`, sin and
+# cos.  `_make_rhs` compiles it into the field, and `integrate` inlines it
+# into its generated serial step.
 FIELD_SOURCE = """\
 sin2 = sin(2.0 * phi)
 cos2 = cos(2.0 * phi)
@@ -174,16 +170,15 @@ acc = (
     (d1 * cos2 + k) * w2
     - c3 * sin2
     + (6.0 * w2 - d1 * sin2) * v * v
-    + sgn * (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
+    + (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
 )"""
 
 
-def _field_scope(d: int, reverse: bool, ctx) -> dict:
-    """The names FIELD_SOURCE reads besides the jet, for dimension d, the
-    direction and the context `ctx`."""
+def _field_scope(d: int, ctx) -> dict:
+    """The names FIELD_SOURCE reads besides the jet, for dimension d and the
+    context `ctx`."""
     d1, k, c3, gk, a = _field_constants(d)
-    return {"sin": ctx.sin, "cos": ctx.cos, "d1": d1, "k": k, "c3": c3, "gk": gk, "a": a,
-            "sgn": -1.0 if reverse else 1.0}
+    return {"sin": ctx.sin, "cos": ctx.cos, "d1": d1, "k": k, "c3": c3, "gk": gk, "a": a}
 
 
 def _function_code(source: str, filename: str) -> types.CodeType:
@@ -201,16 +196,14 @@ _RHS = _function_code(
 )
 
 
-def _make_rhs(d: int, reverse: bool = False, ctx=FLOAT) -> Callable[[float, object], tuple]:
+def _make_rhs(d: int, ctx=FLOAT) -> Callable[[float, object], tuple]:
     """The field as a 4-tuple of derivatives, with `ctx.sin` and `ctx.cos`.
 
     Under `FLOAT` it takes one jet; under `NUMPY`, a (4, n) array of jet
     columns, and each of its n lanes runs the operations of a single jet in
-    the same order.  With `reverse` it is the field of the pullback
-    u(sigma) = phi(-sigma): the odd-derivative terms flip sign, giving
-    -J f(J x) with J = diag(1,-1,1,-1).
+    the same order.
     """
-    return types.FunctionType(_RHS, _field_scope(d, reverse, ctx))
+    return types.FunctionType(_RHS, _field_scope(d, ctx))
 
 
 def vector_field(d: int, x) -> np.ndarray:

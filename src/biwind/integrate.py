@@ -39,9 +39,6 @@ near an event.  The lanes take the same two bounds on all lanes at once,
 can reach an event.  Once no more than _HANDOFF_LANES lanes are live, the
 lockstep loop stops and `_drive`, resumed from each lane's state, finishes
 it alone: an iteration costs about as much at a few lanes as at fifty.
-Reversed integration conjugates by J = diag(1,-1,1,-1): the returned
-samples are the true backward states of the orbit through x0, so a forward run
-followed by a reversed run returns to the starting jet.
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ __all__ = [
     "StepStats",
     "IntegrationError",
     "integrate",
-    "integrate_reversed",
     "LaneEnd",
     "integrate_lanes",
     "sample_at",
@@ -133,7 +129,7 @@ class Termination:
 
 @dataclass
 class StepStats:
-    """What one `integrate` or `integrate_reversed` run did.
+    """What one `integrate` run did.
 
     Every accepted step is either `scanned` for events or `skipped`, because
     its reach bounds showed that no event can lie on it.  `field_evals`
@@ -165,7 +161,6 @@ class Trajectory:
     states: np.ndarray
     termination: Termination
     _steps: list[tuple[list, float]] = field(default_factory=list, repr=False)
-    _mirror: bool = field(default=False, repr=False)
     stats: StepStats = field(default_factory=StepStats, repr=False)
 
     @property
@@ -358,16 +353,16 @@ def _serial_source() -> tuple[str, str, str]:
 # trial step, at that stage, where a lane gets nan.  The three functions are
 # compiled one at a time: one compile of all three peaks at about 1.7 times
 # the traced memory of the trial step's alone.  The trial step is compiled
-# once, and `_trial_step` binds it to a dimension and a direction.
+# once, and `_trial_step` binds it to a dimension.
 _STEP, *_bounds = (core._function_code(text, "<integrate._serial_source()>")
                    for text in _serial_source())
 _reach, _tight_reach = (types.FunctionType(code, globals()) for code in _bounds)
 
 
-def _trial_step(d: int, reverse: bool) -> Callable:
+def _trial_step(d: int) -> Callable:
     """The generated trial step `step(y, f, h, atol, rtol)` of a single jet,
-    with the field of dimension d, reversed or not, inlined at every stage."""
-    scope = {**core._field_scope(d, reverse, core.FLOAT), "_rms": _rms, "sqrt": math.sqrt}
+    with the field of dimension d inlined at every stage."""
+    scope = {**core._field_scope(d, core.FLOAT), "_rms": _rms, "sqrt": math.sqrt}
     return types.FunctionType(_STEP, scope)
 
 
@@ -471,13 +466,13 @@ def _underflow(s: float, s_last: float, y) -> IntegrationError:
 
 
 def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
-           gates: tuple[bool, bool], reverse: bool,
+           gates: tuple[bool, bool],
            resume: tuple[float, float, list[float], float, bool] | None = None) -> Trajectory:
     """Integrate one jet, watching the (upward, downward) gates flagged in `gates`.
 
     Trial steps and step control are those of `integrate_lanes` on floats,
     the scan is `_scan` as one lane, and refinement reads `_interpolant` as a
-    retiring lane does, so a forward orbit with both gates watched ends bit
+    retiring lane does, so an orbit with both gates watched ends bit
     for bit as its lane does.  The trial step and its error norm are the
     generated `_trial_step`, with the field inlined: each component's stage
     sums are `_combo`'s products added in `_combo`'s order, the rounding a
@@ -487,24 +482,23 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     _P_REACH), stays below the blowup threshold and below c_star in |phi''|
     cannot reach an event, and is not scanned.
 
-    `resume`, the state (t, t_old, f, h_abs, rejected) of a forward lane at
+    `resume`, the state (t, t_old, f, h_abs, rejected) of a lane at
     the top of its loop, with x0 its jet at t, replaces the start: the seed's
     blowup test, the field at the seed and the initial step.  The run then
     goes on as that lane would, to s0 + max_span, and its samples begin at t.
     """
-    mirror = core.REVERSAL_SIGNS if reverse else np.ones(4)
-    y = (mirror * x0).tolist()
+    y = x0.tolist()
     if resume is None:
         sup0 = max(abs(c) for c in y)
         if sup0 > cfg.blowup_norm:
             term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=sup0)
-            return Trajectory(d, np.array([s0]), mirror * np.array([y]), term, _mirror=reverse)
+            return Trajectory(d, np.array([s0]), np.array([y]), term)
         t = t_old = s0
         rejected = False
     else:
         t, t_old, f, h_abs, rejected = resume
 
-    trial_step = _trial_step(d, reverse)
+    trial_step = _trial_step(d)
     cs = core.c_star(d) if any(gates) else math.inf
     t_bound, max_step = s0 + cfg.max_span, float(cfg.max_step)
     rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
@@ -517,15 +511,14 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
         stats.accepted = len(steps)
         stats.skipped = stats.accepted - stats.scanned
         stats.field_evals = 2 + 6 * (stats.accepted + stats.rejected)
-        return Trajectory(d, np.array(ss), mirror * np.array(ys), term,
-                          _steps=steps, _mirror=reverse, stats=stats)
+        return Trajectory(d, np.array(ss), np.array(ys), term, _steps=steps, stats=stats)
 
     # As in the lanes, a zero error or jet gives inf and nan, not warnings.
     with np.errstate(all="ignore"):
         if resume is None:
-            f = _make_rhs(d, reverse)(0.0, y)
+            f = _make_rhs(d)(0.0, y)
             h_abs = float(_initial_step(
-                _make_rhs(d, reverse, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
+                _make_rhs(d, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
                 float(cfg.max_span), max_step, rtol, atol,
             )[0])
         while True:
@@ -535,7 +528,7 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
             if not rejected:
                 h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
             if h_abs < min_step:
-                raise _underflow(t, t_old, mirror * np.array(y))
+                raise _underflow(t, t_old, y)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             try:
@@ -659,7 +652,7 @@ def integrate_lanes(
     jets = [core.State.from_array(x).as_array() for x in x0s]
     if not jets:
         return []
-    rhs = _make_rhs(d, reverse=False, ctx=NUMPY)
+    rhs = _make_rhs(d, ctx=NUMPY)
     cs = core.c_star(d)
     t_bound, max_step = float(cfg.max_span), float(cfg.max_step)
     rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
@@ -746,7 +739,7 @@ def integrate_lanes(
     for j, lane in enumerate(lanes.tolist()):
         resume = (float(t[j]), float(t_old[j]), f[:, j].tolist(), float(h_abs[j]), bool(rejected[j]))
         try:
-            traj = _drive(d, y[:, j], 0.0, cfg, (True, True), False, resume)
+            traj = _drive(d, y[:, j], 0.0, cfg, (True, True), resume)
             ends[lane] = LaneEnd(traj.termination, core.State.from_array(traj.states[-1]))
         except IntegrationError as err:
             ends[lane] = LaneEnd(err, err.state_last)
@@ -781,21 +774,7 @@ def integrate(
             raise ValueError(f"unknown watch entry: {item!r}")
     core._check_dim(d)
     gates = (EventKind.SECOND_DERIV_UP in watch, EventKind.SECOND_DERIV_DOWN in watch)
-    return _drive(d, x0, float(s0), cfg, gates, reverse=False)
-
-
-def integrate_reversed(d: int, x0, cfg: IntegrationConfig | None = None) -> Trajectory:
-    """Integrate backward from x0: sample k holds the jet at time -s_k.
-
-    Internally the s -> -s pullback field is integrated forward from J x0 and
-    the output is conjugated back by J, so samples are genuine past states of
-    the forward orbit through x0 (a forward run followed by a reversed run of
-    the same span lands back on the initial jet).
-    """
-    cfg = cfg or IntegrationConfig()
-    x0 = core.State.from_array(x0).as_array()
-    core._check_dim(d)
-    return _drive(d, x0, 0.0, cfg, (False, False), reverse=True)
+    return _drive(d, x0, float(s0), cfg, gates)
 
 
 def sample_at(traj: Trajectory, s: float) -> core.State:
@@ -813,10 +792,9 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
     idx = int(np.searchsorted(traj.s, s))
     if traj.s[idx] == s:
         return core.State.from_array(traj.states[idx])
-    mirror = core.REVERSAL_SIGNS if traj._mirror else np.ones(4)
     K, h = traj._steps[idx - 1]
-    at = _interpolant(K, h, float(traj.s[idx - 1]), (mirror * traj.states[idx - 1]).tolist())
-    return core.State.from_array(mirror * at(float(s)))
+    at = _interpolant(K, h, float(traj.s[idx - 1]), traj.states[idx - 1].tolist())
+    return core.State.from_array(at(float(s)))
 
 
 @contextlib.contextmanager

@@ -42,7 +42,6 @@ __all__ = [
     "classify_orbit",
     "find_heteroclinic",
     "refine_heteroclinic",
-    "verify_unstable_decay",
     "classification_grid",
     "write_grid_csv",
 ]
@@ -332,39 +331,6 @@ def refine_heteroclinic(
     raise ValueError(
         f"no connecting angle found near {theta!r} in {_MAX_NEWTON_STEPS} Newton steps"
     )
-
-
-def verify_unstable_decay(
-    spec: SeedSpec,
-    cfg: integrate.IntegrationConfig | None = None,
-) -> tuple[float, float]:
-    """Fit the backward decay rates of the two unstable eigen-projections.
-
-    Integrates the seed in reversed time and least-squares fits
-    log|projection| against arclength for the exponent-1 and exponent-3
-    eigendirections.  The fit windows shrink with eps0: the seeding error
-    is cubic in eps0 and grows backward at rate 4 (the strongest reversed
-    exponent is -(1-d) = 4), so the exponent-lam projection is trustworthy
-    while eps0^3 e^{4 s} << eps0 e^{-lam s}, i.e. up to roughly
-    ln(eps0^-2)/(lam+4).  Projections that fall below the floating-point
-    floor truncate the window further; a window with fewer than two samples
-    yields nan.
-    """
-    traj = integrate.integrate_reversed(D, seed_state(spec), cfg=cfg)
-    sigma = np.abs(np.asarray(traj.s, dtype=float))
-    lin = core.linearization(D, "even")
-    coords = np.linalg.solve(lin.eigenvectors, np.asarray(traj.states, dtype=float).T)
-    horizon = math.log(spec.eps0 ** -2)
-    rates = []
-    for lam, row in ((1.0, coords[1]), (3.0, coords[0])):
-        window = 0.8 * horizon / (lam + 4.0)
-        mask = (sigma <= window) & (np.abs(row) > 1e-16)
-        if int(mask.sum()) < 2:
-            rates.append(float("nan"))
-            continue
-        slope = np.polyfit(sigma[mask], np.log(np.abs(row[mask])), 1)[0]
-        rates.append(float(-slope))
-    return rates[0], rates[1]
 
 
 def classification_grid(

@@ -91,33 +91,6 @@ def test_coefficients_at_zero_and_derivative_consistency():
         assert dq == pytest.approx(2 * half_qp, rel=1e-8, abs=1e-7)
 
 
-def test_reversed_field_example_and_conjugacy():
-    # At (0, 0, 1, 0) with d = 5 the reversed field is (0, 1, 0, 13):
-    # the curvature feeds the third slot of the forward jet and q(0) = 13.
-    got = core._make_rhs(5, reverse=True)(0.0, [0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(got, [0.0, 1.0, 0.0, 13.0], atol=0.0)
-
-    # reversed(x) == -J forward(J x) with J = diag(1,-1,1,-1), bit for bit:
-    # J only flips signs, and the odd terms flip with it.
-    J = core.REVERSAL_SIGNS
-    rng = np.random.default_rng(11)
-    for d in (4, 5, 6, 7):
-        rev = core._make_rhs(d, reverse=True)
-        for _ in range(50):
-            x = rng.uniform(-2, 2, size=4)
-            assert np.array_equal(rev(0.0, x), -J * core.vector_field(d, J * x))
-
-
-def test_reversed_field_equals_forward_at_d4_even_symmetric_points():
-    # With d = 4 every odd-derivative forcing term carries a (d-4) factor,
-    # so forward and reversed fields agree identically.
-    rng = np.random.default_rng(12)
-    rev = core._make_rhs(4, reverse=True)
-    for _ in range(50):
-        x = rng.uniform(-2, 2, size=4)
-        assert np.array_equal(core.vector_field(4, x), rev(0.0, x))
-
-
 def _explicit_d4_jet(s):
     # phi(s) = 2 arctan(e^s) solves the d = 4 equation with zero energy.
     sech = 1.0 / math.cosh(s)

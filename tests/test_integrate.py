@@ -28,14 +28,11 @@ def _connection_jet(s, c=0.0, k=0, refl=False):
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_internal_rhs_agrees_with_public_field(d):
-    fwd = itg._make_rhs(d, reverse=False)
-    rev = itg._make_rhs(d, reverse=True)
-    J = core.REVERSAL_SIGNS
+    rhs = itg._make_rhs(d)
     rng = np.random.default_rng(91 + d)
     for _ in range(50):
         x = rng.uniform(-2.5, 2.5, size=4)
-        assert np.array_equal(fwd(0.0, x), core.vector_field(d, x))
-        assert np.array_equal(rev(0.0, x), -J * core.vector_field(d, J * x))
+        assert np.array_equal(rhs(0.0, x), core.vector_field(d, x))
 
 
 @pytest.mark.parametrize("d", [5, 6, 7])
@@ -43,8 +40,8 @@ def test_lane_rhs_matches_public_field_column_by_column(d):
     # the lanes evaluate the same closure as the serial integrator, on (4, n) arrays
     rng = np.random.default_rng(17 + d)
     x = rng.uniform(-2.5, 2.5, size=(4, 500))
-    got = np.array(itg._make_rhs(d, reverse=False, ctx=core.NUMPY)(0.0, x))
-    scalar = itg._make_rhs(d, reverse=False)
+    got = np.array(itg._make_rhs(d, ctx=core.NUMPY)(0.0, x))
+    scalar = itg._make_rhs(d)
     phi, v, y, w = x
     d1, k, c3, gk, a = core._field_constants(d)
     terms = np.abs([
@@ -116,11 +113,11 @@ def _recording_sin(fn, inputs):
     return types.FunctionType(fn.__code__, {**fn.__globals__, "sin": sin})
 
 
-def _kernels(d, reverse):
+def _kernels(d):
     """(generated, reference): the generated trial step and `_combo_step` on the
     field of `_make_rhs`, each as a function of a list that returns the step
     recording there each stage's 2 phi, the argument of the field's sin."""
-    step, rhs = itg._trial_step(d, reverse), itg._make_rhs(d, reverse)
+    step, rhs = itg._trial_step(d), itg._make_rhs(d)
     return (lambda inputs: _recording_sin(step, inputs),
             lambda inputs: functools.partial(_combo_step, _recording_sin(rhs, inputs)))
 
@@ -155,11 +152,10 @@ def _field_jets():
 _DIMS = range(core.DIM_LO, core.DIM_HI + 1)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_generated_step_matches_combo_on_the_field(reverse):
+def test_generated_step_matches_combo_on_the_field():
     for d in _DIMS:
-        generated, combo = _kernels(d, reverse)
-        rhs = itg._make_rhs(d, reverse)
+        generated, combo = _kernels(d)
+        rhs = itg._make_rhs(d)
         raised = 0
         for y, h in _field_jets():
             f = rhs(0.0, y)
@@ -170,7 +166,7 @@ def test_generated_step_matches_combo_on_the_field(reverse):
 
 
 def test_generated_step_raises_at_the_stage_that_overflows():
-    generated, combo = _kernels(5, False)
+    generated, combo = _kernels(5)
     y = [0.3, 1e100, -2.0, 1.0]
     f = itg._make_rhs(5)(0.0, y)
     got = _run_step(generated, y, f, 1e3)
@@ -180,16 +176,15 @@ def test_generated_step_raises_at_the_stage_that_overflows():
 
 def test_generated_step_matches_combo_on_special_jets():
     # Jets and first stages of -0.0, subnormals, huge values, inf and nan,
-    # through the field of every dimension and direction.
+    # through the field of every dimension.
     rng = np.random.default_rng(11)
     for d in _DIMS:
-        for reverse in (False, True):
-            generated, combo = _kernels(d, reverse)
-            for _ in range(200):
-                y, f = ([float(v) for v in rng.choice(_SPECIAL, 4)] for _ in range(2))
-                h = float(10.0 ** rng.uniform(-300, 3))
-                got = _run_step(generated, y, f, h)
-                assert got == _run_step(combo, y, f, h), (d, reverse, y, f, h)
+        generated, combo = _kernels(d)
+        for _ in range(400):
+            y, f = ([float(v) for v in rng.choice(_SPECIAL, 4)] for _ in range(2))
+            h = float(10.0 ** rng.uniform(-300, 3))
+            got = _run_step(generated, y, f, h)
+            assert got == _run_step(combo, y, f, h), (d, y, f, h)
 
 
 def _scripted(values, inputs):
@@ -360,7 +355,7 @@ def _record_handoffs(monkeypatch) -> list:
     drive = itg._drive
 
     def recording(*args):
-        resumed.append(args[6])
+        resumed.append(args[5])
         return drive(*args)
 
     monkeypatch.setattr(itg, "_drive", recording)
@@ -512,34 +507,6 @@ def test_sample_grid_strictly_increasing():
     assert np.all(np.diff(blown.s) > 0)
 
 
-def test_round_trip_forward_then_reversed():
-    # d=4 bounded orbit and a short d=5 arc both return to the start.
-    f4 = itg.integrate(4, _connection_jet(0.0), cfg=itg.IntegrationConfig(max_span=3.0))
-    b4 = itg.integrate_reversed(4, f4.states[-1], cfg=itg.IntegrationConfig(max_span=3.0))
-    assert np.max(np.abs(b4.states[-1] - _connection_jet(0.0))) < 1e-5
-
-    x0 = np.array([0.4, 0.3, -0.2, 0.5])
-    f5 = itg.integrate(5, x0, cfg=itg.IntegrationConfig(max_span=1.2))
-    assert f5.termination.kind is itg.TerminationKind.SPAN_EXHAUSTED
-    b5 = itg.integrate_reversed(5, f5.states[-1], cfg=itg.IntegrationConfig(max_span=1.2))
-    assert np.max(np.abs(b5.states[-1] - x0)) < 1e-5
-
-
-def test_reversed_first_sample_is_the_seed():
-    x0 = np.array([0.3, -0.4, 0.9, -1.1])
-    traj = itg.integrate_reversed(5, x0, cfg=itg.IntegrationConfig(max_span=0.5))
-    assert np.array_equal(traj.states[0], x0)
-
-
-def test_reversed_matches_negated_arclength():
-    # The state integrate_reversed reports at sigma equals the forward-orbit
-    # state at -sigma: run forward from the backward endpoint to check.
-    x0 = np.array([0.2, 0.1, -0.3, 0.4])
-    back = itg.integrate_reversed(5, x0, cfg=itg.IntegrationConfig(max_span=1.0))
-    fwd = itg.integrate(5, back.states[-1], cfg=itg.IntegrationConfig(max_span=1.0))
-    assert np.max(np.abs(fwd.states[-1] - x0)) < 1e-6
-
-
 def test_blowup_termination_records_threshold_crossing():
     x0 = np.array([0.4, 0.3, -0.2, 0.5])
     traj = itg.integrate(5, x0)
@@ -617,18 +584,6 @@ def test_sample_at_rejects_points_outside_the_run():
         itg.sample_at(traj, -0.1)
     with pytest.raises(ValueError):
         itg.sample_at(traj, 2.1)
-
-
-def test_sample_at_on_reversed_trajectory():
-    x0 = np.array([0.3, -0.4, 0.9, -1.1])
-    traj = itg.integrate_reversed(5, x0, cfg=itg.IntegrationConfig(max_span=1.0))
-    for k in (0, len(traj.s) - 1):
-        got = itg.sample_at(traj, float(traj.s[k])).as_array()
-        assert np.array_equal(got, traj.states[k])
-    # dense point agrees with the nearest stored samples to interpolation order
-    mid = 0.5 * (traj.s[3] + traj.s[4])
-    dense = itg.sample_at(traj, float(mid)).as_array()
-    assert np.max(np.abs(dense - traj.states[3])) < 0.1
 
 
 def test_tolerance_and_step_cap_consistency():
@@ -760,7 +715,7 @@ _RUNS = {
     # steps of up to 10, so the factor h of the bound is above 1
     "long_steps": lambda: itg.integrate(5, [1e-9] * 4, cfg=itg.IntegrationConfig(
         max_span=60.0, max_step=20.0, rel_tol=1e-6, abs_tol=1e-6, blowup_norm=1e3)),
-    "reversed": lambda: itg.integrate_reversed(
+    "mixed_sign": lambda: itg.integrate(
         5, [0.3, -0.4, 0.9, -1.1], cfg=itg.IntegrationConfig(max_span=1.0)),
     "near_underflow": _near_underflow,
 }
@@ -776,11 +731,10 @@ def _scanned_jets(K, h, t, t_new, y):
 def _step_scans(traj: itg.Trajectory):
     """(loose reach, tight reach, floor, scanned jets) of each accepted step of
     `traj`, as `_drive` has them."""
-    mirror = core.REVERSAL_SIGNS if traj._mirror else np.ones(4)
     ended_inside = traj.termination.kind is not itg.TerminationKind.SPAN_EXHAUSTED
     for k, (K, h) in enumerate(traj._steps):
         t = float(traj.s[k])
-        y = (mirror * traj.states[k]).tolist()
+        y = traj.states[k].tolist()
         # an event or a blowup ends the run inside its last step
         last = ended_inside and k == len(traj._steps) - 1
         t_new = t + h if last else float(traj.s[k + 1])
@@ -853,13 +807,12 @@ def _agreement_steps():
     """(K, h, t, y) of steps from real orbits and of steps drawn from
     _SPECIAL_ENTRIES, with and without the entries that overflow q."""
     steps = []
-    for name in ("up_gate", "blowup_1e8", "reversed", "long_steps", "near_underflow"):
+    for name in ("up_gate", "blowup_1e8", "mixed_sign", "long_steps", "near_underflow"):
         traj = _RUNS[name]()
-        mirror = core.REVERSAL_SIGNS if traj._mirror else np.ones(4)
         stride = max(1, len(traj._steps) // 30)
         for k in [*range(0, len(traj._steps), stride), len(traj._steps) - 1]:
             K, h = traj._steps[k]
-            steps.append((K, h, float(traj.s[k]), (mirror * traj.states[k]).tolist()))
+            steps.append((K, h, float(traj.s[k]), traj.states[k].tolist()))
     rng = np.random.default_rng(19)
     for entries in (_SPECIAL_ENTRIES, [v for v in _SPECIAL_ENTRIES if abs(v) < 1e308]):
         for _ in range(200):
