@@ -226,9 +226,9 @@ def _wind_params(args, parser: _Parser) -> dict:
         offset = config.WIND_THETA_OFFSET
     else:
         offset = args.theta - manifold.theta0(args.eps0)
-        if offset <= 0.0:
+        if not 0.0 < offset < math.inf:  # NaN fails both comparisons
             parser.error(
-                f"--theta must exceed the boundary angle theta0 = "
+                f"--theta must be finite and exceed the boundary angle theta0 = "
                 f"{manifold.theta0(args.eps0):.6g}, got {args.theta}"
             )
     return {
@@ -465,7 +465,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(params=_verify_params)
 
-    p = sub.add_parser("shoot", help="locate the connecting orbit by bisection")
+    p = sub.add_parser(
+        "shoot", help="locate the connecting orbit by an ITP search on its escape time"
+    )
     p.add_argument("--d", type=int, default=manifold.D)
     p.add_argument("--eps0", type=float, default=config.EPS0)
     p.add_argument("--theta-tol", type=float, default=config.THETA_TOL)

@@ -55,7 +55,6 @@ __all__ = [
     "EnergyBreakdown",
     "HarmonicState",
     "Linearization",
-    "state",
     "vector_field",
     "energy",
     "symmetry_shift",
@@ -133,11 +132,6 @@ class State:
         if a.shape != (4,):
             raise ValueError(f"state needs exactly 4 components, got shape {a.shape}")
         return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-def state(phi: float, dphi: float, d2phi: float, d3phi: float) -> State:
-    """Convenience constructor mirroring the jet order."""
-    return State(phi, dphi, d2phi, d3phi)
 
 
 def _components(x: "State | Sequence[float] | np.ndarray") -> tuple[float, float, float, float]:

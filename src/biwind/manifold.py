@@ -5,13 +5,13 @@ eigenvectors for the exponents 1 and 3.  We parameterize it to first order
 by a circle of seeds at radius eps0, classify each seeded orbit by the sign
 of the second derivative when |phi''| first reaches the gate c*(5) = 2 sqrt(6)
 that `integrate` watches, and locate the connecting orbit (which tends to
-`TARGET` = (pi/2, 0, 0, 0)) by bisection on that sign.  Bisection pins the
-connecting angle only to about 5e-14 (the integrator tolerances), too coarse
-for a single orbit to stay by the equator over the full span;
-`refine_heteroclinic` sharpens the angle to a few units in the last place by
-multiple shooting over unit segments, still in doubles.
+`TARGET` = (pi/2, 0, 0, 0)) by an ITP search on that sign and the escape
+time.  The search pins the connecting angle only to about 5.5e-14 (the
+integrator tolerances), too coarse for a single orbit to stay by the equator
+over the full span; `refine_heteroclinic` sharpens the angle to a few units
+in the last place by multiple shooting over unit segments, still in doubles.
 Classification grids integrate all of their seeds together, as lanes of
-`integrate.integrate_lanes`; single orbits and the shooting bisection use the
+`integrate.integrate_lanes`; single orbits and the shooting search use the
 serial integrator, which is faster per orbit.  Both run one Dormand-Prince
 kernel, so an angle classifies bit for bit alike either way.
 """
@@ -210,31 +210,41 @@ def _classified(
     )
 
 
+# The equator's unstable exponent: the positive root of mu^2 + mu - 3 - sqrt 33,
+# a factor of the odd linearization's characteristic polynomial
+# mu^4 + 2 mu^3 - 5 mu^2 - 6 mu - 24 (`core.linearization(D, "odd")`).
+_EQUATOR_EXPONENT = 0.5 * (math.sqrt(13.0 + 4.0 * math.sqrt(33.0)) - 1.0)
+
+
 def find_heteroclinic(
     bracket: tuple[float, float] | None = None,
     theta_tol: float = config.THETA_TOL,
     cfg: integrate.IntegrationConfig | None = None,
     eps0: float = config.EPS0,
 ) -> tuple[float, ClassificationResult]:
-    """Bisect the seed angle between a downward and an upward blowup.
+    """Search the seed angle between a downward and an upward blowup.
 
     The bracket must classify with g = -1 on the left and g = +1 on the
-    right, or `BracketError` is raised.  An undecided midpoint (the span ran out deep inside the
-    trapping region) means the connecting angle was straddled, so the
-    bracket is narrowed on alternating sides.  Returns the midpoint of the
-    final bracket together with its classification.
+    right, or `BracketError` is raised.  Near the connecting angle theta*
+    the escape time tau grows like -ln|theta - theta*| / lambda, with
+    lambda = 2.499 the equator's unstable exponent, so `_itp_search`
+    interpolates on g e^(-lambda tau), which is close to linear there.  An
+    undecided orbit (the span ran out deep inside the trapping region)
+    means the connecting angle was straddled: it reads -1e-300 and +1e-300
+    in turn, which narrows the bracket on alternating sides.  Returns the
+    midpoint of the final bracket together with its classification.
 
     `theta_tol` is used as given: the library does not clamp it to
     `config.THETA_TOL_FLOOR` (only the command line's `shoot` does), and
-    bisection stops early once the midpoint rounds onto an end.
+    the search stops early once the midpoint rounds onto an end.
     """
     if isinstance(theta_tol, bool) or not 0.0 < theta_tol < math.inf:
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
     if bracket is None:
         bracket = (-0.5 * math.pi, theta0(eps0) + 0.05)
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    if not (lo < hi and hi - lo < math.inf):
+        raise ValueError(f"bracket must satisfy lo < hi with a finite width, got ({lo}, {hi})")
     res_lo = classify_orbit(SeedSpec(eps0, lo), cfg)
     res_hi = classify_orbit(SeedSpec(eps0, hi), cfg)
     if res_lo.g != -1 or res_hi.g != 1:
@@ -242,15 +252,63 @@ def find_heteroclinic(
             "bracket does not straddle a sign change: "
             f"g({lo:.6g}) = {res_lo.g}, g({hi:.6g}) = {res_hi.g}"
         )
-    undecided = itertools.cycle((False, True))  # narrow lo, then hi, and so on
+    undecided = itertools.cycle((-1e-300, 1e-300))  # narrow lo, then hi, and so on
 
-    def upward(theta: float) -> bool:
-        g = classify_orbit(SeedSpec(eps0, theta), cfg).g
-        return next(undecided) if g is None else g == 1
+    def ordinate(res: ClassificationResult) -> float:
+        if res.g is None:
+            return next(undecided)
+        # floored so that a long escape time keeps its sign
+        return res.g * max(math.exp(-_EQUATOR_EXPONENT * res.tau), 1e-300)
 
-    lo, hi = integrate.bisect(upward, lo, hi, theta_tol)
+    lo, hi = _itp_search(
+        lambda theta: ordinate(classify_orbit(SeedSpec(eps0, theta), cfg)),
+        lo, hi, ordinate(res_lo), ordinate(res_hi), theta_tol,
+    )
     theta_star = 0.5 * (lo + hi)
     return theta_star, classify_orbit(SeedSpec(eps0, theta_star), cfg)
+
+
+def _itp_search(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol: float
+) -> tuple[float, float]:
+    """Bracket [lo, hi] of a sign change of f, given f_lo = f(lo) < 0 < f_hi = f(hi).
+
+    The ITP method (Oliveira and Takahashi, ACM Trans. Math. Softw. 47(1),
+    2021) with kappa1 = 0.05 / (hi - lo), kappa2 = 1.5 and n0 = 1: regula
+    falsi, truncated toward the midpoint and projected so that trial j
+    leaves a bracket no wider than tol + (15/16) tol (2^(n_max - j - 1) - 1),
+    n_max = ceil(log2((hi - lo) / tol)) + 1.  The method's own bound,
+    tol 2^(n_max - j - 1), may leave no double to pick once a projection has
+    met it; the 15/16 keeps tol / 16 of room.  f(x) > 0 moves hi to x and
+    any other value moves lo.  Stops once the bracket is no wider than `tol`
+    or its midpoint rounds onto an end, after at most n_max calls of f.
+    """
+    kappa1 = 0.05 / (hi - lo)
+    n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + 1
+    j = 0
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        x_f = lo + width * (f_lo / (f_lo - f_hi))
+        delta = kappa1 * width ** 1.5
+        x_t = x_f + math.copysign(delta, mid - x_f) if delta <= abs(mid - x_f) else mid
+        # Both parts must be at most `bound` wide.  `bound` is a double, so
+        # the subtractions round past it only when the exact widths exceed it.
+        bound = tol + (math.ldexp(tol, n_max - j - 1) - tol) * 0.9375
+        least, most = hi - bound, lo + bound
+        if hi - least > bound:
+            least = math.nextafter(least, hi)
+        if most - lo > bound:
+            most = math.nextafter(most, lo)
+        x = min(max(x_t, least), most)
+        if not lo < x < hi:
+            x = mid
+        y = f(x)
+        if y > 0.0:
+            hi, f_hi = x, y
+        else:
+            lo, f_lo = x, y
+        j += 1
+    return lo, hi
 
 
 # Multiple shooting of the connecting orbit: one segment per unit of the

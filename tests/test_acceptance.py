@@ -5,10 +5,10 @@ measured quantities before asserting them, so `pytest -v -s` doubles as a
 human-readable report.
 
 Criterion 06 takes its span-25 end state and its C samples from the
-multiple-shooting refinement of the bisected angle: deviations grow like
-e^(2.499 s) at the equator, the bisected theta* is ~5.5e-14 off (the RK45
+multiple-shooting refinement of the searched angle: deviations grow like
+e^(2.499 s) at the equator, the searched theta* is ~5.5e-14 off (the RK45
 tolerances, not rounding), and at theta_tol=1e-10 its single orbit blows up
-near s = 11.7, while 25 unit segments joined by Newton's method stay by the
+near s = 12.2, while 25 unit segments joined by Newton's method stay by the
 equator.  It runs in doubles, with mpmath blocked.  Criterion 08 asks for four
 windings at blowup threshold 1e20: each winding costs e^(3 pi) in phi''',
 so counts 2, 3, 4 and 5 begin near phi''' = 7e8, 9e12, 1.1e17 and 1.35e21,
@@ -268,7 +268,7 @@ def test_criterion_06_shooting(monkeypatch):
         f"equator while the stable spiral contracts like e^(-0.5 s), so the "
         f"segments' end must lie on the equator's stable manifold; the double "
         f"theta* is ~5.5e-14 off (the tolerances of its RK45 runs, not "
-        f"rounding) and at theta_tol=1e-10 its orbit blows up near s=11.7; the "
+        f"rounding) and at theta_tol=1e-10 its orbit blows up near s=12.2; the "
         f"segments refined to {theta_refined!r} fall short"
     )
     assert not outside, (

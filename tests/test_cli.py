@@ -207,6 +207,11 @@ def test_wind_defaults_write_profile_and_report(wind_run):
 def test_wind_usage_and_failure_exits(capsys):
     theta0 = manifold.theta0(config.WIND_EPS0)
     assert usage_code(["wind", "--theta", str(theta0 - 0.1)]) == 64
+    for theta in ("nan", "inf"):
+        assert usage_code(["wind", "--theta", theta]) == 64
+        err = capsys.readouterr().err
+        assert "--theta must be finite and exceed the boundary angle" in err
+        assert f"got {theta}" in err and "theta_offset" not in err
     assert usage_code(["wind", "--blowup-norm", "-1"]) == 64
     assert usage_code(["wind", "--eps0", "0.2"]) == 64
     code = run(["wind", "--span", "1.0"])
@@ -345,8 +350,8 @@ PINNED_ARTIFACTS = {
         "wind.csv": "39f40dc1f5991d1b886ba5823bf0f2764c9d315f19fe1966fe6ee99768c39cdb",
     },
     ("shoot", "--theta-tol", "1e-3"): {
-        "shoot.json": "bb0c1a70a0f37019d55840090e7cce642ba0a94384f47519a8b81ea00d58fc54",
-        "shoot.csv": "e02b97621036be6a84ba4bdd33ddaa17a98a04cc7e1be5158cdb1f1e6b568b84",
+        "shoot.json": "80d9090ff0d08c3f21cbaed3ad9c7a811b461c0c45636b22821903dffc3c4a5e",
+        "shoot.csv": "3aa9e08b5368e89135249b72e0c0c3a9c07a170a649ac40c42bc7075c7d0d35d",
     },
     # Every matrix entry of the linearization is an integer; a zero that
     # flips its sign changes these.

@@ -58,7 +58,7 @@ def test_vector_field_matches_independent_transcription(d):
 
 
 def test_vector_field_accepts_state_objects():
-    s = core.state(0.3, -0.1, 0.7, 2.0)
+    s = core.State(0.3, -0.1, 0.7, 2.0)
     assert np.array_equal(core.vector_field(5, s), core.vector_field(5, s.as_array()))
 
 

@@ -649,7 +649,7 @@ def test_seed_state_validation():
 
 
 def test_integration_error_carries_last_state():
-    err = itg.IntegrationError("step underflow", 1.5, core.state(0.1, 0.2, 0.3, 0.4))
+    err = itg.IntegrationError("step underflow", 1.5, core.State(0.1, 0.2, 0.3, 0.4))
     assert isinstance(err, RuntimeError)
     assert err.s_last == 1.5
     assert err.state_last.phi == 0.1
@@ -857,7 +857,7 @@ def test_shooting_orbits_skip_most_scans(monkeypatch):
 
     monkeypatch.setattr(itg, "integrate", recording)
     manifold.find_heteroclinic()
-    assert len(trajs) > 30
+    assert len(trajs) <= 20
     for traj in trajs:
         st = traj.stats
         assert st.accepted == len(traj.s) - 1 == st.scanned + st.skipped

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -195,6 +196,71 @@ def test_bisection_rejects_bad_input():
         manifold.find_heteroclinic(theta_tol=0.0)
     with pytest.raises(ValueError):
         manifold.find_heteroclinic(bracket=(0.5, 0.2))
+    with pytest.raises(ValueError, match="finite width"):
+        manifold.find_heteroclinic(bracket=(-1.7e308, 1.7e308))
+
+
+ROOT = 0.7853979288854969
+BRACKET = (-0.5 * math.pi, 1.4194384046981714)  # the default shooting bracket
+
+
+def _signed(magnitude):
+    """An ordinate with the sign of x - ROOT (+ at ROOT) and the given size."""
+    return lambda x: math.copysign(magnitude(abs(x - ROOT)), x - ROOT)
+
+
+SYNTHETIC_ORDINATES = {
+    "kink_100": lambda x: 100.0 * (x - ROOT) if x < ROOT else x - ROOT,
+    "plateau_1e-9": _signed(lambda d: d if d >= 0.1 else 1e-9),
+    "power_0.1": _signed(lambda d: d ** 0.1),
+    "power_3": _signed(lambda d: d ** 3),
+    "power_10_floored": _signed(lambda d: max(d ** 10, 1e-300)),
+    "exp_50": lambda x: math.exp(50.0 * (x - ROOT)) - 1.0,
+}
+
+
+def _search(f, tol):
+    """`_itp_search` on BRACKET, and the points at which it called f."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    lo, hi = BRACKET
+    return manifold._itp_search(counted, lo, hi, f(lo), f(hi), tol), calls
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-13, 1e-300, math.ulp(0.0)])
+@pytest.mark.parametrize("name", SYNTHETIC_ORDINATES)
+def test_itp_search_keeps_the_bracket_and_the_bisection_bound(name, tol):
+    f = SYNTHETIC_ORDINATES[name]
+    lo, hi = BRACKET
+    (a, b), calls = _search(f, tol)
+    assert lo <= a <= ROOT <= b <= hi
+    assert not f(a) > 0.0 and f(b) > 0.0
+    assert b - a <= tol or b == math.nextafter(a, math.inf)
+    assert all(lo < x < hi for x in calls)
+    assert len(calls) <= math.ceil(math.log2(hi - lo) - math.log2(tol)) + 1
+
+
+def test_itp_search_interpolates_a_linear_ordinate():
+    (a, b), calls = _search(lambda x: x - ROOT, 1e-10)
+    assert a < ROOT <= b and b - a <= 1e-10
+    assert len(calls) <= 12
+
+
+def test_itp_search_collapses_on_undecided_ordinates():
+    # every trial reads +-1e-300 in turn, as an undecided orbit does
+    undecided = itertools.cycle((-1e-300, 1e-300))
+    (a, b), calls = _search(lambda x: next(undecided), 1e-10)
+    assert b - a <= 1e-10
+    assert len(calls) <= math.ceil(math.log2((BRACKET[1] - BRACKET[0]) / 1e-10)) + 1
+
+
+def test_equator_exponent_is_the_largest_odd_eigenvalue():
+    eigs = np.linalg.eigvals(core.linearization(manifold.D, "odd").matrix)
+    assert manifold._EQUATOR_EXPONENT == pytest.approx(max(eigs.real), rel=1e-14)
 
 
 def test_forward_growth_rates_match_the_exponents():

@@ -17,7 +17,6 @@ PACKAGE = pathlib.Path(biwind.__file__).parent
 
 # Kept without a library caller, each for the reason given.
 UNUSED_PUBLIC_NAMES = {
-    "core.state": "convenience constructor of a State, used by the tests",
     "core.psi_residual": "oracle of criterion 9: the residual of the radial equation",
     "core.vector_field": "the public field, used by the tests and perfbench",
     "core.harmonic_field": "check of the field: the second-order harmonic-map analogue",

@@ -165,8 +165,8 @@ def test_in_cone_matches_pairwise_set_definition():
         phi, v, y, w = x
         pairwise = (phi >= 0 and y >= 3 * phi) and (v >= 0 and w >= 3 * v)
         assert regions.in_cone(x) == pairwise
-    assert regions.in_cone(core.state(0.1, 0.1, 0.5, 0.5))
-    assert not regions.in_cone(core.state(-0.1, 0.1, 0.5, 0.5))
+    assert regions.in_cone(core.State(0.1, 0.1, 0.5, 0.5))
+    assert not regions.in_cone(core.State(-0.1, 0.1, 0.5, 0.5))
 
 
 def test_cone_orbits_stay_positive_and_reach_blowup_gate():
