@@ -36,10 +36,11 @@ themselves are not written here: they are the generic forms of `regions`
 Determinism comes from the structure: the search runs serially, with no
 threads, one breadth-first level at a time, and every level holds its boxes
 in canonical order (the roots in the order given, and the children of box
-j are boxes 2j and 2j + 1 of the next level).  Each lane is rounded on its
-own, exactly as the scalar `Interval` would round it, so the set of boxes,
-the depth and the first FAILED or INCONCLUSIVE witness in that
-level-major order are fixed by the problem alone.
+j are boxes 2j and 2j + 1 of the next level).  Each `Interval` lane is
+rounded on its own, so a box gets the same bits in a level of any size, or
+alone as single intervals; the set of boxes, the depth and the first FAILED
+or INCONCLUSIVE witness in that level-major order are fixed by the problem
+alone.
 `run_task` accepts a `workers` argument and ignores it, so certificates are
 bit-identical for any worker count (wall-clock time aside).
 """
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import config
 from .intervals import (
-    INTERVAL, Box, GradientArray, Interval, IntervalArray, eighth_pi_iv, half_pi_iv, pi_iv,
+    INTERVAL, Box, GradientArray, Interval, eighth_pi_iv, half_pi_iv, pi_iv,
 )
 from .regions import coeff_a, coeff_c0, coeff_c1, coeff_c2, coeff_q0, phi_of_z
 
@@ -117,23 +118,16 @@ class BnbOutcome:
 
 def _lanes_box(lo: np.ndarray, hi: np.ndarray) -> Box:
     """The frontier whose dimension i spans [lo[i], hi[i]], as one box of lanes."""
-    return Box(tuple(IntervalArray(a, b) for a, b in zip(lo, hi)))
+    return Box(tuple(Interval(a, b) for a, b in zip(lo, hi)))
 
 
 def _lane(lo: np.ndarray, hi: np.ndarray, j: int) -> Box:
-    return Box(tuple(Interval(float(a[j]), float(b[j])) for a, b in zip(lo, hi)))
+    return Box(tuple(Interval(a[j], b[j]) for a, b in zip(lo, hi)))
 
 
 def _lane_bounds(val, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """lo and hi of an evaluation on n lanes; a scalar `Interval` covers every lane."""
+    """lo and hi of an evaluation on n lanes; a single interval covers every lane."""
     return np.broadcast_to(val.lo, (n,)), np.broadcast_to(val.hi, (n,))
-
-
-def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """`Interval.midpoint` lane by lane."""
-    m = 0.5 * (lo + hi)
-    m = np.where(lo > m, lo, m)
-    return np.where(hi < m, hi, m)
 
 
 def _bisect_lanes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +135,7 @@ def _bisect_lanes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     k = np.argmax(hi - lo, axis=0)  # the first widest dimension, as Box.widest_dim
     j = np.arange(lo.shape[1])
     a, b = lo[k, j], hi[k, j]
-    m = _midpoints(a, b)
+    m = Interval(a, b).midpoint()
     thin = ~((a < m) & (m < b))
     if thin.any():
         t = int(np.argmax(thin))
@@ -172,7 +166,7 @@ def prove_lower_bound(
     INCONCLUSIVE one, whichever root they descend from.
 
     Each level of n boxes is one call of f on a box whose dimensions are
-    2n `IntervalArray` lanes: lane j is box j and lane n + j its float
+    2n `Interval` lanes: lane j is box j and lane n + j its float
     center, a point.  A center is judged only where its box is not
     discharged; a discharged box encloses f at its center, so that center
     cannot fail.  `level_seconds` holds the wall time of each level's call,
@@ -193,7 +187,7 @@ def prove_lower_bound(
     clock = time.perf_counter()
     while lo.shape[1]:
         n = lo.shape[1]
-        mid = _midpoints(lo, hi)
+        mid = Interval(lo, hi).midpoint()
         v_lo, v_hi = _lane_bounds(f(_lanes_box(np.hstack((lo, mid)), np.hstack((hi, mid)))), 2 * n)
         live = below(v_lo[:n])
         fails = live & below(v_hi[n:])
@@ -222,7 +216,7 @@ def prove_lower_bound(
 
 def _mean_value(
     f: Callable[[Box], GradientArray | Interval],
-) -> Callable[[Box], IntervalArray | Interval]:
+) -> Callable[[Box], Interval]:
     """f on the lanes of a `prove_lower_bound` level, narrowed by the mean-value form.
 
     f is called once, on the lanes as `GradientArray` variables.  Each box B
@@ -237,7 +231,7 @@ def _mean_value(
     returned unchanged.
     """
 
-    def g(b: Box) -> IntervalArray | Interval:
+    def g(b: Box) -> Interval:
         lo = np.array([iv.lo for iv in b.dims])
         hi = np.array([iv.hi for iv in b.dims])
         k, n = lo.shape[0], lo.shape[1] // 2
@@ -249,7 +243,7 @@ def _mean_value(
             return val
         natural, fc = val.value[:n], val.value[n:]
         # F(c) + sum_i G_i(B) (B_i - c_i), summed in dimension order
-        terms = val.partials[:, :n] * (IntervalArray(lo[:, :n], hi[:, :n]) - IntervalArray(c, c))
+        terms = val.partials[:, :n] * (Interval(lo[:, :n], hi[:, :n]) - Interval.point(c))
         mv = sum((terms[i] for i in range(k)), fc)
         lo, hi = np.maximum(natural.lo, mv.lo), np.minimum(natural.hi, mv.hi)
         empty = lo > hi
@@ -259,7 +253,7 @@ def _mean_value(
                 f"natural enclosure [{natural.lo[j]}, {natural.hi[j]}] and mean-value enclosure "
                 f"[{mv.lo[j]}, {mv.hi[j]}] are disjoint in lane {j}: one of them is unsound"
             )
-        return IntervalArray(np.concatenate((lo, fc.lo)), np.concatenate((hi, fc.hi)))
+        return Interval(np.concatenate((lo, fc.lo)), np.concatenate((hi, fc.hi)))
 
     return g
 
@@ -418,7 +412,7 @@ def taylor_enclose_P_coeff(which: str, box: Box) -> tuple[Interval, Interval]:
             raise ValueError(
                 f"box [{iv.lo}, {iv.hi}] leaves the stated domain [{lo}, {hi}] for {which}"
             )
-    H = Fraction(max(box.dims[0].hi, box.dims[1].hi))
+    H = Fraction(float(max(box.dims[0].hi, box.dims[1].hi)))
     sym = _coeff_sym(which)
     c3 = [Fraction(0), Fraction(0)]
     c1 = [Fraction(0), Fraction(0)]
@@ -490,13 +484,14 @@ class Certificate:
 
 def _box_json(box: Box) -> dict:
     return {
-        "decimal": [[iv.lo, iv.hi] for iv in box.dims],
-        "hex": [[iv.lo.hex(), iv.hi.hex()] for iv in box.dims],
+        "decimal": [[float(iv.lo), float(iv.hi)] for iv in box.dims],
+        "hex": [[float(iv.lo).hex(), float(iv.hi).hex()] for iv in box.dims],
     }
 
 
 def _interval_json(iv: Interval) -> dict:
-    return {"decimal": [iv.lo, iv.hi], "hex": [iv.lo.hex(), iv.hi.hex()]}
+    lo, hi = float(iv.lo), float(iv.hi)
+    return {"decimal": [lo, hi], "hex": [lo.hex(), hi.hex()]}
 
 
 def _level_sums(rows: Sequence[tuple]) -> tuple:
@@ -598,12 +593,6 @@ def _quad_min(b: Box) -> GradientArray:
     return GradientArray(lo, hi)
 
 
-def _samples_small() -> list[Interval]:
-    # point samples pi/8 * 2^-k; halving is exact so these stay enclosures
-    base = eighth_pi_iv()
-    return [Interval(base.lo * 0.5**k, base.hi * 0.5**k) for k in range(10)]
-
-
 _SAMPLES_LARGE = (3.0, 3.5, 4.0, 5.0, 8.0, 16.0, 100.0, 1000.0)
 
 
@@ -612,18 +601,23 @@ def _q0_with_tails(region: Box, min_width: float, details: dict) -> BnbOutcome:
     out = prove_lower_bound(q0, region, 1.9, min_width, strict=True)
     s2 = math.sqrt(2.0)
     sqrt2 = Interval(math.nextafter(s2, 0.0), math.nextafter(s2, 2.0))
+    # the small-phi samples pi/8 * 2^-k; halving is exact so they stay enclosures
+    base, halves = eighth_pi_iv(), 0.5 ** np.arange(10.0)
     tails = {
-        "small_phi_bound": ("q0 >= 6 (sqrt(2) - 1) phi", _samples_small(), lambda p: (sqrt2 - 1) * 6 * p),
-        "large_phi_bound": ("q0 >= 6 (phi - 2)", map(Interval.point, _SAMPLES_LARGE), lambda p: (p - 2) * 6),
+        "small_phi_bound": ("q0 >= 6 (sqrt(2) - 1) phi", Interval(base.lo * halves, base.hi * halves),
+                            lambda p: (sqrt2 - 1) * 6 * p),
+        "large_phi_bound": ("q0 >= 6 (phi - 2)", Interval.point(_SAMPLES_LARGE), lambda p: (p - 2) * 6),
     }
     ok = True
-    for key, (form, samples, lower) in tails.items():
-        margins = [(p, coeff_q0(p, INTERVAL) - lower(p)) for p in samples]
+    for key, (form, phi, lower) in tails.items():
+        # each tail bound's samples as the lanes of one evaluation
+        margin = coeff_q0(phi, INTERVAL) - lower(phi)
         details[key] = {
             "form": form,
-            "samples": [{"phi": _interval_json(p), "margin_lo": m.lo} for p, m in margins],
+            "samples": [{"phi": _interval_json(phi[i]), "margin_lo": float(m)}
+                        for i, m in enumerate(margin.lo)],
         }
-        ok = ok and all(m.lo >= 0.0 for _, m in margins)
+        ok = ok and bool(np.all(margin.lo >= 0.0))
     return _merge_outcomes([out, _verdict(ok)])
 
 
@@ -637,7 +631,7 @@ class _Task:
     parts: tuple[tuple[Box, _Check], ...]  # (region, check), in the order of `regions`
 
 
-_HALF_PI = half_pi_iv().hi
+_HALF_PI = float(half_pi_iv().hi)
 
 _TASKS = {
     # 6 v^2 >= 0 reduces the claim to the v = 0 slice; one cosine period

@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; scripts here expect 64."""
 
     def error(self, message: str):
+        # argparse reads a value that starts with '-', such as a negative
+        # angle, as a flag, and then finds the flag before it without a value
+        for action in self._actions:
+            flag = "/".join(action.option_strings)
+            if flag and message == f"argument {flag}: expected one argument":
+                form = f"{action.option_strings[-1]}={action.metavar or action.dest.upper()}"
+                message += f"; give a value that starts with '-' as {form}"
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 

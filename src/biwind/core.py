@@ -32,8 +32,9 @@ Code written once for every number type takes a context `ctx` drawn from
 one vocabulary: `mpf(x)` (x in the type), `sin`, `cos`, `sqrt6`, `square(x)`
 (x^2) and `fdot(a, b)` (the sum of the a_i b_i).  `FLOAT` (`mpf`, `sin`,
 `cos`, `fdot`) works on doubles and `NUMPY` (`sin`, `cos`, `sqrt6`, `square`)
-on numpy arrays; `intervals.INTERVAL` and `taylor.mp_context` carry all six,
-and the exact series of `certify` carry `sin`, `cos` and `sqrt6`.
+on numpy arrays; `intervals.INTERVAL`, on intervals (single or lanes, one
+class) and gradient lanes, and `taylor.mp_context` carry all six, and the
+exact series of `certify` carry `sin`, `cos` and `sqrt6`.
 """
 
 from __future__ import annotations

@@ -2,44 +2,37 @@
 
 Directed rounding modes are not portably controllable from Python, so every
 elementary operation computes endpoint candidates in double precision and
-then inflates the result by one step in each direction with
-`math.nextafter`.  Library endpoint evaluations (sin, cos, sqrt) are inflated
-by two steps since their rounding is not guaranteed correctly rounded by the
-platform.  The resulting intervals are never tight to the last bit, which is
-fine: soundness (the exact real result lies inside) is the contract,
-tightness within a couple of ulps per operation is the quality target.
+then inflates the result by one step in each direction with `np.nextafter`.
+Library endpoint evaluations (sin, cos) are inflated by two steps since
+their rounding is not guaranteed correctly rounded by the platform.  The
+resulting intervals are never tight to the last bit, which is fine:
+soundness (the exact real result lies inside) is the contract, tightness
+within a couple of ulps per operation is the quality target.
 
-`IntervalArray` holds many intervals ("lanes") as float64 `lo` and `hi`
-arrays, so a whole frontier of branch-and-bound boxes is evaluated with a few
-numpy calls per operation.  It rounds exactly as `Interval` does: one
-`np.nextafter` step per arithmetic operation, two for sin and cos, the same
-critical-point test and the same finite and non-inverted checks, so lane i of
-a result equals the `Interval` result on lane i of the operands bit for bit.
-numpy's +, -, * and / are correctly rounded like Python's; `np.sin` and
-`np.cos` matched `math.sin` and `math.cos` bit for bit on 3.4M points on
-x86-64 Linux with numpy 2.4, and where a platform's two libraries differ the
-two-step pad still covers either one.  `Interval` and float operands mix
-freely on either side of an array: `Interval`'s operators return
-NotImplemented for an array, so the array's reflected operator runs.  The
-scalar `Interval` stays the reference implementation.
+`Interval` holds intervals as float64 `lo` and `hi` arrays of one shape,
+one interval per element ("lane"), so a whole frontier of branch-and-bound
+boxes is evaluated with a few numpy calls per operation.  A single interval
+is a 0-d lane; it broadcasts against lanes of any shape, and so do floats.
+numpy's +, -, * and / are correctly rounded, so a lane's result depends on
+that lane alone, whatever the shape; the tests check the same of numpy's sin
+and cos loops.
 
 `GradientArray` holds gradient lanes: the value of an interval function of
 k variables on n lanes together with its k first partials, as (1 + k, n)
 `lo` and `hi` arrays with row 0 the value.  Its operations compute row 0
-with the very `IntervalArray` operation a natural evaluation performs, and
-the partial rows by the sum, product, quotient, power and chain rules in
+with the very `Interval` operation a natural evaluation performs, and the
+partial rows by the sum, product, quotient, power and chain rules in
 interval arithmetic, so a generic form evaluated on it differentiates
-itself.  `Interval`, float and `IntervalArray` operands mix in as
-constants, and `IntervalArray` defers to it as it defers to `Interval`.
-`certify` builds the mean-value form on it.
+itself.  `Interval` and float operands mix in as constants, and `Interval`
+defers to it.  `certify` builds the mean-value form on it.
 
 Transcendental constants are provided as two-endpoint enclosures: `pi_iv`
 brackets pi (math.pi itself rounds down), `sqrt6_iv` brackets sqrt(6).
 `INTERVAL` is the number-type context (see `core`) under which the
-coefficient forms of `regions` evaluate on `Interval`, `IntervalArray` and
-`GradientArray` arguments alike, and `taylor.coefficients` on `Interval`
-jets.  Boxes are ordered tuples of intervals, or of lanes for one box per
-lane; bisection always splits the widest dimension at the floating-point
+coefficient forms of `regions` evaluate on `Interval` and `GradientArray`
+arguments alike, and `taylor.coefficients` on `Interval` jets.  Boxes are
+ordered tuples of intervals, single or lanes for one box per lane;
+bisection always splits the widest dimension at the floating-point
 midpoint.
 """
 
@@ -56,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "Interval",
-    "IntervalArray",
     "GradientArray",
     "Box",
     "pi_iv",
@@ -67,207 +59,21 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-
-def _dn(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
-
-
-def _dn2(x: float) -> float:
-    return _dn(_dn(x))
-
-
-def _up2(x: float) -> float:
-    return _up(_up(x))
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(float(x), float(x))
-
-    @staticmethod
-    def _coerce(x) -> "Interval | None":
-        """x as an interval, or None for a type the operators leave to the other operand."""
-        if isinstance(x, Interval):
-            return x
-        if isinstance(x, (int, float)):
-            return Interval.point(x)
-        return None
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def midpoint(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        return min(max(m, self.lo), self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __add__(self, other) -> "Interval":
-        o = Interval._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Interval(_dn(self.lo + o.lo), _up(self.hi + o.hi))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Interval":
-        o = Interval._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Interval(_dn(self.lo - o.hi), _up(self.hi - o.lo))
-
-    def __rsub__(self, other) -> "Interval":
-        o = Interval._coerce(other)
-        return NotImplemented if o is None else o - self
-
-    def __mul__(self, other) -> "Interval":
-        o = Interval._coerce(other)
-        if o is None:
-            return NotImplemented
-        cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(_dn(min(cands)), _up(max(cands)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Interval":
-        o = Interval._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
-            raise ZeroDivisionError(f"division by interval containing zero: [{o.lo}, {o.hi}]")
-        cands = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(_dn(min(cands)), _up(max(cands)))
-
-    def __rtruediv__(self, other) -> "Interval":
-        o = Interval._coerce(other)
-        return NotImplemented if o is None else o / self
-
-    def power(self, n: int) -> "Interval":
-        """x^n for integer n >= 0 by directed repeated multiplication.
-
-        All endpoint products run over nonnegative bases (negative ranges are
-        reflected first) so the per-step rounding direction stays meaningful.
-        """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"power expects a nonnegative integer, got {n!r}")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n == 1:
-            return self
-        even = n % 2 == 0
-        if self.lo >= 0.0:
-            return Interval(_pow_dn(self.lo, n), _pow_up(self.hi, n))
-        if self.hi <= 0.0:
-            t_lo, t_hi = _pow_dn(-self.hi, n), _pow_up(-self.lo, n)
-            return Interval(t_lo, t_hi) if even else Interval(-t_hi, -t_lo)
-        if even:
-            return Interval(0.0, _pow_up(max(-self.lo, self.hi), n))
-        return Interval(-_pow_up(-self.lo, n), _pow_up(self.hi, n))
-
-    # -- trig ------------------------------------------------------------------
-
-    def sin(self) -> "Interval":
-        return _trig_range(self, math.sin, max_offset=0.5 * math.pi, min_offset=1.5 * math.pi)
-
-    def cos(self) -> "Interval":
-        return _trig_range(self, math.cos, max_offset=0.0, min_offset=math.pi)
-
-
-def _pow_up(x: float, n: int) -> float:
-    # x >= 0 required: products stay nonnegative, upward steps stay upper bounds
-    r = x
-    for _ in range(n - 1):
-        r = _up(r * x)
-    return r
-
-
-def _pow_dn(x: float, n: int) -> float:
-    r = x
-    for _ in range(n - 1):
-        r = _dn(r * x)
-    return r
-
-
 _TWO_PI = 2.0 * math.pi
-
-
-def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
-    """Conservative test for offset + 2*pi*k inside [lo, hi].
-
-    Widened by a pad covering float-pi drift over |k| periods, so a true
-    critical point near the boundary is never missed (the enlargement can
-    only loosen the enclosure).
-    """
-    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    kmin = math.ceil((lo - pad - offset) / _TWO_PI)
-    kmax = math.floor((hi + pad - offset) / _TWO_PI)
-    return kmin <= kmax
-
-
-def _trig_range(iv: Interval, fn, max_offset: float, min_offset: float) -> Interval:
-    if iv.width >= _TWO_PI:
-        return Interval(-1.0, 1.0)
-    va, vb = fn(iv.lo), fn(iv.hi)
-    lo = _dn2(min(va, vb))
-    hi = _up2(max(va, vb))
-    if _has_critical_point(iv.lo, iv.hi, max_offset):
-        hi = 1.0
-    if _has_critical_point(iv.lo, iv.hi, min_offset):
-        lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Lanes of intervals.
-
-
 _min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
 
 
-def _lanes_dn(x):
+def _dn(x):
     return np.nextafter(x, -_INF)
 
 
-def _lanes_up(x):
+def _up(x):
     return np.nextafter(x, _INF)
 
 
 def _operand(x):
-    """(lo, hi) of an interval, array or real operand; None for any other type."""
-    if isinstance(x, (IntervalArray, Interval)):
+    """(lo, hi) of an interval or real operand; None for any other type."""
+    if isinstance(x, Interval):
         return x.lo, x.hi
     if isinstance(x, (int, float)):
         return float(x), float(x)
@@ -282,12 +88,14 @@ def _first_lane(mask, lo, hi) -> str:
     return f"[{a}, {b}] in {where}"
 
 
-class IntervalArray:
+class Interval:
     """Intervals [lo[i], hi[i]] held as two float64 arrays of one shape.
 
-    Every operation rounds lane by lane exactly as `Interval` does and checks
-    every result lane as `Interval` checks its endpoints: finite and lo <= hi.
-    A divisor with a lane containing 0 raises ZeroDivisionError.
+    Each element is one lane; a single interval is a 0-d lane, and 0-d
+    operands broadcast against lanes of any shape.  Every operation checks
+    every result lane: finite, and lo <= hi.  A divisor with a lane
+    containing 0 raises ZeroDivisionError.  There is no value `__eq__`:
+    compare endpoints.
     """
 
     __slots__ = ("lo", "hi")
@@ -314,39 +122,62 @@ class IntervalArray:
         self.lo = lo
         self.hi = hi
 
+    @staticmethod
+    def point(x) -> "Interval":
+        return Interval(x, x)
+
+    def __repr__(self) -> str:
+        return f"Interval({self.lo.tolist()}, {self.hi.tolist()})"
+
     def __len__(self) -> int:
         return len(self.lo)
 
-    def __getitem__(self, index) -> "IntervalArray":
-        """The lanes picked by a numpy index (a mask, index array or slice)."""
-        return IntervalArray(self.lo[index], self.hi[index])
+    def __getitem__(self, index) -> "Interval":
+        """The lanes picked by a numpy index (a mask, index array or slice); an
+        integer picks one lane as a single interval."""
+        return Interval(self.lo[index], self.hi[index])
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- queries, lane by lane -------------------------------------------------
 
-    def __neg__(self) -> "IntervalArray":
-        return IntervalArray(-self.hi, -self.lo)
+    @property
+    def width(self):
+        return self.hi - self.lo
 
-    def __add__(self, other) -> "IntervalArray":
+    def midpoint(self):
+        return np.minimum(np.maximum(0.5 * (self.lo + self.hi), self.lo), self.hi)
+
+    def contains(self, x):
+        return (self.lo <= x) & (x <= self.hi)
+
+    def encloses(self, other: "Interval"):
+        return (self.lo <= other.lo) & (other.hi <= self.hi)
+
+    # -- arithmetic: one outward step per operation -----------------------------
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
+
+    def __add__(self, other) -> "Interval":
         o = _operand(other)
         if o is None:
             return NotImplemented
-        return IntervalArray(_lanes_dn(self.lo + o[0]), _lanes_up(self.hi + o[1]))
+        return Interval(_dn(self.lo + o[0]), _up(self.hi + o[1]))
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "IntervalArray":
+    def __sub__(self, other) -> "Interval":
         o = _operand(other)
         if o is None:
             return NotImplemented
-        return IntervalArray(_lanes_dn(self.lo - o[1]), _lanes_up(self.hi - o[0]))
+        return Interval(_dn(self.lo - o[1]), _up(self.hi - o[0]))
 
-    def __rsub__(self, other) -> "IntervalArray":
+    def __rsub__(self, other) -> "Interval":
         o = _operand(other)
         if o is None:
             return NotImplemented
-        return IntervalArray(_lanes_dn(o[0] - self.hi), _lanes_up(o[1] - self.lo))
+        return Interval(_dn(o[0] - self.hi), _up(o[1] - self.lo))
 
-    def __mul__(self, other) -> "IntervalArray":
+    def __mul__(self, other) -> "Interval":
         o = _operand(other)
         if o is None:
             return NotImplemented
@@ -354,24 +185,28 @@ class IntervalArray:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "IntervalArray":
+    def __truediv__(self, other) -> "Interval":
         o = _operand(other)
         if o is None:
             return NotImplemented
         return _divide(self.lo, self.hi, o[0], o[1])
 
-    def __rtruediv__(self, other) -> "IntervalArray":
+    def __rtruediv__(self, other) -> "Interval":
         o = _operand(other)
         if o is None:
             return NotImplemented
         return _divide(o[0], o[1], self.lo, self.hi)
 
-    def power(self, n: int) -> "IntervalArray":
-        """x^n for integer n >= 0, lane by lane as `Interval.power`."""
+    def power(self, n: int) -> "Interval":
+        """x^n for integer n >= 0 by repeated multiplication, one outward step per product.
+
+        Every product runs over nonnegative bases (negative ranges are
+        reflected first), so each step's rounding direction stays meaningful.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"power expects a nonnegative integer, got {n!r}")
         if n == 0:
-            return IntervalArray(np.ones_like(self.lo), np.ones_like(self.hi))
+            return Interval(np.ones_like(self.lo), np.ones_like(self.hi))
         if n == 1:
             return self
         lo, hi = self.lo, self.hi
@@ -379,29 +214,29 @@ class IntervalArray:
         neg = ~pos & (hi <= 0.0)
         if n % 2 == 0:
             # [min |x|, max |x|]^n, with min |x| = 0 on lanes across zero
-            r_lo = np.where(pos | neg, _pow_lanes(np.where(pos, lo, -hi), n, _lanes_dn), 0.0)
-            r_hi = _pow_lanes(np.where(pos, hi, np.maximum(-lo, hi)), n, _lanes_up)
+            r_lo = np.where(pos | neg, _pow(np.where(pos, lo, -hi), n, _dn), 0.0)
+            r_hi = _pow(np.where(pos, hi, np.maximum(-lo, hi)), n, _up)
         else:
-            r_lo = np.where(pos, _pow_lanes(lo, n, _lanes_dn), -_pow_lanes(-lo, n, _lanes_up))
-            r_hi = np.where(neg, -_pow_lanes(-hi, n, _lanes_dn), _pow_lanes(hi, n, _lanes_up))
-        return IntervalArray(r_lo, r_hi)
+            r_lo = np.where(pos, _pow(lo, n, _dn), -_pow(-lo, n, _up))
+            r_hi = np.where(neg, -_pow(-hi, n, _dn), _pow(hi, n, _up))
+        return Interval(r_lo, r_hi)
 
-    # -- trig ------------------------------------------------------------------
+    # -- trig: two outward steps, since libm sin and cos are not correctly rounded
 
-    def sin(self) -> "IntervalArray":
-        return _trig_lanes(self, np.sin, max_offset=0.5 * math.pi, min_offset=1.5 * math.pi)
+    def sin(self) -> "Interval":
+        return _trig(self, np.sin, max_offset=0.5 * math.pi, min_offset=1.5 * math.pi)
 
-    def cos(self) -> "IntervalArray":
-        return _trig_lanes(self, np.cos, max_offset=0.0, min_offset=math.pi)
+    def cos(self) -> "Interval":
+        return _trig(self, np.cos, max_offset=0.0, min_offset=math.pi)
 
 
-def _hull4(a, b, c, d) -> IntervalArray:
+def _hull4(a, b, c, d) -> Interval:
     lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
     hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
-    return IntervalArray(_lanes_dn(lo), _lanes_up(hi))
+    return Interval(_dn(lo), _up(hi))
 
 
-def _divide(a_lo, a_hi, b_lo, b_hi) -> IntervalArray:
+def _divide(a_lo, a_hi, b_lo, b_hi) -> Interval:
     zero = (b_lo <= 0.0) & (b_hi >= 0.0)
     if np.any(zero):
         raise ZeroDivisionError(
@@ -410,40 +245,44 @@ def _divide(a_lo, a_hi, b_lo, b_hi) -> IntervalArray:
     return _hull4(a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
 
 
-def _pow_lanes(x, n: int, step):
-    # the lane form of _pow_up / _pow_dn: one outward step per product
+def _pow(x, n: int, step):
+    # x >= 0: products stay nonnegative, so each step keeps its bound
     r = x
     for _ in range(n - 1):
         r = step(r * x)
     return r
 
 
-def _critical_lanes(lo, hi, offsets: tuple[float, ...]) -> list:
-    """`_has_critical_point` lane by lane, once per offset."""
+def _critical(lo, hi, offsets: tuple[float, ...]) -> list:
+    """Per offset, the lanes that may hold offset + 2 pi k.
+
+    Widened by a pad covering float-pi drift over |k| periods, so a true
+    critical point near an endpoint is never missed (the pad can only
+    loosen the enclosure).
+    """
     pad = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
     a, b = lo - pad, hi + pad
     return [np.ceil((a - off) / _TWO_PI) <= np.floor((b - off) / _TWO_PI) for off in offsets]
 
 
-def _trig_lanes(x: IntervalArray, fn, max_offset: float, min_offset: float) -> IntervalArray:
-    """`_trig_range` lane by lane."""
+def _trig(x: Interval, fn, max_offset: float, min_offset: float) -> Interval:
     va, vb = fn(x.lo), fn(x.hi)
-    lo = _lanes_dn(_lanes_dn(np.minimum(va, vb)))
-    hi = _lanes_up(_lanes_up(np.maximum(va, vb)))
-    at_max, at_min = _critical_lanes(x.lo, x.hi, (max_offset, min_offset))
+    lo = _dn(_dn(np.minimum(va, vb)))
+    hi = _up(_up(np.maximum(va, vb)))
+    at_max, at_min = _critical(x.lo, x.hi, (max_offset, min_offset))
     lo = np.where(at_min, -1.0, np.maximum(lo, -1.0))
     hi = np.where(at_max, 1.0, np.minimum(hi, 1.0))
     full = x.hi - x.lo >= _TWO_PI
-    return IntervalArray(np.where(full, -1.0, lo), np.where(full, 1.0, hi))
+    return Interval(np.where(full, -1.0, lo), np.where(full, 1.0, hi))
 
 
 # ---------------------------------------------------------------------------
 # Lanes of intervals with their first partials.
 
 
-def _checked(lo, hi) -> IntervalArray:
-    """An `IntervalArray` of endpoints that an earlier operation has checked."""
-    x = object.__new__(IntervalArray)
+def _checked(lo, hi) -> Interval:
+    """An `Interval` of endpoints that an earlier operation has checked."""
+    x = object.__new__(Interval)
     x.lo, x.hi = lo, hi
     return x
 
@@ -454,26 +293,26 @@ class GradientArray:
     `lo` and `hi` are (1 + k, n) float64 arrays.  Row 0 encloses the value
     on each lane's box and row 1 + i the partial derivative in variable i
     over the same box.  Every operation computes row 0 with exactly the
-    `IntervalArray` operation a natural evaluation performs, so row 0 is
+    `Interval` operation a natural evaluation performs, so row 0 is
     that evaluation bit for bit; the partial rows follow the sum, product,
     quotient, power and chain rules, each evaluated in outward-rounded
     interval arithmetic on the lane's box (forward-mode differentiation), so
-    they enclose every partial derivative there.  `Interval`, float and
-    `IntervalArray` operands mix on either side as constants, with zero
-    partials.  Indexing picks lanes, as `IntervalArray`'s does.
+    they enclose every partial derivative there.  `Interval` and float
+    operands mix on either side as constants, with zero partials.  Indexing
+    picks lanes, as `Interval`'s does.
     """
 
     __slots__ = ("lo", "hi")
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
 
     def __init__(self, lo, hi) -> None:
-        rows = IntervalArray(lo, hi)  # the same finite and non-inverted check
+        rows = Interval(lo, hi)  # the same finite and non-inverted check
         if rows.lo.ndim != 2:
             raise ValueError(f"expected (1 + k, n) rows, got shape {rows.lo.shape}")
         self.lo, self.hi = rows.lo, rows.hi
 
     @staticmethod
-    def variable(x: IntervalArray, i: int, k: int) -> "GradientArray":
+    def variable(x: Interval, i: int, k: int) -> "GradientArray":
         """The lanes x as variable i of k: partial 1 in variable i and 0 in the others."""
         lo = np.zeros((1 + k, len(x)))
         lo[1 + i] = 1.0
@@ -482,20 +321,20 @@ class GradientArray:
         return GradientArray(lo, hi)
 
     @property
-    def value(self) -> IntervalArray:
+    def value(self) -> Interval:
         return _checked(self.lo[0], self.hi[0])
 
     @property
-    def partials(self) -> IntervalArray:
+    def partials(self) -> Interval:
         return _checked(self.lo[1:], self.hi[1:])
 
     @property
-    def _rows(self) -> IntervalArray:
-        """Value and partial rows as the lanes of one (1 + k, n) `IntervalArray`."""
+    def _rows(self) -> Interval:
+        """Value and partial rows as the lanes of one (1 + k, n) `Interval`."""
         return _checked(self.lo, self.hi)
 
     @staticmethod
-    def _of(rows: IntervalArray, value: IntervalArray | None = None) -> "GradientArray":
+    def _of(rows: Interval, value: Interval | None = None) -> "GradientArray":
         """The fresh rows of an operation, with row 0 replaced by `value` if given."""
         g = object.__new__(GradientArray)
         g.lo, g.hi = rows.lo, rows.hi
@@ -504,7 +343,7 @@ class GradientArray:
         return g
 
     @staticmethod
-    def _join(value: IntervalArray, partials: IntervalArray) -> "GradientArray":
+    def _join(value: Interval, partials: Interval) -> "GradientArray":
         lo, hi = np.vstack((value.lo, partials.lo)), np.vstack((value.hi, partials.hi))
         return GradientArray._of(_checked(lo, hi))
 
@@ -571,7 +410,7 @@ class GradientArray:
         return GradientArray._join(q, -(q * self.partials) / v)
 
     def power(self, n: int) -> "GradientArray":
-        """x^n for integer n >= 0: row 0 as `IntervalArray.power`, partials n x^(n-1) x'."""
+        """x^n for integer n >= 0: row 0 as `Interval.power`, partials n x^(n-1) x'."""
         value = self.value.power(n)
         if n == 0:
             return GradientArray._join(value, self.partials * 0.0)
@@ -594,7 +433,7 @@ class GradientArray:
 
 def pi_iv() -> Interval:
     # math.pi rounds the true value down
-    return Interval(math.pi, _up(math.pi))
+    return Interval(math.pi, math.nextafter(math.pi, _INF))
 
 
 def half_pi_iv() -> Interval:
@@ -610,7 +449,7 @@ def eighth_pi_iv() -> Interval:
 
 def sqrt6_iv() -> Interval:
     s = math.sqrt(6.0)
-    return Interval(_dn(s), _up(s))
+    return Interval(math.nextafter(s, -_INF), math.nextafter(s, _INF))
 
 
 INTERVAL = types.SimpleNamespace(
@@ -627,8 +466,14 @@ INTERVAL = types.SimpleNamespace(
 # Boxes.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box:
+    """An ordered tuple of intervals, one per dimension.
+
+    Equality and hashing are by identity, as for `Interval`: compare
+    endpoints.
+    """
+
     dims: tuple[Interval, ...]
 
     def __post_init__(self) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from biwind import certify, core, regions, taylor
 from biwind.certify import Status
-from biwind.intervals import INTERVAL, Box, GradientArray, Interval, IntervalArray
+from biwind.intervals import INTERVAL, Box, GradientArray, Interval
 
 SQRT6 = math.sqrt(6.0)
 
@@ -21,32 +21,31 @@ def _zmap(phi0, z):
 
 
 def test_interval_coefficients_contain_float_values():
+    # 2000 random points, each form evaluated on all of them as the lanes of
+    # single-point intervals
     mp = taylor.mp_context(30)
     rng = np.random.default_rng(3)
-    for _ in range(2000):
-        p0 = rng.uniform(0.0, math.pi / 2)
-        ph = rng.uniform(0.0, math.pi / 2)
-        v = rng.uniform(-2.0, 2.0)
-        c0, c1, c2, _ = regions.P_cubic_coefficients(p0, ph)
-        i0, i1 = Interval.point(p0), Interval.point(ph)
-        assert certify.c0_iv(i0, i1).contains(float(c0))
-        assert certify.c1_iv(i0, i1).contains(float(c1))
-        assert certify.c2_iv(i0, i1).contains(float(c2))
-        a = regions.coeff_a(i0, i1, Interval.point(v), INTERVAL)
-        assert a.contains(regions.eval_a(p0, ph, v))
-        z = rng.uniform(0.0, 1.0)
-        phz = float(_zmap(p0, z))
-        assert regions.phi_of_z(i0, Interval.point(z), INTERVAL).contains(phz)
-        q0 = float(regions.Q_cubic_coefficients(ph)[0])
-        assert regions.coeff_q0(i1, INTERVAL).contains(q0)
-        # the same forms in mpmath: inside the enclosure, and near the doubles
-        # (an absolute floor covers cancellation near the zeros of c0 and c1)
-        for form, xs in [(regions.coeff_a, (p0, ph, v)), (regions.coeff_c0, (p0, ph)),
-                         (regions.coeff_c1, (p0, ph)), (regions.coeff_c2, (p0, ph)),
-                         (regions.coeff_q0, (ph,)), (regions.phi_of_z, (p0, z))]:
-            got = form(*map(mp.mpf, xs), mp)
-            assert form(*map(Interval.point, xs), INTERVAL).contains(got), form.__name__
-            assert float(got) == pytest.approx(form(*xs, core.NUMPY), rel=1e-14, abs=1e-13)
+    p0, ph, v, z = np.array([[rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi / 2),
+                              rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0)] for _ in range(2000)]).T
+    c0, c1, c2, _ = regions.P_cubic_coefficients(p0, ph)
+    i0, i1 = Interval.point(p0), Interval.point(ph)
+    assert certify.c0_iv(i0, i1).contains(c0).all()
+    assert certify.c1_iv(i0, i1).contains(c1).all()
+    assert certify.c2_iv(i0, i1).contains(c2).all()
+    assert regions.coeff_a(i0, i1, Interval.point(v), INTERVAL).contains(regions.eval_a(p0, ph, v)).all()
+    assert regions.phi_of_z(i0, Interval.point(z), INTERVAL).contains(_zmap(p0, z)).all()
+    assert regions.coeff_q0(i1, INTERVAL).contains(regions.Q_cubic_coefficients(ph)[0]).all()
+    # the same forms in mpmath: inside the enclosure, and near the doubles
+    # (an absolute floor covers cancellation near the zeros of c0 and c1)
+    for form, xs in [(regions.coeff_a, (p0, ph, v)), (regions.coeff_c0, (p0, ph)),
+                     (regions.coeff_c1, (p0, ph)), (regions.coeff_c2, (p0, ph)),
+                     (regions.coeff_q0, (ph,)), (regions.phi_of_z, (p0, z))]:
+        enclosure = form(*map(Interval.point, xs), INTERVAL)
+        floats = form(*xs, core.NUMPY)
+        for i in range(len(p0)):
+            got = form(*(mp.mpf(float(x[i])) for x in xs), mp)
+            assert enclosure.lo[i] <= got <= enclosure.hi[i], form.__name__
+            assert float(got) == pytest.approx(floats[i], rel=1e-14, abs=1e-13)
 
 
 def test_number_type_contexts_share_one_vocabulary():
@@ -59,6 +58,11 @@ def test_number_type_contexts_share_one_vocabulary():
 
 # ---------------------------------------------------------------------------
 # Branch-and-bound engine on elementary objectives with known answers.
+
+
+def _bounds(box: Box | None) -> tuple[tuple[float, float], ...] | None:
+    """The endpoints of each dimension of a box of single intervals, which compare by value."""
+    return None if box is None else tuple((float(iv.lo), float(iv.hi)) for iv in box.dims)
 
 
 def test_prove_lower_bound_sine_is_nonnegative():
@@ -102,7 +106,7 @@ def test_prove_lower_bound_failure_is_the_first_in_breadth_first_order():
     f = lambda b: ((b.dims[0] - 0.3).power(2) - 1e-6) * ((b.dims[0] - 14.5).power(2) - 0.01)
     out = certify.prove_lower_bound(f, Box.from_bounds([(0.0, 16.0)]), 0.0, 1e-9)
     assert out.status is Status.FAILED
-    assert out.witness == Box.from_bounds([(14.0, 15.0)])
+    assert _bounds(out.witness) == ((14.0, 15.0),)
     assert out.level_boxes == (1, 2, 4, 4, 3)
     assert (out.boxes_examined, out.max_depth) == (14, 4)
 
@@ -158,7 +162,7 @@ def _fails_at_point(x0):
         point = x.lo == x.hi
         lo = np.where(point & (x.lo != x0), 0.0, -1.0)
         hi = np.where(point, lo, 1.0)
-        return IntervalArray(lo, hi) if lo.ndim else Interval(float(lo), float(hi))
+        return Interval(lo, hi)
 
     return f
 
@@ -201,7 +205,7 @@ def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
             certify.prove_lower_bound(f, box, bound, min_width, strict=strict)
         return
     out = certify.prove_lower_bound(f, box, bound, min_width, strict=strict)
-    assert (out.status, out.witness, out.level_boxes) == (status, witness, levels)
+    assert (out.status, _bounds(out.witness), out.level_boxes) == (status, _bounds(witness), levels)
     assert (out.boxes_examined, out.max_depth) == (sum(levels), len(levels) - 1)
 
 
@@ -235,7 +239,7 @@ def test_several_roots_fail_at_the_first_center_in_level_major_order():
     assert certify.prove_lower_bound(f, roots[0], 0.0, 1e-9).max_depth == 7
     out = certify.prove_lower_bound(f, roots, 0.0, 1e-9)
     assert out.status is Status.FAILED
-    assert out.witness == Box.from_bounds([(2.375, 2.75)])
+    assert _bounds(out.witness) == ((2.375, 2.75),)
     assert (out.level_boxes, out.boxes_examined, out.max_depth) == ((2, 4, 4), 10, 2)
 
 
@@ -407,7 +411,7 @@ def test_certificate_tasks_are_pinned(all_certs):
     for tid, (coords, target, min_width, regions_hex) in PINNED_TASKS.items():
         cert = all_certs[tid]
         assert (cert.coordinate_system, cert.target, cert.min_width) == (coords, target, min_width), tid
-        assert [[(iv.lo.hex(), iv.hi.hex()) for iv in r.dims] for r in cert.regions] == regions_hex, tid
+        assert [[(a.hex(), b.hex()) for a, b in _bounds(r)] for r in cert.regions] == regions_hex, tid
 
 
 def test_certificate_forms_see_two_gradient_lanes_per_box(monkeypatch):
@@ -615,13 +619,13 @@ CERTIFIED_FORMS = {
 
 def _random_lanes(domain, seed: int, n: int = 2000):
     """n random boxes in the domain, each dimension of zero width one time in five,
-    as `IntervalArray` lanes per dimension, and a random point of each box."""
+    as `Interval` lanes per dimension, and a random point of each box."""
     rng = np.random.default_rng(seed)
     lanes, points = [], []
     for a, b in domain:
         w = (b - a) * rng.uniform(0.0, 0.5, n) * (rng.uniform(size=n) > 0.2)
         lo = rng.uniform(a, b - w)
-        lanes.append(IntervalArray(lo, lo + w))
+        lanes.append(Interval(lo, lo + w))
         points.append(np.clip(lo + rng.uniform(size=n) * w, lo, lo + w))
     return lanes, points
 
@@ -630,11 +634,11 @@ def _gradient_box(lanes) -> Box:
     return Box(tuple(GradientArray.variable(x, i, len(lanes)) for i, x in enumerate(lanes)))
 
 
-def _with_centers(lanes) -> tuple[Box, list[IntervalArray]]:
+def _with_centers(lanes) -> tuple[Box, list[Interval]]:
     """The lanes followed by their midpoints, as a `prove_lower_bound` level
     lays them out, and the midpoints alone."""
-    centers = [IntervalArray(c, c) for c in (certify._midpoints(x.lo, x.hi) for x in lanes)]
-    both = [IntervalArray(np.concatenate((x.lo, c.lo)), np.concatenate((x.hi, c.hi)))
+    centers = [Interval.point(x.midpoint()) for x in lanes]
+    both = [Interval(np.concatenate((x.lo, c.lo)), np.concatenate((x.hi, c.hi)))
             for x, c in zip(lanes, centers)]
     return Box(tuple(both)), centers
 
@@ -670,7 +674,7 @@ def test_mean_value_enclosure_lies_inside_the_natural_one(name):
     natural = form(_gradient_box(lanes)).value  # row 0 is the natural evaluation
     box, centers = _with_centers(lanes)
     got = certify._mean_value(form)(box)
-    assert isinstance(got, IntervalArray) and len(got) == 4000
+    assert isinstance(got, Interval) and len(got) == 4000
     # the center lanes carry the form's value at the centers
     at_centers = form(_gradient_box(centers)).value
     np.testing.assert_array_equal(got.lo[2000:], at_centers.lo)
@@ -699,14 +703,14 @@ def test_mean_value_form_raises_on_disjoint_enclosures():
 
     box = Box.from_bounds([(0.0, 1.0)])
     with pytest.raises(ArithmeticError, match="disjoint in lane 0"):
-        certify._mean_value(unsound)(Box((IntervalArray([0.0, 0.5], [1.0, 0.5]),)))
+        certify._mean_value(unsound)(Box((Interval([0.0, 0.5], [1.0, 0.5]),)))
     with pytest.raises(ArithmeticError, match="disjoint"):
         certify.prove_lower_bound(certify._mean_value(unsound), box, 0.0, 1e-3)
 
 
 def test_mean_value_form_passes_a_constant_through():
     flat = Interval(0.01, 0.01)
-    assert certify._mean_value(lambda b: flat)(Box((IntervalArray([0.0, 0.5], [1.0, 0.5]),))) is flat
+    assert certify._mean_value(lambda b: flat)(Box((Interval([0.0, 0.5], [1.0, 0.5]),))) is flat
 
 
 @pytest.mark.parametrize(
@@ -721,7 +725,7 @@ def test_mean_value_form_takes_boxes_followed_by_their_centers(lo, hi):
     # the centered form is sound only for a center inside its box
     g = certify._mean_value(lambda b: b.dims[0] * b.dims[0])
     with pytest.raises(ValueError, match="point lane inside each"):
-        g(Box((IntervalArray(lo, hi),)))
+        g(Box((Interval(lo, hi),)))
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,8 @@ def test_version_flag_exits_zero(capsys):
 def test_shoot_wrong_dimension_is_usage_error():
     assert usage_code(["shoot", "--d", "6"]) == 64
     assert usage_code(["shoot", "--eps0", "0.5"]) == 64
-    assert usage_code(["shoot", "--theta-tol", "-1e-10"]) == 64
+    assert usage_code(["shoot", "--theta-tol", "-1e-10"]) == 64  # argparse: a flag without its value
+    assert usage_code(["shoot", "--theta-tol=-1e-10"]) == 64  # the library: a negative tolerance
     assert usage_code(["shoot", "--span", "0"]) == 64
 
 
@@ -169,12 +170,18 @@ def test_classify_above_boundary_all_plus(tmp_path, monkeypatch):
     assert thetas == sorted(thetas)
 
 
-def test_classify_usage_errors():
+def test_classify_usage_errors(capsys):
     assert usage_code(["classify", "--grid", "1"]) == 64
     assert usage_code(["classify", "--theta-range", "2:1"]) == 64
     assert usage_code(["classify", "--theta-range", "abc:1"]) == 64
     assert usage_code(["classify", "--theta-range", "1"]) == 64
     assert usage_code(["classify", "--eps0", "0"]) == 64
+    # argparse takes a negative LO for a flag: the error names the form that parses
+    capsys.readouterr()
+    assert usage_code(["classify", "--theta-range", "-1.5:0.5"]) == 64
+    assert "--theta-range=LO:HI" in capsys.readouterr().err
+    args = cli._build_parser().parse_args(["classify", "--theta-range=-1.5:0.5"])
+    assert cli._classify_params(args, None) == {"grid": 200, "lo": -1.5, "hi": 0.5, "eps0": config.EPS0}
 
 
 # ---------------------------------------------------------------------------
