@@ -11,10 +11,12 @@ themselves are not written here: they are the generic forms of `regions`
   box dimension, discharges a box once the interval evaluation clears the
   bound, fails with a witness when a center point definitely violates it,
   and gives up at a minimum width otherwise.  It runs breadth first from
-  one root box or several, and evaluates each level of the tree, its boxes
-  and their centers, as one batch of lanes in one call of f;
+  one root box or several.  One call of f evaluates a block of levels, the
+  frontier and the levels of descendants that fit a fixed box budget, every
+  box with its center, as one batch of lanes; the levels are then resolved
+  one at a time, as if each had had its own call;
 * the mean-value form (`_mean_value`), through which every
-  branch-and-bound certificate evaluates its coefficient on a level's
+  branch-and-bound certificate evaluates its coefficient on a call's
   lanes, as `GradientArray` variables: each box gets its natural enclosure
   intersected with the centered one F(c) + sum_i G_i(B) (B_i - c_i), F(c)
   read from the box's center lane, and an empty intersection raises, since
@@ -37,7 +39,7 @@ Determinism comes from the structure: the search runs serially, with no
 threads, one breadth-first level at a time, and every level holds its boxes
 in canonical order (the roots in the order given, and the children of box
 j are boxes 2j and 2j + 1 of the next level).  Each `Interval` lane is
-rounded on its own, so a box gets the same bits in a level of any size, or
+rounded on its own, so a box gets the same bits in a call of any size, or
 alone as single intervals; the set of boxes, the depth and the first FAILED
 or INCONCLUSIVE witness in that level-major order are fixed by the problem
 alone.
@@ -113,21 +115,12 @@ class BnbOutcome:
     boxes_examined: int
     max_depth: int
     level_boxes: tuple[int, ...] = ()  # boxes examined at each breadth-first level
-    level_seconds: tuple[float, ...] = ()  # wall time of each breadth-first level
-
-
-def _lanes_box(lo: np.ndarray, hi: np.ndarray) -> Box:
-    """The frontier whose dimension i spans [lo[i], hi[i]], as one box of lanes."""
-    return Box(tuple(Interval(a, b) for a, b in zip(lo, hi)))
+    level_seconds: tuple[float, ...] = ()  # wall time of each breadth-first level, a call of f in its first
+    calls: int = 0  # calls of f
 
 
 def _lane(lo: np.ndarray, hi: np.ndarray, j: int) -> Box:
     return Box(tuple(Interval(a[j], b[j]) for a, b in zip(lo, hi)))
-
-
-def _lane_bounds(val, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """lo and hi of an evaluation on n lanes; a single interval covers every lane."""
-    return np.broadcast_to(val.lo, (n,)), np.broadcast_to(val.hi, (n,))
 
 
 def _bisect_lanes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +138,47 @@ def _bisect_lanes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     hi2[k, 2 * j] = m
     lo2[k, 2 * j + 1] = m
     return lo2, hi2
+
+
+# The most boxes, a frontier and its speculative descendants, that one call of f evaluates.
+_BUDGET = 192
+
+
+def _speculate(lo: np.ndarray, hi: np.ndarray, min_width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier and levels of its descendants, while their box count stays within `_BUDGET`.
+
+    Every box of at least min_width is bisected by `_bisect_lanes`, and a
+    level holding a box too thin to bisect ends the speculation.  Returns
+    the boxes of every level, level after level, and the index there of
+    each box's first child (the second follows it), or -1.
+    """
+    los, his, first = [lo], [hi], [np.full(lo.shape[1], -1)]
+    total = lo.shape[1]
+    while True:
+        split = (his[-1] - los[-1]).max(axis=0) >= min_width
+        n = int(split.sum())
+        if not n or total + 2 * n > _BUDGET:
+            break
+        try:
+            lo2, hi2 = _bisect_lanes(los[-1][:, split], his[-1][:, split])
+        except ValueError:
+            break
+        first[-1][split] = total + 2 * np.arange(n)
+        los.append(lo2)
+        his.append(hi2)
+        first.append(np.full(2 * n, -1))
+        total += 2 * n
+    return np.hstack(los), np.hstack(his), np.concatenate(first)
+
+
+def _evaluate(f: Callable[[Box], Interval], lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f's lower bound on each of n boxes and its upper bound at each box's center: one call
+    of f on 2n lanes, lane j being box j and lane n + j its float center, a point.  A single
+    interval from f covers every lane."""
+    n = lo.shape[1]
+    mid = Interval(lo, hi).midpoint()
+    val = f(Box(tuple(Interval(a, b) for a, b in zip(np.hstack((lo, mid)), np.hstack((hi, mid))))))
+    return np.broadcast_to(val.lo, (2 * n,))[:n], np.broadcast_to(val.hi, (2 * n,))[n:]
 
 
 def prove_lower_bound(
@@ -165,12 +199,17 @@ def prove_lower_bound(
     level-major order is the FAILED witness and the first given-up box the
     INCONCLUSIVE one, whichever root they descend from.
 
-    Each level of n boxes is one call of f on a box whose dimensions are
-    2n `Interval` lanes: lane j is box j and lane n + j its float
-    center, a point.  A center is judged only where its box is not
-    discharged; a discharged box encloses f at its center, so that center
-    cannot fail.  `level_seconds` holds the wall time of each level's call,
-    filtering and bisection.
+    One call of f evaluates a block of levels: the frontier and, while the
+    box count stays within `_BUDGET`, the descendants that bisection would
+    give it if no box were discharged (`_speculate`).  Its lanes are the
+    block's boxes followed by their float centers, points.  The levels are
+    then resolved one at a time, each from the lanes of its boxes, and the
+    next call starts from the first level the block lacks.  A center is
+    judged only where its box is not discharged; a discharged box encloses
+    f at its center, so that center cannot fail.  A call that raises is
+    made again on the frontier alone, and what that raises propagates.
+    `level_seconds` holds the wall time of each level's filtering and
+    bisection, and a call's in the first level of its block.
     """
     if isinstance(min_width, bool) or not 0.0 < min_width < math.inf:
         raise ValueError(f"min_width must be positive and finite, got {min_width}")
@@ -183,41 +222,57 @@ def prove_lower_bound(
     hi = np.array([[iv.hi for iv in r.dims] for r in roots]).T
     levels: list[int] = []
     seconds: list[float] = []
+    calls = 0
     inconclusive: Box | None = None
+    at = None  # where the block holds this level's boxes, or None for a new call
     clock = time.perf_counter()
     while lo.shape[1]:
         n = lo.shape[1]
-        mid = Interval(lo, hi).midpoint()
-        v_lo, v_hi = _lane_bounds(f(_lanes_box(np.hstack((lo, mid)), np.hstack((hi, mid)))), 2 * n)
-        live = below(v_lo[:n])
-        fails = live & below(v_hi[n:])
+        if at is None:
+            b_lo, b_hi, first = _speculate(lo, hi, min_width)
+            calls += 1
+            try:
+                box_lo, center_hi = _evaluate(f, b_lo, b_hi)
+            except Exception:
+                if b_lo.shape[1] == n:
+                    raise
+                calls += 1
+                box_lo, center_hi = _evaluate(f, lo, hi)
+                first = np.full(n, -1)
+            at = np.arange(n)
+        live = below(box_lo[at])
+        fails = live & below(center_hi[at])
         if fails.any():
             j = int(np.argmax(fails))
             levels.append(j + 1)
             seconds.append(time.perf_counter() - clock)
             return BnbOutcome(
                 Status.FAILED, _lane(lo, hi, j), sum(levels), len(levels) - 1, tuple(levels),
-                tuple(seconds),
+                tuple(seconds), calls,
             )
         levels.append(n)
-        lo, hi = lo[:, live], hi[:, live]
+        lo, hi, at = lo[:, live], hi[:, live], at[live]
         narrow = (hi - lo).max(axis=0) < min_width
         if narrow.any():
             if inconclusive is None:
                 inconclusive = _lane(lo, hi, int(np.argmax(narrow)))
-            lo, hi = lo[:, ~narrow], hi[:, ~narrow]
+            lo, hi, at = lo[:, ~narrow], hi[:, ~narrow], at[~narrow]
         lo, hi = _bisect_lanes(lo, hi)
+        # every box bisected here was bisected in the block too, unless the block ends here
+        at = None if (first[at] < 0).any() else np.column_stack((first[at], first[at] + 1)).ravel()
         now = time.perf_counter()
         seconds.append(now - clock)
         clock = now
     status = Status.PROVED if inconclusive is None else Status.INCONCLUSIVE
-    return BnbOutcome(status, inconclusive, sum(levels), len(levels) - 1, tuple(levels), tuple(seconds))
+    return BnbOutcome(
+        status, inconclusive, sum(levels), len(levels) - 1, tuple(levels), tuple(seconds), calls,
+    )
 
 
 def _mean_value(
     f: Callable[[Box], GradientArray | Interval],
 ) -> Callable[[Box], Interval]:
-    """f on the lanes of a `prove_lower_bound` level, narrowed by the mean-value form.
+    """f on the lanes of a `prove_lower_bound` call, narrowed by the mean-value form.
 
     f is called once, on the lanes as `GradientArray` variables.  Each box B
     gets its natural enclosure (row 0) intersected with the centered form
@@ -461,6 +516,7 @@ class Certificate:
     details: dict = field(default_factory=dict)
     level_boxes: tuple[int, ...] = ()  # per breadth-first level; not serialized
     level_seconds: tuple[float, ...] = ()  # per breadth-first level; not serialized
+    calls: int = 0  # calls of f by its branch-and-bound searches; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -508,11 +564,12 @@ def _merge_outcomes(parts: Sequence[BnbOutcome]) -> BnbOutcome:
     depth = max(p.max_depth for p in parts)
     levels = _level_sums([p.level_boxes for p in parts])
     seconds = _level_sums([p.level_seconds for p in parts])
+    calls = sum(p.calls for p in parts)
     for status in (Status.FAILED, Status.INCONCLUSIVE):
         for p in parts:
             if p.status is status:
-                return BnbOutcome(status, p.witness, boxes, depth, levels, seconds)
-    return BnbOutcome(Status.PROVED, None, boxes, depth, levels, seconds)
+                return BnbOutcome(status, p.witness, boxes, depth, levels, seconds, calls)
+    return BnbOutcome(Status.PROVED, None, boxes, depth, levels, seconds, calls)
 
 
 def _verdict(ok: bool, witness: Box | None = None) -> BnbOutcome:
@@ -725,4 +782,5 @@ def run_task(task_id: str, min_width: float | None = None, workers: int | None =
         details=details,
         level_boxes=outcome.level_boxes,
         level_seconds=outcome.level_seconds,
+        calls=outcome.calls,
     )

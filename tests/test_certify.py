@@ -167,35 +167,36 @@ def _fails_at_point(x0):
     return f
 
 
-@pytest.mark.parametrize(
-    "f, box, bound, min_width, strict",
-    [
-        # V2 at a coarse floor: inconclusive
-        (lambda b: certify.c0_iv(*b.dims), [(0.4, math.pi / 2), (0.0, math.pi / 2)], 0.01, 0.1, False),
-        # V9 in full, strict
-        (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), [(math.pi / 8, 3.0)], 1.9, 1e-4, True),
-        # V3's first region in the z chart, coarse
-        (lambda b: certify.c0_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
-         [(0.01, 0.4), (0.0, 1.0)], 0.01, 0.02, False),
-        # a bound c1 fails on part of V7's square
-        (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
-         [(0.0, 1.0), (0.0, 1.0)], 0.5, 1e-3, False),
-        # a three-dimensional box, failing near a's minimum 0.101 at (0, pi/2, 0)
-        (lambda b: regions.coeff_a(*b.dims, INTERVAL), [(0.0, 1.5), (0.0, 3.0), (-1.0, 1.0)],
-         0.2, 0.05, False),
-        # the dip at 5/16 is first hit by a center at depth 3, where every box
-        # is narrower than min_width: no children are left to carry the centers
-        (lambda b: (b.dims[0] - 0.3125).power(2) - 1e-6, [(0.0, 1.0)], 0.0, 0.2, False),
-        # a failing center on a box too thin to bisect: FAILED, not ValueError
-        (lambda b: b.dims[0], [(1.0, math.nextafter(1.0, 2.0))], 2.0, 1e-300, False),
-        # f raises on the children of a box whose center fails
-        (_raises_below_width(0.6, lambda b: b.dims[0] - 0.75), [(0.0, 1.0)], 0.0, 1e-3, False),
-        # at depth 1, box 0 is too thin to bisect and box 1's center fails
-        (_fails_at_point(1 + 3 * _ULP), [(1 + _ULP, 1 + 4 * _ULP)], 0.0, 1e-300, False),
-        # f raises on the root box: both searches raise
-        (_raises_below_width(2.0, lambda b: b.dims[0]), [(0.0, 1.0)], 0.0, 1e-3, False),
-    ],
-)
+# the cases on which the lane search is checked against `_scalar_search`
+SCALAR_CASES = [
+    # V2 at a coarse floor: inconclusive
+    (lambda b: certify.c0_iv(*b.dims), [(0.4, math.pi / 2), (0.0, math.pi / 2)], 0.01, 0.1, False),
+    # V9 in full, strict
+    (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), [(math.pi / 8, 3.0)], 1.9, 1e-4, True),
+    # V3's first region in the z chart, coarse
+    (lambda b: certify.c0_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+     [(0.01, 0.4), (0.0, 1.0)], 0.01, 0.02, False),
+    # a bound c1 fails on part of V7's square
+    (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+     [(0.0, 1.0), (0.0, 1.0)], 0.5, 1e-3, False),
+    # a three-dimensional box, failing near a's minimum 0.101 at (0, pi/2, 0)
+    (lambda b: regions.coeff_a(*b.dims, INTERVAL), [(0.0, 1.5), (0.0, 3.0), (-1.0, 1.0)],
+     0.2, 0.05, False),
+    # the dip at 5/16 is first hit by a center at depth 3, where every box
+    # is narrower than min_width: no children are left to carry the centers
+    (lambda b: (b.dims[0] - 0.3125).power(2) - 1e-6, [(0.0, 1.0)], 0.0, 0.2, False),
+    # a failing center on a box too thin to bisect: FAILED, not ValueError
+    (lambda b: b.dims[0], [(1.0, math.nextafter(1.0, 2.0))], 2.0, 1e-300, False),
+    # f raises on the children of a box whose center fails
+    (_raises_below_width(0.6, lambda b: b.dims[0] - 0.75), [(0.0, 1.0)], 0.0, 1e-3, False),
+    # at depth 1, box 0 is too thin to bisect and box 1's center fails
+    (_fails_at_point(1 + 3 * _ULP), [(1 + _ULP, 1 + 4 * _ULP)], 0.0, 1e-300, False),
+    # f raises on the root box: both searches raise
+    (_raises_below_width(2.0, lambda b: b.dims[0]), [(0.0, 1.0)], 0.0, 1e-3, False),
+]
+
+
+@pytest.mark.parametrize("f, box, bound, min_width, strict", SCALAR_CASES)
 def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
     box = Box.from_bounds(box)
     try:
@@ -209,18 +210,19 @@ def test_lane_search_matches_scalar_reference(f, box, bound, min_width, strict):
     assert (out.boxes_examined, out.max_depth) == (sum(levels), len(levels) - 1)
 
 
-@pytest.mark.parametrize(
-    "f, boxes, bound, min_width, strict",
-    [
-        # V7's two regions outside A, strict
-        (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
-         [[(783 / 1024, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 779 / 1024)]], 0.01, 1e-5, True),
-        # roots of different depths, one discharged at once
-        (lambda b: b.dims[0].sin(), [[(0.0, 3.0)], [(1.0, 2.0)], [(0.5, 1.0)]], -0.001, 1e-3, False),
-        (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), [[(math.pi / 8, 1.0)], [(1.0, 3.0)]],
-         1.9, 1e-4, True),
-    ],
-)
+# several roots, each proved by its scalar reference
+ROOTS_CASES = [
+    # V7's two regions outside A, strict
+    (lambda b: certify.c1_iv(b.dims[0], regions.phi_of_z(*b.dims, INTERVAL)),
+     [[(783 / 1024, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 779 / 1024)]], 0.01, 1e-5, True),
+    # roots of different depths, one discharged at once
+    (lambda b: b.dims[0].sin(), [[(0.0, 3.0)], [(1.0, 2.0)], [(0.5, 1.0)]], -0.001, 1e-3, False),
+    (lambda b: regions.coeff_q0(b.dims[0], INTERVAL), [[(math.pi / 8, 1.0)], [(1.0, 3.0)]],
+     1.9, 1e-4, True),
+]
+
+
+@pytest.mark.parametrize("f, boxes, bound, min_width, strict", ROOTS_CASES)
 def test_several_roots_prove_as_the_merged_scalar_references(f, boxes, bound, min_width, strict):
     roots = [Box.from_bounds(b) for b in boxes]
     out = certify.prove_lower_bound(f, roots, bound, min_width, strict=strict)
@@ -274,41 +276,134 @@ def test_run_task_searches_the_regions_of_one_check_as_one_frontier(monkeypatch)
     assert searched == [region]
 
 
-def _counting(f):
+def _recording(f):
+    """f, recording the lanes of each call: its boxes and its centers, each lane a tuple of
+    (lo, hi) per dimension."""
     calls = []
 
     def g(b):
-        calls.append(len(np.atleast_1d(b.dims[0].lo)))
+        lanes = list(zip(*(zip(np.atleast_1d(iv.lo).tolist(), np.atleast_1d(iv.hi).tolist())
+                           for iv in b.dims)))
+        n = len(lanes) // 2
+        calls.append((lanes[:n], lanes[n:]))
         return f(b)
 
     return g, calls
 
 
 @pytest.mark.parametrize(
-    "f, box, bound, min_width, status",
+    "f, box, bound, min_width, status, blocks",
     [
-        # V2 in full
+        # V2 in full on the natural form: 4505 boxes at 22 levels; levels 0-6
+        # share the first call, and every wider level is alone in its own
         (lambda b: certify.c0_iv(*b.dims), [(0.4, math.pi / 2), (0.0, math.pi / 2)], 0.01, 1e-5,
-         Status.PROVED),
+         Status.PROVED, [127, 82, 124, 180, 256, 270, 332, 342, 414, 396, 458, 440, 478, 356, 254, 180]),
         (lambda b: ((b.dims[0] - 0.3).power(2) - 1e-6) * ((b.dims[0] - 14.5).power(2) - 0.01),
-         [(0.0, 16.0)], 0.0, 1e-9, Status.FAILED),
-        (lambda b: b.dims[0] - b.dims[0], [(0.0, 1.0)], 0.0, 1e-2, Status.INCONCLUSIVE),
+         [(0.0, 16.0)], 0.0, 1e-9, Status.FAILED, [127]),
+        (lambda b: b.dims[0] - b.dims[0], [(0.0, 1.0)], 0.0, 1e-2, Status.INCONCLUSIVE, [127, 128]),
     ],
+    ids=["V2", "dip", "flat"],
 )
-def test_prove_lower_bound_calls_f_once_per_level(f, box, bound, min_width, status):
-    g, calls = _counting(f)
+def test_prove_lower_bound_calls_f_once_per_block_of_levels(monkeypatch, f, box, bound, min_width,
+                                                              status, blocks):
+    g, calls = _recording(f)
     out = certify.prove_lower_bound(g, Box.from_bounds(box), bound, min_width)
     assert out.status is status
-    assert len(calls) == len(out.level_boxes)
-    # each level's lanes are its boxes followed by their centers
-    assert calls[:-1] == [2 * n for n in out.level_boxes[:-1]]
-    if status is Status.FAILED:
-        # the last level counts its boxes up to the witness only, the third of four
-        assert (calls[-1], out.level_boxes[-1]) == (8, 3)
-    else:
-        assert sum(calls) == 2 * out.boxes_examined
+    assert [len(boxes) for boxes, _ in calls] == blocks
+    assert out.calls == len(calls) < len(out.level_boxes)
+    # each call's lanes are its boxes followed by their centers
+    for boxes, centers in calls:
+        assert centers == [tuple((c, c) for c in Box.from_bounds(lane).center()) for lane in boxes]
     assert len(out.level_seconds) == len(out.level_boxes)
     assert all(t >= 0.0 for t in out.level_seconds)
+    # one level per call evaluates exactly the examined levels, whole
+    budget = certify._BUDGET
+    monkeypatch.setattr(certify, "_BUDGET", 1)  # each call evaluates its frontier alone
+    g, levels = _recording(f)
+    alone = certify.prove_lower_bound(g, Box.from_bounds(box), bound, min_width)
+    assert (alone.status, _bounds(alone.witness), alone.level_boxes) == (
+        out.status, _bounds(out.witness), out.level_boxes)
+    assert alone.calls == len(levels) == len(out.level_boxes)
+    if status is Status.FAILED:
+        # the last level counts its boxes up to the witness only, the third of four
+        assert (len(levels[-1][0]), out.level_boxes[-1]) == (4, 3)
+        levels[-1] = (levels[-1][0][:3], None)
+    assert [len(boxes) for boxes, _ in levels] == list(out.level_boxes)
+    # the examined boxes are among the evaluated ones, and a call over
+    # budget is one level alone
+    evaluated = {lane for boxes, _ in calls for lane in boxes}
+    assert all(lane in evaluated for boxes, _ in levels for lane in boxes)
+    assert all(len(boxes) <= budget or boxes in [b for b, _ in levels] for boxes, _ in calls)
+
+
+def _outcome(search):
+    """Status, witness hex, boxes examined, depth and level sizes of a search, or the
+    type of what it raises."""
+    try:
+        out = search()
+    except Exception as exc:
+        return type(exc)
+    witness = None if out.witness is None else [(a.hex(), b.hex()) for a, b in _bounds(out.witness)]
+    return out.status, witness, out.boxes_examined, out.max_depth, out.level_boxes
+
+
+@pytest.mark.parametrize(
+    "f, roots, bound, min_width, strict",
+    [(f, [box], bound, min_width, strict) for f, box, bound, min_width, strict in SCALAR_CASES]
+    + ROOTS_CASES
+    + [(lambda b: ((b.dims[0] - 0.3).power(2) - 1e-6) * ((b.dims[0] - 2.5).power(2) - 0.01),
+        [[(0.0, 1.0)], [(2.0, 3.5)]], 0.0, 1e-9, False)],
+)
+def test_speculation_leaves_the_outcome_of_one_level_per_call(monkeypatch, f, roots, bound, min_width,
+                                                               strict):
+    roots = [Box.from_bounds(r) for r in roots]
+    search = lambda: certify.prove_lower_bound(f, roots, bound, min_width, strict=strict)
+    blocks = _outcome(search)
+    monkeypatch.setattr(certify, "_BUDGET", 1)
+    assert _outcome(search) == blocks
+
+
+def test_speculation_leaves_the_certificates_of_one_level_per_call(monkeypatch, all_certs):
+    def bare(cert):
+        d = cert.to_json_dict()
+        d.pop("wall_ms")
+        return d, cert.level_boxes
+
+    monkeypatch.setattr(certify, "_BUDGET", 1)
+    for tid, cert in all_certs.items():
+        assert bare(certify.run_task(tid)) == bare(cert), tid
+
+
+def _raises_inside(lo, hi, f):
+    """f, raising on a box inside [lo, hi] narrower than it but not a point."""
+
+    def g(b):
+        a, c = np.asarray(b.dims[0].lo), np.asarray(b.dims[0].hi)
+        if ((lo <= a) & (c <= hi) & (0 < c - a) & (c - a < hi - lo)).any():
+            raise ZeroDivisionError("box too narrow for this f")
+        return f(b)
+
+    return g
+
+
+def test_a_call_that_raises_is_made_again_on_the_frontier_alone():
+    f = lambda b: b.dims[0] * b.dims[0] - b.dims[0] * 0.6
+    box = Box.from_bounds([(0.0, 1.0)])
+    assert certify.prove_lower_bound(f, box, -0.1, 1e-3).calls == 1
+    # [0.75, 1] is discharged at depth 2, so only speculation reaches its
+    # children: the calls from depths 0, 1 and 2 raise and are made again on
+    # their frontiers alone, and one call serves depths 3-6
+    quiet = _raises_inside(0.75, 1.0, f)
+    status, witness, levels = _scalar_search(quiet, box, -0.1, 1e-3)
+    out = certify.prove_lower_bound(quiet, box, -0.1, 1e-3)
+    assert (out.status, _bounds(out.witness), out.level_boxes) == (status, _bounds(witness), levels)
+    assert (status, out.calls) == (Status.PROVED, 7)
+    # [0, 0.25] is live at depth 2, so its children are examined
+    loud = _raises_inside(0.0, 0.25, f)
+    with pytest.raises(ZeroDivisionError):
+        _scalar_search(loud, box, -0.1, 1e-3)
+    with pytest.raises(ZeroDivisionError):
+        certify.prove_lower_bound(loud, box, -0.1, 1e-3)
 
 
 def test_prove_lower_bound_raises_on_a_thin_box_once_its_center_passes():
@@ -414,25 +509,60 @@ def test_certificate_tasks_are_pinned(all_certs):
         assert [[(a.hex(), b.hex()) for a, b in _bounds(r)] for r in cert.regions] == regions_hex, tid
 
 
-def test_certificate_forms_see_two_gradient_lanes_per_box(monkeypatch):
-    # every level seeds its lanes once, as the boxes followed by their centers
+# (calls of f, lanes) of every task's searches: one call per block of
+# levels, each box of a block with its center lane
+PINNED_CALLS = {
+    "V1": (1, 254),
+    "V2": (3, 890),
+    "V3": (3, 716),
+    "V4": (0, 0),
+    "V5": (3, 852),
+    "V6": (1, 254),
+    "V7": (2, 612),
+    "V8": (2, 450),
+    "V9": (2, 506),
+}
+
+
+def _seeded_boxes(tid, budget):
+    """The certificate at this budget, and the boxes of each call of its forms, each box
+    a tuple of (lo, hi) per dimension, checking that each call's lanes are its boxes
+    followed by their centers."""
     seeded = []
     variable = GradientArray.variable
 
     def spy(x, i, k):
+        n = len(x) // 2
+        center = Interval(x.lo[:n], x.hi[:n]).midpoint()
+        assert len(x) == 2 * n and (x.lo[n:] == center).all() and (x.hi[n:] == center).all()
         if i == 0:
-            seeded.append(len(x))
+            seeded.append([])
+        seeded[-1].append(zip(x.lo[:n].tolist(), x.hi[:n].tolist()))
         return variable(x, i, k)
 
-    monkeypatch.setattr(GradientArray, "variable", staticmethod(spy))
-    total = 0
-    for tid in certify.TASK_IDS:
-        seeded.clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certify, "_BUDGET", budget)
+        m.setattr(GradientArray, "variable", staticmethod(spy))
         cert = certify.run_task(tid)
-        assert len(seeded) == len(cert.level_boxes), tid
-        assert sum(seeded) == 2 * cert.boxes_examined, tid
-        total += sum(seeded)
-    assert total == 2 * sum(boxes for boxes, _ in PINNED_TREES.values()) == 1414
+    return cert, [list(zip(*dims)) for dims in seeded]
+
+
+def test_certificate_forms_see_two_gradient_lanes_per_box():
+    for tid in certify.TASK_IDS:
+        cert, calls = _seeded_boxes(tid, certify._BUDGET)
+        assert (cert.calls, 2 * sum(map(len, calls))) == PINNED_CALLS[tid], tid
+        assert len(calls) == cert.calls, tid
+        # one level per call evaluates exactly the examined boxes, and the
+        # blocks evaluate each of them
+        alone, levels = _seeded_boxes(tid, 1)
+        assert [len(boxes) for boxes in levels] == list(alone.level_boxes) == list(cert.level_boxes), tid
+        evaluated = {box for boxes in calls for box in boxes}
+        assert all(box in evaluated for boxes in levels for box in boxes), tid
+    calls, lanes = map(sum, zip(*PINNED_CALLS.values()))
+    assert (calls, lanes) == (17, 4534)
+    # against one call per level, 63 in all
+    assert sum(depth + 1 for boxes, depth in PINNED_TREES.values() if boxes) == 63
+    assert calls <= 25
 
 
 def test_level_seconds_sit_beside_level_boxes_in_memory_only(all_certs):
@@ -440,6 +570,17 @@ def test_level_seconds_sit_beside_level_boxes_in_memory_only(all_certs):
         assert len(cert.level_seconds) == len(cert.level_boxes), tid
         assert all(t >= 0.0 for t in cert.level_seconds), tid
         assert "level_seconds" not in cert.to_json_dict()
+
+
+def test_calls_sit_beside_level_boxes_in_memory_only(all_certs):
+    keys = {"task_id", "coordinate_system", "target", "regions", "status", "witness", "boxes_examined",
+            "max_depth", "min_width", "rounding_mode", "wall_ms", "details"}
+    for tid, cert in all_certs.items():
+        assert set(cert.to_json_dict()) == keys, tid
+        assert cert.calls == PINNED_CALLS[tid][0], tid
+    a = certify.BnbOutcome(Status.PROVED, None, 3, 1, (1, 2), (0.5, 0.25), 2)
+    b = certify.BnbOutcome(Status.PROVED, None, 1, 0, (1,), (0.125,), 1)
+    assert certify._merge_outcomes([a, b]).calls == 3
 
 
 def test_merged_outcomes_add_level_seconds_level_by_level():
