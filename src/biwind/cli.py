@@ -150,9 +150,15 @@ def _shoot_params(args, parser: _Parser) -> dict:
 def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     cfg = integrate.IntegrationConfig(max_span=params["span"])
     try:
-        theta_star, res = manifold.find_heteroclinic(
-            theta_tol=params["theta_tol"], cfg=cfg, eps0=params["eps0"]
-        )
+        if base is None:
+            theta_star, res = manifold.find_heteroclinic(
+                theta_tol=params["theta_tol"], cfg=cfg, eps0=params["eps0"]
+            )
+            orbit = None
+        else:
+            # the same result, classified from the orbit that the CSV holds
+            theta_star = manifold._connecting_angle(None, params["theta_tol"], cfg, params["eps0"])
+            res, orbit = manifold._classified_orbit(manifold.SeedSpec(params["eps0"], theta_star), cfg)
     except manifold.BracketError as err:
         print(f"shoot: {err}", file=sys.stderr)
         return EXIT_FAILED, None, []
@@ -174,10 +180,8 @@ def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
         "theta_tol_requested": params["theta_tol_requested"],
         "span": params["span"],
     }
-    if base is None:
+    if orbit is None:
         return EXIT_OK, report, []
-    seed = manifold.seed_state(manifold.SeedSpec(params["eps0"], theta_star))
-    orbit = integrate.integrate(manifold.D, seed, cfg=cfg)
     integrate.write_csv(orbit, f"{base}.csv")
     return EXIT_OK, report, [f"{base}.csv"]
 

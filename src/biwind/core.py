@@ -17,7 +17,7 @@ gk = 3d-5 and a = d-4 (so 2(d-4) = 2a) are written once, in
 recurrences, the energy and the blowup polynomial `regions.p_value` all
 read them there.  The field's phi'''' is written once too, as the source
 `FIELD_SOURCE`, which `_make_rhs` compiles and the serial integrator
-inlines into its generated step.
+inlines into its generated loop.
 
 This module evaluates the field, the Lyapunov energy and its dissipation
 rate, the pi-shift/reflection symmetries, the threshold c_star used by the
@@ -155,17 +155,21 @@ def _field_constants(d: int) -> tuple[float, ...]:
 
 # The field's last component, the phi'''' of the jet (phi, v, w2, w3), stated
 # once as source that assigns it to `acc`.  Besides the jet it reads the
-# names `_field_scope` binds: the constants of `_field_constants`, sin and
-# cos.  `_make_rhs` compiles it into the field, and `integrate` inlines it
-# into its generated serial step.
+# names `_field_scope` binds: the constants of `_field_constants`, a2 = 2a,
+# sin and cos.  The products it needs twice, 2 phi and d1 cos(2 phi), are
+# computed once, and 2 (d-4) multiplies as the constant a2, as the
+# left-to-right product 2.0 * a * ... did, so every context keeps its bits.
+# `_make_rhs` compiles it into the field, and `integrate` inlines it at every
+# stage of its generated serial loop.
 FIELD_SOURCE = """\
-sin2 = sin(2.0 * phi)
-cos2 = cos(2.0 * phi)
+p2 = 2.0 * phi
+sin2 = sin(p2)
+dc2 = d1 * cos(p2)
 acc = (
-    (d1 * cos2 + k) * w2
+    (dc2 + k) * w2
     - c3 * sin2
     + (6.0 * w2 - d1 * sin2) * v * v
-    + (a * (d1 * cos2 + gk) * v + 2.0 * a * v * v * v - 2.0 * a * w3)
+    + (a * (dc2 + gk) * v + a2 * v * v * v - a2 * w3)
 )"""
 
 
@@ -173,7 +177,8 @@ def _field_scope(d: int, ctx) -> dict:
     """The names FIELD_SOURCE reads besides the jet, for dimension d and the
     context `ctx`."""
     d1, k, c3, gk, a = _field_constants(d)
-    return {"sin": ctx.sin, "cos": ctx.cos, "d1": d1, "k": k, "c3": c3, "gk": gk, "a": a}
+    return {"sin": ctx.sin, "cos": ctx.cos, "d1": d1, "k": k, "c3": c3, "gk": gk, "a": a,
+            "a2": 2.0 * a}
 
 
 def _function_code(source: str, filename: str) -> types.CodeType:

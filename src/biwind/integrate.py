@@ -9,16 +9,17 @@ once as the columns of a (4, n) array, a step size per lane, and keeps no
 trajectory.  Both sum the stages, the error norm and the interpolant
 elementwise in one fixed order, so an orbit's bits depend on its seed only:
 not on the loop that ran it, nor on the other lanes.  The lanes step with
-`_combo` on arrays.  A single orbit's trial step and reach bounds are
-straight-line code on scalar locals, generated at import from the tableau,
-with the field's source `core.FIELD_SOURCE` inlined at every stage of the
-step: every sum is `_combo`'s written out, with the same products, zero
-weights included, in the same order.  numpy rounds each elementwise
-operation on doubles as Python rounds it on a float, so each component
-rounds as its lane does.  Both loops take the step factor and the initial
-step's power through libm's pow (`core.power`), not numpy's vector loops,
-whose AVX-512 code rounds otherwise, so an orbit does not depend on numpy's
-CPU dispatch.
+`_combo` on arrays.  A single orbit runs in `_serial_loop`, one function
+generated at import from the tableau that holds the whole accepted-step
+loop on scalar locals: the trial step with the field's source
+`core.FIELD_SOURCE` inlined at every stage, the error norm, the step
+control and the gate below.  Every sum is `_combo`'s written out, with the
+same products, zero weights included, in the same order.  numpy rounds each
+elementwise operation on doubles as Python rounds it on a float, so each
+component rounds as its lane does.  Both loops take the step factor and the
+initial step's power through libm's pow (`core.power`), not numpy's vector
+loops, whose AVX-512 code rounds otherwise, so an orbit does not depend on
+numpy's CPU dispatch.
 
 Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
 scans over a fixed grid in each accepted step, evaluated on the step's quartic
@@ -26,15 +27,16 @@ interpolant (dense-output event location, Hairer, Norsett and Wanner, sec.
 II.6).  Both loops scan on arrays with `_scan`, a single orbit as one lane.
 The first scan interval with a sign change is sharpened by bisection to
 `event_refine_tol`, or to adjacent doubles when that is finer, on the step's
-interpolant as four Python floats, `_interpolant`, which gives the scan's
-bits and backs `sample_at`; the earliest crossing found there ends the run.
-A single orbit first bounds the interpolant over the whole step by its
+interpolant as Python floats, `_interpolant`, which gives the scan's bits
+and backs `sample_at`; the earliest crossing found there ends the run.  A
+single orbit's gate first bounds the interpolant over the whole step by its
 stages and skips the scan when that bound stays below the blowup threshold
 and the watched gates; a skipped scan could have found nothing, so the orbit
-is the same bit for bit.  The loose bound `_reach` decides most steps; where
-it fails, the tight bound `_tight_reach`, written on the stage differences,
-decides (see _P_REACH), so a shooting orbit scans only the steps that come
-near an event.  The lanes take the same two bounds on all lanes at once,
+is the same bit for bit.  A loose bound decides most steps; where it fails,
+a tight bound written on the stage differences decides (see _P_REACH), so a
+shooting orbit scans only the steps that come near an event, and the loop
+returns to Python only to scan one, at the end of the span, or to raise on
+step underflow.  The lanes take the same two bounds on all lanes at once,
 `_lanes_near`, and an iteration scans only when some accepted lane's step
 can reach an event.  Once no more than _HANDOFF_LANES lanes are live, the
 lockstep loop stops and `_drive`, resumed from each lane's state, finishes
@@ -46,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import functools
 import math
 import os
 import types
@@ -288,7 +291,7 @@ def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_bound: float,
 
 
 # ---------------------------------------------------------------------------
-# The serial step, generated once from the tableau (see the module docstring).
+# The serial loop, generated once from the tableau (see the module docstring).
 # Component c of stage j is the local kjc.  Keeping the zero-weight products
 # keeps a lane's -0.0, inf and nan.
 
@@ -298,79 +301,133 @@ def _sum(terms: Sequence[str], weights: Sequence[float]) -> str:
     return "(" + " + ".join(f"{t} * {w!r}" for t, w in zip(terms, weights)) + ")"
 
 
-def _serial_source() -> tuple[str, str, str]:
-    """Source of `step`, `_reach` and `_tight_reach`, written out from _A, _B, _E,
-    _P_REACH, _R and `core.FIELD_SOURCE`."""
+# The names the loop reads besides its state, bound per orbit by `_serial_loop`
+# as the defaults of its last parameters, so that they are fast locals.
+_LOOP_NAMES = ("sin", "cos", "d1", "k", "c3", "gk", "a", "a2", "abs", "max", "min", "sqrt",
+               "nextafter", "inf", "nan", "power", "underflow", "margin", "floor", "blowup",
+               "cs", "t_bound", "max_step", "rtol", "atol")
+
+
+def _loop_source() -> str:
+    """Source of `loop`, written out from _A, _B, _E, _P_REACH, _R, the step
+    control and `core.FIELD_SOURCE`."""
     n = len(_E)
     k = [[f"k{j}{c}" for c in range(4)] for j in range(n)]
     col = list(zip(*k))  # col[c][j] is component c of stage j
-    names = [", ".join(kj) for kj in k]
-    field = [f"    {line}" for line in core.FIELD_SOURCE.splitlines()]
+    body = " " * 12
 
     def stage(j: int, jet: Sequence[str]) -> list[str]:
         # The field at jet, inlined: stage j is (v, w2, w3, acc).
-        return [f"    phi = {jet[0]}",
-                *(f"    k{j}{c - 1} = {name} = {jet[c]}" for c, name in enumerate(("v", "w2", "w3"), 1)),
-                *field,
-                f"    k{j}3 = acc"]
+        return [f"{body}phi = {jet[0]}",
+                *(f"{body}{name} = {jet[c]}" for c, name in enumerate(("v", "w2", "w3"), 1)),
+                *(f"{body}{line}" for line in core.FIELD_SOURCE.splitlines()),
+                *(f"{body}k{j}{c} = {name}" for c, name in enumerate(("v", "w2", "w3", "acc")))]
 
-    stages = [line for j, a in enumerate(_A[1:], 1)
-              for line in stage(j, [f"y{c} + {_sum(col[c], a)} * h" for c in range(4)])]
-    y_new = ", ".join(f"y{c} + h * {_sum(col[c], _B)}" for c in range(4))
-    err = ", ".join(f"{_sum(col[c], _E)} * h / (atol + max(abs(y{c}), abs(n{c})) * rtol)"
-                    for c in range(4))
-    step = "\n".join([
-        "def step(y, f, h, atol, rtol):",
-        "    'One trial step of a single jet: (y_new, stages, error norm), the last stage the field at y_new.'",
+    loose = [f"abs(y{c}) + h * {_sum([f'abs({t})' for t in col[c]], _P_REACH)}" for c in range(4)]
+    tight = [f"max(abs(y{c}), abs(y{c} + h * k0{c})) + h * "
+             + _sum([f"abs({t} - k0{c})" for t in col[c][1:]] + [f"abs(k0{c})"], (*_P_REACH[1:], _R))
+             for c in range(4)]
+    return "\n".join([
+        f"def loop(y, f, t, t_old, h_abs, rejected, steps, ss, ys, {', '.join(_LOOP_NAMES)}):",
+        "    'Accepted steps of one jet until one can reach an event or the span ends; see _serial_loop.'",
         "    y0, y1, y2, y3 = y",
-        f"    {names[0]} = K0 = f",
-        *stages,
-        f"    n0, n1, n2, n3 = y_new = [{y_new}]",
+        "    k00, k01, k02, k03 = K0 = f",
+        "    keep, keep_s, keep_y = steps.append, ss.append, ys.append",
+        "    rejections = 0",
+        "    while True:",
+        "        # The lanes' trial step: clamp a fresh step to [min_step, max_step];",
+        "        # a retried one fails below min_step.",
+        "        min_step = 10.0 * abs(nextafter(t, inf) - t)",
+        "        if not rejected:",
+        "            h_abs = max_step if h_abs > max_step else max(h_abs, min_step)",
+        "        if h_abs < min_step:",
+        "            raise underflow(t, t_old, y)",
+        "        t_new = min(t + h_abs, t_bound)",
+        "        h = t_new - t",
+        "        try:",
+        *(line for j, a in enumerate(_A[1:], 1)
+          for line in stage(j, [f"y{c} + {_sum(col[c], a)} * h" for c in range(4)])),
+        *(f"{body}n{c} = y{c} + h * {_sum(col[c], _B)}" for c in range(4)),
         *stage(n - 1, [f"n{c}" for c in range(4)]),
-        f"    return y_new, [K0, {', '.join(f'({names[j]})' for j in range(1, n))}], _rms(({err}), sqrt)",
-    ])
-    head = ["    y0, y1, y2, y3 = y", f"    {', '.join(f'({kj})' for kj in names)} = K"]
-    loose = ", ".join(f"abs(y{c}) + h * {_sum([f'abs({t})' for t in col[c]], _P_REACH)}"
-                      for c in range(4))
-    tight = ", ".join(
-        f"max(abs(y{c}), abs(y{c} + h * k0{c})) + h * "
-        + _sum([f"abs({t} - k0{c})" for t in col[c][1:]] + [f"abs(k0{c})"], (*_P_REACH[1:], _R))
-        for c in range(4))
-    return step, "\n".join([
-        "def _reach(y, K, h):",
-        "    'Per component, the loose bound L on the step interpolant over all of [t, t + h].'",
-        *head,
-        f"    return [{loose}]",
-    ]), "\n".join([
-        "def _tight_reach(y, K, h):",
-        "    'Per component, the tight bound T on the step interpolant over all of [t, t + h].'",
-        *head,
-        f"    return [{tight}]",
+        *(f"{body}e{c} = {_sum(col[c], _E)} * h / (atol + max(abs(y{c}), abs(n{c})) * rtol)"
+          for c in range(4)),
+        f"{body}err = sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3) / 2.0",
+        "        except ValueError:  # math.sin of an overflowed stage",
+        "            err = nan",
+        f"        grow = {_SAFETY!r} * power(err, {_ERROR_EXPONENT!r})",
+        "        if not err < 1.0:  # nan shrinks the step by _MIN_FACTOR",
+        f"            h_abs = h * (grow if grow > {_MIN_FACTOR!r} else {_MIN_FACTOR!r})",
+        "            rejected = True",
+        "            rejections += 1",
+        "            continue",
+        f"        up = grow if grow < {_MAX_FACTOR!r} else {_MAX_FACTOR!r}",
+        "        h_abs = h * (min(up, 1.0) if rejected else up)",
+        "        rejected = False",
+        f"        K = [K0, {', '.join('(' + ', '.join(k[j]) + ')' for j in range(1, n))}]",
+        "        keep((K, h))",
+        "        t_old, t = t, t_new",
+        "        y = [n0, n1, n2, n3]",
+        "        keep_s(t)",
+        "        keep_y(y)",
+        "        # The gate: the loose bound, then the tight one where it fails (see _P_REACH).",
+        "        lift = (1.0 + h) * floor",
+        *(f"        r{c} = {loose[c]}" for c in range(4)),
+        "        if not (max(r0, r1, r2, r3) * margin + lift < blowup and r2 * margin + lift < cs):",
+        *(f"            b{c} = {tight[c]}" for c in range(4)),
+        *(f"            m{c} = b{c} * margin + lift" for c in range(4)),
+        "            if not (max(m0, m1, m2, m3) < blowup and m2 < cs):",
+        "                return t, t_old, y, h_abs, rejections, ([r0, r1, r2, r3], [b0, b1, b2, b3])",
+        "        if t >= t_bound:",
+        "            return t, t_old, y, h_abs, rejections, None",
+        "        y0, y1, y2, y3 = y",
+        f"        k00, k01, k02, k03 = K0 = K[{n - 1}]",
     ])
 
 
 # A stage that overflows to inf makes `math.sin` raise ValueError in the
-# trial step, at that stage, where a lane gets nan.  The three functions are
-# compiled one at a time: one compile of all three peaks at about 1.7 times
-# the traced memory of the trial step's alone.  The trial step is compiled
-# once, and `_trial_step` binds it to a dimension.
-_STEP, *_bounds = (core._function_code(text, "<integrate._serial_source()>")
-                   for text in _serial_source())
-_reach, _tight_reach = (types.FunctionType(code, globals()) for code in _bounds)
+# trial step, at that stage, where a lane gets nan.  The loop is compiled
+# once, and `_serial_loop` binds it to an orbit.
+_LOOP = core._function_code(_loop_source(), "<integrate._loop_source()>")
 
 
-def _trial_step(d: int) -> Callable:
-    """The generated trial step `step(y, f, h, atol, rtol)` of a single jet,
-    with the field of dimension d inlined at every stage."""
-    scope = {**core._field_scope(d, core.FLOAT), "_rms": _rms, "sqrt": math.sqrt}
-    return types.FunctionType(_STEP, scope)
+def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float) -> Callable:
+    """The generated loop of one orbit in dimension d under cfg, watching
+    |phi''| = cs, to s = t_bound.
+
+    `loop(y, f, t, t_old, h_abs, rejected, steps, ss, ys)` runs `_drive`'s
+    accepted steps from the jet y at t (four floats) with the field f there,
+    the last step t_old and the step-size state (h_abs, rejected): per trial
+    the Dormand-Prince stages with the field inlined, the error norm and the
+    step control; per accepted step it appends (stages, h) to `steps`, the
+    new s to `ss` and the new jet to `ys`, then applies the gate.  It returns
+    (t, t_old, y, h_abs, rejections) and `near` after the first accepted step
+    whose bounds, the loose and then the tight one with their rounding
+    margins, do not keep it below the blowup norm and below cs in |phi''|:
+    `near` is (loose, tight) there, and None once the span ends unscanned.
+    A step size below 10 ulp of t raises `_underflow`.  Every name it reads
+    besides its state, the module's constants included, is bound here, when
+    the orbit starts.
+    """
+    names = {**core._field_scope(d, core.FLOAT), "abs": abs, "max": max, "min": min,
+             "sqrt": math.sqrt, "nextafter": math.nextafter, "inf": math.inf, "nan": math.nan,
+             "power": power, "underflow": _underflow, "margin": _REACH_MARGIN,
+             "floor": _REACH_FLOOR, "blowup": cfg.blowup_norm, "cs": cs, "t_bound": t_bound,
+             "max_step": float(cfg.max_step), "rtol": max(cfg.rel_tol, _RTOL_FLOOR),
+             "atol": cfg.abs_tol}
+    return types.FunctionType(_LOOP, {}, "loop", tuple(names[name] for name in _LOOP_NAMES))
+
+
+def _coefficients(K: Sequence[Sequence[float]]) -> list[list[float]]:
+    """q[c][k], coefficient k of component c of one jet's step interpolant:
+    `_combo` of its stages by _P_COLUMNS, as `_scan` sums them."""
+    return [[_combo(kc, col) for col in _P_COLUMNS] for kc in zip(*K)]
 
 
 def _interpolant(K: Sequence[Sequence[float]], h: float, t: float,
                  y: Sequence[float]) -> Callable[..., list[float]]:
     """(s, comps=all four) -> those components of the jet at s in [t, t + h] on one jet's step
-    from y, as Python floats: `_combo` by _P_COLUMNS, then `_interpolate` each, as `_scan` does."""
-    q = [[_combo(kc, col) for col in _P_COLUMNS] for kc in zip(*K)]  # q[c][k]
+    from y, as Python floats: `_coefficients`, then `_interpolate` each, as `_scan` does."""
+    q = _coefficients(K)
     return lambda s, comps=range(4): [_interpolate(q[c], h, t, y[c], s) for c in comps]
 
 
@@ -424,33 +481,45 @@ def bisect(
     return lo, hi
 
 
-def _refine_hit(at: Callable[..., list[float]], crossed: Sequence[bool], ta: float,
-                tb: float, cs: float, cfg: IntegrationConfig) -> tuple[Termination, list[float]]:
-    """Earliest refined crossing in (ta, tb] of one step's `_interpolant` `at`.
+def _refine_hit(K: Sequence[Sequence[float]], h: float, t: float, y: Sequence[float],
+                crossed: Sequence[bool], ta: float, tb: float, cs: float,
+                cfg: IntegrationConfig) -> tuple[Termination, list[float], int]:
+    """Earliest refined crossing in (ta, tb] on the `_interpolant` of one
+    jet's step from y at t, with stages K and size h.
 
     `crossed` flags sign changes of the blowup gap, the upward gate and the
-    downward gate in the scan interval [ta, tb]; ties go to the first.
-    Returns the termination and the jet there, as four Python floats.
+    downward gate in the scan interval [ta, tb]; ties go to the first.  A
+    gate's probe evaluates phi'' alone.  Returns the termination, the jet
+    there as four Python floats, and the number of probes.
     """
-    past = (
-        lambda s: max(map(abs, at(s))) - cfg.blowup_norm >= 0.0,
-        lambda s: at(s, (2,))[0] - cs >= 0.0,
-        lambda s: at(s, (2,))[0] + cs <= 0.0,
-    )
+    q = _coefficients(K)
+    probes = 0
+
+    def past(kind: int, s: float) -> bool:
+        nonlocal probes
+        probes += 1
+        if kind == 0:
+            top = max([abs(_interpolate(qc, h, t, yc, s)) for qc, yc in zip(q, y)])
+            return top - cfg.blowup_norm >= 0.0
+        d2 = _interpolate(q[2], h, t, y[2], s)
+        return d2 - cs >= 0.0 if kind == 1 else d2 + cs <= 0.0
+
     best: tuple[float, int] | None = None
-    for k, (flag, far) in enumerate(zip(crossed, past)):
+    for kind, flag in enumerate(crossed):
         if flag:
-            s_hit = bisect(far, ta, tb, cfg.event_refine_tol)[1]
+            s_hit = bisect(functools.partial(past, kind), ta, tb, cfg.event_refine_tol)[1]
             if best is None or s_hit < best[0]:
-                best = (s_hit, k)
+                best = (s_hit, kind)
     assert best is not None
-    s_hit, k = best
-    y_hit = at(s_hit)
-    if k == 0:
+    s_hit, kind = best
+    y_hit = [_interpolate(qc, h, t, yc, s_hit) for qc, yc in zip(q, y)]
+    if kind == 0:
         norm = max(map(abs, y_hit))
-        return Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm), y_hit
-    event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[k - 1].value
-    return Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event), y_hit
+        term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm)
+    else:
+        event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[kind - 1].value
+        term = Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event)
+    return term, y_hit, probes
 
 
 def _underflow(s: float, s_last: float, y) -> IntegrationError:
@@ -473,14 +542,16 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     Trial steps and step control are those of `integrate_lanes` on floats,
     the scan is `_scan` as one lane, and refinement reads `_interpolant` as a
     retiring lane does, so an orbit with both gates watched ends bit
-    for bit as its lane does.  The trial step and its error norm are the
-    generated `_trial_step`, with the field inlined: each component's stage
-    sums are `_combo`'s products added in `_combo`'s order, the rounding a
-    lane's column gets from numpy.  The step factor takes libm's pow, as the
-    lanes do.  An accepted step whose loose `_reach` bound or, failing that,
-    whose tight `_tight_reach` bound, each with its rounding margin (see
-    _P_REACH), stays below the blowup threshold and below c_star in |phi''|
-    cannot reach an event, and is not scanned.
+    for bit as its lane does.  The accepted steps run in the generated
+    `_serial_loop`: the trial step and its error norm with the field inlined,
+    each component's stage sums `_combo`'s products added in `_combo`'s
+    order, the rounding a lane's column gets from numpy; the step factor by
+    libm's pow, as the lanes take it; and the gate.  An accepted step whose
+    loose bound or, failing that, whose tight bound, each with its rounding
+    margin (see _P_REACH), stays below the blowup threshold and below c_star
+    in |phi''| cannot reach an event, and is not scanned: the loop returns
+    here only to scan a step, at the end of the span, or by raising on
+    step underflow.
 
     `resume`, the state (t, t_old, f, h_abs, rejected) of a lane at
     the top of its loop, with x0 its jet at t, replaces the start: the seed's
@@ -498,10 +569,9 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     else:
         t, t_old, f, h_abs, rejected = resume
 
-    trial_step = _trial_step(d)
     cs = core.c_star(d) if any(gates) else math.inf
-    t_bound, max_step = s0 + cfg.max_span, float(cfg.max_step)
-    rtol, atol = max(cfg.rel_tol, _RTOL_FLOOR), cfg.abs_tol
+    t_bound = s0 + cfg.max_span
+    loop = _serial_loop(d, cfg, cs, t_bound)
     ss: list[float] = [t]
     ys: list = [y]
     steps: list[tuple[list, float]] = []
@@ -519,67 +589,33 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
             f = _make_rhs(d)(0.0, y)
             h_abs = float(_initial_step(
                 _make_rhs(d, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
-                float(cfg.max_span), max_step, rtol, atol,
+                float(cfg.max_span), float(cfg.max_step), max(cfg.rel_tol, _RTOL_FLOOR),
+                cfg.abs_tol,
             )[0])
         while True:
-            # The lanes' trial step: clamp a fresh step to [min_step, max_step];
-            # a retried one fails below min_step.
-            min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
-            if not rejected:
-                h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-            if h_abs < min_step:
-                raise _underflow(t, t_old, y)
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            try:
-                y_new, K, err = trial_step(y, f, h, atol, rtol)
-            except ValueError:
-                err = math.nan
-            grow = _SAFETY * power(err, _ERROR_EXPONENT)
-            if not err < 1.0:  # nan shrinks the step by _MIN_FACTOR
-                h_abs = h * (grow if grow > _MIN_FACTOR else _MIN_FACTOR)
-                rejected = True
-                stats.rejected += 1
-                continue
-            up = grow if grow < _MAX_FACTOR else _MAX_FACTOR
-            h_abs = h * (min(up, 1.0) if rejected else up)
-            rejected = False
-            steps.append((K, h))
-
-            # Scan the step on the lanes' grid for the first interval with a
-            # crossing, unless no point of the step can reach one.
-            reach = _reach(y, K, h)
-            floor = (1.0 + h) * _REACH_FLOOR
-            scan = not (max(reach) * _REACH_MARGIN + floor < cfg.blowup_norm
-                        and reach[2] * _REACH_MARGIN + floor < cs)
-            if scan:
-                near = [b * _REACH_MARGIN + floor for b in _tight_reach(y, K, h)]
-                scan = not (max(near) < cfg.blowup_norm and near[2] < cs)
-            if scan:
+            t, t_old, y, h_abs, rejections, near = loop(y, f, t, t_old, h_abs, rejected,
+                                                         steps, ss, ys)
+            stats.rejected += rejections
+            if near is not None:
+                # Scan the last step on the lanes' grid for the first interval
+                # with a crossing.
                 stats.scanned += 1
-                grid, _, crossings = _scan(np.array(K)[:, :, None], h, t, t_new,
-                                           np.array(y)[:, None], cs, cfg.blowup_norm, gates)
+                K, h = steps[-1]
+                y_old = ys[-2]
+                grid, _, crossings = _scan(np.array(K)[:, :, None], h, t_old, t,
+                                           np.array(y_old)[:, None], cs, cfg.blowup_norm, gates)
                 hit = crossings[0] | crossings[1] | crossings[2]
                 if hit.any():
                     i = int(np.argmax(hit[:, 0]))
-                    jet = _interpolant(K, h, t, y)
-
-                    def at(s: float, *comps) -> list[float]:
-                        stats.bisections += 1
-                        return jet(s, *comps)
-
-                    term, y_hit = _refine_hit(at, [c[i, 0] for c in crossings],
-                                              float(grid[i, 0]), float(grid[i + 1, 0]), cs, cfg)
-                    stats.bisections -= 1  # the last call reads the jet at the hit
-                    ss.append(term.s_last)
-                    ys.append(y_hit)
+                    term, ys[-1], stats.bisections = _refine_hit(
+                        K, h, t_old, y_old, [c[i, 0] for c in crossings],
+                        float(grid[i, 0]), float(grid[i + 1, 0]), cs, cfg)
+                    ss[-1] = term.s_last
                     return finish(term)
-
-            t_old, t, y, f = t, t_new, y_new, K[-1]
-            ss.append(t)
-            ys.append(y)
-            if t >= t_bound:
-                return finish(Termination(TerminationKind.SPAN_EXHAUSTED, s_last=t))
+                if t < t_bound:
+                    f, rejected = K[-1], False
+                    continue
+            return finish(Termination(TerminationKind.SPAN_EXHAUSTED, s_last=t))
 
 
 # ---------------------------------------------------------------------------
@@ -605,26 +641,66 @@ class LaneEnd:
 # iteration per step.  The lockstep loop stops once no more than
 # _HANDOFF_LANES lanes are live, and `_drive` finishes each of them;
 # thresholds from 5 to 40 timed alike on the 50-angle classification grid.
+# `_serial_loop` has since brought a serial trial step to about 8.4 µs (the
+# shooting search's orbits, in process), which was not timed against it.
 _HANDOFF_LANES = 20
 
 
-def _lanes_near(y: np.ndarray, K: Sequence[np.ndarray], h: np.ndarray, accepted: np.ndarray,
-                cs: float, blowup_norm: float) -> bool:
-    """Whether the step of some accepted lane can reach the blowup norm or cs
-    in |phi''|: `_drive`'s test on every lane at once, the loose bound `_reach`
-    first and the tight `_tight_reach` where it fails, summed as `_combo` sums,
-    with the same rounding margins (see _P_REACH)."""
+def _lanes_near(y: np.ndarray, K: Sequence[np.ndarray], h: np.ndarray, accepted,
+                cs: float, blowup_norm: float) -> np.ndarray:
+    """Per lane, whether its step is accepted and can reach the blowup norm or
+    cs in |phi''|: the gate of `_serial_loop` on every lane at once, the loose
+    bound first and the tight one where it fails, summed as `_combo` sums,
+    with the same rounding margins (see _P_REACH).  A nan bound counts as
+    near here, where the loop's max may pass it over; its step's scan finds
+    nothing either way."""
     floor = (1.0 + h) * _REACH_FLOOR
     reach = np.abs(y) + h * _combo([np.abs(k) for k in K], _P_REACH)
     near = accepted & ~((reach.max(axis=0) * _REACH_MARGIN + floor < blowup_norm)
                         & (reach[2] * _REACH_MARGIN + floor < cs))
     if not near.any():
-        return False
+        return near
     k0 = K[0]
     tight = (np.maximum(np.abs(y), np.abs(y + h * k0))
              + h * _combo([np.abs(k - k0) for k in K[1:]] + [np.abs(k0)], (*_P_REACH[1:], _R)))
     tight = tight * _REACH_MARGIN + floor
-    return bool((near & ~((tight.max(axis=0) < blowup_norm) & (tight[2] < cs))).any())
+    return near & ~((tight.max(axis=0) < blowup_norm) & (tight[2] < cs))
+
+
+def _gate_end(traj: Trajectory, cfg: IntegrationConfig) -> tuple[Termination, list[float]] | None:
+    """How the run of traj's seed watching both gates ends, and its last jet,
+    read from traj, that seed's unwatched run under cfg.
+
+    The gates change only which steps a run scans, so the watched run takes
+    traj's steps up to its end.  `_drive`'s gate test is replayed on the
+    stored steps, as lanes: `_lanes_near`, then `_scan` of the steps it
+    flags, then `_refine_hit` of the first crossing, which ends the watched
+    run there bit for bit.  The last stored step is left out, as its end is
+    not stored where an event or a blowup ends traj inside it: None when no
+    step before it holds a crossing.
+    """
+    steps = traj._steps[:-1]
+    if not steps:
+        return None
+    n = len(steps)
+    K = np.array([K for K, _ in steps]).transpose(1, 2, 0)  # (stage, component, step)
+    h = np.array([h for _, h in steps])
+    y, t, t_new = traj.states[:n].T, traj.s[:n], traj.s[1:n + 1]
+    cs = core.c_star(traj.d)
+    with np.errstate(all="ignore"):
+        near = np.flatnonzero(_lanes_near(y, K, h, True, cs, cfg.blowup_norm))
+        grid, _, crossings = _scan(K[:, :, near], h[near], t[near], t_new[near], y[:, near], cs,
+                                   cfg.blowup_norm, (True, True))
+    hit = crossings[0] | crossings[1] | crossings[2]
+    hit_steps = np.flatnonzero(hit.any(axis=0))
+    if not hit_steps.size:
+        return None
+    j = hit_steps[0]
+    k, i = near[j], int(np.argmax(hit[:, j]))
+    term, y_hit, _ = _refine_hit(steps[k][0], steps[k][1], float(t[k]), traj.states[k].tolist(),
+                                 [c[i, j] for c in crossings], float(grid[i, j]),
+                                 float(grid[i + 1, j]), cs, cfg)
+    return term, y_hit
 
 
 def integrate_lanes(
@@ -702,7 +778,7 @@ def integrate_lanes(
             # Scan the steps if some accepted one can reach an event; a
             # rejected step's crossings are dropped.
             hit = np.zeros(lanes.size, dtype=bool)
-            if _lanes_near(y, K, h, accepted, cs, cfg.blowup_norm):
+            if _lanes_near(y, K, h, accepted, cs, cfg.blowup_norm).any():
                 grid, _, crossings = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, (True, True))
                 any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
                 hit = any_crossing.any(axis=0)
@@ -713,12 +789,11 @@ def integrate_lanes(
                     err_j = _underflow(t[j], t_old[j], y[:, j])
                     ends[lanes[j]] = LaneEnd(err_j, err_j.state_last)
                 elif hit[j]:
-                    at = _interpolant([k[:, j].tolist() for k in K], float(h[j]), float(t[j]),
-                                      y[:, j].tolist())
                     i = int(np.argmax(any_crossing[:, j]))
-                    term, y_hit = _refine_hit(
-                        at, [c[i, j] for c in crossings], float(grid[i, j]),
-                        float(grid[i + 1, j]), cs, cfg,
+                    term, y_hit, _ = _refine_hit(
+                        [k[:, j].tolist() for k in K], float(h[j]), float(t[j]), y[:, j].tolist(),
+                        [c[i, j] for c in crossings], float(grid[i, j]), float(grid[i + 1, j]),
+                        cs, cfg,
                     )
                     ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_hit))
                 else:
@@ -828,8 +903,9 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
 def write_csv(traj: Trajectory, path: str) -> None:
     """Delimited dump: s, jet components, energy total and dissipation rate."""
     e = core.energy(traj.d, traj.states.T)
+    columns = (traj.s, *traj.states.T, e.total, e.rate)
     write_rows(
         path,
         ["s", "phi", "dphi", "d2phi", "d3phi", "energy_total", "energy_rate"],
-        ([sk, *xk, tk, rk] for sk, xk, tk, rk in zip(traj.s, traj.states, e.total, e.rate)),
+        zip(*(c.tolist() for c in columns)),
     )

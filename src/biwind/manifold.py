@@ -238,6 +238,17 @@ def find_heteroclinic(
     `config.THETA_TOL_FLOOR` (only the command line's `shoot` does), and
     the search stops early once the midpoint rounds onto an end.
     """
+    theta_star = _connecting_angle(bracket, theta_tol, cfg, eps0)
+    return theta_star, classify_orbit(SeedSpec(eps0, theta_star), cfg)
+
+
+def _connecting_angle(
+    bracket: tuple[float, float] | None,
+    theta_tol: float,
+    cfg: integrate.IntegrationConfig | None,
+    eps0: float,
+) -> float:
+    """The angle `find_heteroclinic` returns, without its classification."""
     if isinstance(theta_tol, bool) or not 0.0 < theta_tol < math.inf:
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
     if bracket is None:
@@ -264,8 +275,25 @@ def find_heteroclinic(
         lambda theta: ordinate(classify_orbit(SeedSpec(eps0, theta), cfg)),
         lo, hi, ordinate(res_lo), ordinate(res_hi), theta_tol,
     )
-    theta_star = 0.5 * (lo + hi)
-    return theta_star, classify_orbit(SeedSpec(eps0, theta_star), cfg)
+    return 0.5 * (lo + hi)
+
+
+def _classified_orbit(
+    spec: SeedSpec, cfg: integrate.IntegrationConfig
+) -> tuple[ClassificationResult, integrate.Trajectory]:
+    """`classify_orbit(spec, cfg)` and the orbit of the seed watching no gate,
+    which runs on past the gate, to blowup or to the end of the span.
+
+    The classification is read from that orbit's stored steps
+    (`integrate._gate_end`), and only where they do not hold its gate
+    crossing is the watched orbit integrated as well.
+    """
+    orbit = integrate.integrate(D, seed_state(spec), cfg=cfg)
+    end = integrate._gate_end(orbit, cfg)
+    if end is None:
+        return classify_orbit(spec, cfg), orbit
+    term, state = end
+    return _classified(spec.theta, term, core.State.from_array(state)), orbit
 
 
 def _itp_search(

@@ -230,18 +230,19 @@ def blowup_diagnostics(traj: integrate.Trajectory) -> BlowupDiagnostics:
 
 
 def _pi_crossings(traj: integrate.Trajectory) -> list[float]:
-    """Arclengths of the first upward crossing of each successive k pi."""
-    s = np.asarray(traj.s, dtype=float)
-    phi = np.asarray(traj.states, dtype=float)[:, 0]
+    """Arclengths of the first upward crossing of each successive k pi,
+    bisected on phi of the covering step's interpolant, the one `sample_at`
+    reads."""
+    s = traj.s.tolist()
+    phi = traj.states[:, 0].tolist()
     crossings: list[float] = []
     k = 1
     for i in range(len(s) - 1):
         while phi[i] < k * math.pi <= phi[i + 1]:
             level = k * math.pi
-            lo, hi = integrate.bisect(
-                lambda t: integrate.sample_at(traj, t).phi >= level,
-                float(s[i]), float(s[i + 1]),
-            )
+            K, h = traj._steps[i]
+            at = integrate._interpolant(K, h, s[i], traj.states[i].tolist())
+            lo, hi = integrate.bisect(lambda t: at(t, (0,))[0] >= level, s[i], s[i + 1])
             crossings.append(0.5 * (lo + hi))
             k += 1
     return crossings

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from biwind import __version__, certify, cli, config, core, integrate, manifold, profile
+from biwind import __version__, certify, cli, config, integrate, manifold, profile
 
 
 def run(argv):
@@ -133,6 +132,18 @@ def test_shoot_theta_tol_floor_recorded(tmp_path):
     assert header == ["s", "phi", "dphi", "d2phi", "d3phi", "energy_total", "energy_rate"]
     assert len(rows) > 10
     assert float(rows[0][1]) == pytest.approx(0.05 * math.cos(report["theta_star"]))
+
+
+@pytest.mark.parametrize("args", [[], ["--span", "6", "--eps0", "0.05"]])
+def test_shoot_reports_alike_with_and_without_out(tmp_path, capsys, args):
+    # With --out, theta* is classified from the orbit the CSV holds; the
+    # short span's orbit exhausts it, and its classification is integrated.
+    assert run(["shoot", *args]) == 0
+    bare = capsys.readouterr().out
+    base = tmp_path / "shoot"
+    assert run(["shoot", *args, "--out", str(base)]) == 0
+    assert capsys.readouterr().out == bare
+    assert bare.startswith("theta* = ")
 
 
 def test_shoot_bracket_failure_exits_one(capsys):
@@ -494,19 +505,17 @@ def test_a_csv_writer_that_dies_leaves_no_file(tmp_path, monkeypatch, writer):
     if writer == "trajectory":
         cfg = integrate.IntegrationConfig(max_span=1.0)
         traj = integrate.integrate(4, [0.5, 0.1, 0.0, 0.0], cfg=cfg)
-        energy = core.energy
+        write_rows = integrate.write_rows
 
-        def energy_that_dies(d, x):
-            # one call for the whole trajectory, whose rates run out after 3 rows
-            e = energy(d, x)
-
-            def rates():
-                yield from e.rate[:3]
+        def rows_that_die(path, header, rows):
+            # the trajectory's rows run out after 3, inside the one CSV writer
+            def rows_then_death():
+                yield from itertools.islice(rows, 3)
                 raise RuntimeError("writer died")
 
-            return dataclasses.replace(e, rate=rates())
+            write_rows(path, header, rows_then_death())
 
-        monkeypatch.setattr(core, "energy", energy_that_dies)
+        monkeypatch.setattr(integrate, "write_rows", rows_that_die)
         write = lambda: integrate.write_csv(traj, path)
     elif writer == "grid":
         results = manifold.classification_grid([1.4, 1.5])

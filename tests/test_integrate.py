@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import math
 import subprocess
 import sys
@@ -69,9 +68,10 @@ def test_tableau_is_dormand_prince_as_in_scipy():
 
 
 # ---------------------------------------------------------------------------
-# The serial step generated from the tableau, with the field inlined, against
+# The serial loop generated from the tableau, with the field inlined, against
 # `_combo` and the field of `_make_rhs`, component by component, compared bit
-# for bit; and so are the two reach bounds.
+# for bit: one trial step of the loop that `_drive` runs, its error norm, and
+# for an accepted step its new jet, its stages and the gate's two bounds.
 
 
 def _combo_step(rhs, y, f, h, atol, rtol):
@@ -101,37 +101,80 @@ def _combo_tight_reach(y, K, h):
 
 
 def _hex(x):
+    if x is None:
+        return None
     return x.hex() if isinstance(x, float) else [_hex(v) for v in x]
 
 
-def _recording_sin(fn, inputs):
-    """`fn`, a function bound to a `core._field_scope`, with the argument of
-    each of its sin calls recorded in `inputs`."""
-    def sin(x):
-        inputs.append(x.hex())
-        return math.sin(x)
-    return types.FunctionType(fn.__code__, {**fn.__globals__, "sin": sin})
+def _recording(fn, inputs):
+    """fn, which records its first argument in `inputs`."""
+    def recorded(*args):
+        inputs.append(args[0])
+        return fn(*args)
+    return recorded
 
 
-def _kernels(d):
-    """(generated, reference): the generated trial step and `_combo_step` on the
-    field of `_make_rhs`, each as a function of a list that returns the step
-    recording there each stage's 2 phi, the argument of the field's sin."""
-    step, rhs = itg._trial_step(d), itg._make_rhs(d)
-    return (lambda inputs: _recording_sin(step, inputs),
-            lambda inputs: functools.partial(_combo_step, _recording_sin(rhs, inputs)))
+def _with(fn, code=None, scope=None, **names):
+    """`fn`, a function bound by `itg._serial_loop` or `core._make_rhs`, with
+    its code replaced by `code` and the names in `names` bound in place of its
+    own: for the loop they are the defaults of its last parameters, for the
+    field its globals."""
+    code = code or fn.__code__
+    if fn.__defaults__ is None:
+        return types.FunctionType(code, {**fn.__globals__, **names})
+    params = code.co_varnames[code.co_argcount - len(fn.__defaults__):code.co_argcount]
+    return types.FunctionType(code, scope or {}, fn.__name__,
+                              tuple(names.get(p, v) for p, v in zip(params, fn.__defaults__)))
 
 
-def _run_step(kernel, y, f, h):
-    """What one trial step by `kernel` (as `_kernels` gives it) records, and the
-    hex of (y_new, stages, error norm, loose and tight reach) or the type of
-    the error it raised."""
-    inputs = []
+class _Rejected(Exception):
+    """Ends a run of the loop at its first rejected trial step."""
+
+
+def _loop_trial(d, y, f, h, abs_tol=1e-12, code=None, scope=None):
+    """(sin arguments, error norm, rest) of the first trial step, of size h
+    from the jet y with field f at s = 0, of the loop that `_drive` runs (or
+    of `code` bound as it binds the loop): rest is (new jet, stages, loose
+    and tight bound) for an accepted step and None for a rejected one.  The
+    span ends at h, so the step is taken as it is, and the margin is inf, so
+    that an accepted step stops the loop at its gate."""
+    inputs, errs = [], []
+
+    def power(err, p):
+        errs.append(err)
+        if not err < 1.0:
+            raise _Rejected
+        return core.power(err, p)
+
+    cfg = itg.IntegrationConfig(rel_tol=1e-10, abs_tol=abs_tol)
+    loop = _with(itg._serial_loop(d, cfg, math.inf, h), code, scope,
+                 sin=_recording(math.sin, inputs), power=power, margin=math.inf)
+    steps = []
     try:
-        y_new, K, err = kernel(inputs)(y, f, h, 1e-12, 1e-10)
-    except ValueError as exc:
-        return inputs, type(exc)
-    return inputs, _hex([y_new, K, err, itg._reach(y, K, h), itg._tight_reach(y, K, h)])
+        _, _, y_new, _, _, bounds = loop(y, f, 0.0, 0.0, h, True, steps, [0.0], [y])
+    except _Rejected:
+        return inputs, errs[0], None
+    return inputs, errs[0], [y_new, steps[0][0], *bounds]
+
+
+def _combo_trial(rhs, inputs, y, f, h, abs_tol=1e-12):
+    """`_loop_trial` of `_combo_step` on the field rhs, which records its sin arguments in `inputs`."""
+    try:
+        y_new, K, err = _combo_step(rhs, y, f, h, abs_tol, 1e-10)
+    except ValueError:
+        return inputs, math.nan, None
+    if not err < 1.0:
+        return inputs, err, None
+    return inputs, err, [y_new, K, _combo_reach(y, K, h), _combo_tight_reach(y, K, h)]
+
+
+def _field_trials(d, y, f, h, abs_tol=1e-12):
+    """(loop, reference): `_loop_trial` and `_combo_trial` on the field of
+    dimension d, in hex."""
+    inputs = []
+    rhs = _with(itg._make_rhs(d), sin=_recording(math.sin, inputs))
+    return (_hex(_loop_trial(d, y, f, h, abs_tol)),
+            _hex(_combo_trial(rhs, inputs, y, f, h, abs_tol)))
 
 
 _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1.0, -1.5, 1e300, -1e308,
@@ -153,25 +196,28 @@ _DIMS = range(core.DIM_LO, core.DIM_HI + 1)
 
 
 def test_generated_step_matches_combo_on_the_field():
+    # At an abs_tol of 1e300 nearly every finite step is accepted.
     for d in _DIMS:
-        generated, combo = _kernels(d)
         rhs = itg._make_rhs(d)
-        raised = 0
+        raised = accepted = 0
         for y, h in _field_jets():
             f = rhs(0.0, y)
-            got = _run_step(generated, y, f, h)
-            assert got == _run_step(combo, y, f, h), (d, y, h)
-            raised += got[1] is ValueError
+            got, want = _field_trials(d, y, f, h)
+            assert got == want, (d, y, h)
+            raised += got[0][-1] in ("inf", "-inf")  # math.sin raised there
+            got, want = _field_trials(d, y, f, h, abs_tol=1e300)
+            assert got == want, (d, y, h)
+            accepted += got[2] is not None
         assert 0 < raised < 100, d
+        assert accepted > 300, d
 
 
 def test_generated_step_raises_at_the_stage_that_overflows():
-    generated, combo = _kernels(5)
     y = [0.3, 1e100, -2.0, 1.0]
     f = itg._make_rhs(5)(0.0, y)
-    got = _run_step(generated, y, f, 1e3)
-    assert got == _run_step(combo, y, f, 1e3)
-    assert got[1] is ValueError and len(got[0]) == 4 and got[0][3] == "-inf"  # stage 4's phi is -inf
+    got, want = _field_trials(5, y, f, 1e3)
+    assert got == want
+    assert got[1:] == ["nan", None] and len(got[0]) == 4 and got[0][3] == "-inf"  # stage 4's 2 phi
 
 
 def test_generated_step_matches_combo_on_special_jets():
@@ -179,56 +225,62 @@ def test_generated_step_matches_combo_on_special_jets():
     # through the field of every dimension.
     rng = np.random.default_rng(11)
     for d in _DIMS:
-        generated, combo = _kernels(d)
         for _ in range(400):
             y, f = ([float(v) for v in rng.choice(_SPECIAL, 4)] for _ in range(2))
             h = float(10.0 ** rng.uniform(-300, 3))
-            got = _run_step(generated, y, f, h)
-            assert got == _run_step(combo, y, f, h), (d, y, f, h)
+            got, want = _field_trials(d, y, f, h)
+            assert got == want, (d, y, f, h)
 
 
-def _scripted(values, inputs):
-    """A field's last component, the fourth derivative, that records each
-    stage's jet in `inputs` and returns the next of `values`."""
-    values = iter(values)
+def _scripted(stages, inputs):
+    """A field that records each stage's jet in `inputs` and returns the next
+    of `stages` as the stage."""
+    stages = iter(stages)
 
     def script(*x):
         inputs.append(_hex(list(x)))
-        return next(values)
+        return next(stages)
     return script
+
+
+def _scripted_loop(monkeypatch):
+    """The loop generated as the module generates it, from a field whose four
+    components are scripted by `script`, a name bound as a global."""
+    monkeypatch.setattr(core, "FIELD_SOURCE", "v, w2, w3, acc = script(phi, v, w2, w3)")
+    return core._function_code(itg._loop_source(), "<scripted>")
+
+
+def _scripted_trial(code, y, K, h, abs_tol):
+    """(loop, reference): `_loop_trial` of the scripted loop and `_combo_trial`
+    on stages K, each with the jets the script saw, in hex."""
+    seen, want = [], []
+    got = _loop_trial(5, y, K[0], h, abs_tol, code, {"script": _scripted(K[1:], seen)})
+    script = _scripted(K[1:], want)
+    ref = _combo_trial(lambda s, x: script(*x), [], y, K[0], h, abs_tol)
+    return [seen, *_hex(got)], [want, *_hex(ref)]
 
 
 def test_generated_step_matches_combo_on_special_stages(monkeypatch):
     # Scripted stages of -0.0, subnormals, huge values, inf and nan: a product
-    # with a zero weight and the order of every sum show in the bits.  The
-    # trial step is generated as the module generates it, from a field whose
-    # fourth derivative is scripted; a stage's other components are its
-    # jet's, as in every field of this form.  The reach bounds take whole
-    # scripted stages.
-    monkeypatch.setattr(core, "FIELD_SOURCE", "acc = script(phi, v, w2, w3)")
-    code = core._function_code(itg._serial_source()[0], "<scripted>")
+    # with a zero weight and the order of every sum show in the bits.  Every
+    # other trial draws finite entries only and takes an abs_tol of 1e300,
+    # so that most of those steps are accepted and pass the gate's bounds.
+    code = _scripted_loop(monkeypatch)
+    finite = [v for v in _SPECIAL if math.isfinite(v)]
     rng = np.random.default_rng(7)
+    accepted = 0
     for trial in range(3000):
-        y = [float(v) for v in rng.choice(_SPECIAL, 4)]
-        K = [tuple(float(v) for v in rng.choice(_SPECIAL, 4)) for _ in itg._E]
+        entries = finite if trial % 2 else _SPECIAL
+        y = [float(v) for v in rng.choice(entries, 4)]
+        K = [tuple(float(v) for v in rng.choice(entries, 4)) for _ in itg._E]
         if trial % 5 == 0:
             K[rng.integers(len(K))] = (0.0,) * 4
         h = float(10.0 ** rng.uniform(-300, 3))
-        acc = [k[3] for k in K[1:]]
-
-        def generated(inputs):
-            return types.FunctionType(code, {"script": _scripted(acc, inputs),
-                                             "_rms": itg._rms, "sqrt": math.sqrt})
-
-        def combo(inputs):
-            script = _scripted(acc, inputs)
-            return functools.partial(_combo_step, lambda s, x: (x[1], x[2], x[3], script(*x)))
-
-        got = _run_step(generated, y, list(K[0]), h)
-        assert got == _run_step(combo, y, list(K[0]), h), (y, K, h)
-        assert len(got[0]) == len(acc)
-        for bound, reference in ((itg._reach, _combo_reach), (itg._tight_reach, _combo_tight_reach)):
-            assert _hex(bound(y, K, h)) == _hex(reference(y, K, h)), (y, K, h)
+        got, want = _scripted_trial(code, y, K, h, 1e300 if trial % 2 else 1e-12)
+        assert got == want, (y, K, h)
+        assert len(got[0]) == len(K) - 1
+        accepted += got[3] is not None
+    assert accepted > 500
 
 
 def test_cli_import_does_not_load_scipy():
@@ -729,8 +781,7 @@ def _scanned_jets(K, h, t, t_new, y):
 
 
 def _step_scans(traj: itg.Trajectory):
-    """(loose reach, tight reach, floor, scanned jets) of each accepted step of
-    `traj`, as `_drive` has them."""
+    """(floor, scanned jets) of each accepted step of `traj`, as `_drive` has them."""
     ended_inside = traj.termination.kind is not itg.TerminationKind.SPAN_EXHAUSTED
     for k, (K, h) in enumerate(traj._steps):
         t = float(traj.s[k])
@@ -738,21 +789,42 @@ def _step_scans(traj: itg.Trajectory):
         # an event or a blowup ends the run inside its last step
         last = ended_inside and k == len(traj._steps) - 1
         t_new = t + h if last else float(traj.s[k + 1])
-        yield (itg._reach(y, K, h), itg._tight_reach(y, K, h), (1.0 + h) * itg._REACH_FLOOR,
-               _scanned_jets(K, h, t, t_new, y))
+        yield (1.0 + h) * itg._REACH_FLOOR, _scanned_jets(K, h, t, t_new, y)
 
 
-def _near(tight, floor):
+def _gate_bounds(run, monkeypatch):
+    """The trajectory of `run`, its last orbit, and the (loose, tight) bounds
+    that the gate of `_drive`'s loop took on each accepted step: at a margin
+    of inf, every accepted step stops the loop, which returns its bounds."""
+    bounds = []
+    bind = itg._serial_loop
+
+    def recording(*args):
+        bounds.clear()
+        loop = bind(*args)
+
+        def stopping(*state):
+            out = loop(*state)
+            bounds.append(out[-1])
+            return out
+        return stopping
+
+    monkeypatch.setattr(itg, "_serial_loop", recording)
+    monkeypatch.setattr(itg, "_REACH_MARGIN", math.inf)
+    return run(), bounds
+
+
+def _near(tight, floor, margin=itg._REACH_MARGIN):
     """The tight bound with the rounding margin `_drive` gives it."""
-    return [b * itg._REACH_MARGIN + floor for b in tight]
+    return [b * margin + floor for b in tight]
 
 
 @pytest.mark.parametrize("run", _RUNS.values(), ids=_RUNS.keys())
-def test_reach_bounds_every_scanned_jet(run):
-    traj = run()
-    assert len(traj._steps) == len(traj.s) - 1 > 0
+def test_reach_bounds_every_scanned_jet(run, monkeypatch):
+    traj, bounds = _gate_bounds(run, monkeypatch)
+    assert len(bounds) == len(traj._steps) == len(traj.s) - 1 > 0
     tighter = 0
-    for reach, tight, floor, jets in _step_scans(traj):
+    for (reach, tight), (floor, jets) in zip(bounds, _step_scans(traj)):
         near = _near(tight, floor)
         for jet in jets:
             assert all(abs(v) <= r for v, r in zip(jet, reach)), (jet, reach)
@@ -770,9 +842,17 @@ def _exact_top(K, h, c):
 
 
 @pytest.mark.parametrize("h", [1e-3, 1.0, 1e3])
-def test_reach_bounds_the_interpolant_of_each_stage(h):
-    # One nonzero stage at a time: a bound without that stage, or (at h = 1e3)
-    # without the factor h, falls below a scanned jet or the exact interpolant.
+def test_reach_bounds_the_interpolant_of_each_stage(h, monkeypatch):
+    # One nonzero stage at a time, scripted through the loop, whose gate
+    # bounds it: a bound without that stage, or (at h = 1e3) without the
+    # factor h, falls below a scanned jet or the exact interpolant.  At an
+    # abs_tol of 1e300 every such step is accepted.
+    code = _scripted_loop(monkeypatch)
+
+    def loop_bounds(K):
+        rest = _loop_trial(5, zero, K[0], h, 1e300, code, {"script": _scripted(K[1:], [])})[2]
+        return rest[2:]
+
     zero = [0.0] * 4
     floor = (1.0 + h) * itg._REACH_FLOOR
     for j, row in enumerate(itg._P):
@@ -780,8 +860,7 @@ def test_reach_bounds_the_interpolant_of_each_stage(h):
             for sign in (1.0, -1.0):
                 K = [list(zero) for _ in itg._P]
                 K[j][c] = sign
-                reach = itg._reach(zero, K, h)
-                tight = itg._tight_reach(zero, K, h)
+                reach, tight = loop_bounds(K)
                 jets = _scanned_jets(K, h, 0.0, h, zero)
                 top = max(abs(jet[c]) for jet in jets)
                 assert top <= reach[c] and top <= _near(tight, floor)[c], (j, c, sign)
@@ -792,7 +871,7 @@ def test_reach_bounds_the_interpolant_of_each_stage(h):
     for c in range(4):
         for sign in (1.0, -1.0):
             K = [[sign if i == c else 0.0 for i in range(4)] for _ in itg._P]
-            tight = itg._tight_reach(zero, K, h)
+            tight = loop_bounds(K)[1]
             assert Fraction(h) < _exact_top(K, h, c) <= tight[c], (c, sign)
 
 
@@ -865,6 +944,20 @@ def test_shooting_orbits_skip_most_scans(monkeypatch):
         assert (st.bisections > 0) == (traj.termination.kind is itg.TerminationKind.EVENT_STOP)
     skipped = sum(t.stats.skipped for t in trajs)
     assert skipped >= 0.98 * sum(t.stats.accepted for t in trajs)
+
+
+def test_shoot_bracket_ends_take_the_pinned_steps():
+    # Every counter of both ends of shoot's default bracket, pinned.
+    cfg = itg.IntegrationConfig(max_span=config.SHOOT_SPAN)
+    pinned = {
+        -0.5 * math.pi: itg.StepStats(accepted=210, rejected=0, field_evals=1262, scanned=3,
+                                      skipped=207, bisections=23),
+        manifold.theta0(config.EPS0) + 0.05: itg.StepStats(
+            accepted=212, rejected=0, field_evals=1274, scanned=2, skipped=210, bisections=24),
+    }
+    for theta, stats in pinned.items():
+        seed = manifold.seed_state(manifold.SeedSpec(config.EPS0, theta))
+        assert itg.integrate(5, seed, cfg=cfg, watch=_GATE_WATCH).stats == stats, theta
 
 
 @pytest.mark.parametrize("run", _RUNS.values(), ids=_RUNS.keys())

@@ -173,6 +173,34 @@ def test_bisection_locates_the_connecting_angle():
     assert float(dist.min()) < 0.5
 
 
+_SHOOT_CFG = integrate.IntegrationConfig(max_span=config.SHOOT_SPAN)
+
+
+@pytest.mark.parametrize("eps0, theta, cfg, watched", [
+    (EPS0, 0.7853979288854969, _SHOOT_CFG, 0),  # shoot's theta*
+    (EPS0, -0.5 * math.pi, _SHOOT_CFG, 0),
+    (EPS0, manifold.theta0(EPS0) + 0.05, _SHOOT_CFG, 0),  # the default bracket
+    (0.05, 0.784810845396603, integrate.IntegrationConfig(max_span=6.0), 1),  # span exhausted
+])
+def test_classified_orbit_reads_the_gate_from_the_unwatched_orbit(
+        eps0, theta, cfg, watched, monkeypatch):
+    spec = manifold.SeedSpec(eps0, theta)
+    want = manifold.classify_orbit(spec, cfg)
+    calls = []
+    run = integrate.integrate
+
+    def recording(*args, watch=(), **kwargs):
+        calls.append(tuple(watch))
+        return run(*args, watch=watch, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate", recording)
+    res, orbit = manifold._classified_orbit(spec, cfg)
+    assert repr(res) == repr(want)
+    assert calls == [()] + [manifold._GATES] * watched
+    bare = run(5, manifold.seed_state(spec), cfg=cfg)
+    assert np.array_equal(orbit.s, bare.s) and np.array_equal(orbit.states, bare.states)
+
+
 def test_theta_star_stable_under_radius_halving():
     a, _ = manifold.find_heteroclinic(theta_tol=1e-10, eps0=1e-3)
     b, _ = manifold.find_heteroclinic(theta_tol=1e-10, eps0=5e-4)

@@ -297,3 +297,22 @@ def test_winding_report_json(winding):
     assert set(blob) == {"s_f_estimate", "crossings", "winding_count", "seed"}
     assert blob["winding_count"] == rep.winding_count
     assert blob["seed"] == {"eps0": rep.eps0, "theta": rep.theta}
+
+
+@pytest.mark.parametrize("norm", [1e8, 1e20])
+def test_pi_crossings_bisect_as_sample_at(norm):
+    # Each crossing is bisected on one interpolant of its covering step, and
+    # lands on the bits that bisection on `sample_at` gives.
+    traj, _, report = profile.build_winding_profile(
+        cfg=integrate.IntegrationConfig(blowup_norm=norm))
+    s, phi = traj.s.tolist(), traj.states[:, 0].tolist()
+    want = []
+    for i in range(len(s) - 1):
+        while phi[i] < (len(want) + 1) * math.pi <= phi[i + 1]:
+            level = (len(want) + 1) * math.pi
+            lo, hi = integrate.bisect(
+                lambda t: integrate.sample_at(traj, t).phi >= level, s[i], s[i + 1])
+            want.append(0.5 * (lo + hi))
+    got = profile._pi_crossings(traj)
+    assert [c.hex() for c in got] == [c.hex() for c in want]
+    assert len(got) == report.winding_count == (1 if norm == 1e8 else 4)
