@@ -46,7 +46,6 @@ it alone: an iteration costs about as much at a few lanes as at fifty.
 from __future__ import annotations
 
 import contextlib
-import csv
 import enum
 import functools
 import math
@@ -301,16 +300,23 @@ def _sum(terms: Sequence[str], weights: Sequence[float]) -> str:
     return "(" + " + ".join(f"{t} * {w!r}" for t, w in zip(terms, weights)) + ")"
 
 
+def _larger(a: str, b: str) -> str:
+    """Builtin `max(a, b)` of two names as source text: a on a tie or a nan b."""
+    return f"({b} if {b} > {a} else {a})"
+
+
 # The names the loop reads besides its state, bound per orbit by `_serial_loop`
 # as the defaults of its last parameters, so that they are fast locals.
-_LOOP_NAMES = ("sin", "cos", "d1", "k", "c3", "gk", "a", "a2", "abs", "max", "min", "sqrt",
+_LOOP_NAMES = ("sin", "cos", "d1", "k", "c3", "gk", "a", "a2", "abs", "max", "sqrt",
                "nextafter", "inf", "nan", "power", "underflow", "margin", "floor", "blowup",
                "cs", "t_bound", "max_step", "rtol", "atol")
 
 
 def _loop_source() -> str:
     """Source of `loop`, written out from _A, _B, _E, _P_REACH, _R, the step
-    control and `core.FIELD_SOURCE`."""
+    control and `core.FIELD_SOURCE`.  The local ayc holds |y_c| across
+    steps: the error norm takes |n_c| as anc, which is the next step's ayc,
+    and the gate's bounds read ayc."""
     n = len(_E)
     k = [[f"k{j}{c}" for c in range(4)] for j in range(n)]
     col = list(zip(*k))  # col[c][j] is component c of stage j
@@ -323,34 +329,38 @@ def _loop_source() -> str:
                 *(f"{body}{line}" for line in core.FIELD_SOURCE.splitlines()),
                 *(f"{body}k{j}{c} = {name}" for c, name in enumerate(("v", "w2", "w3", "acc")))]
 
-    loose = [f"abs(y{c}) + h * {_sum([f'abs({t})' for t in col[c]], _P_REACH)}" for c in range(4)]
-    tight = [f"max(abs(y{c}), abs(y{c} + h * k0{c})) + h * "
+    loose = [f"ay{c} + h * {_sum([f'abs({t})' for t in col[c]], _P_REACH)}" for c in range(4)]
+    tight = [f"{_larger(f'ay{c}', f'u{c}')} + h * "
              + _sum([f"abs({t} - k0{c})" for t in col[c][1:]] + [f"abs(k0{c})"], (*_P_REACH[1:], _R))
              for c in range(4)]
     return "\n".join([
         f"def loop(y, f, t, t_old, h_abs, rejected, steps, ss, ys, {', '.join(_LOOP_NAMES)}):",
         "    'Accepted steps of one jet until one can reach an event or the span ends; see _serial_loop.'",
         "    y0, y1, y2, y3 = y",
+        "    ay0, ay1, ay2, ay3 = abs(y0), abs(y1), abs(y2), abs(y3)",
         "    k00, k01, k02, k03 = K0 = f",
         "    keep, keep_s, keep_y = steps.append, ss.append, ys.append",
         "    rejections = 0",
         "    while True:",
         "        # The lanes' trial step: clamp a fresh step to [min_step, max_step];",
-        "        # a retried one fails below min_step.",
-        "        min_step = 10.0 * abs(nextafter(t, inf) - t)",
+        "        # a retried one fails below min_step, ten ulp of t.",
+        "        min_step = 10.0 * (nextafter(t, inf) - t)",
         "        if not rejected:",
-        "            h_abs = max_step if h_abs > max_step else max(h_abs, min_step)",
+        f"            h_abs = max_step if h_abs > max_step else {_larger('h_abs', 'min_step')}",
         "        if h_abs < min_step:",
         "            raise underflow(t, t_old, y)",
-        "        t_new = min(t + h_abs, t_bound)",
+        "        t_new = t + h_abs",
+        "        if t_bound < t_new:",
+        "            t_new = t_bound",
         "        h = t_new - t",
         "        try:",
         *(line for j, a in enumerate(_A[1:], 1)
           for line in stage(j, [f"y{c} + {_sum(col[c], a)} * h" for c in range(4)])),
         *(f"{body}n{c} = y{c} + h * {_sum(col[c], _B)}" for c in range(4)),
         *stage(n - 1, [f"n{c}" for c in range(4)]),
-        *(f"{body}e{c} = {_sum(col[c], _E)} * h / (atol + max(abs(y{c}), abs(n{c})) * rtol)"
-          for c in range(4)),
+        *(line for c in range(4) for line in (
+            f"{body}an{c} = abs(n{c})",
+            f"{body}e{c} = {_sum(col[c], _E)} * h / (atol + {_larger(f'ay{c}', f'an{c}')} * rtol)")),
         f"{body}err = sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3) / 2.0",
         "        except ValueError:  # math.sin of an overflowed stage",
         "            err = nan",
@@ -361,7 +371,7 @@ def _loop_source() -> str:
         "            rejections += 1",
         "            continue",
         f"        up = grow if grow < {_MAX_FACTOR!r} else {_MAX_FACTOR!r}",
-        "        h_abs = h * (min(up, 1.0) if rejected else up)",
+        "        h_abs = h * ((1.0 if 1.0 < up else up) if rejected else up)",
         "        rejected = False",
         f"        K = [K0, {', '.join('(' + ', '.join(k[j]) + ')' for j in range(1, n))}]",
         "        keep((K, h))",
@@ -373,13 +383,16 @@ def _loop_source() -> str:
         "        lift = (1.0 + h) * floor",
         *(f"        r{c} = {loose[c]}" for c in range(4)),
         "        if not (max(r0, r1, r2, r3) * margin + lift < blowup and r2 * margin + lift < cs):",
-        *(f"            b{c} = {tight[c]}" for c in range(4)),
+        *(line for c in range(4) for line in (
+            f"            u{c} = abs(y{c} + h * k0{c})",
+            f"            b{c} = {tight[c]}")),
         *(f"            m{c} = b{c} * margin + lift" for c in range(4)),
         "            if not (max(m0, m1, m2, m3) < blowup and m2 < cs):",
         "                return t, t_old, y, h_abs, rejections, ([r0, r1, r2, r3], [b0, b1, b2, b3])",
         "        if t >= t_bound:",
         "            return t, t_old, y, h_abs, rejections, None",
         "        y0, y1, y2, y3 = y",
+        "        ay0, ay1, ay2, ay3 = an0, an1, an2, an3",
         f"        k00, k01, k02, k03 = K0 = K[{n - 1}]",
     ])
 
@@ -404,11 +417,13 @@ def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float) -> C
     whose bounds, the loose and then the tight one with their rounding
     margins, do not keep it below the blowup norm and below cs in |phi''|:
     `near` is (loose, tight) there, and None once the span ends unscanned.
-    A step size below 10 ulp of t raises `_underflow`.  Every name it reads
+    |y| is taken once per call and then carried across accepted steps: the
+    error norm's |new jet| is the next step's |y|, which the gate's bounds
+    read.  A step size below 10 ulp of t raises `_underflow`.  Every name it reads
     besides its state, the module's constants included, is bound here, when
     the orbit starts.
     """
-    names = {**core._field_scope(d, core.FLOAT), "abs": abs, "max": max, "min": min,
+    names = {**core._field_scope(d, core.FLOAT), "abs": abs, "max": max,
              "sqrt": math.sqrt, "nextafter": math.nextafter, "inf": math.inf, "nan": math.nan,
              "power": power, "underflow": _underflow, "margin": _REACH_MARGIN,
              "floor": _REACH_FLOOR, "blowup": cfg.blowup_norm, "cs": cs, "t_bound": t_bound,
@@ -635,14 +650,13 @@ class LaneEnd:
     state: core.State
 
 
-# A lane iteration costs about as much at one lane as at fifty, 175-260 µs,
-# while a trial step of `_drive` costs 10-13 µs (one 2-core x86 VM, best of
-# 7, on classification seeds), so twenty serial orbits cost about one lane
-# iteration per step.  The lockstep loop stops once no more than
-# _HANDOFF_LANES lanes are live, and `_drive` finishes each of them;
-# thresholds from 5 to 40 timed alike on the 50-angle classification grid.
-# `_serial_loop` has since brought a serial trial step to about 8.4 µs (the
-# shooting search's orbits, in process), which was not timed against it.
+# A lane iteration costs about as much at one lane as at fifty, 215-260 µs at
+# fifty, while a trial step of `_serial_loop` costs about 6.9 µs (one 2-core
+# x86 VM, in process, over the shooting search's orbits), so some thirty
+# serial trial steps cost one lane iteration.  The lockstep loop stops once no
+# more than _HANDOFF_LANES lanes are live, and `_drive` finishes each of them;
+# on the 50-angle classification grid, no threshold from 5 to 40 beat 20 in
+# more than 6 of 10 alternated rounds.
 _HANDOFF_LANES = 20
 
 
@@ -751,8 +765,8 @@ def integrate_lanes(
         h_abs = _initial_step(rhs, y, f, t_bound, max_step, rtol, atol)
         while lanes.size > _HANDOFF_LANES:
             # One trial step per lane: clamp a fresh step to [min_step,
-            # max_step]; a retried one fails below min_step.
-            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+            # max_step]; a retried one fails below min_step, ten ulp of t.
+            min_step = 10.0 * (np.nextafter(t, np.inf) - t)
             fresh = np.where(h_abs < min_step, min_step, h_abs)
             fresh = np.where(h_abs > max_step, max_step, fresh)
             h_abs = np.where(rejected, h_abs, fresh)
@@ -888,16 +902,32 @@ def atomic_open(path: str) -> Iterator:
     os.replace(tmp, path)
 
 
-def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV file of `header` and `rows`, written through `atomic_open`.
+def _cell(c) -> str:
+    """One CSV cell: a float (numpy's included) as its repr, None as nothing,
+    and anything else as `csv.writer` writes it, text as it is and the rest
+    as str, quoted where it holds a comma, a quote or a line break."""
+    if isinstance(c, float):
+        return repr(float(c))
+    if c is None:
+        return ""
+    text = c if isinstance(c, str) else str(c)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    A float cell (numpy's included) is written as its repr, None as an empty
-    cell, and any other cell as `csv` writes it: text as it is, an int as str.
-    """
+
+def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file of `header` and `rows`, written through `atomic_open`: the
+    one writer of every CSV artifact.  Each row is written as it comes, its
+    cells as `_cell` writes them (a plain float straight from its repr)
+    joined by commas and ended by CRLF, as `csv.writer` writes them (but for
+    a row of one empty cell, which it writes as `""`; no artifact has one
+    column)."""
     with atomic_open(path) as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+        write = fh.write
+        write(",".join(map(_cell, header)) + "\r\n")
+        for row in rows:
+            write(",".join([repr(c) if type(c) is float else _cell(c) for c in row]) + "\r\n")
 
 
 def write_csv(traj: Trajectory, path: str) -> None:

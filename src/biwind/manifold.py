@@ -454,5 +454,5 @@ def write_grid_csv(results: Sequence[ClassificationResult], path: str) -> None:
     integrate.write_rows(
         path,
         ["theta", "outcome", "g", "tau", "phi", "dphi", "d2phi", "d3phi"],
-        ([r.theta, r.outcome.value, r.g, r.tau, *r.end_state.as_array()] for r in results),
+        ([r.theta, r.outcome.value, r.g, r.tau, *core._components(r.end_state)] for r in results),
     )

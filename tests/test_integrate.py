@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import math
 import subprocess
 import sys
@@ -326,6 +327,8 @@ def test_lanes_end_as_the_serial_integrator(d, handoff, cfg, monkeypatch):
         [0.0, 0.0, 4.0, 0.0], [0.2, 0.5, 1.0, 1.0], [0.2, 0.5, 4.0, 5.0],
         [-0.2, -0.5, -4.0, -5.0], [1e-3, 7.5e-4, 0.0, -2.25e-3], [0.01, 0.0, 0.0, 0.0],
         [0.25, 0.1, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0], [0.0, 0.0, 60.0, 0.0],
+        # exact zeros of both signs, for the carried |y| and the conditional max
+        [-0.0, 0.5, -0.0, 0.0], [0.25, -0.0, 0.0, -0.0], [-0.0, -0.0, 4.0, -0.0],
     ]
     monkeypatch.setattr(itg, "_HANDOFF_LANES", handoff)
     lanes = itg.integrate_lanes(d, seeds, cfg)
@@ -380,6 +383,22 @@ def test_lane_step_underflow_retires_only_that_lane(handoff, monkeypatch):
     assert lanes[0].state is err.state_last
     traj = itg.integrate(5, seeds[1], cfg=cfg, watch=_GATE_WATCH)
     assert lanes[1].end.event == traj.termination.event == "second_deriv_down"
+
+
+@pytest.mark.parametrize("handoff", [itg._HANDOFF_LANES, _LOCKSTEP], ids=["default", "lockstep"])
+def test_lanes_whose_stages_overflow_end_as_the_serial_integrator(handoff, monkeypatch):
+    # These seeds lie about 1e-70 before their blowup, so near it the field
+    # of a trial stage overflows and the error norm is nan, several times per
+    # orbit, until the step underflows.
+    cfg = itg.IntegrationConfig(blowup_norm=1e300, max_span=1.0)
+    seeds = [[0.0, 1e70, 1e140, 2e210], [-0.0, -1e70, 1e140, -2e210]]
+    errs = []
+    monkeypatch.setattr(itg, "power", _recording(core.power, errs))
+    serial = [_serial_key(5, x0, cfg) for x0 in seeds]
+    assert sum(math.isnan(e) for e in errs) >= 2
+    assert all(key[0] is itg.IntegrationError for key in serial)
+    monkeypatch.setattr(itg, "_HANDOFF_LANES", handoff)
+    assert [_lane_key(lane) for lane in itg.integrate_lanes(5, seeds, cfg)] == serial
 
 
 def _lane_key(lane: itg.LaneEnd) -> tuple:
@@ -723,6 +742,27 @@ def test_write_csv_schema_and_values(tmp_path):
     eb = core.energy(4, traj.states[k])
     assert float(row[5]) == eb.total
     assert float(row[6]) == eb.rate
+
+
+def test_write_rows_writes_the_bytes_of_csv_writer(tmp_path):
+    # The reference is csv.writer under the rule it has always been given: a
+    # float cell (numpy's included) as the repr of its float, every other
+    # cell as csv writes it, quoting included.
+    header = ["s", "a,b", 'say "hi"']
+    rows = [
+        [-0.0, math.inf, -math.inf, math.nan],
+        (5e-324, 1e-05, 1e16, np.float64(0.1), np.float64(-2.5e-310)),
+        [None, 3, -7, True, np.float32(0.1), np.int64(12)],
+        ["plain", "", "a,b", 'q"uote', "line\nbreak", "cr\rret", '"'],
+        [1.5, None, "text", np.float64(math.nan)],
+    ]
+    path = tmp_path / "rows.csv"
+    itg.write_rows(str(path), header, iter(rows))
+    want = io.StringIO(newline="")
+    wr = csv.writer(want)
+    wr.writerow(header)
+    wr.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_trajectory_samples_iterator_and_end_state():
