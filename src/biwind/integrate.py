@@ -21,26 +21,30 @@ initial step's power through libm's pow (`core.power`), not numpy's vector
 loops, whose AVX-512 code rounds otherwise, so an orbit does not depend on
 numpy's CPU dispatch.
 
-Blowup (sup-norm threshold) and the phi'' gate events are detected by sign
-scans over a fixed grid in each accepted step, evaluated on the step's quartic
-interpolant (dense-output event location, Hairer, Norsett and Wanner, sec.
-II.6).  Both loops scan on arrays with `_scan`, a single orbit as one lane.
-The first scan interval with a sign change is sharpened by bisection to
-`event_refine_tol`, or to adjacent doubles when that is finer, on the step's
-interpolant as Python floats, `_interpolant`, which gives the scan's bits
-and backs `sample_at`; the earliest crossing found there ends the run.  A
-single orbit's gate first bounds the interpolant over the whole step by its
-stages and skips the scan when that bound stays below the blowup threshold
-and the watched gates; a skipped scan could have found nothing, so the orbit
-is the same bit for bit.  A loose bound decides most steps; where it fails,
-a tight bound written on the stage differences decides (see _P_REACH), so a
-shooting orbit scans only the steps that come near an event, and the loop
-returns to Python only to scan one, at the end of the span, or to raise on
-step underflow.  The lanes take the same two bounds on all lanes at once,
-`_lanes_near`, and an iteration scans only when some accepted lane's step
-can reach an event.  Once no more than _HANDOFF_LANES lanes are live, the
-lockstep loop stops and `_drive`, resumed from each lane's state, finishes
-it alone: an iteration costs about as much at a few lanes as at fifty.
+Every orbit starts in `_start` and ends at an event in `_crossings`.
+`_start` takes the seeds as lanes, a single orbit as one lane: each seed's
+sup norm, for the blowup test, the field there and the first step.
+`_crossings` finds where a batch of accepted steps crosses blowup (a
+sup-norm threshold) or a phi'' gate, by sign scans over a fixed grid in
+each step, evaluated on the step's quartic interpolant (dense-output event
+location, Hairer, Norsett and Wanner, sec. II.6): `_scan` on arrays, a
+single orbit's step as one lane.  Each step's first scan interval with a
+sign change is sharpened by bisection to `event_refine_tol`, or to adjacent
+doubles when that is finer, on the step's interpolant as Python floats,
+`_interpolant`, which gives the scan's bits and backs `sample_at`; the
+earliest crossing found there ends the run.  A single orbit's gate first
+bounds the interpolant over the whole step by its stages and skips the scan
+when that bound stays below the blowup threshold and the watched gates; a
+skipped scan could have found nothing, so the orbit is the same bit for
+bit.  A loose bound decides most steps; where it fails, a tight bound
+written on the stage differences decides (see _P_REACH), so a shooting
+orbit scans only the steps that come near an event, and the loop returns
+to Python only to scan one, at the end of the span, or to raise on step
+underflow.  The lanes take the same two bounds on all lanes at once,
+`_lanes_near`, and scan only the lanes whose accepted step it flags.  Once
+no more than _HANDOFF_LANES lanes are live, the lockstep loop stops and
+`_drive`, resumed from each lane's state, finishes it alone: an iteration
+costs about as much at a few lanes as at fifty.
 """
 
 from __future__ import annotations
@@ -165,11 +169,6 @@ class Trajectory:
     _steps: list[tuple[list, float]] = field(default_factory=list, repr=False)
     stats: StepStats = field(default_factory=StepStats, repr=False)
 
-    @property
-    def samples(self) -> Iterator[tuple[float, core.State]]:
-        for sk, xk in zip(self.s, self.states):
-            yield float(sk), core.State.from_array(xk)
-
     def state_at_end(self) -> core.State:
         return core.State.from_array(self.states[-1])
 
@@ -272,21 +271,29 @@ def _interpolate(q, h, t_old, y_old, t):
     return h * acc + y_old
 
 
-def _initial_step(rhs, y0: np.ndarray, f0: np.ndarray, t_bound: float,
-                  max_step: float, rtol: float, atol: float) -> np.ndarray:
-    """First step size per lane (Hairer, Norsett and Wanner, sec. II.4)."""
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, t_bound)
-    f1 = np.array(rhs(0.0, y0 + h0 * f0))
-    d2 = _rms((f1 - f0) / scale) / h0
-    h1 = np.where(
-        (d1 <= 1e-15) & (d2 <= 1e-15),
-        np.maximum(1e-6, h0 * 1e-3),
-        powers(0.01 / np.maximum(d1, d2), -_ERROR_EXPONENT),
-    )
-    return np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound), max_step)
+def _start(d: int, y: np.ndarray,
+           cfg: IntegrationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sup norm, field, first step size) of each column of the (4, n) seeds
+    y in dimension d under cfg, whatever loop runs it: the start of every
+    orbit.  The first step is that of Hairer, Norsett and Wanner, sec. II.4,
+    and may be nan, which the loops' step-underflow test catches."""
+    rhs = _make_rhs(d, ctx=NUMPY)
+    t_bound, rtol = float(cfg.max_span), max(cfg.rel_tol, _RTOL_FLOOR)
+    with np.errstate(all="ignore"):
+        f = np.array(rhs(0.0, y))
+        scale = cfg.abs_tol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_bound)
+        f1 = np.array(rhs(0.0, y + h0 * f))
+        d2 = _rms((f1 - f) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            powers(0.01 / np.maximum(d1, d2), -_ERROR_EXPONENT),
+        )
+        h_abs = np.minimum(np.minimum(np.minimum(100 * h0, h1), t_bound), float(cfg.max_step))
+    return np.max(np.abs(y), axis=0), f, h_abs
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +350,11 @@ def _loop_source() -> str:
         "    rejections = 0",
         "    while True:",
         "        # The lanes' trial step: clamp a fresh step to [min_step, max_step];",
-        "        # a retried one fails below min_step, ten ulp of t.",
+        "        # a retried one fails below min_step, ten ulp of t, and a nan one fails.",
         "        min_step = 10.0 * (nextafter(t, inf) - t)",
         "        if not rejected:",
         f"            h_abs = max_step if h_abs > max_step else {_larger('h_abs', 'min_step')}",
-        "        if h_abs < min_step:",
+        "        if not h_abs >= min_step:",
         "            raise underflow(t, t_old, y)",
         "        t_new = t + h_abs",
         "        if t_bound < t_new:",
@@ -419,7 +426,7 @@ def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float) -> C
     `near` is (loose, tight) there, and None once the span ends unscanned.
     |y| is taken once per call and then carried across accepted steps: the
     error norm's |new jet| is the next step's |y|, which the gate's bounds
-    read.  A step size below 10 ulp of t raises `_underflow`.  Every name it reads
+    read.  A step size below 10 ulp of t, or nan, raises `_underflow`.  Every name it reads
     besides its state, the module's constants included, is bound here, when
     the orbit starts.
     """
@@ -537,6 +544,26 @@ def _refine_hit(K: Sequence[Sequence[float]], h: float, t: float, y: Sequence[fl
     return term, y_hit, probes
 
 
+def _crossings(K: Sequence[np.ndarray], h, t, t_new, y: np.ndarray, cs: float,
+               cfg: IntegrationConfig,
+               gates: tuple[bool, bool]) -> Iterator[tuple[int, Termination, list[float], int]]:
+    """(column, termination, jet, probes) of each step of a batch that holds
+    a crossing, in column order: the end of every orbit at an event.
+
+    The batch is `_scan`'s: (4, n) stages K and jets y at t, with h, t and
+    t_new per step, or floats for one step.  `_refine_hit` sharpens each
+    step's first scan interval with a crossing on that step's own floats.
+    """
+    grid, _, crossed = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, gates)
+    hit = crossed[0] | crossed[1] | crossed[2]
+    h, t = np.broadcast_to(h, hit.shape[1:]), np.broadcast_to(t, hit.shape[1:])
+    for j in np.flatnonzero(hit.any(axis=0)).tolist():
+        i = int(np.argmax(hit[:, j]))
+        yield j, *_refine_hit([k[:, j].tolist() for k in K], float(h[j]), float(t[j]),
+                              y[:, j].tolist(), [c[i, j] for c in crossed], float(grid[i, j]),
+                              float(grid[i + 1, j]), cs, cfg)
+
+
 def _underflow(s: float, s_last: float, y) -> IntegrationError:
     return IntegrationError(
         f"stepper failed near s={s:.6g} (likely step underflow approaching a singularity)",
@@ -551,39 +578,29 @@ def _underflow(s: float, s_last: float, y) -> IntegrationError:
 
 def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
            gates: tuple[bool, bool],
-           resume: tuple[float, float, list[float], float, bool] | None = None) -> Trajectory:
+           resume: tuple[float, float, list[float], float, bool]) -> Trajectory:
     """Integrate one jet, watching the (upward, downward) gates flagged in `gates`.
 
     Trial steps and step control are those of `integrate_lanes` on floats,
-    the scan is `_scan` as one lane, and refinement reads `_interpolant` as a
-    retiring lane does, so an orbit with both gates watched ends bit
-    for bit as its lane does.  The accepted steps run in the generated
-    `_serial_loop`: the trial step and its error norm with the field inlined,
-    each component's stage sums `_combo`'s products added in `_combo`'s
-    order, the rounding a lane's column gets from numpy; the step factor by
-    libm's pow, as the lanes take it; and the gate.  An accepted step whose
-    loose bound or, failing that, whose tight bound, each with its rounding
-    margin (see _P_REACH), stays below the blowup threshold and below c_star
-    in |phi''| cannot reach an event, and is not scanned: the loop returns
-    here only to scan a step, at the end of the span, or by raising on
-    step underflow.
+    and the steps that can reach an event end in `_crossings`, as a lane's
+    do, so an orbit with both gates watched ends bit for bit as its lane
+    does.  The accepted steps run in the generated `_serial_loop`: the trial
+    step and its error norm with the field inlined, each component's stage
+    sums `_combo`'s products added in `_combo`'s order, the rounding a
+    lane's column gets from numpy; the step factor by libm's pow, as the
+    lanes take it; and the gate.  An accepted step whose loose bound or,
+    failing that, whose tight bound, each with its rounding margin (see
+    _P_REACH), stays below the blowup threshold and below c_star in |phi''|
+    cannot reach an event, and is not scanned: the loop returns here only to
+    scan a step, at the end of the span, or by raising on step underflow.
 
-    `resume`, the state (t, t_old, f, h_abs, rejected) of a lane at
-    the top of its loop, with x0 its jet at t, replaces the start: the seed's
-    blowup test, the field at the seed and the initial step.  The run then
-    goes on as that lane would, to s0 + max_span, and its samples begin at t.
+    `resume` is the state (t, t_old, f, h_abs, rejected) of a lane at the
+    top of its loop, with x0 its jet at t: `integrate`'s seed from `_start`
+    at t = t_old = s0, or a lane of `integrate_lanes`.  The run goes on as
+    that lane would, to s0 + max_span, and its samples begin at t.
     """
+    t, t_old, f, h_abs, rejected = resume
     y = x0.tolist()
-    if resume is None:
-        sup0 = max(abs(c) for c in y)
-        if sup0 > cfg.blowup_norm:
-            term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=sup0)
-            return Trajectory(d, np.array([s0]), np.array([y]), term)
-        t = t_old = s0
-        rejected = False
-    else:
-        t, t_old, f, h_abs, rejected = resume
-
     cs = core.c_star(d) if any(gates) else math.inf
     t_bound = s0 + cfg.max_span
     loop = _serial_loop(d, cfg, cs, t_bound)
@@ -600,31 +617,16 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
 
     # As in the lanes, a zero error or jet gives inf and nan, not warnings.
     with np.errstate(all="ignore"):
-        if resume is None:
-            f = _make_rhs(d)(0.0, y)
-            h_abs = float(_initial_step(
-                _make_rhs(d, ctx=NUMPY), np.array(y)[:, None], np.array(f)[:, None],
-                float(cfg.max_span), float(cfg.max_step), max(cfg.rel_tol, _RTOL_FLOOR),
-                cfg.abs_tol,
-            )[0])
         while True:
             t, t_old, y, h_abs, rejections, near = loop(y, f, t, t_old, h_abs, rejected,
                                                          steps, ss, ys)
             stats.rejected += rejections
             if near is not None:
-                # Scan the last step on the lanes' grid for the first interval
-                # with a crossing.
                 stats.scanned += 1
                 K, h = steps[-1]
-                y_old = ys[-2]
-                grid, _, crossings = _scan(np.array(K)[:, :, None], h, t_old, t,
-                                           np.array(y_old)[:, None], cs, cfg.blowup_norm, gates)
-                hit = crossings[0] | crossings[1] | crossings[2]
-                if hit.any():
-                    i = int(np.argmax(hit[:, 0]))
-                    term, ys[-1], stats.bisections = _refine_hit(
-                        K, h, t_old, y_old, [c[i, 0] for c in crossings],
-                        float(grid[i, 0]), float(grid[i + 1, 0]), cs, cfg)
+                for _, term, ys[-1], stats.bisections in _crossings(
+                        np.array(K)[:, :, None], h, t_old, t, np.array(ys[-2])[:, None], cs, cfg,
+                        gates):
                     ss[-1] = term.s_last
                     return finish(term)
                 if t < t_bound:
@@ -687,11 +689,11 @@ def _gate_end(traj: Trajectory, cfg: IntegrationConfig) -> tuple[Termination, li
 
     The gates change only which steps a run scans, so the watched run takes
     traj's steps up to its end.  `_drive`'s gate test is replayed on the
-    stored steps, as lanes: `_lanes_near`, then `_scan` of the steps it
-    flags, then `_refine_hit` of the first crossing, which ends the watched
-    run there bit for bit.  The last stored step is left out, as its end is
-    not stored where an event or a blowup ends traj inside it: None when no
-    step before it holds a crossing.
+    stored steps, as lanes: `_lanes_near`, then `_crossings` of the steps it
+    flags, whose first crossing ends the watched run there bit for bit.  The
+    last stored step is left out, as its end is not stored where an event or
+    a blowup ends traj inside it: None when no step before it holds a
+    crossing.
     """
     steps = traj._steps[:-1]
     if not steps:
@@ -703,18 +705,10 @@ def _gate_end(traj: Trajectory, cfg: IntegrationConfig) -> tuple[Termination, li
     cs = core.c_star(traj.d)
     with np.errstate(all="ignore"):
         near = np.flatnonzero(_lanes_near(y, K, h, True, cs, cfg.blowup_norm))
-        grid, _, crossings = _scan(K[:, :, near], h[near], t[near], t_new[near], y[:, near], cs,
-                                   cfg.blowup_norm, (True, True))
-    hit = crossings[0] | crossings[1] | crossings[2]
-    hit_steps = np.flatnonzero(hit.any(axis=0))
-    if not hit_steps.size:
-        return None
-    j = hit_steps[0]
-    k, i = near[j], int(np.argmax(hit[:, j]))
-    term, y_hit, _ = _refine_hit(steps[k][0], steps[k][1], float(t[k]), traj.states[k].tolist(),
-                                 [c[i, j] for c in crossings], float(grid[i, j]),
-                                 float(grid[i + 1, j]), cs, cfg)
-    return term, y_hit
+        for _, term, y_hit, _ in _crossings(K[:, :, near], h[near], t[near], t_new[near],
+                                            y[:, near], cs, cfg, (True, True)):
+            return term, y_hit
+    return None
 
 
 def integrate_lanes(
@@ -729,13 +723,14 @@ def integrate_lanes(
     SECOND_DERIV_DOWN])` step for step and ends bit for bit as it does: a
     step size of its own, the same scan grid per accepted step, bisection of
     a crossing on its own interpolant, and the same terminations.  A lane
-    retires at its event or at the end of the span; one whose step size
-    underflows retires with the IntegrationError and the others run on.  An
-    iteration scans its steps only when `_lanes_near` finds an accepted lane
-    that can reach an event; a skipped scan could have found nothing.  The
-    lanes still live once no more than _HANDOFF_LANES are left, all of them
-    for a grid that small, are each finished by `_drive`, resumed from the
-    lane's state.
+    starts in `_start`, as a single orbit does, and retires at its event, an
+    event in the step that ends the span included, or at the end of the
+    span; one whose step size underflows retires with the IntegrationError
+    and the others run on.  An iteration hands to `_crossings` only the
+    lanes whose accepted step `_lanes_near` finds can reach an event; a
+    skipped scan could have found nothing.  The lanes still live once no
+    more than _HANDOFF_LANES are left, all of them for a grid that small,
+    are each finished by `_drive`, resumed from the lane's state.
     """
     cfg = cfg or IntegrationConfig()
     core._check_dim(d)
@@ -749,28 +744,27 @@ def integrate_lanes(
     ends: list[LaneEnd | None] = [None] * len(jets)
 
     y = np.ascontiguousarray(np.array(jets).T)
-    sup0 = np.max(np.abs(y), axis=0)
+    sup0, f, h_abs = _start(d, y, cfg)
     for j in np.flatnonzero(sup0 > cfg.blowup_norm):
         term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=0.0, norm=float(sup0[j]))
         ends[j] = LaneEnd(term, core.State.from_array(y[:, j]))
     lanes = np.flatnonzero(sup0 <= cfg.blowup_norm)
-    y = y[:, lanes]
+    y, f, h_abs = y[:, lanes], f[:, lanes], h_abs[lanes]
     t, t_old = np.zeros(lanes.size), np.zeros(lanes.size)
     rejected = np.zeros(lanes.size, dtype=bool)
 
     # Rejected, failed or blown-up trials make inf and nan; they never pass
     # the acceptance test, and comparisons with nan are false.
     with np.errstate(all="ignore"):
-        f = np.array(rhs(0.0, y))
-        h_abs = _initial_step(rhs, y, f, t_bound, max_step, rtol, atol)
         while lanes.size > _HANDOFF_LANES:
             # One trial step per lane: clamp a fresh step to [min_step,
-            # max_step]; a retried one fails below min_step, ten ulp of t.
+            # max_step]; a retried one fails below min_step, ten ulp of t,
+            # and a nan one fails.
             min_step = 10.0 * (np.nextafter(t, np.inf) - t)
             fresh = np.where(h_abs < min_step, min_step, h_abs)
             fresh = np.where(h_abs > max_step, max_step, fresh)
             h_abs = np.where(rejected, h_abs, fresh)
-            failed = h_abs < min_step
+            failed = ~(h_abs >= min_step)
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
             K = [f]
@@ -789,35 +783,29 @@ def integrate_lanes(
             h_abs = h * np.where(accepted, up, down)
             rejected = ~accepted
 
-            # Scan the steps if some accepted one can reach an event; a
-            # rejected step's crossings are dropped.
+            # A lane retires at the first crossing of an accepted step that
+            # can reach an event, even one that ends the span; else at step
+            # underflow or at the end of the span.
             hit = np.zeros(lanes.size, dtype=bool)
-            if _lanes_near(y, K, h, accepted, cs, cfg.blowup_norm).any():
-                grid, _, crossings = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, (True, True))
-                any_crossing = (crossings[0] | crossings[1] | crossings[2]) & accepted
-                hit = any_crossing.any(axis=0)
-
-            done = failed | hit | (accepted & (t_new >= t_bound))
-            for j in np.flatnonzero(done):
-                if failed[j]:
-                    err_j = _underflow(t[j], t_old[j], y[:, j])
-                    ends[lanes[j]] = LaneEnd(err_j, err_j.state_last)
-                elif hit[j]:
-                    i = int(np.argmax(any_crossing[:, j]))
-                    term, y_hit, _ = _refine_hit(
-                        [k[:, j].tolist() for k in K], float(h[j]), float(t[j]), y[:, j].tolist(),
-                        [c[i, j] for c in crossings], float(grid[i, j]), float(grid[i + 1, j]),
-                        cs, cfg,
-                    )
-                    ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_hit))
-                else:
-                    term = Termination(TerminationKind.SPAN_EXHAUSTED, s_last=float(t_new[j]))
-                    ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_new[:, j]))
+            near = np.flatnonzero(_lanes_near(y, K, h, accepted, cs, cfg.blowup_norm))
+            if near.size:
+                for j, term, y_hit, _ in _crossings([k[:, near] for k in K], h[near], t[near],
+                                                    t_new[near], y[:, near], cs, cfg, (True, True)):
+                    hit[near[j]] = True
+                    ends[lanes[near[j]]] = LaneEnd(term, core.State.from_array(y_hit))
+            spent = accepted & (t_new >= t_bound) & ~hit
+            for j in np.flatnonzero(failed):
+                err_j = _underflow(t[j], t_old[j], y[:, j])
+                ends[lanes[j]] = LaneEnd(err_j, err_j.state_last)
+            for j in np.flatnonzero(spent):
+                term = Termination(TerminationKind.SPAN_EXHAUSTED, s_last=float(t_new[j]))
+                ends[lanes[j]] = LaneEnd(term, core.State.from_array(y_new[:, j]))
 
             t_old = np.where(accepted, t, t_old)
             t = np.where(accepted, t_new, t)
             y = np.where(accepted, y_new, y)
             f = np.where(accepted, K[-1], f)
+            done = failed | hit | spent
             if done.any():
                 live = ~done
                 lanes, t, t_old, h_abs, rejected = (
@@ -863,7 +851,12 @@ def integrate(
             raise ValueError(f"unknown watch entry: {item!r}")
     core._check_dim(d)
     gates = (EventKind.SECOND_DERIV_UP in watch, EventKind.SECOND_DERIV_DOWN in watch)
-    return _drive(d, x0, float(s0), cfg, gates)
+    s0 = float(s0)
+    sup0, f, h_abs = _start(d, x0[:, None], cfg)
+    if sup0[0] > cfg.blowup_norm:
+        term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=float(sup0[0]))
+        return Trajectory(d, np.array([s0]), x0[None], term)
+    return _drive(d, x0, s0, cfg, gates, (s0, s0, f[:, 0].tolist(), float(h_abs[0]), False))
 
 
 def sample_at(traj: Trajectory, s: float) -> core.State:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import signal
 import subprocess
 import sys
 import types
@@ -401,6 +402,56 @@ def test_lanes_whose_stages_overflow_end_as_the_serial_integrator(handoff, monke
     assert [_lane_key(lane) for lane in itg.integrate_lanes(5, seeds, cfg)] == serial
 
 
+def test_a_nan_first_step_ends_in_step_underflow():
+    # The field at this seed overflows the first step's RMS, so the first
+    # step is nan; both loops end the orbit there with step underflow.  The
+    # alarm turns an orbit that never ends into a failure.
+    cfg = itg.IntegrationConfig(blowup_norm=1e300, max_span=3.0)
+    seeds = np.random.default_rng(7).uniform(-1.0, 1.0, size=(26, 4))
+    seeds[11] = [0.0, 1e50, 0.0, 0.0]
+
+    def never_ends(signum, frame):
+        raise TimeoutError("the orbit did not end")
+
+    handler = signal.signal(signal.SIGALRM, never_ends)
+    signal.alarm(5)
+    try:
+        with pytest.raises(itg.IntegrationError) as serial:
+            itg.integrate(5, seeds[11], cfg=cfg, watch=_GATE_WATCH)
+        lanes = itg.integrate_lanes(5, seeds, cfg)
+        want = [_serial_key(5, x0, cfg) for x0 in seeds]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert serial.value.s_last == 0.0
+    assert np.array_equal(serial.value.state_last.as_array(), seeds[11])
+    assert isinstance(lanes[11].end, itg.IntegrationError)
+    assert sum(isinstance(lane.end, itg.IntegrationError) for lane in lanes) == 1
+    assert [_lane_key(lane) for lane in lanes] == want
+
+
+@pytest.mark.parametrize(("seed", "blowup_norm", "max_span"), [
+    ([0.2, 0.5, 4.0, 5.0], 50.0, 0.114),       # the upward gate
+    ([-0.2, -0.5, -4.0, -5.0], 50.0, 0.114),   # the downward gate
+    ([0.5, 2.0, 0.0, 0.0], 50.0, 0.6465),
+    ([0.4, 0.3, -0.2, 0.5], 3.0, 0.437),       # blowup
+    ([0.25, 0.1, 0.0, 0.0], 3.0, 0.5476),
+], ids=["up", "down", "up-late", "blowup", "blowup-late"])
+def test_a_lane_whose_last_step_holds_its_event_ends_at_the_event(
+        seed, blowup_norm, max_span, monkeypatch):
+    # Each span ends inside the step after the event: that step, cut at the
+    # end of the span, holds the event, and the lane retires there.
+    cfg = itg.IntegrationConfig(blowup_norm=blowup_norm, max_span=max_span)
+    traj = itg.integrate(5, seed, cfg=cfg, watch=_GATE_WATCH)
+    assert traj.termination.kind is not itg.TerminationKind.SPAN_EXHAUSTED
+    free = itg.integrate(5, seed, cfg=dataclasses.replace(cfg, blowup_norm=1e6))
+    assert free.termination.kind is itg.TerminationKind.SPAN_EXHAUSTED
+    assert len(free._steps) == len(traj._steps)
+    monkeypatch.setattr(itg, "_HANDOFF_LANES", _LOCKSTEP)
+    lane, = itg.integrate_lanes(5, [seed], cfg)
+    assert _lane_key(lane) == _serial_key(5, seed, cfg)
+
+
 def _lane_key(lane: itg.LaneEnd) -> tuple:
     """Everything a lane's end tells, its state as bits."""
     end = lane.end
@@ -765,12 +816,8 @@ def test_write_rows_writes_the_bytes_of_csv_writer(tmp_path):
     assert path.read_bytes() == want.getvalue().encode()
 
 
-def test_trajectory_samples_iterator_and_end_state():
+def test_trajectory_end_state():
     traj = itg.integrate(4, _connection_jet(0.0), cfg=itg.IntegrationConfig(max_span=1.0))
-    pairs = list(traj.samples)
-    assert len(pairs) == len(traj.s)
-    s0, x0 = pairs[0]
-    assert s0 == 0.0 and isinstance(x0, core.State)
     end = traj.state_at_end()
     assert np.array_equal(end.as_array(), traj.states[-1])
 
