@@ -9,10 +9,15 @@ outputs.  Each parameter rule is checked once on that path, by the library
 or by the runner; a params function checks only what needs the flags
 themselves.  `replay` runs a manifest's parameters through the same path,
 so it rejects what the command line rejects, and compares every output file
-next to the manifest with its fresh copy.
+next to the manifest with its fresh copy.  An --out whose directory does
+not exist is a usage error, found before any work runs; an artifact that
+cannot be written ends the run with one line on stderr.  `shoot` makes one
+library call, `manifold.find_heteroclinic`, which returns theta*, its
+classification and the orbit that --out writes as CSV.
 Exit codes: 0 success / all proved, 1 failure (a Failed certificate, a
-broken bracket, no blowup, a replayed artifact that differs), 2 at least
-one Inconclusive certificate, 64 usage errors.
+broken bracket, no blowup, a replayed artifact that differs, an artifact
+that cannot be written), 2 at least one Inconclusive certificate, 64 usage
+errors.
 """
 
 from __future__ import annotations
@@ -70,10 +75,13 @@ def _execute(command: str, params: dict, out: str | None) -> tuple[int, list[str
     The runner gets the parameters and the artifact base (None without
     --out) and returns its exit code, its JSON report (None when it has
     none), and the other files it wrote.  The report goes to `<base>.json`.
-    Returns the exit code and every output path.
+    Returns the exit code and every output path.  A base whose directory
+    does not exist raises ValueError before the runner starts.
     """
     started = time.perf_counter()
     base = None if out is None else _out_base(out)
+    if base is not None and not os.path.isdir(os.path.dirname(base) or "."):
+        raise ValueError(f"--out {out!r}: no directory {os.path.dirname(base)!r}")
     code, report, outputs = _RUNNERS[command](params, base)
     if base is not None and report is not None:
         _write_json(f"{base}.json", report)
@@ -150,15 +158,9 @@ def _shoot_params(args, parser: _Parser) -> dict:
 def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
     cfg = integrate.IntegrationConfig(max_span=params["span"])
     try:
-        if base is None:
-            theta_star, res = manifold.find_heteroclinic(
-                theta_tol=params["theta_tol"], cfg=cfg, eps0=params["eps0"]
-            )
-            orbit = None
-        else:
-            # the same result, classified from the orbit that the CSV holds
-            theta_star = manifold._connecting_angle(None, params["theta_tol"], cfg, params["eps0"])
-            res, orbit = manifold._classified_orbit(manifold.SeedSpec(params["eps0"], theta_star), cfg)
+        theta_star, res, orbit = manifold.find_heteroclinic(
+            theta_tol=params["theta_tol"], cfg=cfg, eps0=params["eps0"]
+        )
     except manifold.BracketError as err:
         print(f"shoot: {err}", file=sys.stderr)
         return EXIT_FAILED, None, []
@@ -180,7 +182,7 @@ def _run_shoot(params: dict, base: str | None) -> tuple[int, object, list[str]]:
         "theta_tol_requested": params["theta_tol_requested"],
         "span": params["span"],
     }
-    if orbit is None:
+    if base is None:
         return EXIT_OK, report, []
     integrate.write_csv(orbit, f"{base}.csv")
     return EXIT_OK, report, [f"{base}.csv"]
@@ -531,6 +533,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         # the library rejected a parameter that the flag checks let through
         parser.error(str(err))
+    except OSError as err:
+        # an artifact or manifest that could not be written; atomic_open
+        # leaves no partial file
+        print(f"biwind: cannot write {err.filename or args.out}: {err.strerror or err}",
+              file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

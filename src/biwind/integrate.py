@@ -21,30 +21,39 @@ initial step's power through libm's pow (`core.power`), not numpy's vector
 loops, whose AVX-512 code rounds otherwise, so an orbit does not depend on
 numpy's CPU dispatch.
 
+An orbit is gated or not: `integrate(..., gates=True)` ends it where
+|phi''| first reaches c_star(d), and `Termination.g` gives the sign of
+phi'' there; the lanes are always gated.  Inside, the one gate state is cs,
+c_star(d) for a gated orbit and inf for one that is not, at which both
+gate scans find nothing.
+
 Every orbit starts in `_start` and ends at an event in `_crossings`.
 `_start` takes the seeds as lanes, a single orbit as one lane: each seed's
 sup norm, for the blowup test, the field there and the first step.
 `_crossings` finds where a batch of accepted steps crosses blowup (a
-sup-norm threshold) or a phi'' gate, by sign scans over a fixed grid in
-each step, evaluated on the step's quartic interpolant (dense-output event
-location, Hairer, Norsett and Wanner, sec. II.6): `_scan` on arrays, a
-single orbit's step as one lane.  Each step's first scan interval with a
-sign change is sharpened by bisection to `event_refine_tol`, or to adjacent
-doubles when that is finer, on the step's interpolant as Python floats,
-`_interpolant`, which gives the scan's bits and backs `sample_at`; the
-earliest crossing found there ends the run.  A single orbit's gate first
-bounds the interpolant over the whole step by its stages and skips the scan
-when that bound stays below the blowup threshold and the watched gates; a
-skipped scan could have found nothing, so the orbit is the same bit for
-bit.  A loose bound decides most steps; where it fails, a tight bound
-written on the stage differences decides (see _P_REACH), so a shooting
-orbit scans only the steps that come near an event, and the loop returns
-to Python only to scan one, at the end of the span, or to raise on step
-underflow.  The lanes take the same two bounds on all lanes at once,
-`_lanes_near`, and scan only the lanes whose accepted step it flags.  Once
-no more than _HANDOFF_LANES lanes are live, the lockstep loop stops and
-`_drive`, resumed from each lane's state, finishes it alone: an iteration
-costs about as much at a few lanes as at fifty.
+sup-norm threshold) or a gate, +cs upward or -cs downward, by sign scans
+over a fixed grid in each step, evaluated on the step's quartic interpolant
+(dense-output event location, Hairer, Norsett and Wanner, sec. II.6):
+`_scan` on arrays, a single orbit's step as one lane.  Each step's first
+scan interval with a sign change is sharpened by bisection to
+`event_refine_tol`, or to adjacent doubles when that is finer, on the
+step's interpolant as Python floats, `_interpolant`, which gives the scan's
+bits and backs `sample_at`; the earliest crossing found there ends the run.
+A single orbit's gate first bounds the interpolant over the whole step by
+its stages and skips the scan when that bound stays below the blowup
+threshold and below cs in |phi''|; a skipped scan could have found nothing,
+so the orbit is the same bit for bit.  A loose bound decides most steps;
+where it fails, a tight bound written on the stage differences decides (see
+_P_REACH), so a shooting orbit scans only the steps that come near an
+event, and the loop returns to Python only to scan one, at the end of the
+span, or to raise on step underflow.  The lanes take the same two bounds on
+all lanes at once, `_lanes_near`, and scan only the lanes whose accepted
+step it flags.  Once no more than _HANDOFF_LANES lanes are live, the
+lockstep loop stops and `_drive`, resumed from each lane's state, finishes
+it alone: an iteration costs about as much at a few lanes as at fifty.
+`_gate_end` replays the gated run's scans on an ungated orbit's stored
+steps, so that one orbit gives both a classification and a trajectory that
+runs on past the gate.
 """
 
 from __future__ import annotations
@@ -65,7 +74,6 @@ from .core import NUMPY, _make_rhs, power, powers
 
 __all__ = [
     "IntegrationConfig",
-    "EventKind",
     "TerminationKind",
     "Termination",
     "Trajectory",
@@ -114,11 +122,6 @@ class IntegrationConfig:
             )
 
 
-class EventKind(enum.Enum):
-    SECOND_DERIV_UP = "second_deriv_up"      # phi'' crossing +c_star upward
-    SECOND_DERIV_DOWN = "second_deriv_down"  # phi'' crossing -c_star downward
-
-
 class TerminationKind(enum.Enum):
     SPAN_EXHAUSTED = "span_exhausted"
     BLOWUP_DETECTED = "blowup_detected"
@@ -127,10 +130,17 @@ class TerminationKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Termination:
+    """How a run ended, at `s_last`.
+
+    `norm` is the sup norm of the jet at a blowup.  `g` is the sign of the
+    gate crossing that ends a run in EVENT_STOP: +1 where phi'' crosses
+    +c_star upward, -1 where it crosses -c_star downward.
+    """
+
     kind: TerminationKind
     s_last: float | None = None
     norm: float | None = None
-    event: str | None = None
+    g: int | None = None
 
 
 @dataclass
@@ -461,13 +471,13 @@ _FRACS = np.arange(_SCAN_POINTS + 2.0)
 
 
 def _scan(K: Sequence[np.ndarray], h, t, t_new, y: np.ndarray, cs: float,
-          blowup_norm: float, gates: tuple[bool, bool]):
+          blowup_norm: float):
     """(grid, jets, crossings) of each lane's step, from its (4, n) stages K and
     jets y at t; h, t and t_new are per lane, or floats for one lane.
 
     `jets` (4, 10, n) is the interpolant on `grid` (10, n).  `crossings` masks
     per grid interval (9, n) the sign changes of the blowup gap, of phi'' - cs
-    upward if gates[0] and of phi'' + cs downward if gates[1].
+    upward and of phi'' + cs downward; with cs = inf the gates find none.
     """
     q = _combo(K, _P_LANES)
     grid = _FRACS[:, None] * (h / (_SCAN_POINTS + 1)) + t
@@ -477,8 +487,8 @@ def _scan(K: Sequence[np.ndarray], h, t, t_new, y: np.ndarray, cs: float,
     g_up, g_down = jets[2] - cs, jets[2] + cs
     return grid, jets, (
         (gap[:-1] < 0.0) & (gap[1:] >= 0.0),
-        (g_up[:-1] < 0.0) & (g_up[1:] >= 0.0) & gates[0],
-        (g_down[:-1] > 0.0) & (g_down[1:] <= 0.0) & gates[1],
+        (g_up[:-1] < 0.0) & (g_up[1:] >= 0.0),
+        (g_down[:-1] > 0.0) & (g_down[1:] <= 0.0),
     )
 
 
@@ -539,14 +549,12 @@ def _refine_hit(K: Sequence[Sequence[float]], h: float, t: float, y: Sequence[fl
         norm = max(map(abs, y_hit))
         term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s_hit, norm=norm)
     else:
-        event = (EventKind.SECOND_DERIV_UP, EventKind.SECOND_DERIV_DOWN)[kind - 1].value
-        term = Termination(TerminationKind.EVENT_STOP, s_last=s_hit, event=event)
+        term = Termination(TerminationKind.EVENT_STOP, s_last=s_hit, g=1 if kind == 1 else -1)
     return term, y_hit, probes
 
 
 def _crossings(K: Sequence[np.ndarray], h, t, t_new, y: np.ndarray, cs: float,
-               cfg: IntegrationConfig,
-               gates: tuple[bool, bool]) -> Iterator[tuple[int, Termination, list[float], int]]:
+               cfg: IntegrationConfig) -> Iterator[tuple[int, Termination, list[float], int]]:
     """(column, termination, jet, probes) of each step of a batch that holds
     a crossing, in column order: the end of every orbit at an event.
 
@@ -554,7 +562,7 @@ def _crossings(K: Sequence[np.ndarray], h, t, t_new, y: np.ndarray, cs: float,
     t_new per step, or floats for one step.  `_refine_hit` sharpens each
     step's first scan interval with a crossing on that step's own floats.
     """
-    grid, _, crossed = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm, gates)
+    grid, _, crossed = _scan(K, h, t, t_new, y, cs, cfg.blowup_norm)
     hit = crossed[0] | crossed[1] | crossed[2]
     h, t = np.broadcast_to(h, hit.shape[1:]), np.broadcast_to(t, hit.shape[1:])
     for j in np.flatnonzero(hit.any(axis=0)).tolist():
@@ -576,14 +584,13 @@ def _underflow(s: float, s_last: float, y) -> IntegrationError:
 # One orbit.
 
 
-def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
-           gates: tuple[bool, bool],
+def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig, cs: float,
            resume: tuple[float, float, list[float], float, bool]) -> Trajectory:
-    """Integrate one jet, watching the (upward, downward) gates flagged in `gates`.
+    """Integrate one jet, watching the gates |phi''| = cs (none if cs is inf).
 
     Trial steps and step control are those of `integrate_lanes` on floats,
     and the steps that can reach an event end in `_crossings`, as a lane's
-    do, so an orbit with both gates watched ends bit for bit as its lane
+    do, so a gated orbit (cs = c_star) ends bit for bit as its lane
     does.  The accepted steps run in the generated `_serial_loop`: the trial
     step and its error norm with the field inlined, each component's stage
     sums `_combo`'s products added in `_combo`'s order, the rounding a
@@ -601,7 +608,6 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
     """
     t, t_old, f, h_abs, rejected = resume
     y = x0.tolist()
-    cs = core.c_star(d) if any(gates) else math.inf
     t_bound = s0 + cfg.max_span
     loop = _serial_loop(d, cfg, cs, t_bound)
     ss: list[float] = [t]
@@ -625,8 +631,7 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig,
                 stats.scanned += 1
                 K, h = steps[-1]
                 for _, term, ys[-1], stats.bisections in _crossings(
-                        np.array(K)[:, :, None], h, t_old, t, np.array(ys[-2])[:, None], cs, cfg,
-                        gates):
+                        np.array(K)[:, :, None], h, t_old, t, np.array(ys[-2])[:, None], cs, cfg):
                     ss[-1] = term.s_last
                     return finish(term)
                 if t < t_bound:
@@ -684,13 +689,13 @@ def _lanes_near(y: np.ndarray, K: Sequence[np.ndarray], h: np.ndarray, accepted,
 
 
 def _gate_end(traj: Trajectory, cfg: IntegrationConfig) -> tuple[Termination, list[float]] | None:
-    """How the run of traj's seed watching both gates ends, and its last jet,
-    read from traj, that seed's unwatched run under cfg.
+    """How the gated run of traj's seed ends, and its last jet, read from
+    traj, that seed's ungated run under cfg.
 
-    The gates change only which steps a run scans, so the watched run takes
+    The gates change only which steps a run scans, so the gated run takes
     traj's steps up to its end.  `_drive`'s gate test is replayed on the
     stored steps, as lanes: `_lanes_near`, then `_crossings` of the steps it
-    flags, whose first crossing ends the watched run there bit for bit.  The
+    flags, whose first crossing ends the gated run there bit for bit.  The
     last stored step is left out, as its end is not stored where an event or
     a blowup ends traj inside it: None when no step before it holds a
     crossing.
@@ -706,7 +711,7 @@ def _gate_end(traj: Trajectory, cfg: IntegrationConfig) -> tuple[Termination, li
     with np.errstate(all="ignore"):
         near = np.flatnonzero(_lanes_near(y, K, h, True, cs, cfg.blowup_norm))
         for _, term, y_hit, _ in _crossings(K[:, :, near], h[near], t[near], t_new[near],
-                                            y[:, near], cs, cfg, (True, True)):
+                                            y[:, near], cs, cfg):
             return term, y_hit
     return None
 
@@ -719,10 +724,10 @@ def integrate_lanes(
     """Integrate the forward flow from every row of x0s, in one loop while
     more than _HANDOFF_LANES lanes are live.
 
-    Lane k runs `integrate(d, x0s[k], cfg=cfg, watch=[SECOND_DERIV_UP,
-    SECOND_DERIV_DOWN])` step for step and ends bit for bit as it does: a
-    step size of its own, the same scan grid per accepted step, bisection of
-    a crossing on its own interpolant, and the same terminations.  A lane
+    Lane k runs `integrate(d, x0s[k], cfg=cfg, gates=True)` step for step
+    and ends bit for bit as it does: a step size of its own, the same scan
+    grid per accepted step, bisection of a crossing on its own interpolant,
+    and the same terminations.  A lane
     starts in `_start`, as a single orbit does, and retires at its event, an
     event in the step that ends the span included, or at the end of the
     span; one whose step size underflows retires with the IntegrationError
@@ -790,7 +795,7 @@ def integrate_lanes(
             near = np.flatnonzero(_lanes_near(y, K, h, accepted, cs, cfg.blowup_norm))
             if near.size:
                 for j, term, y_hit, _ in _crossings([k[:, near] for k in K], h[near], t[near],
-                                                    t_new[near], y[:, near], cs, cfg, (True, True)):
+                                                    t_new[near], y[:, near], cs, cfg):
                     hit[near[j]] = True
                     ends[lanes[near[j]]] = LaneEnd(term, core.State.from_array(y_hit))
             spent = accepted & (t_new >= t_bound) & ~hit
@@ -816,7 +821,7 @@ def integrate_lanes(
     for j, lane in enumerate(lanes.tolist()):
         resume = (float(t[j]), float(t_old[j]), f[:, j].tolist(), float(h_abs[j]), bool(rejected[j]))
         try:
-            traj = _drive(d, y[:, j], 0.0, cfg, (True, True), resume)
+            traj = _drive(d, y[:, j], 0.0, cfg, cs, resume)
             ends[lane] = LaneEnd(traj.termination, core.State.from_array(traj.states[-1]))
         except IntegrationError as err:
             ends[lane] = LaneEnd(err, err.state_last)
@@ -832,31 +837,30 @@ def integrate(
     x0,
     s0: float = 0.0,
     cfg: IntegrationConfig | None = None,
-    watch: Iterable[EventKind] = (),
+    gates: bool = False,
 ) -> Trajectory:
     """Integrate the forward flow from the jet x0 at time s0.
 
-    Stops at s0 + max_span, at the first watched-event crossing, or when the
-    sup-norm of the jet exceeds blowup_norm (whichever comes first); the
-    final sample of a blowup run strictly exceeds the threshold.  Raises
-    IntegrationError if the stepper underflows.
+    Stops at s0 + max_span, when the sup-norm of the jet exceeds blowup_norm,
+    or, if `gates`, where |phi''| first reaches c_star(d) (`Termination.g`
+    gives the sign), whichever comes first; the final sample of a blowup run
+    strictly exceeds the threshold.  Raises IntegrationError if the stepper
+    underflows, and ValueError if `gates` is not a bool.
     """
     cfg = cfg or IntegrationConfig()
     x0 = core.State.from_array(x0).as_array()
     if not (isinstance(s0, (int, float)) and math.isfinite(s0)):
         raise ValueError(f"s0 must be finite, got {s0!r}")
-    watch = tuple(watch)
-    for item in watch:
-        if not isinstance(item, EventKind):
-            raise ValueError(f"unknown watch entry: {item!r}")
+    if not isinstance(gates, bool):
+        raise ValueError(f"gates must be True or False, got {gates!r}")
     core._check_dim(d)
-    gates = (EventKind.SECOND_DERIV_UP in watch, EventKind.SECOND_DERIV_DOWN in watch)
+    cs = core.c_star(d) if gates else math.inf
     s0 = float(s0)
     sup0, f, h_abs = _start(d, x0[:, None], cfg)
     if sup0[0] > cfg.blowup_norm:
         term = Termination(TerminationKind.BLOWUP_DETECTED, s_last=s0, norm=float(sup0[0]))
         return Trajectory(d, np.array([s0]), x0[None], term)
-    return _drive(d, x0, s0, cfg, gates, (s0, s0, f[:, 0].tolist(), float(h_abs[0]), False))
+    return _drive(d, x0, s0, cfg, cs, (s0, s0, f[:, 0].tolist(), float(h_abs[0]), False))
 
 
 def sample_at(traj: Trajectory, s: float) -> core.State:
@@ -882,17 +886,17 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
 @contextlib.contextmanager
 def atomic_open(path: str) -> Iterator:
     """A text file open on `<path>.tmp`, moved onto `path` once the block
-    completes and removed if it raises, so a run that dies mid-write leaves
-    no partial file there."""
+    completes and removed if the block or the move raises, so a run that
+    dies mid-write leaves no partial file, there or at `<path>.tmp`."""
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", newline="")
     try:
         with fh:
             yield fh
+        os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def _cell(c) -> str:

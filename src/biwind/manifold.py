@@ -3,13 +3,18 @@
 The origin has a two-dimensional unstable manifold tangent to the
 eigenvectors for the exponents 1 and 3.  We parameterize it to first order
 by a circle of seeds at radius eps0, classify each seeded orbit by the sign
-of the second derivative when |phi''| first reaches the gate c*(5) = 2 sqrt(6)
-that `integrate` watches, and locate the connecting orbit (which tends to
+g of the second derivative where |phi''| first reaches the gate
+c*(5) = 2 sqrt(6), which a gated `integrate` run stops at and reports as
+`Termination.g`, and locate the connecting orbit (which tends to
 `TARGET` = (pi/2, 0, 0, 0)) by an ITP search on that sign and the escape
-time.  The search pins the connecting angle only to about 5.5e-14 (the
-integrator tolerances), too coarse for a single orbit to stay by the equator
-over the full span; `refine_heteroclinic` sharpens the angle to a few units
-in the last place by multiple shooting over unit segments, still in doubles.
+time.  `find_heteroclinic` returns the connecting angle theta*, its
+classification and its ungated orbit, which runs on past the gate; the
+classification is read from that orbit's stored steps where they hold the
+gate crossing, so `shoot` takes one path to its report and its CSV.  The
+search pins the connecting angle only to about 5.5e-14 (the integrator
+tolerances), too coarse for a single orbit to stay by the equator over the
+full span; `refine_heteroclinic` sharpens the angle to a few units in the
+last place by multiple shooting over unit segments, still in doubles.
 Classification grids integrate all of their seeds together, as lanes of
 `integrate.integrate_lanes`; single orbits and the shooting search use the
 serial integrator, which is faster per orbit.  Both run one Dormand-Prince
@@ -143,15 +148,6 @@ def theta0(eps0: float) -> float:
     return integrate.bisect(below, 0.0, 0.5 * math.pi)[1]
 
 
-_EVENT_TO_G = {
-    integrate.EventKind.SECOND_DERIV_UP.value: 1,
-    integrate.EventKind.SECOND_DERIV_DOWN.value: -1,
-}
-
-
-_GATES = (integrate.EventKind.SECOND_DERIV_UP, integrate.EventKind.SECOND_DERIV_DOWN)
-
-
 def _stays_in_region(traj: integrate.Trajectory) -> bool:
     """Whether `regions.in_region_C` puts no jet of traj OUTSIDE."""
     gap = regions.region_gap(traj.states[:, 0], traj.states[:, 2])
@@ -171,7 +167,7 @@ def classify_orbit(
     cfg = cfg or integrate.IntegrationConfig()
     x0 = seed_state(spec)
     try:
-        traj = integrate.integrate(D, x0, cfg=cfg, watch=_GATES)
+        traj = integrate.integrate(D, x0, cfg=cfg, gates=True)
     except integrate.IntegrationError as err:
         return _classified(spec.theta, err, err.state_last)
     return _classified(
@@ -194,7 +190,7 @@ def _classified(
     if isinstance(end, integrate.IntegrationError):
         note = f"integration failed at s={end.s_last:.6g}: {end}"
     elif end.kind is integrate.TerminationKind.EVENT_STOP:
-        g = _EVENT_TO_G[end.event]
+        g = end.g
         outcome = Outcome.BLOWUP_PLUS if g > 0 else Outcome.BLOWUP_MINUS
         tau = float(end.s_last)
     elif end.kind is integrate.TerminationKind.SPAN_EXHAUSTED:
@@ -221,7 +217,7 @@ def find_heteroclinic(
     theta_tol: float = config.THETA_TOL,
     cfg: integrate.IntegrationConfig | None = None,
     eps0: float = config.EPS0,
-) -> tuple[float, ClassificationResult]:
+) -> tuple[float, ClassificationResult, integrate.Trajectory]:
     """Search the seed angle between a downward and an upward blowup.
 
     The bracket must classify with g = -1 on the left and g = +1 on the
@@ -232,23 +228,13 @@ def find_heteroclinic(
     undecided orbit (the span ran out deep inside the trapping region)
     means the connecting angle was straddled: it reads -1e-300 and +1e-300
     in turn, which narrows the bracket on alternating sides.  Returns the
-    midpoint of the final bracket together with its classification.
+    midpoint theta* of the final bracket, its classification and its orbit
+    watching no gate, which runs on past the gate (`_classified_orbit`).
 
     `theta_tol` is used as given: the library does not clamp it to
     `config.THETA_TOL_FLOOR` (only the command line's `shoot` does), and
     the search stops early once the midpoint rounds onto an end.
     """
-    theta_star = _connecting_angle(bracket, theta_tol, cfg, eps0)
-    return theta_star, classify_orbit(SeedSpec(eps0, theta_star), cfg)
-
-
-def _connecting_angle(
-    bracket: tuple[float, float] | None,
-    theta_tol: float,
-    cfg: integrate.IntegrationConfig | None,
-    eps0: float,
-) -> float:
-    """The angle `find_heteroclinic` returns, without its classification."""
     if isinstance(theta_tol, bool) or not 0.0 < theta_tol < math.inf:
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
     if bracket is None:
@@ -275,19 +261,22 @@ def _connecting_angle(
         lambda theta: ordinate(classify_orbit(SeedSpec(eps0, theta), cfg)),
         lo, hi, ordinate(res_lo), ordinate(res_hi), theta_tol,
     )
-    return 0.5 * (lo + hi)
+    theta_star = 0.5 * (lo + hi)
+    return (theta_star, *_classified_orbit(SeedSpec(eps0, theta_star), cfg))
 
 
 def _classified_orbit(
-    spec: SeedSpec, cfg: integrate.IntegrationConfig
+    spec: SeedSpec, cfg: integrate.IntegrationConfig | None
 ) -> tuple[ClassificationResult, integrate.Trajectory]:
     """`classify_orbit(spec, cfg)` and the orbit of the seed watching no gate,
-    which runs on past the gate, to blowup or to the end of the span.
+    which runs on past the gate, to blowup or to the end of the span; cfg
+    None is `IntegrationConfig()`.
 
     The classification is read from that orbit's stored steps
     (`integrate._gate_end`), and only where they do not hold its gate
-    crossing is the watched orbit integrated as well.
+    crossing is the gated orbit integrated as well.
     """
+    cfg = cfg or integrate.IntegrationConfig()
     orbit = integrate.integrate(D, seed_state(spec), cfg=cfg)
     end = integrate._gate_end(orbit, cfg)
     if end is None:
@@ -389,7 +378,7 @@ def refine_heteroclinic(
         return starts, [segment(x, k) for k, x in enumerate(starts)]
 
     orbit = integrate.integrate(
-        D, seed(theta), cfg=integrate.IntegrationConfig(max_span=config.SHOOT_SPAN), watch=_GATES
+        D, seed(theta), cfg=integrate.IntegrationConfig(max_span=config.SHOOT_SPAN), gates=True
     )
     z = np.concatenate([[theta], *(
         integrate.sample_at(orbit, k).as_array() if k <= orbit.s[-1] - 1.0 else TARGET
@@ -444,7 +433,7 @@ def classification_grid(
     lanes = integrate.integrate_lanes(D, [seed_state(sp).as_array() for sp in specs], cfg)
     return [
         _classified(sp.theta, lane.end, lane.state, lambda sp=sp: _stays_in_region(
-            integrate.integrate(D, seed_state(sp), cfg=cfg, watch=_GATES)))
+            integrate.integrate(D, seed_state(sp), cfg=cfg, gates=True)))
         for sp, lane in zip(specs, lanes)
     ]
 

@@ -228,7 +228,7 @@ def test_criterion_06_shooting(monkeypatch):
     gs = [r.g for r in grid]
     decided = all(g in (-1, 1) for g in gs)
     changes = sum(1 for a, b in zip(gs, gs[1:]) if a * b < 0)
-    theta_star, _ = manifold.find_heteroclinic(theta_tol=1e-10)
+    theta_star, _, _ = manifold.find_heteroclinic(theta_tol=1e-10)
     # no single orbit from a double seed stays by the saddle for 25 units of
     # arclength; 25 unit segments joined by multiple shooting do
     theta_refined, segments = manifold.refine_heteroclinic(theta_star)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from biwind import __version__, certify, cli, config, integrate, manifold, profile
+from biwind import __version__, certify, cli, config, core, integrate, manifold, profile
 
 
 def run(argv):
@@ -136,8 +136,8 @@ def test_shoot_theta_tol_floor_recorded(tmp_path):
 
 @pytest.mark.parametrize("args", [[], ["--span", "6", "--eps0", "0.05"]])
 def test_shoot_reports_alike_with_and_without_out(tmp_path, capsys, args):
-    # With --out, theta* is classified from the orbit the CSV holds; the
-    # short span's orbit exhausts it, and its classification is integrated.
+    # Both classify theta* from the orbit the CSV holds; the short span's
+    # orbit exhausts it, and its classification is integrated.
     assert run(["shoot", *args]) == 0
     bare = capsys.readouterr().out
     base = tmp_path / "shoot"
@@ -542,6 +542,51 @@ def test_no_output_without_out_flag(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the runner started")
+
+
+@pytest.mark.parametrize(("argv", "module", "name"), [
+    (["verify", "--task", "V1"], certify, "run_task"),
+    (["spectrum", "--d", "5"], core, "linearization"),
+    (["classify", "--grid", "2"], manifold, "classification_grid"),
+    (["shoot"], manifold, "find_heteroclinic"),
+], ids=["verify", "spectrum", "classify", "shoot"])
+def test_out_into_a_missing_directory_exits_64_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, module, name):
+    monkeypatch.setattr(module, name, _must_not_run)
+    assert usage_code([*argv, "--out", str(tmp_path / "missing" / "x")]) == 64
+    assert "no directory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_replay_out_into_a_missing_directory_exits_64_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    base = tmp_path / "sp"
+    assert run(["spectrum", "--d", "5", "--out", str(base)]) == 0
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(core, "linearization", _must_not_run)
+    argv = ["replay", "--manifest", f"{base}.manifest.json", "--out", str(tmp_path / "no" / "x")]
+    assert usage_code(argv) == 64
+    assert "no directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--d", "5"], ["classify", "--grid", "2"]],
+                         ids=["json", "csv"])
+def test_an_artifact_that_cannot_be_written_exits_one_without_a_traceback(
+        tmp_path, monkeypatch, capsys, argv):
+    def denied(src, dst):
+        raise PermissionError(13, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(os, "replace", denied)
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("biwind: cannot write ") and err.count("\n") == 1
+    assert "Permission denied" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # replay
 
@@ -790,7 +835,7 @@ def test_shoot_report_matches_library(tmp_path):
     import biwind.integrate as integrate
 
     cfg = integrate.IntegrationConfig(max_span=6.0)
-    theta_star, res = manifold.find_heteroclinic(
+    theta_star, res, _ = manifold.find_heteroclinic(
         theta_tol=config.THETA_TOL, cfg=cfg, eps0=0.05
     )
     assert report["theta_star"] == theta_star

@@ -152,7 +152,7 @@ def test_energy_of_a_jet_array_is_the_energy_of_each_column():
     # one call on a (4, n) array, bit for bit the n calls on its columns
     rng = np.random.default_rng(44)
     jets = rng.uniform(-5.0, 5.0, size=(4, 300)) * 10.0 ** rng.integers(-8, 3, size=(4, 300))
-    theta_star, _ = manifold.find_heteroclinic(theta_tol=1e-3)
+    theta_star, _, _ = manifold.find_heteroclinic(theta_tol=1e-3)
     seed = manifold.seed_state(manifold.SeedSpec(config.EPS0, theta_star))
     orbit = integrate.integrate(manifold.D, seed)
     cases = [(d, jets) for d in range(3, 11)] + [(manifold.D, orbit.states.T)]

@@ -308,9 +308,6 @@ def test_bisect_ends_at_adjacent_doubles():
     assert itg.bisect(lambda t: t >= 0.3, 0.0, 1.0, tol=0.25) == (0.25, 0.5)
 
 
-_GATE_WATCH = [itg.EventKind.SECOND_DERIV_UP, itg.EventKind.SECOND_DERIV_DOWN]
-
-
 # A handoff threshold of 0 keeps every lane in the lockstep loop to its end;
 # the module's default hands these few-lane runs to `_drive` at the start.
 _LOCKSTEP = 0
@@ -335,9 +332,9 @@ def test_lanes_end_as_the_serial_integrator(d, handoff, cfg, monkeypatch):
     lanes = itg.integrate_lanes(d, seeds, cfg)
     kinds = set()
     for x0, lane in zip(seeds, lanes):
-        traj = itg.integrate(d, x0, cfg=cfg, watch=_GATE_WATCH)
+        traj = itg.integrate(d, x0, cfg=cfg, gates=True)
         term = traj.termination
-        assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
+        assert (lane.end.kind, lane.end.g) == (term.kind, term.g)
         assert lane.end.s_last == term.s_last
         assert np.array_equal(lane.state.as_array(), traj.states[-1])
         kinds.add(term.kind)
@@ -361,8 +358,8 @@ def test_lanes_take_the_earliest_crossing_of_a_long_step():
     lanes = itg.integrate_lanes(5, seeds, cfg)
     kinds = set()
     for x0, lane in zip(seeds, lanes):
-        term = itg.integrate(5, x0, cfg=cfg, watch=_GATE_WATCH).termination
-        assert (lane.end.kind, lane.end.event) == (term.kind, term.event)
+        term = itg.integrate(5, x0, cfg=cfg, gates=True).termination
+        assert (lane.end.kind, lane.end.g) == (term.kind, term.g)
         assert lane.end.s_last == term.s_last
         kinds.add(term.kind)
     assert kinds == {itg.TerminationKind.BLOWUP_DETECTED, itg.TerminationKind.EVENT_STOP}
@@ -376,14 +373,14 @@ def test_lane_step_underflow_retires_only_that_lane(handoff, monkeypatch):
     monkeypatch.setattr(itg, "_HANDOFF_LANES", handoff)
     lanes = itg.integrate_lanes(5, seeds, cfg)
     with pytest.raises(itg.IntegrationError) as serial:
-        itg.integrate(5, seeds[0], cfg=cfg, watch=_GATE_WATCH)
+        itg.integrate(5, seeds[0], cfg=cfg, gates=True)
     err = lanes[0].end
     assert isinstance(err, itg.IntegrationError)
     assert str(err) == str(serial.value)
     assert err.s_last == serial.value.s_last
     assert lanes[0].state is err.state_last
-    traj = itg.integrate(5, seeds[1], cfg=cfg, watch=_GATE_WATCH)
-    assert lanes[1].end.event == traj.termination.event == "second_deriv_down"
+    traj = itg.integrate(5, seeds[1], cfg=cfg, gates=True)
+    assert lanes[1].end.g == traj.termination.g == -1
 
 
 @pytest.mark.parametrize("handoff", [itg._HANDOFF_LANES, _LOCKSTEP], ids=["default", "lockstep"])
@@ -417,7 +414,7 @@ def test_a_nan_first_step_ends_in_step_underflow():
     signal.alarm(5)
     try:
         with pytest.raises(itg.IntegrationError) as serial:
-            itg.integrate(5, seeds[11], cfg=cfg, watch=_GATE_WATCH)
+            itg.integrate(5, seeds[11], cfg=cfg, gates=True)
         lanes = itg.integrate_lanes(5, seeds, cfg)
         want = [_serial_key(5, x0, cfg) for x0 in seeds]
     finally:
@@ -442,7 +439,7 @@ def test_a_lane_whose_last_step_holds_its_event_ends_at_the_event(
     # Each span ends inside the step after the event: that step, cut at the
     # end of the span, holds the event, and the lane retires there.
     cfg = itg.IntegrationConfig(blowup_norm=blowup_norm, max_span=max_span)
-    traj = itg.integrate(5, seed, cfg=cfg, watch=_GATE_WATCH)
+    traj = itg.integrate(5, seed, cfg=cfg, gates=True)
     assert traj.termination.kind is not itg.TerminationKind.SPAN_EXHAUSTED
     free = itg.integrate(5, seed, cfg=dataclasses.replace(cfg, blowup_norm=1e6))
     assert free.termination.kind is itg.TerminationKind.SPAN_EXHAUSTED
@@ -458,14 +455,14 @@ def _lane_key(lane: itg.LaneEnd) -> tuple:
     if isinstance(end, itg.IntegrationError):
         told = (str(end), end.s_last)
     else:
-        told = (end.kind, end.event, end.s_last, end.norm)
+        told = (end.kind, end.g, end.s_last, end.norm)
     return type(end), told, lane.state.as_array().tobytes()
 
 
 def _serial_key(d: int, x0, cfg: itg.IntegrationConfig) -> tuple:
-    """`_lane_key` of what `integrate` with both gates watched gives for x0."""
+    """`_lane_key` of what the gated `integrate` gives for x0."""
     try:
-        traj = itg.integrate(d, x0, cfg=cfg, watch=_GATE_WATCH)
+        traj = itg.integrate(d, x0, cfg=cfg, gates=True)
     except itg.IntegrationError as err:
         return _lane_key(itg.LaneEnd(err, err.state_last))
     return _lane_key(itg.LaneEnd(traj.termination, core.State.from_array(traj.states[-1])))
@@ -654,11 +651,10 @@ def test_blowup_immediate_when_seed_already_exceeds_threshold():
 def test_second_deriv_up_event_stops_at_c_star():
     cs = core.c_star(5)
     x0 = np.array([0.2, 0.5, 4.0, 5.0])
-    traj = itg.integrate(5, x0, watch=[itg.EventKind.SECOND_DERIV_UP])
+    traj = itg.integrate(5, x0, gates=True)
     assert traj.termination.kind is itg.TerminationKind.EVENT_STOP
-    assert traj.termination.event == "second_deriv_up"
-    name, s_ev, state = traj.termination.event, traj.termination.s_last, traj.state_at_end()
-    assert name == "second_deriv_up"
+    assert traj.termination.g == 1
+    s_ev, state = traj.termination.s_last, traj.state_at_end()
     assert s_ev == traj.s[-1]
     assert isinstance(state, core.State)
     assert state.d2phi >= cs
@@ -670,19 +666,26 @@ def test_second_deriv_down_event_is_the_reflected_stop():
     # downward crossing of -c_star.
     cs = core.c_star(5)
     x0 = -np.array([0.2, 0.5, 4.0, 5.0])
-    traj = itg.integrate(5, x0, watch=[itg.EventKind.SECOND_DERIV_DOWN])
+    traj = itg.integrate(5, x0, gates=True)
     assert traj.termination.kind is itg.TerminationKind.EVENT_STOP
-    assert traj.termination.event == "second_deriv_down"
+    assert traj.termination.g == -1
     state = traj.state_at_end()
     assert state.d2phi <= -cs
     assert abs(state.d2phi + cs) < 1e-6
 
 
 def test_watch_entries_validate_dimension():
+    # c_star, and so the gates, exist for d in {5, 6, 7} only
     with pytest.raises(ValueError):
-        itg.integrate(4, _connection_jet(0.0), watch=[itg.EventKind.SECOND_DERIV_UP])
-    with pytest.raises(ValueError):
-        itg.integrate(5, np.array([0.1, 0.1, 0.1, 0.1]), watch=["not-an-event"])
+        itg.integrate(4, _connection_jet(0.0), gates=True)
+    assert itg.integrate(4, _connection_jet(0.0), cfg=itg.IntegrationConfig(max_span=0.1)).s[-1] == 0.1
+
+
+@pytest.mark.parametrize("gates", [["second_deriv_up"], "up", 1, None, np.True_],
+                         ids=["list", "str", "int", "none", "numpy-bool"])
+def test_gates_must_be_a_bool(gates):
+    with pytest.raises(ValueError, match="gates must be True or False"):
+        itg.integrate(5, np.array([0.1, 0.1, 0.1, 0.1]), gates=gates)
 
 
 def test_sample_at_returns_stored_nodes_exactly():
@@ -843,9 +846,8 @@ def _near_underflow() -> itg.Trajectory:
 
 
 _RUNS = {
-    "up_gate": lambda: itg.integrate(5, _GATE_SEED, watch=[itg.EventKind.SECOND_DERIV_UP]),
-    "down_gate": lambda: itg.integrate(
-        5, -_GATE_SEED, watch=[itg.EventKind.SECOND_DERIV_DOWN]),
+    "up_gate": lambda: itg.integrate(5, _GATE_SEED, gates=True),
+    "down_gate": lambda: itg.integrate(5, -_GATE_SEED, gates=True),
     "blowup_1e3": lambda: itg.integrate(
         5, _BLOWUP_SEED, cfg=itg.IntegrationConfig(blowup_norm=1e3)),
     "blowup_1e8": lambda: itg.integrate(5, _BLOWUP_SEED),
@@ -863,7 +865,7 @@ _RUNS = {
 def _scanned_jets(K, h, t, t_new, y):
     """The jets `_scan` evaluates on one jet's step, as one lane: one list per grid point."""
     jets = itg._scan(np.array(K)[:, :, None], h, t, t_new, np.array(y)[:, None],
-                     math.inf, math.inf, (False, False))[1]
+                     math.inf, math.inf)[1]
     return jets[:, :, 0].T.tolist()
 
 
@@ -999,10 +1001,10 @@ def test_interpolant_gives_the_bits_of_the_scan():
     y = np.array([st[3] for st in steps]).T
     seen = []
     with np.errstate(all="ignore"):
-        lanes = itg._scan(K, h, t, t + h, y, math.inf, math.inf, (False, False))
+        lanes = itg._scan(K, h, t, t + h, y, math.inf, math.inf)
         for j, (Kj, hj, tj, yj) in enumerate(steps):
             one = itg._scan(np.array(Kj)[:, :, None], hj, tj, tj + hj, np.array(yj)[:, None],
-                            math.inf, math.inf, (False, False))
+                            math.inf, math.inf)
             at = itg._interpolant(Kj, hj, tj, yj)
             for (grid, jets, _), lane in ((one, 0), (lanes, j)):
                 for i, g in enumerate(grid[:, lane].tolist()):
@@ -1014,11 +1016,12 @@ def test_interpolant_gives_the_bits_of_the_scan():
 
 
 def test_shooting_orbits_skip_most_scans(monkeypatch):
-    trajs = []
+    trajs, gated = [], []
     run = itg.integrate
 
-    def recording(*args, **kwargs):
-        trajs.append(run(*args, **kwargs))
+    def recording(*args, gates=False, **kwargs):
+        trajs.append(run(*args, gates=gates, **kwargs))
+        gated.append(gates)
         return trajs[-1]
 
     monkeypatch.setattr(itg, "integrate", recording)
@@ -1028,7 +1031,13 @@ def test_shooting_orbits_skip_most_scans(monkeypatch):
         st = traj.stats
         assert st.accepted == len(traj.s) - 1 == st.scanned + st.skipped
         assert st.field_evals == 2 + 6 * (st.accepted + st.rejected)
-        assert (st.bisections > 0) == (traj.termination.kind is itg.TerminationKind.EVENT_STOP)
+    # the search's orbits are gated; theta*'s orbit, the last, runs on to blowup
+    assert gated == [True] * (len(trajs) - 1) + [False]
+    for traj in trajs[:-1]:
+        assert (traj.stats.bisections > 0) == (
+            traj.termination.kind is itg.TerminationKind.EVENT_STOP)
+    assert trajs[-1].termination.kind is itg.TerminationKind.BLOWUP_DETECTED
+    assert trajs[-1].stats.bisections > 0
     skipped = sum(t.stats.skipped for t in trajs)
     assert skipped >= 0.98 * sum(t.stats.accepted for t in trajs)
 
@@ -1044,7 +1053,7 @@ def test_shoot_bracket_ends_take_the_pinned_steps():
     }
     for theta, stats in pinned.items():
         seed = manifold.seed_state(manifold.SeedSpec(config.EPS0, theta))
-        assert itg.integrate(5, seed, cfg=cfg, watch=_GATE_WATCH).stats == stats, theta
+        assert itg.integrate(5, seed, cfg=cfg, gates=True).stats == stats, theta
 
 
 @pytest.mark.parametrize("run", _RUNS.values(), ids=_RUNS.keys())

@@ -161,7 +161,7 @@ def test_gate_events_are_not_missed_inside_a_step(theta, tau_tol):
 
 
 def test_bisection_locates_the_connecting_angle():
-    theta_star, res = manifold.find_heteroclinic(theta_tol=1e-10)
+    theta_star, res, _ = manifold.find_heteroclinic(theta_tol=1e-10)
     assert abs(theta_star - math.pi / 4) < 1e-5
     assert res.outcome in (manifold.Outcome.BLOWUP_PLUS, manifold.Outcome.BLOWUP_MINUS)
     traj = integrate.integrate(
@@ -189,21 +189,50 @@ def test_classified_orbit_reads_the_gate_from_the_unwatched_orbit(
     calls = []
     run = integrate.integrate
 
-    def recording(*args, watch=(), **kwargs):
-        calls.append(tuple(watch))
-        return run(*args, watch=watch, **kwargs)
+    def recording(*args, gates=False, **kwargs):
+        calls.append(gates)
+        return run(*args, gates=gates, **kwargs)
 
     monkeypatch.setattr(integrate, "integrate", recording)
     res, orbit = manifold._classified_orbit(spec, cfg)
     assert repr(res) == repr(want)
-    assert calls == [()] + [manifold._GATES] * watched
+    assert calls == [False] + [True] * watched
     bare = run(5, manifold.seed_state(spec), cfg=cfg)
     assert np.array_equal(orbit.s, bare.s) and np.array_equal(orbit.states, bare.states)
 
 
+@pytest.mark.parametrize(("eps0", "cfg", "outcome"), [
+    (EPS0, None, manifold.Outcome.BLOWUP_MINUS),
+    # theta*'s orbit exhausts this span with no gate crossing in its stored
+    # steps, so `_gate_end` finds none and the gated orbit classifies it
+    (0.05, integrate.IntegrationConfig(max_span=6.0), manifold.Outcome.UNDECIDED),
+], ids=["default", "span6"])
+def test_find_heteroclinic_returns_theta_stars_ungated_orbit(eps0, cfg, outcome, monkeypatch):
+    runs = []
+    run = integrate.integrate
+
+    def recording(*args, gates=False, **kwargs):
+        runs.append((gates, run(*args, gates=gates, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(integrate, "integrate", recording)
+    theta_star, res, orbit = manifold.find_heteroclinic(cfg=cfg, eps0=eps0)
+    monkeypatch.undo()
+    spec = manifold.SeedSpec(eps0, theta_star)
+    assert orbit.s[0] == 0.0
+    assert np.array_equal(orbit.states[0], manifold.seed_state(spec).as_array())
+    assert [gates for gates, traj in runs if traj is orbit] == [False]
+    assert orbit.termination.kind is not integrate.TerminationKind.EVENT_STOP
+    want = manifold.classify_orbit(spec, cfg)
+    assert res.outcome is outcome
+    for name in ("theta", "outcome", "tau", "g", "note"):
+        assert getattr(res, name) == getattr(want, name), name
+    assert np.array_equal(res.end_state.as_array(), want.end_state.as_array())
+
+
 def test_theta_star_stable_under_radius_halving():
-    a, _ = manifold.find_heteroclinic(theta_tol=1e-10, eps0=1e-3)
-    b, _ = manifold.find_heteroclinic(theta_tol=1e-10, eps0=5e-4)
+    a, _, _ = manifold.find_heteroclinic(theta_tol=1e-10, eps0=1e-3)
+    b, _, _ = manifold.find_heteroclinic(theta_tol=1e-10, eps0=5e-4)
     assert abs(a - b) < 1e-6
 
 
@@ -211,7 +240,7 @@ def test_bisection_narrows_through_undecided_midpoints():
     # with a short span the near-connecting midpoints exhaust the span deep
     # inside the region; the bracket must still collapse around theta*
     cfg = integrate.IntegrationConfig(max_span=12.0)
-    theta_star, res = manifold.find_heteroclinic(theta_tol=1e-14, cfg=cfg, eps0=0.05)
+    theta_star, res, _ = manifold.find_heteroclinic(theta_tol=1e-14, cfg=cfg, eps0=0.05)
     assert abs(theta_star - 0.7848110966) < 1e-8
     assert res.outcome is manifold.Outcome.UNDECIDED
     assert "span exhausted" in res.note

@@ -15,7 +15,7 @@ def winding():
 
 @pytest.fixture(scope="module")
 def heteroclinic_profile():
-    theta_star, _ = manifold.find_heteroclinic(theta_tol=2.3e-16)
+    theta_star, _, _ = manifold.find_heteroclinic(theta_tol=2.3e-16)
     traj = integrate.integrate(
         5,
         manifold.seed_state(manifold.SeedSpec(1e-3, theta_star)),

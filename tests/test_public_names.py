@@ -1,4 +1,5 @@
-"""Public names that nothing in the package uses, found by an AST scan.
+"""Public names that nothing in the package uses, and private names that one
+module reads from another, found by AST scans.
 
 A name in a module's `__all__` counts as used when the package reads it
 somewhere besides its definition: as a name in its own module, as
@@ -6,6 +7,12 @@ somewhere besides its definition: as a name in its own module, as
 `from .module import name`.  Every public name that is not used is pinned
 below with the reason it is kept; a new one fails here until it gets a
 library caller, is deleted, or is pinned with a reason of its own.
+
+A private name (one that starts with `_`) read by another module, as
+`module._name` or through `from .module import _name`, ties that reader to
+the module's insides.  Every such (reader, name) pair is pinned below with
+the reason it is kept; a new one fails here until it goes through a public
+name, is deleted, or is pinned with a reason of its own.
 """
 
 import ast
@@ -31,6 +38,24 @@ UNUSED_PUBLIC_NAMES = {
     "taylor.mp_context": "kept for the interval Taylor enclosures and the manifold parameterization",
     "taylor.jet": "kept with taylor.coefficients: it sums their series at a step",
     "manifold.refine_heteroclinic": "kept until shoot delivers the refined connecting orbit",
+}
+
+# Private names read across modules, each for the reason given.
+PRIVATE_READS = {
+    ("integrate", "core._check_dim"): "the one dimension check of every entry point",
+    ("integrate", "core._make_rhs"): "the field on numpy arrays, for the lanes and every start",
+    ("integrate", "core._field_scope"): "binds the field's constants into the generated loop",
+    ("integrate", "core._function_code"): "compiles the generated loop as core compiles the field",
+    ("manifold", "core._components"): "the end jet's four floats in a grid CSV row",
+    ("manifold", "integrate._gate_end"): "classifies theta* from its ungated orbit, no second run",
+    ("profile", "core._make_rhs"): "the fourth derivative on a whole orbit at once",
+    ("profile", "integrate._interpolant"): "the dense output that locates each pi crossing",
+    ("profile", "manifold._check_eps0"): "the seed radius rule, kept in one place",
+    ("regions", "core._check_dim"): "the one dimension check of every entry point",
+    ("regions", "core._make_rhs"): "the fourth derivative on an orbit's jets",
+    ("regions", "core._field_constants"): "the field's constants in the closed-form systems",
+    ("taylor", "core._check_dim"): "the one dimension check of every entry point",
+    ("taylor", "core._field_constants"): "the field's constants in the Taylor recursion",
 }
 
 
@@ -78,3 +103,32 @@ def test_the_scan_sees_each_kind_of_use():
     })
     assert {"b.f", "a.g", "b.h"} <= used
     assert "a.x" not in used
+
+
+def private_reads(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(reader, `module._name`) for every private name a module reads from another."""
+    reads = set()
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.value.id != mod):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules:
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            reads.update((mod, f"{owner}.{name}") for owner, name in names if name.startswith("_"))
+    return reads
+
+
+def test_private_reads_across_modules_are_the_pinned_ones():
+    assert private_reads(_modules()) == set(PRIVATE_READS)
+
+
+def test_the_private_scan_sees_each_kind_of_read():
+    reads = private_reads({
+        "a": ast.parse("from .b import _f, g\nfrom . import b\nb._h()\nb.k()\n"),
+        "b": ast.parse("_f = _h = g = k = None\n_f\nb._x = 1\n"),
+        "c": ast.parse("import os\nos._exit\n"),
+    })
+    assert reads == {("a", "b._f"), ("a", "b._h")}
