@@ -10,8 +10,9 @@ or by the runner; a params function checks only what needs the flags
 themselves.  `replay` runs a manifest's parameters through the same path,
 so it rejects what the command line rejects, and compares every output file
 next to the manifest with its fresh copy.  An --out whose directory does
-not exist is a usage error, found before any work runs; an artifact that
-cannot be written ends the run with one line on stderr.  `shoot` makes one
+not exist or cannot be written is a usage error, found before any work
+runs; an artifact that still cannot be written ends the run with one line
+on stderr that names it.  `shoot` makes one
 library call, `manifold.find_heteroclinic`, which returns theta*, its
 classification and the orbit that --out writes as CSV.
 Exit codes: 0 success / all proved, 1 failure (a Failed certificate, a
@@ -23,6 +24,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -76,12 +78,22 @@ def _execute(command: str, params: dict, out: str | None) -> tuple[int, list[str
     --out) and returns its exit code, its JSON report (None when it has
     none), and the other files it wrote.  The report goes to `<base>.json`.
     Returns the exit code and every output path.  A base whose directory
-    does not exist raises ValueError before the runner starts.
+    does not exist, or does not let a file be made in it (probed by making
+    and removing a temporary one), raises ValueError before the runner
+    starts.
     """
     started = time.perf_counter()
     base = None if out is None else _out_base(out)
-    if base is not None and not os.path.isdir(os.path.dirname(base) or "."):
-        raise ValueError(f"--out {out!r}: no directory {os.path.dirname(base)!r}")
+    if base is not None:
+        folder = os.path.dirname(base) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"--out {out!r}: no directory {folder!r}")
+        try:
+            with tempfile.TemporaryFile(dir=folder):
+                pass
+        except OSError as err:
+            raise ValueError(f"--out {out!r}: cannot write in {folder!r}: "
+                             f"{err.strerror or err}") from None
     code, report, outputs = _RUNNERS[command](params, base)
     if base is not None and report is not None:
         _write_json(f"{base}.json", report)
@@ -467,7 +479,10 @@ def _replay(args, parser: _Parser) -> int:
 # parser wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line's parser, built once per process: each `add_argument`
+    makes a help formatter and looks up its messages."""
     parser = _Parser(prog="biwind", description=__doc__)
     parser.add_argument("--version", action="version", version=f"biwind {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

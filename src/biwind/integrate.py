@@ -9,12 +9,18 @@ once as the columns of a (4, n) array, a step size per lane, and keeps no
 trajectory.  Both sum the stages, the error norm and the interpolant
 elementwise in one fixed order, so an orbit's bits depend on its seed only:
 not on the loop that ran it, nor on the other lanes.  The lanes step with
-`_combo` on arrays.  A single orbit runs in `_serial_loop`, one function
+`_combo` on arrays.  A single orbit runs in `_serial_loop`, a function
 generated at import from the tableau that holds the whole accepted-step
 loop on scalar locals: the trial step with the field's source
 `core.FIELD_SOURCE` inlined at every stage, the error norm, the step
-control and the gate below.  Every sum is `_combo`'s written out, with the
-same products, zero weights included, in the same order.  numpy rounds each
+control and the gate below.  It comes in two forms from one template: one
+keeps every accepted step, for `integrate` (`_drive`); the other keeps
+nothing and only counts them, for orbits whose caller reads only their end
+(`_drive_end`): the lanes that `integrate_lanes` hands off, and so every
+`manifold.classify_orbit`.  Every stage sum is `_combo`'s written out, with
+the same products, zero weights included, in the same order; the gate's
+bounds leave out their zero-weight terms, which change no bit (see
+_REACH_STAGES).  numpy rounds each
 elementwise operation on doubles as Python rounds it on a float, so each
 component rounds as its lane does.  Both loops take the step factor and the
 initial step's power through libm's pow (`core.power`), not numpy's vector
@@ -49,8 +55,9 @@ event, and the loop returns to Python only to scan one, at the end of the
 span, or to raise on step underflow.  The lanes take the same two bounds on
 all lanes at once, `_lanes_near`, and scan only the lanes whose accepted
 step it flags.  Once no more than _HANDOFF_LANES lanes are live, the
-lockstep loop stops and `_drive`, resumed from each lane's state, finishes
-it alone: an iteration costs about as much at a few lanes as at fifty.
+lockstep loop stops and `_drive_end`, resumed from each lane's state,
+finishes it alone: an iteration costs about as much at a few lanes as at
+fifty.
 `_gate_end` replays the gated run's scans on an ungated orbit's stored
 steps, so that one orbit gives both a classification and a trajectory that
 runs on past the gate.
@@ -61,6 +68,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import itertools
 import math
 import os
 import types
@@ -248,6 +256,13 @@ _P_LANES = np.array(_P)[:, :, None, None]  # one (4, 4, n) combination for all l
 # them, scaled by at most h; (1 + h) * _REACH_FLOOR covers those.  An inf or
 # nan bound never passes the test, so its step scans.
 _P_REACH = tuple(math.fsum(abs(p) for p in row) for row in _P)
+# The stages of nonzero _P_REACH, which the bounds sum (stage 1 has weight 0).
+# A zero-weight term |K_j,c| * 0.0 is +0.0 on an accepted step, where every
+# stage is finite: an inf or nan stage makes its error term _E[j] * K_j, and
+# so the error norm, inf or nan (for _E[1] = 0, nan), and the step fails.  A
+# sum of nonnegative terms is never -0.0, so adding +0.0 to it changes no bit
+# and leaving the term out leaves every bound as it was.
+_REACH_STAGES = tuple(j for j, w in enumerate(_P_REACH) if w)
 _R = math.fsum(abs(math.fsum(row[k] for row in _P)) for k in range(1, len(_P[0])))
 _REACH_MARGIN = 1.0 + 1e-9
 _REACH_FLOOR = 2.0 ** -1000
@@ -329,15 +344,21 @@ _LOOP_NAMES = ("sin", "cos", "d1", "k", "c3", "gk", "a", "a2", "abs", "max", "sq
                "cs", "t_bound", "max_step", "rtol", "atol")
 
 
-def _loop_source() -> str:
+def _loop_source(store: bool = True) -> str:
     """Source of `loop`, written out from _A, _B, _E, _P_REACH, _R, the step
-    control and `core.FIELD_SOURCE`.  The local ayc holds |y_c| across
-    steps: the error norm takes |n_c| as anc, which is the next step's ayc,
-    and the gate's bounds read ayc."""
+    control and `core.FIELD_SOURCE`, in one of two forms: with `store`, it
+    appends every accepted step to the lists it is given; without, it keeps
+    nothing, counts the accepted steps and builds a step's stages and its
+    jet before the step only at a step it returns to scan.  The locals ayc
+    and ak0c hold |y_c| and |K_0,c| across steps: the error norm takes
+    |n_c| as anc, which is the next step's ayc, and the gate takes
+    |K_6,c| as ak6c, the next step's ak0c."""
     n = len(_E)
     k = [[f"k{j}{c}" for c in range(4)] for j in range(n)]
     col = list(zip(*k))  # col[c][j] is component c of stage j
     body = " " * 12
+    new_jet = "[n0, n1, n2, n3]"
+    rest = ", ".join("(" + ", ".join(k[j]) + ")" for j in range(1, n))
 
     def stage(j: int, jet: Sequence[str]) -> list[str]:
         # The field at jet, inlined: stage j is (v, w2, w3, acc).
@@ -346,17 +367,45 @@ def _loop_source() -> str:
                 *(f"{body}{line}" for line in core.FIELD_SOURCE.splitlines()),
                 *(f"{body}k{j}{c} = {name}" for c, name in enumerate(("v", "w2", "w3", "acc")))]
 
-    loose = [f"ay{c} + h * {_sum([f'abs({t})' for t in col[c]], _P_REACH)}" for c in range(4)]
-    tight = [f"{_larger(f'ay{c}', f'u{c}')} + h * "
-             + _sum([f"abs({t} - k0{c})" for t in col[c][1:]] + [f"abs(k0{c})"], (*_P_REACH[1:], _R))
+    # The gate's sums leave out the stages of zero weight (see _REACH_STAGES).
+    loose = [f"ay{c} + h * "
+             + _sum([f"ak{j}{c}" if j in (0, n - 1) else f"abs(k{j}{c})" for j in _REACH_STAGES],
+                    [_P_REACH[j] for j in _REACH_STAGES])
              for c in range(4)]
+    tight = [f"{_larger(f'ay{c}', f'u{c}')} + h * "
+             + _sum([f"abs(k{j}{c} - k0{c})" for j in _REACH_STAGES[1:]] + [f"ak0{c}"],
+                    [*(_P_REACH[j] for j in _REACH_STAGES[1:]), _R])
+             for c in range(4)]
+    if store:
+        start = ["    k00, k01, k02, k03 = K0 = f",
+                 "    keep, keep_s, keep_y = steps.append, ss.append, ys.append"]
+        accept = [f"        K = [K0, {rest}]",
+                  "        keep((K, h))",
+                  "        t_old, t = t, t_new",
+                  f"        y = {new_jet}",
+                  "        keep_s(t)",
+                  "        keep_y(y)"]
+        near, spent = "([r0, r1, r2, r3], [b0, b1, b2, b3])", "None"
+        carry = ["        y0, y1, y2, y3 = y",
+                 f"        k00, k01, k02, k03 = K0 = K[{n - 1}]"]
+    else:
+        start = ["    k00, k01, k02, k03 = f",
+                 "    accepted = 0"]
+        accept = ["        accepted += 1",
+                  "        t_old, t = t, t_new"]
+        near = f"accepted, ([({', '.join(k[0])}), {rest}], h, [y0, y1, y2, y3])"
+        spent = "accepted, None"
+        carry = ["        y0, y1, y2, y3 = n0, n1, n2, n3",
+                 f"        k00, k01, k02, k03 = {', '.join(k[n - 1])}"]
+    returned = "t, t_old, y, h_abs, rejections" if store else f"t, t_old, {new_jet}, h_abs, rejections"
+    kept = ", steps, ss, ys" if store else ""
     return "\n".join([
-        f"def loop(y, f, t, t_old, h_abs, rejected, steps, ss, ys, {', '.join(_LOOP_NAMES)}):",
+        f"def loop(y, f, t, t_old, h_abs, rejected{kept}, {', '.join(_LOOP_NAMES)}):",
         "    'Accepted steps of one jet until one can reach an event or the span ends; see _serial_loop.'",
         "    y0, y1, y2, y3 = y",
         "    ay0, ay1, ay2, ay3 = abs(y0), abs(y1), abs(y2), abs(y3)",
-        "    k00, k01, k02, k03 = K0 = f",
-        "    keep, keep_s, keep_y = steps.append, ss.append, ys.append",
+        *start,
+        "    ak00, ak01, ak02, ak03 = abs(k00), abs(k01), abs(k02), abs(k03)",
         "    rejections = 0",
         "    while True:",
         "        # The lanes' trial step: clamp a fresh step to [min_step, max_step];",
@@ -365,7 +414,7 @@ def _loop_source() -> str:
         "        if not rejected:",
         f"            h_abs = max_step if h_abs > max_step else {_larger('h_abs', 'min_step')}",
         "        if not h_abs >= min_step:",
-        "            raise underflow(t, t_old, y)",
+        "            raise underflow(t, t_old, [y0, y1, y2, y3])",
         "        t_new = t + h_abs",
         "        if t_bound < t_new:",
         "            t_new = t_bound",
@@ -390,14 +439,10 @@ def _loop_source() -> str:
         f"        up = grow if grow < {_MAX_FACTOR!r} else {_MAX_FACTOR!r}",
         "        h_abs = h * ((1.0 if 1.0 < up else up) if rejected else up)",
         "        rejected = False",
-        f"        K = [K0, {', '.join('(' + ', '.join(k[j]) + ')' for j in range(1, n))}]",
-        "        keep((K, h))",
-        "        t_old, t = t, t_new",
-        "        y = [n0, n1, n2, n3]",
-        "        keep_s(t)",
-        "        keep_y(y)",
+        *accept,
         "        # The gate: the loose bound, then the tight one where it fails (see _P_REACH).",
         "        lift = (1.0 + h) * floor",
+        *(f"        ak{n - 1}{c} = abs(k{n - 1}{c})" for c in range(4)),
         *(f"        r{c} = {loose[c]}" for c in range(4)),
         "        if not (max(r0, r1, r2, r3) * margin + lift < blowup and r2 * margin + lift < cs):",
         *(line for c in range(4) for line in (
@@ -405,24 +450,26 @@ def _loop_source() -> str:
             f"            b{c} = {tight[c]}")),
         *(f"            m{c} = b{c} * margin + lift" for c in range(4)),
         "            if not (max(m0, m1, m2, m3) < blowup and m2 < cs):",
-        "                return t, t_old, y, h_abs, rejections, ([r0, r1, r2, r3], [b0, b1, b2, b3])",
+        f"                return {returned}, {near}",
         "        if t >= t_bound:",
-        "            return t, t_old, y, h_abs, rejections, None",
-        "        y0, y1, y2, y3 = y",
+        f"            return {returned}, {spent}",
+        *carry,
         "        ay0, ay1, ay2, ay3 = an0, an1, an2, an3",
-        f"        k00, k01, k02, k03 = K0 = K[{n - 1}]",
+        f"        ak00, ak01, ak02, ak03 = {', '.join(f'ak{n - 1}{c}' for c in range(4))}",
     ])
 
 
 # A stage that overflows to inf makes `math.sin` raise ValueError in the
-# trial step, at that stage, where a lane gets nan.  The loop is compiled
-# once, and `_serial_loop` binds it to an orbit.
-_LOOP = core._function_code(_loop_source(), "<integrate._loop_source()>")
+# trial step, at that stage, where a lane gets nan.  Both forms of the loop
+# are compiled once, by `store`, and `_serial_loop` binds one to an orbit.
+_LOOPS = {store: core._function_code(_loop_source(store), f"<integrate._loop_source({store})>")
+          for store in (True, False)}
 
 
-def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float) -> Callable:
+def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float,
+                 store: bool = True) -> Callable:
     """The generated loop of one orbit in dimension d under cfg, watching
-    |phi''| = cs, to s = t_bound.
+    |phi''| = cs, to s = t_bound, in the form `_loop_source(store)`.
 
     `loop(y, f, t, t_old, h_abs, rejected, steps, ss, ys)` runs `_drive`'s
     accepted steps from the jet y at t (four floats) with the field f there,
@@ -434,11 +481,14 @@ def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float) -> C
     whose bounds, the loose and then the tight one with their rounding
     margins, do not keep it below the blowup norm and below cs in |phi''|:
     `near` is (loose, tight) there, and None once the span ends unscanned.
-    |y| is taken once per call and then carried across accepted steps: the
-    error norm's |new jet| is the next step's |y|, which the gate's bounds
-    read.  A step size below 10 ulp of t, or nan, raises `_underflow`.  Every name it reads
-    besides its state, the module's constants included, is bound here, when
-    the orbit starts.
+    Without `store`, `loop(y, f, t, t_old, h_abs, rejected)` runs the same
+    steps for `_drive_end`, appends nothing, and returns (t, t_old, y,
+    h_abs, rejections, accepted, near), with `accepted` the number of steps
+    it accepted and `near` (stages, h, the jet before the step) at a step
+    to scan.  |y| and |K_0| are taken once per call and then carried across
+    accepted steps.  A step size below 10 ulp of t, or nan, raises
+    `_underflow`.  Every name it reads besides its state, the module's
+    constants included, is bound here, when the orbit starts.
     """
     names = {**core._field_scope(d, core.FLOAT), "abs": abs, "max": max,
              "sqrt": math.sqrt, "nextafter": math.nextafter, "inf": math.inf, "nan": math.nan,
@@ -446,7 +496,8 @@ def _serial_loop(d: int, cfg: IntegrationConfig, cs: float, t_bound: float) -> C
              "floor": _REACH_FLOOR, "blowup": cfg.blowup_norm, "cs": cs, "t_bound": t_bound,
              "max_step": float(cfg.max_step), "rtol": max(cfg.rel_tol, _RTOL_FLOOR),
              "atol": cfg.abs_tol}
-    return types.FunctionType(_LOOP, {}, "loop", tuple(names[name] for name in _LOOP_NAMES))
+    return types.FunctionType(_LOOPS[store], {}, "loop",
+                              tuple(names[name] for name in _LOOP_NAMES))
 
 
 def _coefficients(K: Sequence[Sequence[float]]) -> list[list[float]]:
@@ -584,9 +635,21 @@ def _underflow(s: float, s_last: float, y) -> IntegrationError:
 # One orbit.
 
 
+def _step_crossing(K: Sequence[Sequence[float]], h: float, t: float, t_new: float,
+                   y: Sequence[float], cs: float,
+                   cfg: IntegrationConfig) -> tuple[Termination, list[float], int] | None:
+    """`_crossings` of one jet's accepted step from y at t to t_new, with
+    stages K and size h, as one lane: (termination, jet, probes) of its
+    first crossing, or None."""
+    for _, *hit in _crossings(np.array(K)[:, :, None], h, t, t_new, np.array(y)[:, None], cs, cfg):
+        return tuple(hit)
+    return None
+
+
 def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig, cs: float,
            resume: tuple[float, float, list[float], float, bool]) -> Trajectory:
-    """Integrate one jet, watching the gates |phi''| = cs (none if cs is inf).
+    """Integrate one jet, watching the gates |phi''| = cs (none if cs is inf),
+    and keep every accepted step.
 
     Trial steps and step control are those of `integrate_lanes` on floats,
     and the steps that can reach an event end in `_crossings`, as a lane's
@@ -600,11 +663,12 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig, cs: float,
     _P_REACH), stays below the blowup threshold and below c_star in |phi''|
     cannot reach an event, and is not scanned: the loop returns here only to
     scan a step, at the end of the span, or by raising on step underflow.
+    `_drive_end` runs the same orbit on the loop that keeps nothing.
 
     `resume` is the state (t, t_old, f, h_abs, rejected) of a lane at the
     top of its loop, with x0 its jet at t: `integrate`'s seed from `_start`
-    at t = t_old = s0, or a lane of `integrate_lanes`.  The run goes on as
-    that lane would, to s0 + max_span, and its samples begin at t.
+    at t = t_old = s0.  The run goes on as that lane would, to
+    s0 + max_span, and its samples begin at t.
     """
     t, t_old, f, h_abs, rejected = resume
     y = x0.tolist()
@@ -615,12 +679,6 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig, cs: float,
     steps: list[tuple[list, float]] = []
     stats = StepStats()
 
-    def finish(term: Termination) -> Trajectory:
-        stats.accepted = len(steps)
-        stats.skipped = stats.accepted - stats.scanned
-        stats.field_evals = 2 + 6 * (stats.accepted + stats.rejected)
-        return Trajectory(d, np.array(ss), np.array(ys), term, _steps=steps, stats=stats)
-
     # As in the lanes, a zero error or jet gives inf and nan, not warnings.
     with np.errstate(all="ignore"):
         while True:
@@ -630,14 +688,61 @@ def _drive(d: int, x0: np.ndarray, s0: float, cfg: IntegrationConfig, cs: float,
             if near is not None:
                 stats.scanned += 1
                 K, h = steps[-1]
-                for _, term, ys[-1], stats.bisections in _crossings(
-                        np.array(K)[:, :, None], h, t_old, t, np.array(ys[-2])[:, None], cs, cfg):
+                hit = _step_crossing(K, h, t_old, t, ys[-2], cs, cfg)
+                if hit is not None:
+                    term, ys[-1], stats.bisections = hit
                     ss[-1] = term.s_last
-                    return finish(term)
+                    break
                 if t < t_bound:
                     f, rejected = K[-1], False
                     continue
-            return finish(Termination(TerminationKind.SPAN_EXHAUSTED, s_last=t))
+            term = Termination(TerminationKind.SPAN_EXHAUSTED, s_last=t)
+            break
+    _count(stats, len(steps))
+    return Trajectory(d, np.array(ss), np.array(ys), term, _steps=steps, stats=stats)
+
+
+def _drive_end(d: int, y: list[float], s0: float, cfg: IntegrationConfig, cs: float,
+               resume: tuple[float, float, list[float], float, bool]
+               ) -> tuple[Termination, list[float], StepStats]:
+    """`_drive` on the loop that keeps nothing: how the orbit of the jet y
+    (four floats) resumed from `resume` ends, its last jet and its
+    `StepStats`, each what `_drive` gives, bit for bit and count for count.
+
+    For every orbit whose caller reads only its end: the lanes that
+    `integrate_lanes` hands off, `classify_orbit`'s one among them.
+    """
+    t, t_old, f, h_abs, rejected = resume
+    t_bound = s0 + cfg.max_span
+    loop = _serial_loop(d, cfg, cs, t_bound, store=False)
+    stats = StepStats()
+    accepted = 0
+    with np.errstate(all="ignore"):
+        while True:
+            t, t_old, y, h_abs, rejections, taken, near = loop(y, f, t, t_old, h_abs, rejected)
+            stats.rejected += rejections
+            accepted += taken
+            if near is not None:
+                stats.scanned += 1
+                K, h, y_old = near
+                hit = _step_crossing(K, h, t_old, t, y_old, cs, cfg)
+                if hit is not None:
+                    term, y, stats.bisections = hit
+                    break
+                if t < t_bound:
+                    f, rejected = K[-1], False
+                    continue
+            term = Termination(TerminationKind.SPAN_EXHAUSTED, s_last=t)
+            break
+    _count(stats, accepted)
+    return term, y, stats
+
+
+def _count(stats: StepStats, accepted: int) -> None:
+    """Complete the counters of a run that accepted `accepted` steps."""
+    stats.accepted = accepted
+    stats.skipped = accepted - stats.scanned
+    stats.field_evals = 2 + 6 * (accepted + stats.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +766,7 @@ class LaneEnd:
 # fifty, while a trial step of `_serial_loop` costs about 6.9 µs (one 2-core
 # x86 VM, in process, over the shooting search's orbits), so some thirty
 # serial trial steps cost one lane iteration.  The lockstep loop stops once no
-# more than _HANDOFF_LANES lanes are live, and `_drive` finishes each of them;
+# more than _HANDOFF_LANES lanes are live, and `_drive_end` finishes each one;
 # on the 50-angle classification grid, no threshold from 5 to 40 beat 20 in
 # more than 6 of 10 alternated rounds.
 _HANDOFF_LANES = 20
@@ -676,14 +781,16 @@ def _lanes_near(y: np.ndarray, K: Sequence[np.ndarray], h: np.ndarray, accepted,
     near here, where the loop's max may pass it over; its step's scan finds
     nothing either way."""
     floor = (1.0 + h) * _REACH_FLOOR
-    reach = np.abs(y) + h * _combo([np.abs(k) for k in K], _P_REACH)
+    reach = np.abs(y) + h * _combo([np.abs(K[j]) for j in _REACH_STAGES],
+                                   [_P_REACH[j] for j in _REACH_STAGES])
     near = accepted & ~((reach.max(axis=0) * _REACH_MARGIN + floor < blowup_norm)
                         & (reach[2] * _REACH_MARGIN + floor < cs))
     if not near.any():
         return near
     k0 = K[0]
     tight = (np.maximum(np.abs(y), np.abs(y + h * k0))
-             + h * _combo([np.abs(k - k0) for k in K[1:]] + [np.abs(k0)], (*_P_REACH[1:], _R)))
+             + h * _combo([np.abs(K[j] - k0) for j in _REACH_STAGES[1:]] + [np.abs(k0)],
+                          [*(_P_REACH[j] for j in _REACH_STAGES[1:]), _R]))
     tight = tight * _REACH_MARGIN + floor
     return near & ~((tight.max(axis=0) < blowup_norm) & (tight[2] < cs))
 
@@ -704,7 +811,9 @@ def _gate_end(traj: Trajectory, cfg: IntegrationConfig) -> tuple[Termination, li
     if not steps:
         return None
     n = len(steps)
-    K = np.array([K for K, _ in steps]).transpose(1, 2, 0)  # (stage, component, step)
+    flat = itertools.chain.from_iterable
+    stages = np.fromiter(flat(flat(K for K, _ in steps)), float, n * len(_E) * 4)
+    K = stages.reshape(n, len(_E), 4).transpose(1, 2, 0)  # (stage, component, step)
     h = np.array([h for _, h in steps])
     y, t, t_new = traj.states[:n].T, traj.s[:n], traj.s[1:n + 1]
     cs = core.c_star(traj.d)
@@ -735,7 +844,8 @@ def integrate_lanes(
     lanes whose accepted step `_lanes_near` finds can reach an event; a
     skipped scan could have found nothing.  The lanes still live once no
     more than _HANDOFF_LANES are left, all of them for a grid that small,
-    are each finished by `_drive`, resumed from the lane's state.
+    are each finished by `_drive_end`, resumed from the lane's state, on
+    the serial loop that keeps no step.
     """
     cfg = cfg or IntegrationConfig()
     core._check_dim(d)
@@ -821,8 +931,8 @@ def integrate_lanes(
     for j, lane in enumerate(lanes.tolist()):
         resume = (float(t[j]), float(t_old[j]), f[:, j].tolist(), float(h_abs[j]), bool(rejected[j]))
         try:
-            traj = _drive(d, y[:, j], 0.0, cfg, cs, resume)
-            ends[lane] = LaneEnd(traj.termination, core.State.from_array(traj.states[-1]))
+            term, y_end, _ = _drive_end(d, y[:, j].tolist(), 0.0, cfg, cs, resume)
+            ends[lane] = LaneEnd(term, core.State.from_array(y_end))
         except IntegrationError as err:
             ends[lane] = LaneEnd(err, err.state_last)
     return ends
@@ -887,16 +997,28 @@ def sample_at(traj: Trajectory, s: float) -> core.State:
 def atomic_open(path: str) -> Iterator:
     """A text file open on `<path>.tmp`, moved onto `path` once the block
     completes and removed if the block or the move raises, so a run that
-    dies mid-write leaves no partial file, there or at `<path>.tmp`."""
+    dies mid-write leaves no partial file, there or at `<path>.tmp`.  An
+    OSError of the file, in its opening, writing or move, names `path`, the
+    artifact, not `<path>.tmp`."""
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w", newline="")
+    try:
+        fh = open(tmp, "w", newline="")
+    except OSError as err:
+        raise _naming(path, err) from err
     try:
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         os.remove(tmp)
+        if isinstance(err, OSError) and err.filename in (None, tmp):
+            raise _naming(path, err) from err
         raise
+
+
+def _naming(path: str, err: OSError) -> OSError:
+    """err as an OSError of the same errno on `path`."""
+    return OSError(err.errno, err.strerror or str(err), path)
 
 
 def _cell(c) -> str:

@@ -15,10 +15,11 @@ search pins the connecting angle only to about 5.5e-14 (the integrator
 tolerances), too coarse for a single orbit to stay by the equator over the
 full span; `refine_heteroclinic` sharpens the angle to a few units in the
 last place by multiple shooting over unit segments, still in doubles.
-Classification grids integrate all of their seeds together, as lanes of
-`integrate.integrate_lanes`; single orbits and the shooting search use the
-serial integrator, which is faster per orbit.  Both run one Dormand-Prince
-kernel, so an angle classifies bit for bit alike either way.
+Every classification runs through `integrate.integrate_lanes`: a grid's
+seeds together, as lanes, and a single orbit, the shooting search's
+included, as the one lane of a grid, which goes straight to the serial loop
+that keeps no step.  Both loops run one Dormand-Prince kernel, so an angle
+classifies bit for bit alike either way.
 """
 
 from __future__ import annotations
@@ -162,17 +163,11 @@ def classify_orbit(
     Stops at the first |phi''| = c*(5) crossing and records its sign.
     A run that exhausts the span next to (pi/2, 0, 0, 0) while (phi, phi'')
     never left the trapping region is a heteroclinic candidate; anything
-    else without a gate crossing is undecided.
+    else without a gate crossing is undecided.  The one-lane case of
+    `classification_grid`: its lane goes straight to the serial loop that
+    keeps no step, and only a candidate is integrated again, with its steps.
     """
-    cfg = cfg or integrate.IntegrationConfig()
-    x0 = seed_state(spec)
-    try:
-        traj = integrate.integrate(D, x0, cfg=cfg, gates=True)
-    except integrate.IntegrationError as err:
-        return _classified(spec.theta, err, err.state_last)
-    return _classified(
-        spec.theta, traj.termination, traj.state_at_end(), lambda: _stays_in_region(traj)
-    )
+    return classification_grid([spec.theta], spec.eps0, cfg)[0]
 
 
 def _classified(
@@ -418,13 +413,13 @@ def classification_grid(
 
     All seeds run through `integrate.integrate_lanes`, in one thread: as
     lanes of one lockstep Dormand-Prince loop, the last few (or all of a
-    small grid) finished one by one by the serial integrator.  Each result
-    maps to its outcome as in `classify_orbit`.  A lane that exhausts the span next to
-    the target runs again as a single orbit, which tells whether it stayed
-    in C.  A lane's bits depend on its own seed only, so a result is the same
-    whatever the grid's size, order or `workers`, and equals
-    `classify_orbit`'s bit for bit; `workers` must be >= 1 when given and
-    changes nothing.
+    small grid) finished one by one by the serial loop that keeps no step.
+    Each result maps to its outcome by `_classified`.  A lane that exhausts
+    the span next to the target runs again as a single orbit, with its
+    steps, which tells whether it stayed in C.  A lane's bits depend on its
+    own seed only, so a result is the same whatever the grid's size, order
+    or `workers`, and a one-angle grid is `classify_orbit`; `workers` must
+    be >= 1 when given and changes nothing.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -535,6 +536,18 @@ def test_a_csv_writer_that_dies_leaves_no_file(tmp_path, monkeypatch, writer):
     assert not os.path.exists(path + ".tmp")
 
 
+def test_one_parser_serves_every_call_of_main(capsys):
+    cli._build_parser.cache_clear()
+    assert run(["spectrum", "--d", "5", "--parity", "odd"]) == 0
+    assert run(["spectrum", "--d", "4"]) == 0
+    assert usage_code(["spectrum"]) == 64
+    assert cli._build_parser.cache_info().misses == 1
+    # a parse leaves nothing behind: the defaults hold after flags were given
+    args = cli._build_parser().parse_args(["spectrum", "--d", "5"])
+    assert (args.parity, args.out) == ("even", None)
+    assert "odd parity" in capsys.readouterr().out
+
+
 def test_no_output_without_out_flag(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(["spectrum", "--d", "5", "--parity", "even"]) == 0
@@ -572,6 +585,60 @@ def test_replay_out_into_a_missing_directory_exits_64_before_any_work(
     assert sorted(tmp_path.iterdir()) == before
 
 
+def _no_file_here(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize(("argv", "module", "name"), [
+    (["verify", "--task", "V1"], certify, "run_task"),
+    (["spectrum", "--d", "5"], core, "linearization"),
+    (["classify", "--grid", "2"], manifold, "classification_grid"),
+    (["shoot"], manifold, "find_heteroclinic"),
+], ids=["verify", "spectrum", "classify", "shoot"])
+def test_out_into_a_directory_that_cannot_be_written_exits_64_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, module, name):
+    # the probe of the directory fails as it would without write permission
+    monkeypatch.setattr(module, name, _must_not_run)
+    monkeypatch.setattr(tempfile, "TemporaryFile", _no_file_here)
+    assert usage_code([*argv, "--out", str(tmp_path / "x")]) == 64
+    assert "cannot write in" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.isdir("/proc"),
+                    reason="needs Linux's /proc, where no file can be made")
+def test_out_into_proc_exits_64_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr(manifold, "classification_grid", _must_not_run)
+    assert usage_code(["classify", "--grid", "2", "--out", "/proc/x"]) == 64
+    err = capsys.readouterr().err
+    assert "--out '/proc/x': cannot write in '/proc'" in err and ".tmp" not in err
+    assert not os.path.exists("/proc/x.csv.tmp")
+
+
+def test_replay_out_into_a_directory_that_cannot_be_written_exits_64_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    base = tmp_path / "sp"
+    assert run(["spectrum", "--d", "5", "--out", str(base)]) == 0
+    before = sorted(tmp_path.iterdir())
+    (tmp_path / "locked").mkdir()
+    monkeypatch.setattr(core, "linearization", _must_not_run)
+    monkeypatch.setattr(tempfile, "TemporaryFile", _no_file_here)
+    argv = ["replay", "--manifest", f"{base}.manifest.json", "--out",
+            str(tmp_path / "locked" / "x")]
+    assert usage_code(argv) == 64
+    assert "cannot write in" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "locked"])
+    assert not list((tmp_path / "locked").iterdir())
+
+
+def test_an_artifact_that_cannot_be_opened_is_named_in_the_error(tmp_path, capsys):
+    # the directory takes files, but the artifact's temporary path is a directory
+    (tmp_path / "x.csv.tmp").mkdir()
+    assert run(["classify", "--grid", "2", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"biwind: cannot write {tmp_path / 'x.csv'}: Is a directory\n"
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--d", "5"], ["classify", "--grid", "2"]],
                          ids=["json", "csv"])
 def test_an_artifact_that_cannot_be_written_exits_one_without_a_traceback(
@@ -584,6 +651,7 @@ def test_an_artifact_that_cannot_be_written_exits_one_without_a_traceback(
     err = capsys.readouterr().err
     assert err.startswith("biwind: cannot write ") and err.count("\n") == 1
     assert "Permission denied" in err and "Traceback" not in err
+    assert ".tmp" not in err  # the artifact is named, not its temporary file
     assert not list(tmp_path.iterdir())
 
 

@@ -133,13 +133,15 @@ class _Rejected(Exception):
     """Ends a run of the loop at its first rejected trial step."""
 
 
-def _loop_trial(d, y, f, h, abs_tol=1e-12, code=None, scope=None):
+def _loop_trial(d, y, f, h, abs_tol=1e-12, code=None, scope=None, store=True):
     """(sin arguments, error norm, rest) of the first trial step, of size h
     from the jet y with field f at s = 0, of the loop that `_drive` runs (or
     of `code` bound as it binds the loop): rest is (new jet, stages, loose
     and tight bound) for an accepted step and None for a rejected one.  The
     span ends at h, so the step is taken as it is, and the margin is inf, so
-    that an accepted step stops the loop at its gate."""
+    that an accepted step stops the loop at its gate.  Without `store`, of
+    the loop that `_drive_end` runs: rest is (new jet, stages, jet before
+    the step, steps accepted)."""
     inputs, errs = [], []
 
     def power(err, p):
@@ -149,10 +151,13 @@ def _loop_trial(d, y, f, h, abs_tol=1e-12, code=None, scope=None):
         return core.power(err, p)
 
     cfg = itg.IntegrationConfig(rel_tol=1e-10, abs_tol=abs_tol)
-    loop = _with(itg._serial_loop(d, cfg, math.inf, h), code, scope,
+    loop = _with(itg._serial_loop(d, cfg, math.inf, h, store), code, scope,
                  sin=_recording(math.sin, inputs), power=power, margin=math.inf)
     steps = []
     try:
+        if not store:
+            _, _, y_new, _, _, accepted, (K, _, y_old) = loop(y, f, 0.0, 0.0, h, True)
+            return inputs, errs[0], [y_new, K, y_old, accepted]
         _, _, y_new, _, _, bounds = loop(y, f, 0.0, 0.0, h, True, steps, [0.0], [y])
     except _Rejected:
         return inputs, errs[0], None
@@ -245,11 +250,11 @@ def _scripted(stages, inputs):
     return script
 
 
-def _scripted_loop(monkeypatch):
+def _scripted_loop(monkeypatch, store=True):
     """The loop generated as the module generates it, from a field whose four
     components are scripted by `script`, a name bound as a global."""
     monkeypatch.setattr(core, "FIELD_SOURCE", "v, w2, w3, acc = script(phi, v, w2, w3)")
-    return core._function_code(itg._loop_source(), "<scripted>")
+    return core._function_code(itg._loop_source(store), "<scripted>")
 
 
 def _scripted_trial(code, y, K, h, abs_tol):
@@ -285,6 +290,36 @@ def test_generated_step_matches_combo_on_special_stages(monkeypatch):
     assert accepted > 500
 
 
+def test_the_loop_that_keeps_nothing_takes_the_storing_loops_step(monkeypatch):
+    # On scripted stages of every kind, the two forms of the loop see the
+    # same stage jets, reject alike, and accept with the same new jet and
+    # stages; the form that keeps nothing hands back the jet before the step.
+    stored, free = _scripted_loop(monkeypatch), _scripted_loop(monkeypatch, store=False)
+    rng = np.random.default_rng(29)
+    accepted = 0
+    for trial in range(1000):
+        entries = [v for v in _SPECIAL if math.isfinite(v)] if trial % 2 else _SPECIAL
+        y = [float(v) for v in rng.choice(entries, 4)]
+        K = [tuple(float(v) for v in rng.choice(entries, 4)) for _ in itg._E]
+        h = float(10.0 ** rng.uniform(-300, 3))
+        abs_tol = 1e300 if trial % 2 else 1e-12
+        runs = []
+        for code, store in ((stored, True), (free, False)):
+            seen = []
+            inputs, err, rest = _loop_trial(5, y, K[0], h, abs_tol, code,
+                                            {"script": _scripted(K[1:], seen)}, store)
+            runs.append((seen, _hex(inputs), _hex(err), rest and _hex(rest[:3])))
+            if rest is not None and not store:
+                assert rest[3] == 1
+        (seen, inputs, err, rest), (free_seen, free_inputs, free_err, free_rest) = runs
+        assert (seen, inputs, err) == (free_seen, free_inputs, free_err), (y, K, h)
+        assert (rest is None) == (free_rest is None), (y, K, h)
+        if rest is not None:
+            assert free_rest == [rest[0], rest[1], _hex(y)], (y, K, h)
+            accepted += 1
+    assert accepted > 200
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import biwind.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
@@ -309,7 +344,7 @@ def test_bisect_ends_at_adjacent_doubles():
 
 
 # A handoff threshold of 0 keeps every lane in the lockstep loop to its end;
-# the module's default hands these few-lane runs to `_drive` at the start.
+# the module's default hands these few-lane runs to `_drive_end` at the start.
 _LOCKSTEP = 0
 
 
@@ -469,20 +504,20 @@ def _serial_key(d: int, x0, cfg: itg.IntegrationConfig) -> tuple:
 
 
 def _record_handoffs(monkeypatch) -> list:
-    """The `resume` state of every lane `integrate_lanes` hands to `_drive`."""
+    """The `resume` state of every lane `integrate_lanes` hands to `_drive_end`."""
     resumed = []
-    drive = itg._drive
+    drive = itg._drive_end
 
     def recording(*args):
         resumed.append(args[5])
         return drive(*args)
 
-    monkeypatch.setattr(itg, "_drive", recording)
+    monkeypatch.setattr(itg, "_drive_end", recording)
     return resumed
 
 
 def test_lanes_handed_off_mid_run_end_as_the_serial_integrator(monkeypatch):
-    # Lanes that go to `_drive` mid-run, some of them just after a rejected
+    # Lanes that go to `_drive_end` mid-run, some of them just after a rejected
     # trial step, end as their serial orbits do, whatever the threshold.
     cfg, seeds = _long_step_lanes()
     serial = [_serial_key(5, x0, cfg) for x0 in seeds]
@@ -493,7 +528,7 @@ def test_lanes_handed_off_mid_run_end_as_the_serial_integrator(monkeypatch):
         lanes = itg.integrate_lanes(5, seeds, cfg)
         assert len(resumed) - start <= handoff
         assert [_lane_key(lane) for lane in lanes] == serial, handoff
-    # at 60, all 60 lanes go to `_drive` before any lockstep iteration
+    # at 60, all 60 lanes go to `_drive_end` before any lockstep iteration
     mid_run, at_start = resumed[:-60], resumed[-60:]
     assert mid_run and all(r[0] > 0.0 for r in mid_run)
     assert all(r[0] == r[1] == 0.0 for r in at_start)
@@ -508,7 +543,7 @@ def test_lanes_handed_off_mid_run_end_as_the_serial_integrator(monkeypatch):
 def test_lane_underflowing_after_its_handoff_ends_as_the_serial_integrator(
         partner, last_trial, monkeypatch):
     # The first lane underflows near s = 0.59 in its 2117th iteration; at a
-    # threshold of 1 it goes to `_drive` once its partner has ended, in the
+    # threshold of 1 it goes to `_drive_end` once its partner has ended, in the
     # last two cases after its last accepted step.
     cfg = itg.IntegrationConfig(blowup_norm=1e300, max_span=3.0)
     seeds = [[0.2, 0.5, 6.0, 5.0], partner]
@@ -1015,31 +1050,91 @@ def test_interpolant_gives_the_bits_of_the_scan():
     assert any(0.0 < abs(v) < sys.float_info.min for v in seen)
 
 
+def _record_ends(monkeypatch) -> list:
+    """(seed, cfg, (termination, jet, stats)) of every orbit `_drive_end` runs from s = 0."""
+    ends = []
+    drive = itg._drive_end
+
+    def recording(d, y, s0, cfg, cs, resume):
+        end = drive(d, y, s0, cfg, cs, resume)
+        if resume[0] == 0.0:
+            ends.append((y, cfg, end))
+        return end
+
+    monkeypatch.setattr(itg, "_drive_end", recording)
+    return ends
+
+
 def test_shooting_orbits_skip_most_scans(monkeypatch):
-    trajs, gated = [], []
+    # The search's orbits run on the loop that keeps no step, and theta*'s
+    # orbit, the last, on `integrate`, ungated, to blowup.
+    ends, trajs = _record_ends(monkeypatch), []
     run = itg.integrate
 
     def recording(*args, gates=False, **kwargs):
+        assert not gates
         trajs.append(run(*args, gates=gates, **kwargs))
-        gated.append(gates)
         return trajs[-1]
 
     monkeypatch.setattr(itg, "integrate", recording)
     manifold.find_heteroclinic()
-    assert len(trajs) <= 20
-    for traj in trajs:
-        st = traj.stats
-        assert st.accepted == len(traj.s) - 1 == st.scanned + st.skipped
+    assert len(ends) == 17 and len(trajs) == 1
+    traj, = trajs
+    assert traj.stats.accepted == len(traj.s) - 1
+    stats = [st for _, _, (_, _, st) in ends] + [traj.stats]
+    for st in stats:
+        assert st.accepted == st.scanned + st.skipped
         assert st.field_evals == 2 + 6 * (st.accepted + st.rejected)
-    # the search's orbits are gated; theta*'s orbit, the last, runs on to blowup
-    assert gated == [True] * (len(trajs) - 1) + [False]
-    for traj in trajs[:-1]:
-        assert (traj.stats.bisections > 0) == (
-            traj.termination.kind is itg.TerminationKind.EVENT_STOP)
-    assert trajs[-1].termination.kind is itg.TerminationKind.BLOWUP_DETECTED
-    assert trajs[-1].stats.bisections > 0
-    skipped = sum(t.stats.skipped for t in trajs)
-    assert skipped >= 0.98 * sum(t.stats.accepted for t in trajs)
+    for _, _, (term, _, st) in ends:
+        assert (st.bisections > 0) == (term.kind is itg.TerminationKind.EVENT_STOP)
+    assert traj.termination.kind is itg.TerminationKind.BLOWUP_DETECTED
+    assert traj.stats.bisections > 0
+    assert sum(st.skipped for st in stats) >= 0.98 * sum(st.accepted for st in stats)
+
+
+def _pinned_seeds(monkeypatch) -> list:
+    """(seed, cfg) of the orbits that the one-lane runs must end as `integrate`
+    does: the shooting search's 17, both ends of its bracket among them, an
+    orbit that exhausts its span, one whose step underflows, one that blows
+    up at its start, and the lanes of `_long_step_lanes`' first five seeds."""
+    search = _record_ends(monkeypatch)
+    manifold.find_heteroclinic()
+    monkeypatch.undo()
+    spec = manifold.SeedSpec(0.05, 0.784810845396603)
+    long_cfg, long_seeds = _long_step_lanes()
+    return [*((y, cfg) for y, cfg, _ in search),
+            (manifold.seed_state(spec).as_array(), itg.IntegrationConfig(max_span=6.0)),
+            ([0.2, 0.5, 6.0, 5.0], itg.IntegrationConfig(blowup_norm=1e300, max_span=3.0)),
+            ([0.0, 0.0, 4.0, 0.0], itg.IntegrationConfig(blowup_norm=3.0)),
+            *((x0, long_cfg) for x0 in long_seeds[:5])]
+
+
+def test_orbits_that_keep_nothing_end_as_integrate(monkeypatch):
+    # Each seed runs as the one lane of `integrate_lanes`, which hands it to
+    # `_drive_end` at once, and through the gated `integrate`, which keeps
+    # its steps: the same end, the same jet, and every counter alike.
+    seeds = _pinned_seeds(monkeypatch)
+    kinds = set()
+    for x0, cfg in seeds:
+        ends = _record_ends(monkeypatch)
+        lane, = itg.integrate_lanes(5, [x0], cfg)
+        monkeypatch.undo()
+        assert _lane_key(lane) == _serial_key(5, x0, cfg), x0
+        if isinstance(lane.end, itg.IntegrationError):
+            kinds.add(itg.IntegrationError)
+            continue
+        traj = itg.integrate(5, x0, cfg=cfg, gates=True)
+        if len(traj.s) == 1:  # blown up at the start, before any loop
+            assert ends == [] and traj.stats == itg.StepStats()
+            kinds.add("start")
+            continue
+        (_, _, (term, y, stats)), = ends
+        assert term == traj.termination
+        assert [v.hex() for v in y] == [v.hex() for v in traj.states[-1].tolist()]
+        assert stats == traj.stats, x0
+        kinds.add(term.kind)
+    assert len(seeds) >= 20
+    assert kinds == {*itg.TerminationKind, itg.IntegrationError, "start"}
 
 
 def test_shoot_bracket_ends_take_the_pinned_steps():

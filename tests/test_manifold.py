@@ -187,13 +187,18 @@ def test_classified_orbit_reads_the_gate_from_the_unwatched_orbit(
     spec = manifold.SeedSpec(eps0, theta)
     want = manifold.classify_orbit(spec, cfg)
     calls = []
-    run = integrate.integrate
+    run, run_end = integrate.integrate, integrate._drive_end
 
     def recording(*args, gates=False, **kwargs):
         calls.append(gates)
         return run(*args, gates=gates, **kwargs)
 
+    def recording_end(*args):  # a gated orbit that keeps no step
+        calls.append(True)
+        return run_end(*args)
+
     monkeypatch.setattr(integrate, "integrate", recording)
+    monkeypatch.setattr(integrate, "_drive_end", recording_end)
     res, orbit = manifold._classified_orbit(spec, cfg)
     assert repr(res) == repr(want)
     assert calls == [False] + [True] * watched

@@ -27,14 +27,16 @@ import tempfile
 
 # (artifact base, command line); "{theta}" is theta0 + 0.15 at the wind eps0,
 # computed by the tree that runs the command.  The shooting tolerance 1e-10
-# is the default, spelled out so that the run stays pinned if it moves.  The
-# classify grids lie on both sides of `integrate._HANDOFF_LANES` (20): 2
-# angles run serially from the start, 21 run one lockstep stretch and then
-# serially, and 200 run in lockstep most of the way.  shoot_short's connecting
-# orbit exhausts its span, so its gate crossing lies in no stored step.
+# is the default, spelled out so that the run stays pinned if it moves;
+# shoot_coarse is a short search.  The classify grids lie on both sides of
+# `integrate._HANDOFF_LANES` (20): 2 and 20 angles run serially from the
+# start, 21 run one lockstep stretch and then serially, and 200 run in
+# lockstep most of the way.  shoot_short's connecting orbit exhausts its
+# span, so its gate crossing lies in no stored step.
 COMMANDS = (
     ("shoot", ["shoot"]),
     ("shoot_tol", ["shoot", "--theta-tol", "1e-10"]),
+    ("shoot_coarse", ["shoot", "--theta-tol", "1e-3"]),
     ("shoot_short", ["shoot", "--span", "6", "--eps0", "0.05"]),
     ("wind", ["wind"]),
     ("wind_1e20", ["wind", "--blowup-norm", "1e20"]),
@@ -43,6 +45,7 @@ COMMANDS = (
     ("wind_theta_1e10", ["wind", "--theta", "{theta}", "--blowup-norm", "1e10"]),
     ("classify", ["classify", "--grid", "200"]),
     ("classify_2", ["classify", "--grid", "2"]),
+    ("classify_20", ["classify", "--grid", "20"]),
     ("classify_21", ["classify", "--grid", "21"]),
     ("verify", ["verify", "--task", "all"]),
     ("verify_coarse", ["verify", "--task", "all", "--min-width", "0.02"]),
